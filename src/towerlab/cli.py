@@ -34,13 +34,22 @@ from .basicfield import genus_from_table, ram_table, reconcile_different, zeta_g
 from .checker import FamilyParams, check_theorem, verify_family_facts
 from .errors import TowerlabError
 from .ffield import BivarPoly, FFElem, FFPoly, FiniteField, make_field
-from .omfactor import PlaceExt
+from .omfactor import PlaceExt, is_irreducible_over_ratfield
 from .pyramid import RamHypotheses, climb, render_pyramid
 from .ratfunc import RatPlace
 
 __all__ = ["ParseError", "JobSpec", "parse_poly", "parse_elem", "run", "main"]
 
 SCHEMA_VERSION = 1
+
+
+class InvalidOption(TowerlabError):
+    """An option value outside its allowed range."""
+
+
+class ReducibleDefiningPolynomial(TowerlabError):
+    """F factors over K(x), so it defines no function field; genus and
+    ramification of F are meaningless."""
 
 
 class ParseError(TowerlabError):
@@ -257,9 +266,19 @@ def _field_of(job: JobSpec) -> FiniteField:
     return make_field(job.params["p"], job.params.get("k", 1))
 
 
+def _function_field_poly(job: JobSpec) -> BivarPoly:
+    """The parsed --F, refused if it is reducible over K(x)."""
+    F = parse_poly(job.params["F"], _field_of(job))
+    if F.deg_y() >= 2 and not is_irreducible_over_ratfield(F):
+        raise ReducibleDefiningPolynomial(
+            f"reducible defining polynomial: {F.to_str()} factors over "
+            f"GF({F.field.order})(x)"
+        )
+    return F
+
+
 def _run_analyze(job: JobSpec):
-    K = _field_of(job)
-    F = parse_poly(job.params["F"], K)
+    F = _function_field_poly(job)
     rt = ram_table(F, max_depth=job.params["max_depth"])
     gr = genus_from_table(rt)
     wits, bounds = [], {}
@@ -356,12 +375,15 @@ def _run_family(job: JobSpec):
 
 
 def _run_genus(job: JobSpec):
-    K = _field_of(job)
-    F = parse_poly(job.params["F"], K)
+    cap = job.params.get("cap")
+    if cap is not None and cap < 1:
+        raise InvalidOption(f"--cap must be at least 1, got {cap}")
+    F = _function_field_poly(job)
     rt = ram_table(F, max_depth=job.params["max_depth"])
     gr = genus_from_table(rt)
     lo, hi = gr.diff_degree_bounds
-    cap = job.params.get("cap") or max(1, gr.genus, (hi + 2 - 2 * rt.m) // 2)
+    if cap is None:
+        cap = max(1, gr.genus, (hi + 2 - 2 * rt.m) // 2)
     z = zeta_genus(F, cap, max_depth=job.params["max_depth"])
     notes = []
     if gr.exact:

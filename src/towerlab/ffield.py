@@ -4,12 +4,29 @@ bivariate polynomials F(x, y) used as defining equations of function fields.
 Representation choices, fixed once so every artifact downstream is
 deterministic:
 
-* A field GF(p^k) is realized as GF(p)[t]/(modulus) where modulus is the
-  monic irreducible of degree k whose coefficient vector, read as a base-p
-  integer with the constant term least significant, is smallest.
-* An element is a coefficient vector (c_0, ..., c_{k-1}) in that basis; its
-  integer encoding is sum(c_i * p^i).  All orderings and reprs derive from
-  that encoding.
+* A field GF(p^k) is GF(p)[t]/(modulus) for a monic irreducible modulus of
+  degree k.  make_field is the one constructor and interns fields by
+  (p, modulus), so equal fields are the same object and are compared with
+  `is`.  Without an explicit modulus it takes the canonical one: the monic
+  irreducible of degree k whose coefficient vector, read as a base-p integer
+  with the constant term least significant, is smallest.  Residue fields
+  GF(p)[x]/(P) of K(x) pass P as the modulus.
+* An element c_0 + c_1 t + ... + c_{k-1} t^(k-1) is the plain int
+  sum(c_i * p^i).  All orderings and reprs derive from that encoding, and
+  arithmetic runs on it directly:
+  - prime fields use a*b % p and pow(a, -1, p);
+  - extension fields of order at most ZECH_MAX_ORDER multiply, invert and
+    (for odd p) add through log/antilog tables and Zech logarithms, built on
+    the first such operation in the field;
+  - larger extension fields multiply by packing the digits into one int
+    (Kronecker substitution) and folding the high half back with
+    t^j mod modulus, and invert by the extended Euclidean algorithm;
+  - in characteristic 2 addition is xor.
+  FFElem is a thin (field, int) wrapper for the public API and reports.
+* FFPoly keeps its coefficients as a list of these ints, and its
+  multiplication, division, gcd, modular powers and evaluation run on the
+  lists.  The techniques follow FLINT's fq_zech and nmod_poly and Shoup's
+  NTL.
 * Factorization is Cantor-Zassenhaus with an explicit RNG seed; the same
   (polynomial, seed) pair always yields the same factor list, sorted by
   (degree, coefficient encoding).
@@ -17,8 +34,9 @@ deterministic:
 
 from __future__ import annotations
 
+import operator
 import random
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import TowerlabError
 
@@ -26,9 +44,16 @@ from .errors import TowerlabError
 #: per call; the CLI maps the TOWERLAB_SEED environment variable onto it.
 FACTOR_SEED = 0x7F4A91
 
+#: Largest extension-field order that gets log/antilog (Zech) tables.
+ZECH_MAX_ORDER = 2**10
+
 
 class NotPrime(TowerlabError):
     """Raised when a field constructor receives a composite characteristic."""
+
+
+class InvalidDegree(TowerlabError, ValueError):
+    """Raised when a field constructor receives an extension degree below 1."""
 
 
 class NoEmbedding(TowerlabError):
@@ -52,32 +77,19 @@ def is_prime(n: int) -> bool:
 
 
 class FiniteField:
-    """The field GF(p^k).  Construct via make_field, which canonicalizes the
-    modulus and caches instances."""
+    """The field GF(p^k) on base-p int encodings.  Construct via make_field,
+    which interns instances.  This class is the prime field (k = 1);
+    extension fields are its subclasses below."""
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
         self.k = k
         self.order = p**k
         self.modulus = modulus  # length k+1, monic
-        # t^j mod modulus for j in [k, 2k-2], needed to fold products back
-        # into degree < k.
-        self._red: list[tuple[int, ...]] = []
-        if k > 1:
-            cur = list(modulus[:k])
-            cur = [(-c) % p for c in cur]  # t^k = -(lower part)
-            self._red.append(tuple(cur))
-            for _ in range(k - 2):
-                nxt = [0] + cur[: k - 1]
-                top = cur[k - 1]
-                if top:
-                    for i in range(k):
-                        nxt[i] = (nxt[i] - top * modulus[i]) % p
-                cur = nxt
-                self._red.append(tuple(cur))
-        self._embed_roots: dict[tuple[int, int], FFElem] = {}
-        self._zero = FFElem(self, (0,) * k)
-        self._one = FFElem(self, (1,) + (0,) * (k - 1))
+        self._hash = hash((p, k, modulus))
+        self._embed_roots: dict[tuple, int] = {}
+        self._zero = FFElem(self, 0)
+        self._one = FFElem(self, 1)
 
     # -- element construction -------------------------------------------------
 
@@ -88,17 +100,11 @@ class FiniteField:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            v = value % self.order
-            digits = []
-            for _ in range(self.k):
-                digits.append(v % self.p)
-                v //= self.p
-            return FFElem(self, tuple(digits))
-        rep = tuple(int(c) % self.p for c in value)
-        if len(rep) > self.k:
+            return FFElem(self, value % self.order)
+        digits = [int(c) % self.p for c in value]
+        if len(digits) > self.k:
             raise ValueError("coefficient vector longer than field degree")
-        rep = rep + (0,) * (self.k - len(rep))
-        return FFElem(self, rep)
+        return FFElem(self, self._from_digits(digits))
 
     def zero(self) -> FFElem:
         return self._zero
@@ -108,173 +114,329 @@ class FiniteField:
 
     def gen(self) -> FFElem:
         """The class of t (only meaningful for k > 1)."""
-        return self.elem([0, 1]) if self.k > 1 else self._one
+        return FFElem(self, self.p) if self.k > 1 else self._one
 
     def elements(self):
         for v in range(self.order):
-            yield self.elem(v)
+            yield FFElem(self, v)
 
-    # -- raw tuple arithmetic --------------------------------------------------
-
-    def _add(self, a, b):
+    def _digits(self, a: int) -> list[int]:
+        """The k base-p digits of an encoding, constant term first."""
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        out = []
+        for _ in range(self.k):
+            a, d = divmod(a, p)
+            out.append(d)
+        return out
 
-    def _sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+    def _from_digits(self, digits) -> int:
+        v = 0
+        for d in reversed(digits):
+            v = v * self.p + d
+        return v
 
-    def _neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+    # -- int arithmetic ---------------------------------------------------------
 
-    def _mul(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = [c % p for c in conv[:k]]
-        for j in range(k, 2 * k - 1):
-            cj = conv[j] % p
-            if cj:
-                red = self._red[j - k]
-                for i in range(k):
-                    out[i] = (out[i] + cj * red[i]) % p
-        return tuple(out)
+    def _add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
 
-    def _inv(self, a):
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError("inverse of zero in " + repr(self))
-        if self.k == 1:
-            return (pow(a[0], self.p - 2, self.p),)
-        # order is small throughout this library; a^(order-2) is fast enough
-        result = self._one.rep
-        base = a
-        e = self.order - 2
-        while e:
-            if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return result
+    def _sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
+    def _neg(self, a: int) -> int:
+        return -a % self.p
+
+    def _mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def _inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError(f"inverse of zero in {self!r}")
+        return pow(a, -1, self.p)
+
+    def _pow(self, a: int, n: int) -> int:
+        """a^n for n >= 0."""
+        return pow(a, n, self.p)
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.order})"
 
 
+class _ExtensionField(FiniteField):
+    """GF(p^k) with k > 1, beyond the table bound.
+
+    Elements are packed for arithmetic: their digits placed `_slot` bits
+    apart in one int, wide enough that no sum below ever carries into the
+    next slot.  Addition adds packed forms (xor for p = 2).  A product
+    multiplies the two packed ints once and folds slots k..2k-2 back with
+    t^j mod modulus.  Inversion is the extended Euclidean algorithm in
+    GF(p)[t].
+    """
+
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        super().__init__(p, k, modulus)
+        # t^j mod modulus for j in [k, 2k-2], needed to fold products back
+        # into degree < k.
+        red = []
+        cur = [(-c) % p for c in modulus[:k]]  # t^k = -(lower part)
+        red.append(cur)
+        for _ in range(k - 2):
+            nxt = [0] + cur[: k - 1]
+            top = cur[k - 1]
+            if top:
+                for i in range(k):
+                    nxt[i] = (nxt[i] - top * modulus[i]) % p
+            cur = nxt
+            red.append(cur)
+        self._slot = ((2 * k - 1) * (p - 1) ** 2).bit_length()
+        self._mask = (1 << self._slot) - 1
+        self._red = [self._pack(self._from_digits(r)) for r in red]
+        if p == 2:
+            # instance attributes shadow the digitwise methods
+            self._add = self._sub = operator.xor
+            self._neg = operator.pos
+
+    def _pack(self, a: int) -> int:
+        """The base-p digits of a, placed `_slot` bits apart."""
+        p, s = self.p, self._slot
+        out = sh = 0
+        while a:
+            a, d = divmod(a, p)
+            out |= d << sh
+            sh += s
+        return out
+
+    def _unpack(self, c: int) -> int:
+        """The encoding whose digits are the low k slots of c, each mod p."""
+        p, s, mask = self.p, self._slot, self._mask
+        v = 0
+        for i in range((self.k - 1) * s, -1, -s):
+            v = v * p + ((c >> i) & mask) % p
+        return v
+
+    # digitwise, through the packed form: slot sums stay below 2^_slot
+
+    def _add(self, a: int, b: int) -> int:
+        return self._unpack(self._pack(a) + self._pack(b))
+
+    def _sub(self, a: int, b: int) -> int:
+        return self._unpack(self._pack(a) + (self.p - 1) * self._pack(b))
+
+    def _neg(self, a: int) -> int:
+        return self._unpack((self.p - 1) * self._pack(a))
+
+    def _mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        p, s, mask = self.p, self._slot, self._mask
+        c = self._pack(a) * self._pack(b)
+        shift = s * self.k
+        lo = c & ((1 << shift) - 1)
+        c >>= shift
+        for r in self._red:
+            if not c:
+                break
+            d = (c & mask) % p
+            if d:
+                lo += d * r
+            c >>= s
+        return self._unpack(lo)
+
+    def _inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError(f"inverse of zero in {self!r}")
+        p = self.p
+        prime = _intern(p, 1, (0, 1))
+        r0, r1 = list(self.modulus), _trim(self._digits(a))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            q, r = _pdivmod(prime, r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _psub(prime, s0, _pmul(prime, q, s1))
+        c = pow(r1[0], -1, p)
+        return self._from_digits([x * c % p for x in s1])
+
+    def _pow(self, a: int, n: int) -> int:
+        result = 1
+        while n:
+            if n & 1:
+                result = self._mul(result, a)
+            a = self._mul(a, a)
+            n >>= 1
+        return result
+
+
+class _ZechField(_ExtensionField):
+    """GF(p^k) with k > 1 and order at most ZECH_MAX_ORDER.
+
+    `_tables` is (log, exp, zech) for a primitive element g: exp[i] = g^i,
+    stored twice over so that a sum of two logs needs no reduction; log
+    inverts it; and, for odd p, zech[n] = log(1 + g^n), or None where
+    1 + g^n = 0, so that g^a + g^b = g^(a + zech[b - a]).
+    """
+
+    @cached_property
+    def _tables(self) -> tuple[list, list, list | None]:
+        """(log, exp, zech), built on first use."""
+        p, q1 = self.p, self.order - 1
+        mul = super()._mul
+        for g in range(p, self.order):
+            exp = [1]
+            x = g
+            while x != 1:
+                exp.append(x)
+                x = mul(x, g)
+            if len(exp) == q1:
+                break
+        log = [None] * self.order
+        for i, x in enumerate(exp):
+            log[x] = i
+        zech = None
+        if p != 2:
+            # 1 + x only changes the constant digit of x
+            zech = [log[x - x % p + (x % p + 1) % p] for x in exp]
+        return log, exp + exp, zech
+
+    def _mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        log, exp, _ = self._tables
+        return exp[log[a] + log[b]]
+
+    def _inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError(f"inverse of zero in {self!r}")
+        log, exp, _ = self._tables
+        return exp[self.order - 1 - log[a]]
+
+    def _pow(self, a: int, n: int) -> int:
+        if not a:
+            return 0 if n else 1
+        log, exp, _ = self._tables
+        return exp[log[a] * n % (self.order - 1)]
+
+    # odd p only: characteristic 2 keeps the xor attributes
+
+    def _add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        log, exp, zech = self._tables
+        la = log[a]
+        z = zech[log[b] - la]
+        return 0 if z is None else exp[la + z]
+
+    def _neg(self, a: int) -> int:
+        if not a:
+            return 0
+        log, exp, _ = self._tables
+        return exp[log[a] + (self.order - 1) // 2]
+
+    def _sub(self, a: int, b: int) -> int:
+        return self._add(a, self._neg(b))
+
+
 class FFElem:
-    """An element of a FiniteField; immutable coefficient vector."""
+    """An element of a FiniteField: the field and the element's base-p int
+    encoding `v`; immutable."""
 
-    __slots__ = ("field", "rep")
+    __slots__ = ("field", "v")
 
-    def __init__(self, field: FiniteField, rep: tuple[int, ...]):
+    def __init__(self, field: FiniteField, v: int):
         self.field = field
-        self.rep = rep
+        self.v = v
 
-    def _check(self, other) -> "FFElem":
+    def _other(self, other):
+        """other's encoding in this field (an int acts as its residue mod p),
+        or None for a foreign type."""
+        if isinstance(other, FFElem):
+            if other.field is not self.field:
+                raise ValueError("mixed-field arithmetic; embed explicitly")
+            return other.v
         if isinstance(other, int):
-            return self.field.elem(other % self.field.p)
-        if not isinstance(other, FFElem):
-            return NotImplemented
-        if other.field != self.field:
-            raise ValueError("mixed-field arithmetic; embed explicitly")
-        return other
+            return other % self.field.p
+        return None
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        o = self._other(other)
+        if o is None:
             return NotImplemented
-        return FFElem(self.field, self.field._add(self.rep, other.rep))
+        return FFElem(self.field, self.field._add(self.v, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        o = self._other(other)
+        if o is None:
             return NotImplemented
-        return FFElem(self.field, self.field._sub(self.rep, other.rep))
+        return FFElem(self.field, self.field._sub(self.v, o))
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._other(other)
+        if o is None:
+            return NotImplemented
+        return FFElem(self.field, self.field._sub(o, self.v))
 
     def __neg__(self):
-        return FFElem(self.field, self.field._neg(self.rep))
+        return FFElem(self.field, self.field._neg(self.v))
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        o = self._other(other)
+        if o is None:
             return NotImplemented
-        return FFElem(self.field, self.field._mul(self.rep, other.rep))
+        return FFElem(self.field, self.field._mul(self.v, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        o = self._other(other)
+        if o is None:
             return NotImplemented
-        return FFElem(self.field, self.field._mul(self.rep, self.field._inv(other.rep)))
+        field = self.field
+        return FFElem(field, field._mul(self.v, field._inv(o)))
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def inverse(self) -> "FFElem":
-        return FFElem(self.field, self.field._inv(self.rep))
+        return FFElem(self.field, self.field._inv(self.v))
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field._one.rep
-        base = self.rep
-        while n:
-            if n & 1:
-                result = self.field._mul(result, base)
-            base = self.field._mul(base, base)
-            n >>= 1
-        return FFElem(self.field, result)
+        return FFElem(self.field, self.field._pow(self.v, n))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.rep)
+        return not self.v
 
     def to_int(self) -> int:
-        v = 0
-        for c in reversed(self.rep):
-            v = v * self.field.p + c
-        return v
+        return self.v
+
+    def digits(self) -> list[int]:
+        """The k coordinates over GF(p) in the basis 1, t, ..., t^(k-1)."""
+        return self.field._digits(self.v)
 
     def __eq__(self, other):
+        if isinstance(other, FFElem):
+            return other.field is self.field and other.v == self.v
         if isinstance(other, int):
-            return self == self.field.elem(other % self.field.p)
-        return (
-            isinstance(other, FFElem)
-            and other.field == self.field
-            and other.rep == self.rep
-        )
+            return self.v == other % self.field.p
+        return False
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.rep))
+        return hash((self.field.p, self.field.k, self.v))
 
     def __repr__(self):
         if self.field.k == 1:
-            return str(self.rep[0])
+            return str(self.v)
         terms = []
+        digits = self.digits()
         for i in range(self.field.k - 1, -1, -1):
-            c = self.rep[i]
+            c = digits[i]
             if c == 0:
                 continue
             if i == 0:
@@ -285,53 +447,103 @@ class FFElem:
         return " + ".join(terms) if terms else "0"
 
 
-@lru_cache(maxsize=None)
-def make_field(p: int, k: int = 1) -> FiniteField:
-    """GF(p^k) with the canonical smallest modulus (see module docstring)."""
+# (p, modulus) -> field, and (p, k) -> the field with the canonical modulus
+_fields: dict[tuple, FiniteField] = {}
+_canonical: dict[tuple[int, int], FiniteField] = {}
+
+
+def make_field(p: int, k: int = 1, modulus=None) -> FiniteField:
+    """GF(p^k) = GF(p)[t]/(modulus), one interned instance per (p, modulus).
+
+    modulus lists the coefficients low to high; it must be monic and
+    irreducible over GF(p) (the caller's obligation).  It defaults to the
+    canonical smallest modulus (see module docstring)."""
+    if modulus is None:
+        field = _canonical.get((p, k))
+        if field is None:
+            _check_degree(p, k)
+            field = _intern(p, k, _smallest_modulus(p, k))
+            _canonical[(p, k)] = field
+        return field
+    modulus = tuple(modulus)
+    field = _fields.get((p, modulus))
+    if field is None:
+        _check_degree(p, k)
+        if len(modulus) != k + 1 or modulus[-1] != 1:
+            raise ValueError("modulus must be monic of the extension degree")
+        field = _intern(p, k, modulus)
+    return field
+
+
+def _check_degree(p: int, k: int) -> None:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise InvalidDegree(f"extension degree {k} is not >= 1")
+
+
+def _intern(p: int, k: int, modulus: tuple[int, ...]) -> FiniteField:
+    field = _fields.get((p, modulus))
+    if field is None:
+        if k == 1:
+            cls = FiniteField
+        elif p**k <= ZECH_MAX_ORDER:
+            cls = _ZechField
+        else:
+            cls = _ExtensionField
+        field = _fields[(p, modulus)] = cls(p, k, modulus)
+    return field
+
+
+def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
-        return FiniteField(p, 1, (0, 1))
-    base = make_field(p, 1)
+        return (0, 1)
+    base = make_field(p)
     for v in range(p**k):
         digits = []
-        w = v
         for _ in range(k):
-            digits.append(w % p)
-            w //= p
-        cand = FFPoly(base, [base.elem(c) for c in digits] + [base.one()])
-        if is_irreducible(cand):
-            return FiniteField(p, k, tuple(digits) + (1,))
+            v, d = divmod(v, p)
+            digits.append(d)
+        if is_irreducible(FFPoly(base, digits + [1])):
+            return tuple(digits) + (1,)
     raise TowerlabError("no irreducible modulus found")  # unreachable
+
+
+def _embed_ints(src: FiniteField, target: FiniteField, cs: list[int]) -> list[int]:
+    """The encodings in target of the src elements cs, under the canonical
+    embedding GF(p^k) -> GF(p^K) for k | K: the source generator goes to the
+    smallest root of the source modulus in target."""
+    if src is target:
+        return cs
+    if src.p != target.p or target.k % src.k != 0:
+        raise NoEmbedding(f"no embedding {src!r} -> {target!r}")
+    if src.k == 1:
+        # prime subfield: the unique ring hom, 1 -> 1
+        return cs
+    key = (src.p, src.k, src.modulus)
+    root = target._embed_roots.get(key)
+    if root is None:
+        prime = make_field(src.p)
+        rts = roots_in_field(FFPoly(prime, list(src.modulus)), target)
+        if not rts:
+            raise NoEmbedding(f"modulus of {src!r} has no root in {target!r}")
+        root = target._embed_roots[key] = rts[0].v
+    mul, add = target._mul, target._add
+    out = []
+    for c in cs:
+        acc = 0
+        for d in reversed(src._digits(c)):
+            acc = add(mul(acc, root), d)
+        out.append(acc)
+    return out
 
 
 def embed(e: FFElem, target: FiniteField) -> FFElem:
     """The canonical embedding GF(p^k) -> GF(p^K) for k | K, sending the
     source generator to the smallest root of the source modulus in target."""
-    src = e.field
-    if src == target:
+    if e.field is target:
         return e
-    if src.p != target.p or target.k % src.k != 0:
-        raise NoEmbedding(f"no embedding {src!r} -> {target!r}")
-    if src.k == 1:
-        # prime subfield: the unique ring hom, 1 -> 1
-        return FFElem(target, (e.rep[0],) + (0,) * (target.k - 1))
-    key = (src.p, src.k, src.modulus)
-    root = target._embed_roots.get(key)
-    if root is None:
-        prime = make_field(src.p, 1)
-        mod_poly = FFPoly(prime, [prime.elem(c) for c in src.modulus])
-        rts = roots_in_field(mod_poly, target)
-        if not rts:
-            raise NoEmbedding(f"modulus of {src!r} has no root in {target!r}")
-        root = rts[0]
-        target._embed_roots[key] = root
-    acc = target.zero()
-    for c in reversed(e.rep):
-        acc = acc * root + target.elem(c)
-    return acc
+    return FFElem(target, _embed_ints(e.field, target, [e.v])[0])
 
 
 def qth_root(b: FFElem, q: int) -> FFElem:
@@ -353,55 +565,217 @@ def qth_root(b: FFElem, q: int) -> FFElem:
     return b ** (p**t)
 
 
+# -- coefficient-list kernels --------------------------------------------------
+#
+# A polynomial over F is a list of coefficient encodings, low to high.  The
+# kernels take trimmed lists (no trailing zero) and return trimmed lists;
+# they never mutate a list they did not create, and may return an input
+# unchanged.  Prime fields run on plain ints reduced mod p once per output
+# coefficient, extension fields through F's int arithmetic.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _padd(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    add = F._add
+    for i, bi in enumerate(b):
+        out[i] = add(out[i], bi)
+    return _trim(out)
+
+
+def _psub(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    sub = F._sub
+    for i, bi in enumerate(b):
+        out[i] = sub(out[i], bi)
+    return _trim(out)
+
+
+def _pscale(F: FiniteField, a: list[int], s: int) -> list[int]:
+    if not s:
+        return []
+    if s == 1:
+        return a
+    if F.k == 1:
+        p = F.p
+        return [c * s % p for c in a]
+    mul = F._mul
+    return [mul(c, s) for c in a]
+
+
+def _pmul(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        return _pscale(F, b, a[0])
+    if len(b) == 1:
+        return _pscale(F, a, b[0])
+    out = [0] * (len(a) + len(b) - 1)
+    if F.k == 1:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        p = F.p
+        return [c % p for c in out]
+    mul, add = F._mul, F._add
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                if bj:
+                    out[j] = add(out[j], mul(ai, bj))
+    return out
+
+
+def _pdivmod(F: FiniteField, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by the nonzero b."""
+    db = len(b) - 1
+    dq = len(a) - 1 - db
+    if dq < 0:
+        return [], list(a)
+    rem = list(a)
+    q = [0] * (dq + 1)
+    low = b[:db]
+    if F.k == 1:
+        p = F.p
+        inv = pow(b[-1], -1, p)
+        for i in range(dq, -1, -1):
+            top = rem[i + db] % p
+            if top:
+                f = top * inv % p
+                q[i] = f
+                for j, bj in enumerate(low, i):
+                    rem[j] -= f * bj
+        return q, _trim([c % p for c in rem[:db]])
+    mul, sub = F._mul, F._sub
+    inv = F._inv(b[-1])
+    for i in range(dq, -1, -1):
+        top = rem[i + db]
+        if top:
+            f = mul(top, inv)
+            q[i] = f
+            for j, bj in enumerate(low, i):
+                if bj:
+                    rem[j] = sub(rem[j], mul(f, bj))
+    return q, _trim(rem[:db])
+
+
+def _prem(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
+    return _pdivmod(F, a, b)[1]
+
+
+def _pmonic(F: FiniteField, a: list[int]) -> list[int]:
+    if not a or a[-1] == 1:
+        return a
+    return _pscale(F, a, F._inv(a[-1]))
+
+
+def _pgcd(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
+    while b:
+        if len(b) == 1:
+            return [1]  # a nonzero constant divides everything
+        a, b = b, _prem(F, a, b)
+    return _pmonic(F, a)
+
+
+def _ppowmod(F: FiniteField, base: list[int], e: int, mod: list[int]) -> list[int]:
+    result = [1]
+    base = _prem(F, base, mod)
+    while e:
+        if e & 1:
+            result = _prem(F, _pmul(F, result, base), mod)
+        base = _prem(F, _pmul(F, base, base), mod)
+        e >>= 1
+    return result
+
+
+def _peval(F: FiniteField, a: list[int], x: int) -> int:
+    """Horner evaluation at an element of F."""
+    acc = 0
+    if F.k == 1:
+        p = F.p
+        for c in reversed(a):
+            acc = (acc * x + c) % p
+        return acc
+    mul, add = F._mul, F._add
+    for c in reversed(a):
+        acc = add(mul(acc, x), c)
+    return acc
+
+
 class FFPoly:
     """Dense univariate polynomial over a FiniteField.
 
-    Coefficients are stored low-to-high and trailing zeros trimmed; the zero
-    polynomial has an empty tuple and degree -1.
+    `ints` holds the coefficient encodings low-to-high with trailing zeros
+    trimmed; the zero polynomial has an empty list and degree -1.  `coeffs`
+    gives the coefficients as FFElems.  Treat both as immutable.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "ints")
 
     def __init__(self, field: FiniteField, coeffs):
-        cs = [field.elem(c) if not isinstance(c, FFElem) else c for c in coeffs]
-        for c in cs:
-            if c.field != field:
-                raise ValueError("coefficient from a different field")
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        ints = []
+        for c in coeffs:
+            if isinstance(c, FFElem):
+                if c.field is not field:
+                    raise ValueError("coefficient from a different field")
+                ints.append(c.v)
+            elif isinstance(c, int):
+                ints.append(c % field.order)
+            else:
+                ints.append(field.elem(c).v)
         self.field = field
-        self.coeffs = tuple(cs)
+        self.ints = _trim(ints)
+
+    @classmethod
+    def _of(cls, field: FiniteField, ints: list[int]) -> "FFPoly":
+        """Wrap a trimmed list of reduced encodings without checks."""
+        f = cls.__new__(cls)
+        f.field = field
+        f.ints = ints
+        return f
 
     # -- basics ---------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[FFElem, ...]:
+        field = self.field
+        return tuple(FFElem(field, c) for c in self.ints)
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def lc(self) -> FFElem:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FFElem(self.field, self.ints[-1])
 
     def coeff(self, i: int) -> FFElem:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
+        if 0 <= i < len(self.ints):
+            return FFElem(self.field, self.ints[i])
+        return self.field.zero()
 
     def monic(self) -> "FFPoly":
-        if self.is_zero():
-            return self
-        inv = self.lc().inverse()
-        return FFPoly(self.field, [c * inv for c in self.coeffs])
+        return FFPoly._of(self.field, _pmonic(self.field, self.ints))
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one()
+        return self.ints == [1]
 
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, FFPoly):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError("mixed-field polynomial arithmetic")
             return other
         if isinstance(other, (int, FFElem)):
@@ -412,10 +786,7 @@ class FFPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FFPoly(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        return FFPoly._of(self.field, _padd(self.field, self.ints, other.ints))
 
     __radd__ = __add__
 
@@ -423,67 +794,44 @@ class FFPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FFPoly(
-            self.field, [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
+        return FFPoly._of(self.field, _psub(self.field, self.ints, other.ints))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FFPoly(self.field, [-c for c in self.coeffs])
+        neg = self.field._neg
+        return FFPoly._of(self.field, [neg(c) for c in self.ints])
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return FFPoly(self.field, [])
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return FFPoly(self.field, out)
+        return FFPoly._of(self.field, _pmul(self.field, self.ints, other.ints))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = FFPoly(self.field, [self.field.one()])
-        base = self
+        F = self.field
+        result = [1]
+        base = self.ints
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _pmul(F, result, base)
+            base = _pmul(F, base, base)
             n >>= 1
-        return result
+        return FFPoly._of(F, result)
 
     def __divmod__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
+        if not other.ints:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return FFPoly(self.field, []), self
-        q = [self.field.zero()] * (dq + 1)
-        inv_lc = other.lc().inverse()
-        for i in range(dq, -1, -1):
-            top = rem[i + other.degree()]
-            if top.is_zero():
-                continue
-            factor = top * inv_lc
-            q[i] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - factor * b
-        return FFPoly(self.field, q), FFPoly(self.field, rem)
+        q, r = _pdivmod(self.field, self.ints, other.ints)
+        return FFPoly._of(self.field, q), FFPoly._of(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -501,46 +849,39 @@ class FFPoly:
         """Multiply by x^n."""
         if self.is_zero():
             return self
-        return FFPoly(self.field, (self.field.zero(),) * n + self.coeffs)
+        return FFPoly._of(self.field, [0] * n + self.ints)
 
     def derivative(self) -> "FFPoly":
-        # i must act as i*1 in the field; raw ints coerce via digit encoding,
-        # which differs from reduction mod p once i >= p on extension fields.
-        return FFPoly(
-            self.field,
-            [self.coeff(i) * (i % self.field.p) for i in range(1, len(self.coeffs))],
+        # i acts as i*1 in the field, whose encoding is i mod p
+        F = self.field
+        mul, p = F._mul, F.p
+        return FFPoly._of(
+            F, _trim([mul(c, i % p) for i, c in enumerate(self.ints) if i])
         )
 
     def eval(self, x: FFElem) -> FFElem:
         """Horner evaluation; coefficients are embedded if x lives in an
         extension of the coefficient field."""
-        if x.field != self.field:
-            acc = x.field.zero()
-            for c in reversed(self.coeffs):
-                acc = acc * x + embed(c, x.field)
-            return acc
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        K = x.field
+        return FFElem(K, _peval(K, _embed_ints(self.field, K, self.ints), x.v))
 
     def map_field(self, target: FiniteField) -> "FFPoly":
-        return FFPoly(target, [embed(c, target) for c in self.coeffs])
+        return FFPoly._of(target, _embed_ints(self.field, target, self.ints))
 
     # -- ordering / display -----------------------------------------------------
 
     def sort_key(self):
-        return (self.degree(), tuple(c.to_int() for c in self.coeffs))
+        return (self.degree(), tuple(self.ints))
 
     def __eq__(self, other):
         return (
             isinstance(other, FFPoly)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
+            and other.field is self.field
+            and other.ints == self.ints
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, tuple(self.ints)))
 
     def to_str(self, var: str = "x") -> str:
         if self.is_zero():
@@ -564,30 +905,18 @@ class FFPoly:
         return self.to_str()
 
 
-# -- gcd / derivative helpers ------------------------------------------------
+# -- gcd / powers / irreducibility ---------------------------------------------
 
 
 def poly_gcd(f: FFPoly, g: FFPoly) -> FFPoly:
     """Monic gcd via the Euclidean algorithm."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
-def poly_derivative(f: FFPoly) -> FFPoly:
-    return f.derivative()
+    if g.field is not f.field:
+        raise ValueError("mixed-field polynomial arithmetic")
+    return FFPoly._of(f.field, _pgcd(f.field, f.ints, g.ints))
 
 
 def _pow_mod(base: FFPoly, e: int, mod: FFPoly) -> FFPoly:
-    result = FFPoly(base.field, [base.field.one()])
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    return FFPoly._of(base.field, _ppowmod(base.field, base.ints, e, mod.ints))
 
 
 def is_irreducible(f: FFPoly) -> bool:
@@ -600,7 +929,7 @@ def is_irreducible(f: FFPoly) -> bool:
         return True
     field = f.field
     Q = field.order
-    x = FFPoly(field, [field.zero(), field.one()])
+    x = FFPoly._of(field, [0, 1])
     fm = f.monic()
     prime_divs = []
     m = n
@@ -667,7 +996,7 @@ def _distinct_degree(f: FFPoly) -> list[tuple[FFPoly, int]]:
     """Split squarefree monic f into products of irreducibles of equal degree."""
     field = f.field
     Q = field.order
-    x = FFPoly(field, [field.zero(), field.one()])
+    x = FFPoly._of(field, [0, 1])
     out = []
     h = x
     rem = f
@@ -694,7 +1023,7 @@ def _equal_degree_split(f: FFPoly, d: int, rng: random.Random) -> list[FFPoly]:
     Q = field.order
     n = f.degree()
     while True:
-        r = FFPoly(field, [field.elem(rng.randrange(Q)) for _ in range(n)])
+        r = FFPoly(field, [rng.randrange(Q) for _ in range(n)])
         if r.degree() < 1:
             continue
         if field.p == 2:
@@ -739,7 +1068,7 @@ def roots_in_field(f: FFPoly, target: FiniteField | None = None) -> list[FFElem]
     """Roots of f in target (default: its own coefficient field), sorted by
     integer encoding.  Multiplicities are discarded."""
     target = target or f.field
-    g = f if target == f.field else f.map_field(target)
+    g = f if target is f.field else f.map_field(target)
     if g.is_zero():
         raise ValueError("every element is a root of the zero polynomial")
     roots = []
@@ -803,7 +1132,7 @@ class BivarPoly:
         for i, c in enumerate(cs):
             if not isinstance(c, FFPoly):
                 cs[i] = FFPoly(field, c)
-            elif c.field != field:
+            elif c.field is not field:
                 raise ValueError("coefficient from a different field")
         while cs and cs[-1].is_zero():
             cs.pop()
@@ -900,7 +1229,7 @@ class BivarPoly:
 
     def _coerce(self, other):
         if isinstance(other, BivarPoly):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError("mixed-field arithmetic")
             return other
         if isinstance(other, FFPoly):
@@ -929,16 +1258,13 @@ class BivarPoly:
         in y over xi's field."""
         return FFPoly(xi.field, [c.eval(xi) for c in self.ycoeffs])
 
-    def eval_y(self, eta: FFElem) -> FFPoly:
-        return self.swap_xy().eval_x(eta)
-
     def map_field(self, target: FiniteField) -> "BivarPoly":
         return BivarPoly(target, [c.map_field(target) for c in self.ycoeffs])
 
     def __eq__(self, other):
         return (
             isinstance(other, BivarPoly)
-            and other.field == self.field
+            and other.field is self.field
             and other.ycoeffs == self.ycoeffs
         )
 

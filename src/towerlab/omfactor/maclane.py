@@ -248,9 +248,9 @@ class StageVal:
                 za = self.z**a
                 for b in range(parent.k):
                     basis = embed(parent.elem([0] * b + [1]), self.resfield)
-                    cols.append(list((basis * za).rep))
+                    cols.append((basis * za).digits())
             self._lift_cols = cols
-        sol = gfp_solve(self.resfield.p, self._lift_cols, list(c.rep))
+        sol = gfp_solve(self.resfield.p, self._lift_cols, c.digits())
         k = parent.k
         coeffs = [parent.elem(sol[a * k : (a + 1) * k]) for a in range(frel)]
         return FFPoly(parent, coeffs)

@@ -26,7 +26,7 @@ class YPoly:
             else:
                 cs.append(RatFunc.const(field, c))
         for c in cs:
-            if c.field != field:
+            if c.field is not field:
                 raise ValueError("coefficient over the wrong constant field")
         while cs and cs[-1].is_zero():
             cs.pop()
@@ -68,7 +68,7 @@ class YPoly:
 
     def _coerce(self, other):
         if isinstance(other, YPoly):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError("mixed-field arithmetic")
             return other
         if isinstance(other, (RatFunc, FFPoly, int)):
@@ -182,12 +182,6 @@ class YPoly:
             out.append(c)
         return out
 
-    def eval_rat(self, r: RatFunc) -> RatFunc:
-        acc = RatFunc.const(self.field, 0)
-        for c in reversed(self.coeffs):
-            acc = acc * r + c
-        return acc
-
     def subst_scaled(self, s: RatFunc) -> "YPoly":
         """The polynomial f(s*y): coefficient i is multiplied by s^i."""
         out = []
@@ -206,7 +200,7 @@ class YPoly:
     def __eq__(self, other):
         return (
             isinstance(other, YPoly)
-            and other.field == self.field
+            and other.field is self.field
             and other.coeffs == self.coeffs
         )
 

@@ -7,9 +7,10 @@ numerator minus denominator; at infinity it is deg(den) - deg(num).  Every
 valuation returns the +infinity sentinel (math.inf) on the zero element.
 
 The residue field at a finite place of degree d is GF(q^d), realized
-canonically via make_field and the smallest root rho of p(x) there; residues
-are computed by evaluating at rho, and lift() inverts that evaluation on
-polynomials of degree < d.
+canonically via make_field and the smallest root rho of p(x) there (over a
+prime field q = p it is make_field with p(x) as the modulus, and rho the
+class of x); residues are computed by evaluating at rho, and lift() inverts
+that evaluation on polynomials of degree < d.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class RatFunc:
             den = FFPoly(num.field, [1])
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.field != den.field:
+        if num.field is not den.field:
             raise ValueError("numerator and denominator over different fields")
         if num.is_zero():
             den = FFPoly(num.field, [1])
@@ -83,7 +84,7 @@ class RatFunc:
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError("mixed-field arithmetic")
             return other
         if isinstance(other, FFPoly):
@@ -167,11 +168,6 @@ class RatFunc:
         return self.to_str()
 
 
-# residue fields represented as GF(p)[x]/(P), keyed by (p, coeffs of P);
-# shared instances keep mixed-field checks happy across repeated places
-_quotient_fields: dict = {}
-
-
 class RatPlace:
     """A place of GF(q)(x): either the zero locus of a monic irreducible
     polynomial, or the place at infinity."""
@@ -180,7 +176,7 @@ class RatPlace:
 
     def __init__(self, field: FiniteField, poly: FFPoly | None):
         if poly is not None:
-            if poly.field != field:
+            if poly.field is not field:
                 raise ValueError("place polynomial over the wrong field")
             if poly.degree() < 1 or not poly.lc() == field.one():
                 raise ValueError("place polynomial must be monic of degree >= 1")
@@ -241,13 +237,8 @@ class RatPlace:
             if self.poly is not None and d > 1 and self.field.k == 1:
                 # prime base field: GF(p)[x]/(P) is the residue field itself,
                 # with rho the class of x; no root search needed
-                key = (self.field.p, tuple(c.rep[0] for c in self.poly.coeffs))
-                fld = _quotient_fields.get(key)
-                if fld is None:
-                    fld = FiniteField(self.field.p, d, key[1])
-                    _quotient_fields[key] = fld
-                self._resfield = fld
-                self._rho = fld.gen()
+                self._resfield = make_field(self.field.p, d, self.poly.ints)
+                self._rho = self._resfield.gen()
             else:
                 self._resfield = make_field(self.field.p, self.field.k * d)
                 if self.poly is None or d == 1:
@@ -305,18 +296,18 @@ class RatPlace:
         """A rational function (in fact a polynomial of degree < deg P, or a
         constant at infinity) whose residue is alpha."""
         res = self.residue_field()
-        if alpha.field != res:
+        if alpha.field is not res:
             raise ValueError("element not in the residue field of this place")
         if self.poly is None or self.degree() == 1:
             # residue field is GF(q) itself; invert the prime-subfield mix
-            if res == self.field:
+            if res is self.field:
                 return RatFunc.const(self.field, alpha)
             raise TowerlabError("degree-1 place with unexpected residue field")
         d = self.degree()
         k = self.field.k
         if k == 1:
             # quotient representation: digits of alpha are the coefficients
-            return RatFunc(FFPoly(self.field, list(alpha.rep)))
+            return RatFunc(FFPoly(self.field, alpha.digits()))
         if self._lift_cols is None:
             self.residue_field()
             cols = []
@@ -324,9 +315,9 @@ class RatPlace:
                 rho_i = self._rho**i
                 for b in range(k):
                     basis_elem = embed(self.field.elem([0] * b + [1]), res)
-                    cols.append(list((basis_elem * rho_i).rep))
+                    cols.append((basis_elem * rho_i).digits())
             self._lift_cols = cols
-        sol = gfp_solve(self.field.p, self._lift_cols, list(alpha.rep))
+        sol = gfp_solve(self.field.p, self._lift_cols, alpha.digits())
         coeffs = []
         for i in range(d):
             coeffs.append(self.field.elem(sol[i * k : (i + 1) * k]))
@@ -337,7 +328,7 @@ class RatPlace:
     def __eq__(self, other):
         return (
             isinstance(other, RatPlace)
-            and other.field == self.field
+            and other.field is self.field
             and other.poly == self.poly
         )
 

@@ -206,6 +206,43 @@ def test_error_report_shape():
     jsonschema.validate(rep, _load_schema())
 
 
+@pytest.mark.parametrize("command", ["analyze", "genus"])
+def test_extension_degree_below_one_is_an_error(command):
+    for k in ("0", "-1"):
+        code, rep = run_json([command, "--p", "2", "--F", "y^2+x", "--k", k, "--json"])
+        assert code == 2
+        assert rep["verdict"] == "error"
+        assert rep["error"]["type"] == "InvalidDegree"
+        jsonschema.validate(rep, _load_schema())
+
+
+@pytest.mark.parametrize("command", ["analyze", "genus"])
+def test_reducible_defining_polynomial_is_a_user_error(command):
+    # y^2 - x^2 = (y - x)(y + x): no function field, so no genus to report
+    code, rep = run_json([command, "--p", "3", "--F", "y^2-x^2", "--json"])
+    assert code == 2
+    assert rep["verdict"] == "error"
+    assert rep["error"]["type"] == "ReducibleDefiningPolynomial"
+    assert rep["error"]["message"].startswith("reducible defining polynomial")
+    assert "engine bug" not in rep["error"]["message"]
+    jsonschema.validate(rep, _load_schema())
+
+
+def test_genus_cap_below_one_is_an_error():
+    for cap in ("0", "-3"):
+        code, rep = run_json(["genus", "--p", "2", "--F", FAM, "--cap", cap, "--json"])
+        assert code == 2
+        assert rep["error"]["type"] == "InvalidOption"
+        assert "--cap" in rep["error"]["message"]
+
+
+def test_genus_explicit_cap_is_kept():
+    code, rep = run_json(["genus", "--p", "2", "--F", FAM, "--cap", "3", "--json"])
+    assert code == 0
+    assert rep["data"]["cap"] == 3
+    assert rep["data"]["zeta_genus"] == 2
+
+
 def test_invalid_hypotheses_cli():
     code, rep = run_json(
         ["climb", "--m", "4", "--n", "1", "--r", "2", "--p", "2", "--levels", "3", "--json"]
