@@ -267,9 +267,21 @@ def _field_of(job: JobSpec) -> FiniteField:
 
 
 def _function_field_poly(job: JobSpec) -> BivarPoly:
-    """The parsed --F, refused if it is reducible over K(x)."""
+    """The parsed --F, refused if it is reducible over K(x).
+
+    Only a definite answer refuses F.  When the irreducibility test cannot
+    decide (it stops past 16 modular factors), F goes on to the engine,
+    whose exact genus check still catches a reducible F.  A constant in y
+    is left to the engine as well: it is no polynomial in y to factor.
+    """
     F = parse_poly(job.params["F"], _field_of(job))
-    if F.deg_y() >= 2 and not is_irreducible_over_ratfield(F):
+    if F.deg_y() < 1:
+        return F
+    try:
+        irreducible = is_irreducible_over_ratfield(F)
+    except TowerlabError:
+        irreducible = True
+    if not irreducible:
         raise ReducibleDefiningPolynomial(
             f"reducible defining polynomial: {F.to_str()} factors over "
             f"GF({F.field.order})(x)"

@@ -228,6 +228,19 @@ def test_reducible_defining_polynomial_is_a_user_error(command):
     jsonschema.validate(rep, _load_schema())
 
 
+def test_undecided_irreducibility_test_does_not_refuse_F(monkeypatch):
+    # past 16 modular factors the test raises instead of answering; an
+    # irreducible F must still be analyzed, not turned into an error
+    def undecided(F):
+        raise cli.TowerlabError("too many modular factors to reconstruct")
+
+    argv = ["analyze", "--p", "2", "--F", FAM, "--json"]
+    decided = run_json(argv)
+    monkeypatch.setattr(cli, "is_irreducible_over_ratfield", undecided)
+    assert run_json(argv) == decided
+    assert decided[0] == 0
+
+
 def test_genus_cap_below_one_is_an_error():
     for cap in ("0", "-3"):
         code, rep = run_json(["genus", "--p", "2", "--F", FAM, "--cap", cap, "--json"])

@@ -63,11 +63,18 @@ def _textbook_mul(F, a, b):
     return F.elem([c % p for c in conv[:k]])
 
 
-def test_field_backends_cover_both_sides_of_the_table_bound():
-    for name in TABLE_BACKED:
-        assert _field(name).order <= ZECH_MAX_ORDER
-    for name in PACKED:
-        assert _field(name).order > ZECH_MAX_ORDER
+def test_tables_are_built_on_first_use_and_only_within_the_bound():
+    # GF(2^10) sits on the bound, and no other test builds it
+    F = make_field(2, 10)
+    assert F.order == ZECH_MAX_ORDER
+    assert "_tables" not in vars(F)
+    a, b = F.elem(3), F.elem(1000)
+    assert a * b == _textbook_mul(F, a, b)
+    assert "_tables" in vars(F)
+    for name in TABLE_BACKED + PACKED:
+        G = _field(name)
+        G.elem(2) * G.elem(3)
+        assert ("_tables" in vars(G)) == (name in TABLE_BACKED)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
