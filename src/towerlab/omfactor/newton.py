@@ -26,13 +26,10 @@ class NPSegment:
 
     slope   -- exact rational slope
     length  -- horizontal projection (right index minus left index)
-    points  -- the input lattice points lying on the face, as (index, value)
-               pairs with exact rational values, left to right
     """
 
     slope: Fraction
     length: int
-    points: tuple[tuple[int, Fraction], ...]
 
 
 def _finite_points(points) -> list[tuple[int, Fraction]]:
@@ -68,17 +65,10 @@ def newton_polygon(points) -> list[NPSegment]:
             else:
                 break
         hull.append(p)
-    segments = []
-    lookup = dict(pts)
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
-        on_face = tuple(
-            (i, lookup[i])
-            for i in range(x1, x2 + 1)
-            if i in lookup and lookup[i] == y1 + slope * (i - x1)
-        )
-        segments.append(NPSegment(slope=slope, length=x2 - x1, points=on_face))
-    return segments
+    return [
+        NPSegment(slope=Fraction(y2 - y1, x2 - x1), length=x2 - x1)
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
+    ]
 
 
 def slope_length_pairs(vals: dict) -> list[tuple]:

@@ -3,6 +3,16 @@
 This is the ring in which key polynomials and local defining equations live.
 Coefficients are RatFunc elements, so division by any nonzero leading
 coefficient is exact and no content bookkeeping is needed.
+
+Division runs on coefficient lists (`_divmod_coeffs`): the leading term of
+each step is known to cancel and is never computed, and a monic divisor, as
+every MacLane key is, costs no multiply by an inverse.  The phi-adic
+expansion `expand_in` is repeated division by the monic key phi; for a
+linear key that is synthetic division (a Taylor shift).  The MacLane engine
+expands the same polynomial in the same key many times (the valuation, the
+residual polynomial, the Newton polygon and the projection all start from
+it), so each key keeps the expansions made in it, as tuples, for as long as
+the key itself lives.
 """
 
 from __future__ import annotations
@@ -11,10 +21,40 @@ from ..ffield import BivarPoly, FFPoly, FiniteField
 from ..ratfunc import RatFunc
 
 
+def _trimmed(cs: list) -> tuple:
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+def _divmod_coeffs(a, b: tuple) -> tuple[list, list]:
+    """Quotient and remainder lists of a by b (RatFunc sequences,
+    low-to-high, b trimmed and nonzero).  The remainder has len(b) - 1
+    entries, untrimmed; the quotient is trimmed when a is."""
+    m = len(b) - 1
+    rem = list(a)
+    if len(rem) <= m:
+        return [], rem
+    lc = b[m]
+    inv = None if lc.num.is_one() and lc.den.is_one() else lc.inverse()
+    low = [(j, c) for j, c in enumerate(b[:m]) if not c.is_zero()]
+    q = [None] * (len(rem) - m)
+    for i in range(len(q) - 1, -1, -1):
+        # rem[i + m] cancels against t * lc; it is never read again
+        t = rem[i + m]
+        if not t.is_zero():
+            if inv is not None:
+                t = t * inv
+            for j, c in low:
+                rem[i + j] = rem[i + j] - t * c
+        q[i] = t
+    return q, rem[:m]
+
+
 class YPoly:
     """Dense polynomial in y with RatFunc coefficients, low-to-high, trimmed."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_expansions")
 
     def __init__(self, field: FiniteField, coeffs):
         cs = []
@@ -28,10 +68,18 @@ class YPoly:
         for c in cs:
             if c.field is not field:
                 raise ValueError("coefficient over the wrong constant field")
-        while cs and cs[-1].is_zero():
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = _trimmed(cs)
+        self._expansions = None
+
+    @classmethod
+    def _of(cls, field: FiniteField, coeffs: tuple) -> "YPoly":
+        """Wrap a trimmed tuple of RatFuncs over field without checks."""
+        f = cls.__new__(cls)
+        f.field = field
+        f.coeffs = coeffs
+        f._expansions = None
+        return f
 
     @classmethod
     def from_bivar(cls, F: BivarPoly) -> "YPoly":
@@ -131,22 +179,8 @@ class YPoly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return YPoly(self.field, []), self
-        zero = RatFunc.const(self.field, 0)
-        q = [zero] * (dq + 1)
-        inv_lc = other.lc().inverse()
-        for i in range(dq, -1, -1):
-            top = rem[i + other.degree()]
-            if top.is_zero():
-                continue
-            factor = top * inv_lc
-            q[i] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - factor * b
-        return YPoly(self.field, q), YPoly(self.field, rem)
+        q, r = _divmod_coeffs(self.coeffs, other.coeffs)
+        return YPoly._of(self.field, tuple(q)), YPoly._of(self.field, _trimmed(r))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -167,19 +201,25 @@ class YPoly:
             [self.coeff(i) * (i % self.field.p) for i in range(1, len(self.coeffs))],
         )
 
-    def expand_in(self, phi: "YPoly") -> list["YPoly"]:
-        """phi-adic expansion: f = sum c_i phi^i with deg c_i < deg phi.
-        Returns [c_0, c_1, ...] without trailing-zero trimming issues (list
-        length is exactly floor(deg f / deg phi) + 1 for nonzero f)."""
-        if phi.degree() < 1:
-            raise ValueError("expansion base must be nonconstant")
-        out = []
-        rem = self
-        if rem.is_zero():
-            return [rem]
-        while not rem.is_zero():
-            rem, c = divmod(rem, phi)
-            out.append(c)
+    def expand_in(self, phi: "YPoly") -> tuple["YPoly", ...]:
+        """phi-adic expansion in a monic nonconstant phi: f = sum c_i phi^i
+        with deg c_i < deg phi.  Returns (c_0, c_1, ...), of length exactly
+        floor(deg f / deg phi) + 1 for nonzero f, and (0,) for f = 0.  The
+        result is remembered on phi, so repeated calls return the same tuple.
+        """
+        memo = phi._expansions
+        if memo is None:
+            if phi.degree() < 1 or not phi.lc() == RatFunc.const(phi.field, 1):
+                raise ValueError("expansion base must be monic and nonconstant")
+            memo = phi._expansions = {}
+        out = memo.get(self)
+        if out is None:
+            cs = self.coeffs
+            digits = []
+            while cs:
+                cs, r = _divmod_coeffs(cs, phi.coeffs)
+                digits.append(YPoly._of(self.field, _trimmed(r)))
+            out = memo[self] = tuple(digits) if digits else (self,)
         return out
 
     def subst_scaled(self, s: RatFunc) -> "YPoly":

@@ -65,6 +65,14 @@ class RatFunc:
         self.den = den
 
     @classmethod
+    def _of(cls, num: FFPoly, den: FFPoly) -> "RatFunc":
+        """Wrap a num/den pair already in canonical form without checks."""
+        r = cls.__new__(cls)
+        r.num = num
+        r.den = den
+        return r
+
+    @classmethod
     def const(cls, field: FiniteField, c) -> "RatFunc":
         return cls(FFPoly(field, [c]))
 
@@ -97,6 +105,9 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # a monic constant denominator is 1, and n/1 is already canonical
+        if self.is_poly() and other.is_poly():
+            return RatFunc._of(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -105,18 +116,22 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.is_poly() and other.is_poly():
+            return RatFunc._of(self.num - other.num, self.den)
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._of(-self.num, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.is_poly() and other.is_poly():
+            return RatFunc._of(self.num * other.num, self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -218,14 +233,15 @@ class RatPlace:
             return INF
         if self.poly is None:
             return r.den.degree() - r.num.degree()
-        return self._poly_val(r.num) - self._poly_val(r.den)
+        return self._strip(r.num)[1] - self._strip(r.den)[1]
 
-    def _poly_val(self, f: FFPoly) -> int:
+    def _strip(self, f: FFPoly) -> tuple[FFPoly, int]:
+        """(g, v) with f = P^v * g and P not dividing g; f is nonzero."""
         v = 0
         while True:
             q, rem = divmod(f, self.poly)
             if not rem.is_zero():
-                return v
+                return f, v
             v += 1
             f = q
 
@@ -279,18 +295,9 @@ class RatPlace:
             v = self.valuation(r)
             x = RatFunc.var(self.field)
             return self.residue(r * x**v)
-        num, a = self._strip(r.num)
-        den, b = self._strip(r.den)
+        num = self._strip(r.num)[0]
+        den = self._strip(r.den)[0]
         return self._eval_at_rho(num) / self._eval_at_rho(den)
-
-    def _strip(self, f: FFPoly) -> tuple[FFPoly, int]:
-        v = 0
-        while True:
-            q, rem = divmod(f, self.poly)
-            if not rem.is_zero():
-                return f, v
-            v += 1
-            f = q
 
     def lift(self, alpha: FFElem) -> RatFunc:
         """A rational function (in fact a polynomial of degree < deg P, or a
@@ -344,14 +351,6 @@ class RatPlace:
         if self.poly is None:
             return "place(infinity)"
         return f"place({self.poly.to_str()})"
-
-
-def valuation(r: RatFunc, place: RatPlace):
-    return place.valuation(r)
-
-
-def residue(r: RatFunc, place: RatPlace) -> FFElem:
-    return place.residue(r)
 
 
 def place_degree(place: RatPlace) -> int:

@@ -1,0 +1,114 @@
+"""Property tests for the MacLane kernels: the phi-adic expansion and the
+division of YPoly, and canonical form of RatFunc arithmetic.
+
+f ranges over K(x)[y] with coefficients that are often true fractions, phi
+over monic polynomials of degree 1-3, on GF(2), GF(4) and GF(5).  The
+expansion is checked against its defining properties, which determine it
+uniquely: sum c_i phi^i = f with deg c_i < deg phi.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from towerlab.ffield import FFPoly, make_field, poly_gcd
+from towerlab.omfactor import YPoly
+from towerlab.ratfunc import RatFunc
+
+FIELDS = {"GF(2)": (2, 1), "GF(4)": (2, 2), "GF(5)": (5, 1)}
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _polys(F, max_len, nonzero=False):
+    ints = st.lists(st.integers(0, F.order - 1), min_size=1 if nonzero else 0, max_size=max_len)
+    if nonzero:
+        ints = ints.filter(any)
+    return ints.map(lambda cs: FFPoly(F, cs))
+
+
+def _ratfuncs(F):
+    polys = _polys(F, 4).map(RatFunc)
+    fractions = st.builds(RatFunc, _polys(F, 4), _polys(F, 3, nonzero=True))
+    return st.one_of(polys, fractions)
+
+
+def _ypolys(F, max_len):
+    return st.lists(_ratfuncs(F), max_size=max_len).map(lambda cs: YPoly(F, cs))
+
+
+def _monic(F):
+    low = st.integers(1, 3).flatmap(lambda d: st.lists(_ratfuncs(F), min_size=d, max_size=d))
+    return low.map(lambda cs: YPoly(F, cs + [RatFunc.const(F, 1)]))
+
+
+@st.composite
+def _field_and(draw, make):
+    F = make_field(*FIELDS[draw(st.sampled_from(sorted(FIELDS)))])
+    return F, draw(make(F))
+
+
+def _is_canonical(r):
+    return r.den.lc() == r.field.one() and (
+        r.den.is_one() if r.num.is_zero() else poly_gcd(r.num, r.den).is_one()
+    )
+
+
+@SETTINGS
+@given(_field_and(lambda F: st.tuples(st.lists(_ypolys(F, 7), min_size=1, max_size=3), _monic(F))))
+def test_expansion_is_the_phi_adic_expansion(case):
+    F, (fs, phi) = case
+    for f in fs:
+        cs = f.expand_in(phi)
+        assert isinstance(cs, tuple)
+        assert all(c.degree() < phi.degree() for c in cs)
+        assert all(c.is_zero() or not c.lc().is_zero() for c in cs)
+        if f.is_zero():
+            assert cs == (f,)
+        else:
+            assert len(cs) == f.degree() // phi.degree() + 1
+            assert not cs[-1].is_zero()
+        total = YPoly(F, [])
+        for c in reversed(cs):
+            total = total * phi + c
+        assert total == f
+    for f in fs:
+        # remembered on phi, and equal to the expansion in a fresh equal key
+        cs = f.expand_in(phi)
+        assert f.expand_in(phi) is cs
+        assert YPoly(F, f.coeffs).expand_in(YPoly(F, phi.coeffs)) == cs
+
+
+@SETTINGS
+@given(_field_and(lambda F: st.tuples(_ypolys(F, 7), _ypolys(F, 4))))
+def test_divmod_identity(case):
+    F, (a, b) = case
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+        return
+    q, r = divmod(a, b)
+    assert r.degree() < b.degree()
+    assert q * b + r == a
+
+
+def test_expansion_base_must_be_monic_and_nonconstant():
+    F = make_field(5)
+    f = YPoly(F, [1, 2, 3])
+    for phi in (YPoly(F, [1]), YPoly(F, [1, 2])):
+        with pytest.raises(ValueError):
+            f.expand_in(phi)
+
+
+@SETTINGS
+@given(_field_and(lambda F: st.tuples(_ratfuncs(F), _ratfuncs(F))))
+def test_ratfunc_arithmetic_is_canonical(case):
+    F, (r, s) = case
+    built = {
+        "+": (r + s, RatFunc(r.num * s.den + s.num * r.den, r.den * s.den)),
+        "-": (r - s, RatFunc(r.num * s.den - s.num * r.den, r.den * s.den)),
+        "*": (r * s, RatFunc(r.num * s.num, r.den * s.den)),
+        "neg": (-r, RatFunc(-r.num, r.den)),
+    }
+    for op, (got, want) in built.items():
+        assert _is_canonical(got), op
+        assert (got.num, got.den) == (want.num, want.den), op
