@@ -25,11 +25,19 @@ deterministic:
   FFElem is a thin (field, int) wrapper for the public API and reports.
 * FFPoly keeps its coefficients as a list of these ints, and its
   multiplication, division, gcd, modular powers and evaluation run on the
-  lists.  The techniques follow FLINT's fq_zech and nmod_poly and Shoup's
-  NTL.
+  lists.  Above the table bound a product packs both coefficient lists
+  into one int each and multiplies once, a division keeps its remainder
+  packed and unreduced, and a modular power keeps every intermediate
+  remainder packed, so a coefficient is packed and reduced once per
+  operation rather than once per element operation.  The techniques follow
+  FLINT's fq_zech, fq_poly and nmod_poly and Shoup's NTL.
 * Factorization is Cantor-Zassenhaus with an explicit RNG seed; the same
   (polynomial, seed) pair always yields the same factor list, sorted by
   (degree, coefficient encoding).
+* Roots in an extension are Frobenius orbits: roots_in_field factors f over
+  its own field GF(Q0), splits off one root r of each irreducible factor of
+  degree m in the target, and takes the others as r^(Q0^i).  Its sorted
+  output does not depend on the seed.
 """
 
 from __future__ import annotations
@@ -171,18 +179,19 @@ class FiniteField:
 class _ExtensionField(FiniteField):
     """GF(p^k) with k > 1, beyond the table bound.
 
-    Elements are packed for arithmetic: their digits placed `_slot` bits
-    apart in one int, wide enough that no sum below ever carries into the
-    next slot.  Addition adds packed forms (xor for p = 2).  A product
-    multiplies the two packed ints once and folds slots k..2k-2 back with
-    t^j mod modulus.  Inversion is the extended Euclidean algorithm in
-    GF(p)[t].
+    Elements are packed for arithmetic: their digits placed s bits apart in
+    one int, with s wide enough that no sum below ever carries into the next
+    slot (`_slot` for single elements; `_poly_slot` for the polynomial
+    kernels, which pack whole coefficient lists).  Addition adds packed forms
+    (xor for p = 2).  A product multiplies the two packed ints once and
+    `_fold` folds slots k..2k-2 back with t^j mod modulus.  Inversion is
+    the extended Euclidean algorithm in GF(p)[t].
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         super().__init__(p, k, modulus)
-        # t^j mod modulus for j in [k, 2k-2], needed to fold products back
-        # into degree < k.
+        # digits of t^j mod modulus for j in [k, 2k-2], needed to fold
+        # products back into degree < k
         red = []
         cur = [(-c) % p for c in modulus[:k]]  # t^k = -(lower part)
         red.append(cur)
@@ -194,17 +203,39 @@ class _ExtensionField(FiniteField):
                     nxt[i] = (nxt[i] - top * modulus[i]) % p
             cur = nxt
             red.append(cur)
-        self._slot = ((2 * k - 1) * (p - 1) ** 2).bit_length()
-        self._mask = (1 << self._slot) - 1
-        self._red = [self._pack(self._from_digits(r)) for r in red]
+        self._red_digits = red
+        self._slot = self._poly_slot(1)
+        self._red = self._packed_red(self._slot)
         if p == 2:
             # instance attributes shadow the digitwise methods
             self._add = self._sub = operator.xor
             self._neg = operator.pos
 
-    def _pack(self, a: int) -> int:
-        """The base-p digits of a, placed `_slot` bits apart."""
-        p, s = self.p, self._slot
+    def _poly_slot(self, n: int) -> int:
+        """Slot width for a sum of n products of packed elements, folded once.
+
+        Slot j of a product of two packed elements is sum_{u+v=j} a_u b_v
+        with digits below p, so it is at most k (p-1)^2; n such products
+        sum to at most n k (p-1)^2.  `_fold` then adds d * (t^j mod
+        modulus) for each of the k-1 high slots, with d and every digit of
+        t^j mod modulus below p: at most (k-1) (p-1)^2 more per low slot.
+        A division also starts each slot from a digit below p."""
+        k, p = self.k, self.p
+        return ((n * k + k - 1) * (p - 1) ** 2 + p - 1).bit_length()
+
+    def _packed_red(self, s: int) -> list[int]:
+        """t^j mod modulus for j in [k, 2k-2], packed at slot width s."""
+        out = []
+        for digits in self._red_digits:
+            r = 0
+            for d in reversed(digits):
+                r = (r << s) | d
+            out.append(r)
+        return out
+
+    def _pack(self, a: int, s: int) -> int:
+        """The base-p digits of a, placed s bits apart."""
+        p = self.p
         out = sh = 0
         while a:
             a, d = divmod(a, p)
@@ -212,41 +243,58 @@ class _ExtensionField(FiniteField):
             sh += s
         return out
 
-    def _unpack(self, c: int) -> int:
+    def _unpack(self, c: int, s: int) -> int:
         """The encoding whose digits are the low k slots of c, each mod p."""
-        p, s, mask = self.p, self._slot, self._mask
+        p, mask = self.p, (1 << s) - 1
         v = 0
         for i in range((self.k - 1) * s, -1, -s):
             v = v * p + ((c >> i) & mask) % p
         return v
 
-    # digitwise, through the packed form: slot sums stay below 2^_slot
+    def _normalize(self, c: int, s: int) -> int:
+        """The low k slots of c, each mod p, packed at width s."""
+        p, mask = self.p, (1 << s) - 1
+        out = 0
+        for i in range((self.k - 1) * s, -1, -s):
+            out = (out << s) | ((c >> i) & mask) % p
+        return out
 
-    def _add(self, a: int, b: int) -> int:
-        return self._unpack(self._pack(a) + self._pack(b))
-
-    def _sub(self, a: int, b: int) -> int:
-        return self._unpack(self._pack(a) + (self.p - 1) * self._pack(b))
-
-    def _neg(self, a: int) -> int:
-        return self._unpack((self.p - 1) * self._pack(a))
-
-    def _mul(self, a: int, b: int) -> int:
-        if not a or not b:
-            return 0
-        p, s, mask = self.p, self._slot, self._mask
-        c = self._pack(a) * self._pack(b)
+    def _fold(self, c: int, s: int, red: list[int]) -> int:
+        """A raw product c of 2k-1 slots of width s, brought back to k slots:
+        each high slot, taken mod p, is folded into the low slots with red
+        (t^j mod modulus packed at width s).  The low slots stay raw."""
+        p, mask = self.p, (1 << s) - 1
         shift = s * self.k
         lo = c & ((1 << shift) - 1)
         c >>= shift
-        for r in self._red:
+        for r in red:
             if not c:
                 break
             d = (c & mask) % p
             if d:
                 lo += d * r
             c >>= s
-        return self._unpack(lo)
+        return lo
+
+    # digitwise, through the packed form: slot sums stay below 2^_slot
+
+    def _add(self, a: int, b: int) -> int:
+        s = self._slot
+        return self._unpack(self._pack(a, s) + self._pack(b, s), s)
+
+    def _sub(self, a: int, b: int) -> int:
+        s = self._slot
+        return self._unpack(self._pack(a, s) + (self.p - 1) * self._pack(b, s), s)
+
+    def _neg(self, a: int) -> int:
+        s = self._slot
+        return self._unpack((self.p - 1) * self._pack(a, s), s)
+
+    def _mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        s = self._slot
+        return self._unpack(self._fold(self._pack(a, s) * self._pack(b, s), s, self._red), s)
 
     def _inv(self, a: int) -> int:
         if not a:
@@ -502,12 +550,19 @@ def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
         return (0, 1)
     base = make_field(p)
+    x = [0, 1]
     for v in range(p**k):
         digits = []
         for _ in range(k):
             v, d = divmod(v, p)
             digits.append(d)
-        if is_irreducible(FFPoly(base, digits + [1])):
+        f = digits + [1]
+        # a candidate with a root in GF(p), such as one with no constant
+        # term, is reducible: gcd(x^p - x, f) != 1 rejects it before the
+        # costlier irreducibility test
+        if _pgcd(base, _psub(base, _ppowmod(base, x, p, f), x), f) != [1]:
+            continue
+        if is_irreducible(FFPoly._of(base, f)):
             return tuple(digits) + (1,)
     raise TowerlabError("no irreducible modulus found")  # unreachable
 
@@ -628,6 +683,8 @@ def _pmul(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
                     out[j] += ai * bj
         p = F.p
         return [c % p for c in out]
+    if type(F) is _ExtensionField:
+        return _kron_mul(F, a, b)
     mul, add = F._mul, F._add
     for i, ai in enumerate(a):
         if ai:
@@ -657,6 +714,8 @@ def _pdivmod(F: FiniteField, a: list[int], b: list[int]) -> tuple[list[int], lis
                 for j, bj in enumerate(low, i):
                     rem[j] -= f * bj
         return q, _trim([c % p for c in rem[:db]])
+    if type(F) is _ExtensionField and db:
+        return _kron_divmod(F, a, b)
     mul, sub = F._mul, F._sub
     inv = F._inv(b[-1])
     for i in range(dq, -1, -1):
@@ -668,6 +727,118 @@ def _pdivmod(F: FiniteField, a: list[int], b: list[int]) -> tuple[list[int], lis
                 if bj:
                     rem[j] = sub(rem[j], mul(f, bj))
     return q, _trim(rem[:db])
+
+
+# Packed fields (above the table bound) run products, divisions and modular
+# powers on whole polynomials packed into one int: coefficient i of a list
+# sits in chunk i, W = (2k-1) s bits wide, and holds that coefficient's
+# digits s bits apart (`_ExtensionField._pack`).  A product of two elements
+# fills 2k-1 slots, so products of chunks never reach the next chunk; every
+# sum stays in its slot because s is `_poly_slot(n)` for the most products n
+# that meet in a slot.
+
+
+def _kron_pack(F: _ExtensionField, a: list[int], s: int, W: int) -> int:
+    pack = F._pack
+    out = 0
+    for c in reversed(a):
+        out = (out << W) | pack(c, s)
+    return out
+
+
+def _kron_mul(F: _ExtensionField, a: list[int], b: list[int]) -> list[int]:
+    """a*b by Kronecker substitution: one big-int product, then each output
+    coefficient folded and unpacked once.  A coefficient sums at most
+    min(len a, len b) products."""
+    s = F._poly_slot(min(len(a), len(b)))
+    W = (2 * F.k - 1) * s
+    c = _kron_pack(F, a, s, W) * _kron_pack(F, b, s, W)
+    fold, unpack = F._fold, F._unpack
+    red, mask = F._packed_red(s), (1 << W) - 1
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        out.append(unpack(fold(c & mask, s, red), s))
+        c >>= W
+    return out
+
+
+class _KronDivisor:
+    """A divisor b, deg b >= 1, for division of packed polynomials at slot
+    width s: its negated low digits packed once, and its leading
+    coefficient's inverse packed (None when b is monic)."""
+
+    def __init__(self, F: _ExtensionField, b: list[int], s: int):
+        self.F, self.s, self.db = F, s, len(b) - 1
+        self.W = (2 * F.k - 1) * s
+        self.red = F._packed_red(s)
+        self.nb = _kron_pack(F, [F._neg(c) for c in b[:-1]], s, self.W)
+        self.inv = None if b[-1] == 1 else F._pack(F._inv(b[-1]), s)
+
+    def chunk(self, c: int, i: int) -> int:
+        """Chunk i of the packed raw c, folded to k raw slots."""
+        return self.F._fold((c >> (i * self.W)) & ((1 << self.W) - 1), self.s, self.red)
+
+    def divide(self, rem: int, n: int) -> tuple[list[int], int]:
+        """Quotient and remainder of the packed raw rem of n chunks.
+
+        Quotient step i adds f * (-b) as one big-int product at chunk i;
+        only the top chunk is reduced at each step, and the remainder comes
+        back raw.  The quotient digits are packed, highest step first."""
+        F, s, db, nb, inv = self.F, self.s, self.db, self.nb, self.inv
+        q = []
+        for i in range(n - 1 - db, -1, -1):
+            f = F._normalize(self.chunk(rem, i + db), s)
+            if f and inv is not None:
+                f = F._normalize(F._fold(f * inv, s, self.red), s)
+            q.append(f)
+            if f:
+                rem += (f * nb) << (i * self.W)
+        return q, rem
+
+
+def _kron_divmod(F: _ExtensionField, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by b, deg b >= 1 and deg a >= deg b.  A
+    chunk takes at most min(deg b, deg q + 1) products on top of its
+    starting digits."""
+    db = len(b) - 1
+    s = F._poly_slot(min(db, len(a) - db))
+    d = _KronDivisor(F, b, s)
+    q, rem = d.divide(_kron_pack(F, a, s, d.W), len(a))
+    unpack = F._unpack
+    return [unpack(c, s) for c in reversed(q)], _trim(
+        [unpack(d.chunk(rem, m), s) for m in range(db)]
+    )
+
+
+def _kron_powmod(F: _ExtensionField, base: list[int], e: int, mod: list[int]) -> list[int]:
+    """base^e mod mod, deg mod >= 1, with every intermediate remainder kept
+    packed: a step is one big-int product, divided in place.  A chunk of a
+    product of two remainders sums at most deg mod products, and the
+    division adds at most deg mod more."""
+    db = len(mod) - 1
+    s = F._poly_slot(2 * db)
+    d = _KronDivisor(F, mod, s)
+    W = d.W
+
+    def mulmod(x: int, y: int) -> int:
+        _, rem = d.divide(x * y, 2 * db - 1)
+        out = 0
+        for m in range(db - 1, -1, -1):
+            out = (out << W) | F._normalize(d.chunk(rem, m), s)
+        return out
+
+    result = 1
+    b = _kron_pack(F, _prem(F, base, mod), s, W)
+    while e:
+        if e & 1:
+            result = mulmod(result, b)
+        b = mulmod(b, b)
+        e >>= 1
+    out = []
+    for _ in range(db):
+        out.append(F._unpack(result, s))
+        result >>= W
+    return _trim(out)
 
 
 def _prem(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
@@ -689,6 +860,8 @@ def _pgcd(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
 
 
 def _ppowmod(F: FiniteField, base: list[int], e: int, mod: list[int]) -> list[int]:
+    if type(F) is _ExtensionField and len(mod) > 1:
+        return _kron_powmod(F, base, e, mod)
     result = [1]
     base = _prem(F, base, mod)
     while e:
@@ -1018,32 +1191,55 @@ def _distinct_degree(f: FFPoly) -> list[tuple[FFPoly, int]]:
     return out
 
 
+def _split_gcd(r: FFPoly, f: FFPoly, d: int) -> FFPoly:
+    """gcd of f with a map of r that is 0 on about half of f's irreducible
+    factors of degree d, for Cantor-Zassenhaus splitting."""
+    field = f.field
+    if field.p == 2:
+        # trace map sum r^(2^i) splits in characteristic 2
+        t = r % f
+        acc = t
+        for _ in range(field.k * d - 1):
+            t = (t * t) % f
+            acc = (acc + t) % f
+        return poly_gcd(acc, f)
+    t = _pow_mod(r, (field.order**d - 1) // 2, f)
+    return poly_gcd(t - 1, f)
+
+
+def _random_poly(f: FFPoly, rng: random.Random) -> FFPoly:
+    """A random polynomial of degree 1 to deg f - 1 over f's field."""
+    field, n = f.field, f.degree()
+    while True:
+        r = FFPoly(field, [rng.randrange(field.order) for _ in range(n)])
+        if r.degree() >= 1:
+            return r
+
+
 def _equal_degree_split(f: FFPoly, d: int, rng: random.Random) -> list[FFPoly]:
     """Cantor-Zassenhaus splitting of a product of degree-d irreducibles."""
-    field = f.field
     if f.degree() == d:
         return [f.monic()]
-    Q = field.order
     n = f.degree()
     while True:
-        r = FFPoly(field, [rng.randrange(Q) for _ in range(n)])
-        if r.degree() < 1:
-            continue
-        if field.p == 2:
-            # trace map sum r^(2^i) splits in characteristic 2
-            t = r % f
-            acc = t
-            for _ in range(field.k * d - 1):
-                t = (t * t) % f
-                acc = (acc + t) % f
-            g = poly_gcd(acc, f)
-        else:
-            t = _pow_mod(r, (Q**d - 1) // 2, f)
-            g = poly_gcd(t - 1, f)
+        g = _split_gcd(_random_poly(f, rng), f, d)
         if 0 < g.degree() < n:
             left = _equal_degree_split(g, d, rng)
             right = _equal_degree_split(f.exact_div(g), d, rng)
             return left + right
+
+
+def _one_root(f: FFPoly, rng: random.Random) -> int:
+    """A root of the monic f, a product of distinct linear factors over its
+    field: equal-degree splitting that keeps the smaller part of every
+    split until it is linear."""
+    while f.degree() > 1:
+        n = f.degree()
+        g = _split_gcd(_random_poly(f, rng), f, 1)
+        if 0 < g.degree() < n:
+            h = f.exact_div(g)
+            f = g if g.degree() <= h.degree() else h
+    return f.field._neg(f.ints[0])
 
 
 def poly_factor(f: FFPoly, seed: int | None = None) -> list[tuple[FFPoly, int]]:
@@ -1069,17 +1265,31 @@ def poly_factor(f: FFPoly, seed: int | None = None) -> list[tuple[FFPoly, int]]:
 
 def roots_in_field(f: FFPoly, target: FiniteField | None = None) -> list[FFElem]:
     """Roots of f in target (default: its own coefficient field), sorted by
-    integer encoding.  Multiplicities are discarded."""
-    target = target or f.field
-    g = f if target is f.field else f.map_field(target)
-    if g.is_zero():
+    integer encoding.  Multiplicities are discarded.
+
+    f is factored over its own field GF(Q0), which is small.  An irreducible
+    factor g of degree m has roots in target exactly when k(Q0) * m divides
+    k(target), and then they are one Frobenius orbit r, r^Q0, ...,
+    r^(Q0^(m-1)): one root r is split off in target, the rest are powers."""
+    src = f.field
+    target = target or src
+    if f.is_zero():
         raise ValueError("every element is a root of the zero polynomial")
+    if src.p != target.p or target.k % src.k != 0:
+        raise NoEmbedding(f"no embedding {src!r} -> {target!r}")
+    rng = random.Random(FACTOR_SEED)
+    Q0 = src.order
     roots = []
-    for irr, _ in poly_factor(g):
-        if irr.degree() == 1:
-            roots.append(-irr.coeff(0) / irr.coeff(1))
-    roots.sort(key=lambda r: r.to_int())
-    return roots
+    for g, _ in poly_factor(f):
+        m = g.degree()
+        if target.k % (src.k * m) != 0:
+            continue
+        r = _one_root(g.map_field(target), rng)
+        for _ in range(m):
+            roots.append(r)
+            r = target._pow(r, Q0)
+    roots.sort()
+    return [FFElem(target, r) for r in roots]
 
 
 def gfp_solve(p: int, columns: list[list[int]], rhs: list[int]) -> list[int]:

@@ -7,7 +7,15 @@ a squarefree specialization x = xi (extending the constant field when every
 candidate xi is degenerate), factor F(xi, y), Hensel-lift the factorization
 (xi+t)-adically, and try to reconstruct a true factor from every subset of
 the lifted factors with exact trial division.  No subset reconstructs a
-factor iff F is irreducible, so the test never answers "unknown".
+factor iff F is irreducible.
+
+The test does not always decide.  `_reconstruct_subsets` raises
+TowerlabError when F(xi, y) has more than 16 modular factors (the subset
+search would be exponential) and when the specialization it factors turns
+out not to be squarefree; `_find_specialization` raises it when no
+squarefree specialization exists in the extensions it tries.  The CLI
+treats such a raise as undecided: it does not refuse F, and leaves it to
+the engine, whose exact genus check still catches a reducible F.
 """
 
 from __future__ import annotations

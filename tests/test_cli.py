@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -284,6 +287,32 @@ def test_seed_env_override():
     finally:
         del os.environ["TOWERLAB_SEED"]
         ffield.FACTOR_SEED = old
+
+
+# the curve with a degree-10 locus place over GF(5), whose residue fields
+# reach GF(5^20), and the sha256 of its analyze report
+HEAVY = "(x^2+1)*y^4+3*y^3+3*x*y^2+(x^2+2*x+4)*y+(x^2+2)"
+HEAVY_SHA256 = "11c1f82fb479ab8e1458013dc87dfad906e3fea40a1c317edfe10f0b791e5e1d"
+
+
+def test_heavy_analyze_report_is_pinned_and_seed_free():
+    argv = ["analyze", "--p", "5", "--F", HEAVY, "--json"]
+    code, out = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HEAVY_SHA256
+    # a fresh process with another factorization seed writes the same bytes
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, TOWERLAB_SEED="12345", PYTHONPATH=src)
+    entry = "import sys; from towerlab.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == HEAVY_SHA256
 
 
 def test_json_is_sorted_and_indented():

@@ -7,22 +7,36 @@
 * FFPoly division and gcd are checked against their defining identities;
 * sympy's factorization over GF(p) is an independent oracle for
   poly_factor and is_irreducible;
+* roots_in_field is checked against enumerating every element of the
+  target, and on fields too large to enumerate against a root count from
+  gcd(x^(q^n) - x, f);
+* the packed polynomial kernels of fields above the table bound are checked
+  against element-by-element products, long division and modular powers;
 * pinned values (computed by the earlier tuple-per-element implementation)
   fix the encoding, reprs, sort keys and factor lists, which reports
   depend on.
 """
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import Poly, symbols
 
+import towerlab.ffield as ffield
 from towerlab.ffield import (
     ZECH_MAX_ORDER,
     FFPoly,
+    _pdivmod,
+    _pmul,
+    _pow_mod,
+    _ppowmod,
+    _smallest_modulus,
     is_irreducible,
     make_field,
     poly_factor,
     poly_gcd,
+    roots_in_field,
 )
 from towerlab.ratfunc import RatPlace
 
@@ -343,3 +357,224 @@ def test_pinned_residue_field_of_a_place():
     assert [(rho**e).to_int() for e in range(1, 9)] == QUOTIENT["rho"]
     assert repr(rho**5) == QUOTIENT["repr"]
     assert make_field(3, 3, (2, 2, 0, 1)) is R
+
+
+# smallest monic irreducible moduli, as computed before the search skipped
+# candidates with a root in GF(p)
+MODULI = {
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 10): (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 20): (1, 1, 1) + (0,) * 17 + (1,),
+    (7, 4): (1, 1, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("pk", sorted(MODULI))
+def test_pinned_canonical_moduli(pk):
+    assert _smallest_modulus(*pk) == MODULI[pk]
+
+
+# -- roots_in_field ----------------------------------------------------------------
+
+# (source, target) pairs whose target is small enough to enumerate; the
+# last two are packed fields above the table bound
+ROOT_PAIRS = [
+    ((2, 1), (2, 8)),
+    ((3, 1), (3, 6)),
+    ((5, 1), (5, 4)),
+    ((2, 2), (2, 6)),
+    ((5, 2), (5, 4)),
+    ((2, 1), (2, 11)),
+    ((5, 1), (5, 5)),
+]
+
+
+def _canonical_image(src, target):
+    """src's generator in target: the smallest root of src's modulus there,
+    found by enumeration."""
+    if src.k == 1:
+        return None
+    mod = FFPoly(make_field(src.p), list(src.modulus))
+    return min(x.to_int() for x in target.elements() if mod.eval(x).is_zero())
+
+
+def _roots_by_enumeration(f, target):
+    src = f.field
+    gen = _canonical_image(src, target)
+    cs = []
+    for c in f.ints:
+        acc = 0
+        for d in reversed(src._digits(c)):
+            acc = target._add(target._mul(acc, gen), d) if gen is not None else d
+        cs.append(acc)
+    g = FFPoly(target, cs)
+    return [x for x in target.elements() if g.eval(x).is_zero()]
+
+
+def _factor_product(F, data):
+    """A random f over F: a nonzero constant times monic factors of degree
+    1 to 4, each to the power 1 or 2 (so reducible, with repeated factors,
+    and with factor degrees that may not divide the target's degree)."""
+    n = data.draw(st.integers(1, 3))
+    f = FFPoly(F, [data.draw(st.integers(1, F.order - 1))])
+    for _ in range(n):
+        d = data.draw(st.integers(1, 4))
+        cs = [data.draw(st.integers(0, F.order - 1)) for _ in range(d)] + [1]
+        f = f * FFPoly(F, cs) ** data.draw(st.integers(1, 2))
+    return f
+
+
+@pytest.mark.parametrize("src_pk, target_pk", ROOT_PAIRS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_roots_in_field_match_enumeration(src_pk, target_pk, data):
+    src, target = make_field(*src_pk), make_field(*target_pk)
+    f = _factor_product(src, data)
+    got = roots_in_field(f, target)
+    assert all(r.field is target for r in got)
+    assert got == _roots_by_enumeration(f, target)
+
+
+def test_roots_in_field_fixed_cases():
+    F2, F5 = make_field(2), make_field(5)
+    F64 = make_field(2, 6)
+    # x^3 + x + 1 (degree 3 divides 6) times x^2 + x + 1 squared times x
+    f = FFPoly(F2, [1, 1, 0, 1]) * FFPoly(F2, [1, 1, 1]) ** 2 * FFPoly(F2, [0, 1])
+    got = roots_in_field(f, F64)
+    assert len(got) == 6 and got == _roots_by_enumeration(f, F64)
+    # the same f has no degree-3 roots in GF(2^8): only x and x^2 + x + 1
+    assert len(roots_in_field(f, make_field(2, 8))) == 3
+    # a quadratic irreducible over GF(5) has no root in GF(5^5)
+    g = FFPoly(F5, [2, 0, 1])
+    assert roots_in_field(g, make_field(5, 5)) == []
+    assert len(roots_in_field(g, make_field(5, 4))) == 2
+    # constants have no roots, in any target
+    assert roots_in_field(FFPoly(F5, [3]), make_field(5, 4)) == []
+
+
+def _irreducible(F, d, seed):
+    rng = random.Random(seed)
+    while True:
+        f = FFPoly(F, [rng.randrange(F.order) for _ in range(d)] + [1])
+        if is_irreducible(f):
+            return f
+
+
+def _root_count(f, target):
+    """The number of distinct roots of f in target, from the degree of
+    gcd(x^(q^n) - x, f) over f's own field GF(q), with q^n = |target|."""
+    src = f.field
+    x = FFPoly(src, [0, 1])
+    h = x
+    for _ in range(target.k // src.k):
+        h = _pow_mod(h, src.order, f)
+    return poly_gcd(h - x, f).degree()
+
+
+@pytest.mark.parametrize("p, k, degrees", [(5, 20, (1, 2, 3, 4, 10)), (2, 20, (1, 2, 3, 5, 10))])
+def test_roots_in_large_fields_are_roots_counted_and_seed_free(p, k, degrees, monkeypatch):
+    F, target = make_field(p), make_field(p, k)
+    factors = [_irreducible(F, d, seed=d) for d in degrees]
+    f = factors[0]  # squared below: a repeated root
+    for g in factors:
+        f = f * g
+    got = roots_in_field(f, target)
+    assert len(got) == _root_count(f, target) == sum(d for d in degrees if k % d == 0)
+    assert len(set(got)) == len(got)
+    assert [r.to_int() for r in got] == sorted(r.to_int() for r in got)
+    for r in got:
+        assert f.eval(r).is_zero()
+    monkeypatch.setattr(ffield, "FACTOR_SEED", 12345)
+    assert roots_in_field(f, target) == got
+
+
+# -- packed polynomial kernels ---------------------------------------------------------
+
+KERNEL_FIELDS = [(5, 5), (5, 20), (2, 11), (3, 7)]
+
+
+def _ref_mul(F, a, b):
+    """Schoolbook product through the field's element arithmetic."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = F._add(out[i + j], F._mul(ai, bj))
+    return out
+
+
+def _ref_divmod(F, a, b):
+    """Long division through the field's element arithmetic."""
+    rem = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    inv = F._inv(b[-1])
+    for i in range(len(a) - 1 - db, -1, -1):
+        f = F._mul(rem[i + db], inv)
+        q[i] = f
+        for j, bj in enumerate(b):
+            rem[i + j] = F._sub(rem[i + j], F._mul(f, bj))
+    rem = rem[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    while q and not q[-1]:
+        q.pop()
+    return q, rem
+
+
+def _ref_powmod(F, a, e, m):
+    """a^e mod m by repeated reference products and divisions."""
+    out = [1]
+    for _ in range(e):
+        out = _ref_divmod(F, _ref_mul(F, out, a), m)[1]
+    return _ref_divmod(F, out, m)[1]
+
+
+def _kernel_poly(F, data, max_len=40):
+    n = data.draw(st.integers(1, max_len))
+    cs = [data.draw(st.integers(0, F.order - 1)) for _ in range(n - 1)]
+    return cs + [data.draw(st.integers(1, F.order - 1))]
+
+
+@pytest.mark.parametrize("pk", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_packed_kernels_match_element_arithmetic(pk, data):
+    F = make_field(*pk)
+    a, b = _kernel_poly(F, data), _kernel_poly(F, data)
+    assert _pmul(F, a, b) == _ref_mul(F, a, b)
+    if len(a) < len(b):
+        a, b = b, a
+    assert _pdivmod(F, a, b) == _ref_divmod(F, a, b)
+    ab = _ref_mul(F, a, b)
+    assert _pdivmod(F, ab, b) == (a, [])
+    m = _kernel_poly(F, data, max_len=12)
+    if len(m) > 1:
+        e = data.draw(st.integers(0, 12))
+        assert _ppowmod(F, a[:12], e, m) == _ref_powmod(F, a[:12], e, m)
+
+
+@pytest.mark.parametrize("pk", KERNEL_FIELDS)
+def test_packed_kernels_at_the_slot_width_bound(pk):
+    # every digit p - 1 maximises each slot sum; a divisor whose digits are
+    # all 1 makes every negated divisor digit p - 1
+    F = make_field(*pk)
+    top = F.order - 1
+    ones = (F.order - 1) // (F.p - 1)
+    for n in (1, 2, 7, 40):
+        a = [top] * n
+        assert _pmul(F, a, a) == _ref_mul(F, a, a)
+        assert _pmul(F, a, [top] * 40) == _ref_mul(F, a, [top] * 40)
+        for b in ([top] * n, [ones] * n, [top] * (n - 1) + [ones]):
+            big = [top] * 79
+            assert _pdivmod(F, big, b) == _ref_divmod(F, big, b)
+            assert _pdivmod(F, _ref_mul(F, a, b), b) == (a, [])
+            if n in (2, 7):
+                # a square of a remainder with every digit p - 1
+                low = [top] * (n - 1)
+                assert _ppowmod(F, low, 2, b) == _ref_powmod(F, low, 2, b)
+                assert _ppowmod(F, big, 5, b) == _ref_powmod(F, big, 5, b)
