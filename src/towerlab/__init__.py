@@ -38,7 +38,6 @@ from .omfactor import (
     PlaceExt,
     newton_polygon,
     places_above,
-    different_bounds,
     eisenstein_at,
     is_irreducible_over_ratfield,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "PlaceExt",
     "newton_polygon",
     "places_above",
-    "different_bounds",
     "eisenstein_at",
     "is_irreducible_over_ratfield",
     # basicfield

@@ -550,21 +550,29 @@ def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
         return (0, 1)
     base = make_field(p)
-    x = [0, 1]
     for v in range(p**k):
         digits = []
         for _ in range(k):
             v, d = divmod(v, p)
             digits.append(d)
         f = digits + [1]
-        # a candidate with a root in GF(p), such as one with no constant
-        # term, is reducible: gcd(x^p - x, f) != 1 rejects it before the
-        # costlier irreducibility test
-        if _pgcd(base, _psub(base, _ppowmod(base, x, p, f), x), f) != [1]:
-            continue
-        if is_irreducible(FFPoly._of(base, f)):
+        if _ben_or(base, f):
             return tuple(digits) + (1,)
     raise TowerlabError("no irreducible modulus found")  # unreachable
+
+
+def _ben_or(F: FiniteField, f: list[int]) -> bool:
+    """Ben-Or's test for a monic f of degree k over the prime field F: f is
+    irreducible iff gcd(x^(p^i) - x, f) = 1 for every i <= k/2.  Most
+    reducible candidates have a small factor and fail after a few
+    Frobenius steps."""
+    x = [0, 1]
+    h = x
+    for _ in range((len(f) - 1) // 2):  # h = x^(p^i) mod f for i = 1, 2, ...
+        h = _ppowmod(F, h, F.p, f)
+        if _pgcd(F, _psub(F, h, x), f) != [1]:
+            return False
+    return True
 
 
 def _embed_ints(src: FiniteField, target: FiniteField, cs: list[int]) -> list[int]:

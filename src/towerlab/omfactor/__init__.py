@@ -12,7 +12,6 @@ from .ypoly import YPoly
 from .maclane import DepthExceeded, Inseparable, StageVal, decompose, exact_val
 from .places import (
     PlaceExt,
-    different_bounds,
     eisenstein_at,
     monic_integral_model,
     places_above,
@@ -31,7 +30,6 @@ __all__ = [
     "decompose",
     "exact_val",
     "PlaceExt",
-    "different_bounds",
     "eisenstein_at",
     "monic_integral_model",
     "places_above",

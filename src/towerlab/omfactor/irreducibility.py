@@ -2,12 +2,15 @@
 
 Route: trivial degree and y-divisibility checks, then Frobenius stripping
 for inseparable inputs, then a scan for a generalized-Eisenstein place
-(cheap certificate), and finally a complete factor-reconstruction test: pick
-a squarefree specialization x = xi (extending the constant field when every
-candidate xi is degenerate), factor F(xi, y), Hensel-lift the factorization
-(xi+t)-adically, and try to reconstruct a true factor from every subset of
-the lifted factors with exact trial division.  No subset reconstructs a
-factor iff F is irreducible.
+(cheap certificate), then a squarefree check (a point xi of GF(q) where
+F(xi, y) keeps its degree and is squarefree certifies it; the Euclidean
+algorithm over K(x) runs only without one), and finally a complete
+factor-reconstruction test: pick a squarefree specialization x = xi
+(extending the constant field when every candidate xi is degenerate),
+factor F(xi, y), Hensel-lift the factorization (xi+t)-adically, and try to
+reconstruct a true factor from every subset of the lifted factors with
+exact trial division.  No subset reconstructs a factor iff F is
+irreducible.
 
 The test does not always decide.  `_reconstruct_subsets` raises
 TowerlabError when F(xi, y) has more than 16 modular factors (the subset
@@ -31,11 +34,10 @@ from ..ffield import (
     embed,
     make_field,
     poly_factor,
-    poly_gcd,
     qth_root,
 )
 from ..ratfunc import RatFunc, RatPlace
-from .places import eisenstein_at
+from .places import eisenstein_at, squarefree_point
 from .ypoly import YPoly
 
 
@@ -237,21 +239,11 @@ def _hensel_tree(F: _YSeries, factors: list[FFPoly]) -> list["_YSeries"]:
 def _find_specialization(F: BivarPoly):
     """(K, xi) with lc(xi) != 0 and F(xi, y) squarefree over K."""
     base = F.field
-    m = F.deg_y()
-    lc = F.ycoeff(m)
     for s in range(1, 7):
         K = base if s == 1 else make_field(base.p, base.k * s)
-        for xi in K.elements():
-            if lc.eval(xi).is_zero():
-                continue
-            fy = FFPoly(K, [F.ycoeff(j).eval(xi) for j in range(m + 1)])
-            if fy.degree() != m:
-                continue
-            d = fy.derivative()
-            if d.is_zero():
-                continue
-            if poly_gcd(fy, d).degree() == 0:
-                return K, xi
+        xi = squarefree_point(F, K)
+        if xi is not None:
+            return K, xi
     raise TowerlabError("no squarefree specialization found")
 
 
@@ -360,8 +352,8 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
     ]:
         if eisenstein_at(F, P):
             return True
-    Fy = YPoly.from_bivar(F)
-    sqf = Fy.gcd(Fy.derivative())
-    if sqf.degree() > 0:
-        return False
+    if squarefree_point(F, F.field) is None:
+        Fy = YPoly.from_bivar(F)
+        if Fy.gcd(Fy.derivative()).degree() > 0:
+            return False
     return _reconstruct_subsets(F)

@@ -281,21 +281,23 @@ class StageVal:
         if j is None:
             j = n * h.degree()
         field = self.phi.field
-        F = YPoly(field, [])
         pi = self.place.uniformizer()
-        for k in range(h.degree() + 1):
+        # Horner in phi^d: the term of h's coefficient k sits at phi^(i + k*d)
+        phi_d = self.phi**d
+        F = YPoly(field, [])
+        for k in range(h.degree(), -1, -1):
+            F = F * phi_d
             c = h.coeff(k)
             if c.is_zero():
                 continue
-            ii = i + k * d
             jj = j - k * n
             if self.prev is None:
                 C = YPoly(field, [self.place.lift(c) * pi**jj])
             else:
                 f0, i0, j0 = self.graded_map_lift(c, jj)
                 C = self.prev.graded_reduction_lift(f0, i0, j0)
-            F = F + C * self.phi**ii
-        return F
+            F = F + C
+        return F * self.phi**i if i else F
 
     def keypol_from_residual(self, h: FFPoly) -> YPoly:
         lifted = self.graded_reduction_lift(h)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from ..errors import TowerlabError
-from ..ffield import BivarPoly
+from ..ffield import BivarPoly, FFPoly, FiniteField, poly_gcd
 from ..ratfunc import RatFunc, RatPlace
 from .maclane import INF, Inseparable, StageVal, decompose, exact_val
 from .newton import newton_polygon
@@ -70,7 +70,9 @@ class PlaceExt:
     refinement records the Newton-polygon decisions that isolate Q: each
     level is (key polynomial, segment slope, residual factor), all as
     strings/Fractions suitable for reports.  dmin <= d(Q|P) <= dmax with
-    d_exact set when the bounds collapse.
+    d_exact set when the bounds collapse: a tame place (p does not divide e)
+    has d = e - 1 exactly, a wild one dmin = e and dmax = nu_Q(H'(z)) on the
+    monic integral model, the monogenic-generator bound.
     """
 
     base: RatPlace
@@ -147,12 +149,12 @@ def places_above(
         raise ValueError("defining polynomial has degree 0 in the extension variable")
     if P.field != F.field:
         raise ValueError("place and polynomial over different constant fields")
-    G = YPoly.from_bivar(F).monic()
-    Gd = G.derivative()
-    if Gd.is_zero():
+    if F.derivative_y().is_zero():
         raise Inseparable("defining polynomial is inseparable (derivative vanishes)")
-    if G.gcd(Gd).degree() > 0:
-        raise Inseparable("defining polynomial is not squarefree in y")
+    if squarefree_point(F, F.field) is None:
+        G = YPoly.from_bivar(F)
+        if G.gcd(G.derivative()).degree() > 0:
+            raise Inseparable("defining polynomial is not squarefree in y")
     H, M, pi = monic_integral_model(F, P)
     p = F.field.p
     Hd = H.derivative()
@@ -184,19 +186,30 @@ def places_above(
             )
         )
     total = sum(pl.e * pl.f for pl in out)
-    if total != G.degree():
+    if total != F.deg_y():
         raise TowerlabError("fundamental equality violated in places_above")
     return out
 
 
-def different_bounds(pl: PlaceExt) -> tuple[int, int, int | None]:
-    """(dmin, dmax, d_exact) for the different exponent of the place.
+def squarefree_point(F: BivarPoly, K: FiniteField):
+    """The first xi in K (an extension of F's field) at which F(xi, y) keeps
+    degree deg_y F and is squarefree, or None.
 
-    Tame places (p does not divide e) have d = e-1 exactly.  Wild places get
-    dmin = e and dmax = nu_Q(H'(z)) on the monic integral model, the
-    monogenic-generator bound.
+    Such a point certifies F squarefree and separable in y over K(x): by
+    Gauss's lemma a square factor A^2 of F can be taken in K[x][y], and
+    where lc_y F does not vanish neither does lc_y A, so A(xi, y) keeps its
+    positive degree and its square divides F(xi, y).  None decides nothing:
+    y^2 - (x^5 - x) over GF(5) is squarefree but is y^2 at every point.
     """
-    return (pl.dmin, pl.dmax, pl.d_exact)
+    m = F.deg_y()
+    for xi in K.elements():
+        fy = FFPoly(K, [c.eval(xi) for c in F.ycoeffs])
+        if fy.degree() != m:
+            continue
+        d = fy.derivative()
+        if not d.is_zero() and poly_gcd(fy, d).degree() == 0:
+            return xi
+    return None
 
 
 def eisenstein_at(F: BivarPoly, P: RatPlace, side: str = "x") -> bool:

@@ -13,6 +13,12 @@ expands the same polynomial in the same key many times (the valuation, the
 residual polynomial, the Newton polygon and the projection all start from
 it), so each key keeps the expansions made in it, as tuples, for as long as
 the key itself lives.
+
+The coefficients' own arithmetic is canonical-fraction arithmetic (see
+ratfunc), and their P-adic valuations and unit residues are remembered by
+the place, so the engine may ask for them as often as it likes.  monic()
+returns the polynomial itself when it is monic already, as every key and
+every integral model H is.
 """
 
 from __future__ import annotations
@@ -108,7 +114,10 @@ class YPoly:
     def monic(self) -> "YPoly":
         if self.is_zero():
             return self
-        inv = self.lc().inverse()
+        lc = self.lc()
+        if lc.num.is_one() and lc.den.is_one():
+            return self
+        inv = lc.inverse()
         return YPoly(self.field, [c * inv for c in self.coeffs])
 
     def is_one(self) -> bool:

@@ -9,13 +9,34 @@ valuation returns the +infinity sentinel (math.inf) on the zero element.
 The residue field at a finite place of degree d is GF(q^d), realized
 canonically via make_field and the smallest root rho of p(x) there (over a
 prime field q = p it is make_field with p(x) as the modulus, and rho the
-class of x); residues are computed by evaluating at rho, and lift() inverts
-that evaluation on polynomials of degree < d.
+class of x); lift() inverts evaluation at rho on polynomials of degree < d.
+
+A finite place computes the p-adic data of a nonzero coefficient r once and
+keeps it, keyed by the value of r, for as long as the place lives: v(r) and
+the remainders mod p(x) of num/p^a and den/p^b, where p^a and p^b are the
+powers of p(x) dividing them, plus the unit residue once asked for.
+valuation, residue and unit_residue all read it.  The record sits on the
+place rather than on the coefficient because equal coefficients recur as
+distinct objects (one pass of the sweep benchmark asks about 2,300
+(place, object) pairs but only about 1,050 (place, value) pairs), and
+because places are short-lived while a coefficient may meet many of them.
+
+Residues come from the remainder, f(rho) = (f mod p)(rho): at a degree-1
+place that remainder is the constant f(a); over a prime field its
+coefficients are the digits of f(rho); only otherwise is there a Horner
+evaluation, of a polynomial of degree < d.
+
+RatFunc arithmetic keeps num/den canonical (coprime, monic denominator)
+with Henrici's rules (Knuth, TAOCP 2, 4.5.1), as Python's fractions module
+does for integers: a sum takes gcd(d1, d2) = g and then only gcd(num, g); a
+product takes the cross gcds gcd(n1, d2) and gcd(n2, d1); an inverse or a
+power of a canonical fraction is coprime already.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import TowerlabError
 from .ffield import (
@@ -74,11 +95,11 @@ class RatFunc:
 
     @classmethod
     def const(cls, field: FiniteField, c) -> "RatFunc":
-        return cls(FFPoly(field, [c]))
+        return cls._of(FFPoly(field, [c]), FFPoly._of(field, [1]))
 
     @classmethod
     def var(cls, field: FiniteField) -> "RatFunc":
-        return cls(FFPoly(field, [0, 1]))
+        return cls._of(FFPoly._of(field, [0, 1]), FFPoly._of(field, [1]))
 
     @property
     def field(self) -> FiniteField:
@@ -105,10 +126,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # a monic constant denominator is 1, and n/1 is already canonical
-        if self.is_poly() and other.is_poly():
-            return RatFunc._of(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _sum(self, other, operator.add)
 
     __radd__ = __add__
 
@@ -116,9 +134,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_poly() and other.is_poly():
-            return RatFunc._of(self.num - other.num, self.den)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _sum(self, other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -130,9 +146,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_poly() and other.is_poly():
-            return RatFunc._of(self.num * other.num, self.den)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -142,7 +156,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -150,12 +164,13 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        # den/num is coprime already; only the new denominator needs scaling
+        return _monic_den(self.den, self.num)
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+        return RatFunc._of(self.num**n, self.den**n)
 
     def __eq__(self, other):
         if isinstance(other, (int, FFElem, FFPoly)):
@@ -183,11 +198,72 @@ class RatFunc:
         return self.to_str()
 
 
+# -- Henrici's fraction arithmetic (Knuth, TAOCP 2, 4.5.1) ------------------------
+#
+# The operands are canonical, so a gcd is only ever taken with a factor of a
+# denominator, and each result is canonical without a final gcd.
+
+
+def _monic_den(num: FFPoly, den: FFPoly) -> RatFunc:
+    """num/den for coprime num and den, scaled so den is monic."""
+    lc = den.lc()
+    if lc == den.field.one():
+        return RatFunc._of(num, den)
+    inv = lc.inverse()
+    return RatFunc._of(num * inv, den * inv)
+
+
+def _sum(a: RatFunc, b: RatFunc, op) -> RatFunc:
+    """a + b or a - b, as op is operator.add or operator.sub."""
+    d1, d2 = a.den, b.den
+    if d1 == d2:
+        num = op(a.num, b.num)
+        if d1.is_one():
+            return RatFunc._of(num, d1)
+        if num.is_zero():
+            return RatFunc._of(num, FFPoly._of(num.field, [1]))
+        g = poly_gcd(num, d1)
+        if g.is_one():
+            return RatFunc._of(num, d1)
+        return RatFunc._of(num.exact_div(g), d1.exact_div(g))
+    # d1 = 1 shares nothing with d2, and needs no division to show it
+    g = d1 if d1.is_one() else poly_gcd(d1, d2)
+    if g.is_one():
+        return RatFunc._of(op(a.num * d2, b.num * d1), d1 * d2)
+    s = d1.exact_div(g)
+    d2g = d2.exact_div(g)
+    t = op(a.num * d2g, b.num * s)
+    if t.is_zero():
+        return RatFunc._of(t, FFPoly._of(t.field, [1]))
+    g2 = poly_gcd(t, g)
+    if g2.is_one():
+        return RatFunc._of(t, s * d2)
+    return RatFunc._of(t.exact_div(g2), s * d2.exact_div(g2))
+
+
+def _product(n1: FFPoly, d1: FFPoly, n2: FFPoly, d2: FFPoly) -> RatFunc:
+    """(n1/d1) * (n2/d2) for coprime pairs with d1 monic; d2 need not be
+    monic, so a quotient is the product with the flipped divisor."""
+    if n1.is_zero() or n2.is_zero():
+        return RatFunc._of(FFPoly._of(n1.field, []), FFPoly._of(n1.field, [1]))
+    if d1.is_one() and d2.is_one():
+        return RatFunc._of(n1 * n2, d1)
+    if d2.degree() > 0:
+        g = poly_gcd(n1, d2)
+        if not g.is_one():
+            n1, d2 = n1.exact_div(g), d2.exact_div(g)
+    if d1.degree() > 0:
+        g = poly_gcd(n2, d1)
+        if not g.is_one():
+            n2, d1 = n2.exact_div(g), d1.exact_div(g)
+    return _monic_den(n1 * n2, d1 * d2)
+
+
 class RatPlace:
     """A place of GF(q)(x): either the zero locus of a monic irreducible
     polynomial, or the place at infinity."""
 
-    __slots__ = ("field", "poly", "_resfield", "_rho", "_lift_cols")
+    __slots__ = ("field", "poly", "_resfield", "_rho", "_lift_cols", "_padic")
 
     def __init__(self, field: FiniteField, poly: FFPoly | None):
         if poly is not None:
@@ -202,6 +278,7 @@ class RatPlace:
         self._resfield = None
         self._rho = None
         self._lift_cols = None
+        self._padic = {}
 
     @classmethod
     def infinity(cls, field: FiniteField) -> "RatPlace":
@@ -233,17 +310,30 @@ class RatPlace:
             return INF
         if self.poly is None:
             return r.den.degree() - r.num.degree()
-        return self._strip(r.num)[1] - self._strip(r.den)[1]
+        return self._data(r)[0]
 
-    def _strip(self, f: FFPoly) -> tuple[FFPoly, int]:
-        """(g, v) with f = P^v * g and P not dividing g; f is nonzero."""
+    def _data(self, r: RatFunc) -> list:
+        """[v, num/P^a mod P, den/P^b mod P, unit residue or None] for a
+        nonzero r at this finite place, with v = a - b; computed once per
+        coefficient value and kept for the life of the place."""
+        data = self._padic.get(r)
+        if data is None:
+            a, nrem = self._strip(r.num)
+            b, drem = self._strip(r.den)
+            data = self._padic[r] = [a - b, nrem, drem, None]
+        return data
+
+    def _strip(self, f: FFPoly) -> tuple[int, FFPoly]:
+        """(v, g mod P) with f = P^v * g and P not dividing g; f is nonzero."""
+        P = self.poly
         v = 0
-        while True:
-            q, rem = divmod(f, self.poly)
+        while f.degree() >= P.degree():
+            q, rem = divmod(f, P)
             if not rem.is_zero():
-                return f, v
+                return v, rem
             v += 1
             f = q
+        return v, f
 
     # -- residue machinery --------------------------------------------------------
 
@@ -266,11 +356,20 @@ class RatPlace:
                     self._rho = roots_in_field(self.poly, self._resfield)[0]
         return self._resfield
 
-    def _eval_at_rho(self, f: FFPoly) -> FFElem:
-        self.residue_field()
-        if self.poly is None:
-            raise ValueError("no evaluation point at infinity")
-        return f.eval(self._rho)
+    def _residue_of(self, rem: FFPoly) -> FFElem:
+        """f(rho) for a finite place, from rem = f mod P."""
+        res = self.residue_field()
+        if self.poly.degree() == 1:
+            return embed(rem.coeff(0), res)
+        if self.field.k == 1:
+            # rho is the class of x, so f(rho) has the digits of f mod P
+            return res.elem(rem.ints)
+        return rem.eval(self._rho)
+
+    def _unit(self, data: list) -> FFElem:
+        if data[3] is None:
+            data[3] = self._residue_of(data[1]) / self._residue_of(data[2])
+        return data[3]
 
     def residue(self, r: RatFunc) -> FFElem:
         """The image of r in the residue field; PoleAtPlace if v(r) < 0."""
@@ -283,9 +382,7 @@ class RatPlace:
         if self.poly is None:
             # equal degrees: ratio of leading coefficients
             return embed(r.num.lc() / r.den.lc(), res)
-        nv = self._eval_at_rho(r.num)
-        dv = self._eval_at_rho(r.den)
-        return nv / dv
+        return self._unit(self._data(r))
 
     def unit_residue(self, r: RatFunc) -> FFElem:
         """residue(r * pi^(-v(r))): the leading unit of r at this place."""
@@ -295,9 +392,7 @@ class RatPlace:
             v = self.valuation(r)
             x = RatFunc.var(self.field)
             return self.residue(r * x**v)
-        num = self._strip(r.num)[0]
-        den = self._strip(r.den)[0]
-        return self._eval_at_rho(num) / self._eval_at_rho(den)
+        return self._unit(self._data(r))
 
     def lift(self, alpha: FFElem) -> RatFunc:
         """A rational function (in fact a polynomial of degree < deg P, or a

@@ -7,7 +7,6 @@ import pytest
 from towerlab.ffield import FFPoly
 from towerlab.ratfunc import RatPlace
 from towerlab.omfactor import (
-    different_bounds,
     eisenstein_at,
     is_irreducible_over_ratfield,
     monic_integral_model,
@@ -164,9 +163,9 @@ def test_different_bounds_accessor():
     F = family_F(2)
     pls = places_above(F, _Px(F2))
     wild = next(pl for pl in pls if pl.e == 2)
-    assert different_bounds(wild) == (2, 6, None)
+    assert (wild.dmin, wild.dmax, wild.d_exact) == (2, 6, None)
     tame = next(pl for pl in pls if pl.e == 1)
-    assert different_bounds(tame) == (0, 0, 0)
+    assert (tame.dmin, tame.dmax, tame.d_exact) == (0, 0, 0)
 
 
 def test_tame_different_is_e_minus_one():
