@@ -18,7 +18,6 @@ each other to pin a single missing wild exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import TowerlabError
@@ -33,6 +32,7 @@ from .ffield import (
 )
 from .omfactor import Inseparable, PlaceExt, monic_integral_model, places_above
 from .ratfunc import RatPlace, finite_places_of_degree
+from .record import Record
 
 INF = math.inf
 
@@ -45,14 +45,12 @@ class InconsistentOracle(TowerlabError):
     """The two genus routes contradict each other: an engine bug somewhere."""
 
 
-@dataclass(frozen=True)
-class RamTable:
+class RamTable(Record):
     """Rows of (rational place, places above it) covering the ramification
-    locus; unramified locus rows are kept (they witness the checks)."""
+    locus of F, with m = deg_y F; unramified locus rows are kept (they
+    witness the checks).  rows is a tuple of (RatPlace, tuple[PlaceExt])."""
 
-    F: BivarPoly
-    m: int
-    rows: tuple  # of (RatPlace, tuple[PlaceExt, ...])
+    __slots__ = ("F", "m", "rows")
 
     def all_places(self):
         for _, pls in self.rows:
@@ -77,14 +75,12 @@ class RamTable:
         return [pl for pl in self.all_places() if pl.d_exact is None]
 
 
-@dataclass(frozen=True)
-class GenusResult:
+class GenusResult(Record):
     """genus is the smallest value consistent with the different-degree
-    bounds (and equals the true genus when exact is True)."""
+    bounds, the pair diff_degree_bounds (and equals the true genus when
+    exact is True)."""
 
-    genus: int
-    exact: bool
-    diff_degree_bounds: tuple
+    __slots__ = ("genus", "exact", "diff_degree_bounds")
 
 
 def ramification_locus(F: BivarPoly) -> list[RatPlace]:
@@ -357,7 +353,7 @@ def reconcile_different(rt: RamTable, oracle_genus: int) -> RamTable:
     new_rows = []
     for P, pls in rt.rows:
         new_pls = tuple(
-            replace(pl, d_exact=d) if pl is gap else pl for pl in pls
+            pl.replace(d_exact=d) if pl is gap else pl for pl in pls
         )
         new_rows.append((P, new_pls))
     return RamTable(F=rt.F, m=rt.m, rows=tuple(new_rows))

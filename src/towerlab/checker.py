@@ -36,14 +36,11 @@ labeled skew; the report carries the computed flag plus a note.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import TowerlabError
 from .ffield import (
     BivarPoly,
-    FFElem,
     FFPoly,
-    FiniteField,
     is_irreducible,
     qth_root,
 )
@@ -55,6 +52,7 @@ from .omfactor import (
 )
 from .pyramid import RamHypotheses
 from .ratfunc import RatFunc, RatPlace
+from .record import Record
 
 __all__ = [
     "InvalidParams",
@@ -89,19 +87,16 @@ class IdentificationFailed(TowerlabError):
     """Cross-side matching of the distinguished place Q was ambiguous."""
 
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(Record):
     """A recursive tower, reduced to its defining data.
 
-    m is the tower step degree deg_y F; skew records deg_x F != deg_y F
-    (a skew tower does not have [T_{i+1} : T_i] constant, which the climb
-    relies on).  Construction verifies F is irreducible over K(x).
+    F is the BivarPoly and base its FiniteField.  m is the tower step degree
+    deg_y F; skew records deg_x F != deg_y F (a skew tower does not have
+    [T_{i+1} : T_i] constant, which the climb relies on).  from_poly
+    verifies F is irreducible over K(x).
     """
 
-    F: BivarPoly
-    base: FiniteField
-    m: int
-    skew: bool
+    __slots__ = ("F", "base", "m", "skew")
 
     @classmethod
     def from_poly(cls, F: BivarPoly) -> "TowerSpec":
@@ -113,21 +108,18 @@ class TowerSpec:
         return cls(F=F, base=F.field, m=m, skew=F.deg_x() != m)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """Parameters (q, a, b, g) of the witness family; m and c are derived.
 
-    c is the q-th root of b, which exists and is unique in any finite field
-    of characteristic p when q is a power of p: it turns (y-a)^q + b into
-    the q-th power (y - a + c)^q, the algebraic heart of the wild place.
+    q is an int, a and b are FFElems and g is an FFPoly.  Construction
+    sets m = q + 1 and c, the q-th root of b, whatever was passed for
+    them.  c exists and is unique in any finite field of characteristic p
+    when q is a power of p: it turns (y-a)^q + b into the q-th power
+    (y - a + c)^q, the algebraic heart of the wild place.
     """
 
-    q: int
-    a: FFElem
-    b: FFElem
-    g: FFPoly
-    m: int = 0
-    c: FFElem | None = None
+    __slots__ = ("q", "a", "b", "g", "m", "c")
+    _defaults = {"m": 0, "c": None}
 
     def __post_init__(self):
         K = self.a.field
@@ -172,21 +164,17 @@ def build_family(params: FamilyParams) -> TowerSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class FamilyCheck:
-    name: str
-    title: str
-    passed: bool
-    detail: str
+class FamilyCheck(Record):
+    """One named check: name, title and detail strings, and passed."""
+
+    __slots__ = ("name", "title", "passed", "detail")
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    params: FamilyParams
-    tower: TowerSpec
-    checks: tuple[FamilyCheck, ...]
-    witnesses: dict[str, PlaceExt]
-    notes: tuple[str, ...]
+class FamilyReport(Record):
+    """The checks of one family member: its FamilyParams and TowerSpec, a
+    tuple of FamilyChecks, witness PlaceExts by name, and note strings."""
+
+    __slots__ = ("params", "tower", "checks", "witnesses", "notes")
 
     @property
     def all_pass(self) -> bool:
@@ -311,14 +299,15 @@ def verify_family_facts(params: FamilyParams) -> FamilyReport:
     )
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    holds: bool
-    witnesses: dict[str, PlaceExt]
-    failed_conditions: tuple[str, ...]
-    conclusion: str | None  # "InfiniteGenus" when holds
-    hypotheses: RamHypotheses | None
-    notes: tuple[str, ...]
+class TheoremVerdict(Record):
+    """Whether conditions (1)-(3) hold, witness PlaceExts by name, the names
+    of the failed conditions, the conclusion ("InfiniteGenus" when holds,
+    else None), the RamHypotheses for the climb (or None) and notes."""
+
+    __slots__ = (
+        "holds", "witnesses", "failed_conditions", "conclusion", "hypotheses",
+        "notes",
+    )
 
 
 def check_theorem(F: BivarPoly, f: FFPoly) -> TheoremVerdict:

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ffield
@@ -37,6 +36,7 @@ from .ffield import BivarPoly, FFElem, FFPoly, FiniteField, make_field
 from .omfactor import PlaceExt, is_irreducible_over_ratfield
 from .pyramid import RamHypotheses, climb, render_pyramid
 from .ratfunc import RatPlace
+from .record import Record
 
 __all__ = ["ParseError", "JobSpec", "parse_poly", "parse_elem", "run", "main"]
 
@@ -220,12 +220,10 @@ def parse_elem(expr: str, field: FiniteField) -> FFElem:
     return val
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One CLI invocation: the command plus its echoed parameters."""
+class JobSpec(Record):
+    """One CLI invocation: the command plus its echoed parameters (a dict)."""
 
-    command: str
-    params: dict
+    __slots__ = ("command", "params")
 
 
 def _frac(x) -> str:

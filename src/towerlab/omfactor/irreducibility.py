@@ -196,9 +196,6 @@ class _YSeries:
         """Coefficient of t^k, as a plain y-polynomial."""
         return FFPoly(self.field, [c.coeff(k) for c in self.cs])
 
-    def at_t0(self) -> FFPoly:
-        return self.t_coeff(0)
-
 
 def _hensel_pair(F: _YSeries, G0: FFPoly, H0: FFPoly) -> tuple["_YSeries", "_YSeries"]:
     """F monic in y; G0*H0 = F(t=0) monic coprime.  Lift to F = G*H mod t^N."""

@@ -8,10 +8,10 @@ reported in increasing order, left to right along the hull.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import TowerlabError
+from ..record import Record
 
 INF = math.inf
 
@@ -20,16 +20,14 @@ class DegeneratePolygon(TowerlabError):
     """Raised when fewer than two finite points are available."""
 
 
-@dataclass(frozen=True)
-class NPSegment:
+class NPSegment(Record):
     """One face of the lower hull.
 
-    slope   -- exact rational slope
+    slope   -- exact rational slope (a Fraction)
     length  -- horizontal projection (right index minus left index)
     """
 
-    slope: Fraction
-    length: int
+    __slots__ = ("slope", "length")
 
 
 def _finite_points(points) -> list[tuple[int, Fraction]]:

@@ -15,12 +15,12 @@ nu(y) = nu(z) - M*e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from ..errors import TowerlabError
 from ..ffield import BivarPoly, FFPoly, FiniteField, poly_gcd
 from ..ratfunc import RatFunc, RatPlace
+from ..record import Record
 from .maclane import INF, Inseparable, StageVal, decompose, exact_val
 from .newton import newton_polygon
 from .ypoly import YPoly
@@ -63,8 +63,7 @@ class _Handle:
         return self.val_ypoly(g)
 
 
-@dataclass(frozen=True)
-class PlaceExt:
+class PlaceExt(Record):
     """A place Q of the basic field above the rational place `base`.
 
     refinement records the Newton-polygon decisions that isolate Q: each
@@ -72,18 +71,14 @@ class PlaceExt:
     strings/Fractions suitable for reports.  dmin <= d(Q|P) <= dmax with
     d_exact set when the bounds collapse: a tame place (p does not divide e)
     has d = e - 1 exactly, a wild one dmin = e and dmax = nu_Q(H'(z)) on the
-    monic integral model, the monogenic-generator bound.
+    monic integral model, the monogenic-generator bound.  The _Handle
+    behind valuation_of takes no part in equality or the repr.
     """
 
-    base: RatPlace
-    side: str
-    e: int
-    f: int
-    dmin: int
-    dmax: int
-    d_exact: int | None
-    refinement: tuple
-    _handle: _Handle = dc_field(compare=False, repr=False)
+    __slots__ = (
+        "base", "side", "e", "f", "dmin", "dmax", "d_exact", "refinement",
+        "_handle",
+    )
 
     def valuation_of(self, G) -> int | float:
         """nu_Q of a bivariate polynomial (or YPoly in the model variable),

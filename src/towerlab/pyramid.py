@@ -50,11 +50,10 @@ not 2; see the note emitted in every PyramidReport.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
 
 from .errors import TowerlabError
+from .record import Record
 
 __all__ = [
     "BothWild",
@@ -88,20 +87,17 @@ class InvalidHypotheses(TowerlabError):
     """A RamHypotheses constraint is violated; the message names it."""
 
 
-@dataclass(frozen=True)
-class RamHypotheses:
+class RamHypotheses(Record):
     """Ramification data of the basic field feeding the pyramid climb.
 
-    d_prime_min is a certified lower bound for the different exponent
-    d(Q'|P_{f(x)}) of the wild place.  Wild ramification already forces
-    d >= e = r, so values below r are rejected rather than silently used.
+    m, n, r and p are ints.  d_prime_min is a certified lower bound for the
+    different exponent d(Q'|P_{f(x)}) of the wild place; its default 0 means
+    "use r".  Wild ramification already forces d >= e = r, so values below r
+    are rejected rather than silently used.
     """
 
-    m: int
-    n: int
-    r: int
-    p: int
-    d_prime_min: int = 0  # 0 means "default to r"
+    __slots__ = ("m", "n", "r", "p", "d_prime_min")
+    _defaults = {"d_prime_min": 0}
 
     def __post_init__(self):
         if self.d_prime_min == 0:
@@ -144,32 +140,28 @@ def different_transitivity(d_upper: int, e_upper: int, d_lower: int) -> int:
     return e_upper * d_lower + d_upper
 
 
-@dataclass(frozen=True)
-class PyramidLevel:
+class PyramidLevel(Record):
     """One rung of the climb.
 
     degree is [T_i : T_0] = m^i.  d_bound is the certified lower bound on
     d(P'|P) for the wild place P' of T_{i+1} over its restriction P to T_i.
     genus_contribution is what that single place adds to the telescoped
     Riemann-Hurwitz lower bound for g(T_{i+1}) / [T_{i+1} : T_0], namely
-    d_bound / (2 m^{i+1}).
+    the Fraction d_bound / (2 m^{i+1}).
     """
 
-    i: int
-    degree: int
-    d_bound: int
-    genus_contribution: Fraction
+    __slots__ = ("i", "degree", "d_bound", "genus_contribution")
 
 
-@dataclass(frozen=True)
-class PyramidReport:
-    hypotheses: RamHypotheses
-    levels: tuple[PyramidLevel, ...]
-    c: Fraction
-    series_terms: tuple[Fraction, ...]
-    series_partial_sums: tuple[Fraction, ...]
-    verdict: str  # "InfiniteGenus" | "Inconclusive"
-    notes: tuple[str, ...]
+class PyramidReport(Record):
+    """The climb: its RamHypotheses, a tuple of PyramidLevels, the ratio c,
+    the Fraction series terms and partial sums, the verdict
+    ("InfiniteGenus" | "Inconclusive") and a tuple of note strings."""
+
+    __slots__ = (
+        "hypotheses", "levels", "c", "series_terms", "series_partial_sums",
+        "verdict", "notes",
+    )
 
 
 def climb(h: RamHypotheses, levels: int) -> PyramidReport:
@@ -208,8 +200,7 @@ def climb(h: RamHypotheses, levels: int) -> PyramidReport:
 Node = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PyramidGraph:
+class PyramidGraph(Record):
     """Explicit node diagram for one level of the climb.
 
     nodes are pairs (lo, hi) standing for a place of K(x_lo, ..., x_hi);
@@ -219,9 +210,7 @@ class PyramidGraph:
     abhyankar_e at the diamond below it.
     """
 
-    level: int
-    nodes: tuple[Node, ...]
-    edges: dict[tuple[Node, Node], int]
+    __slots__ = ("level", "nodes", "edges")
 
     def label(self, child: Node, parent: Node) -> int:
         return self.edges[(child, parent)]
@@ -302,7 +291,10 @@ def walk_bound(h: RamHypotheses, i: int) -> int:
     return d_upper - e_top * d_ppi
 
 
-SeqSpec = Union[int, Fraction, Sequence, Callable[[int], object]]
+# A sequence spec: an int or Fraction (a constant sequence), a list or tuple
+# (repeated periodically) or a callable sampled at i = 1, 2, ...  Annotations
+# are never evaluated, so the alias is a plain string and needs no `typing`.
+SeqSpec = "int | Fraction | Sequence | Callable[[int], object]"
 
 
 def _as_terms(spec: SeqSpec, count: int, what: str):
@@ -325,27 +317,25 @@ def _as_terms(spec: SeqSpec, count: int, what: str):
     return [val] * count, [val]
 
 
-@dataclass(frozen=True)
-class SeriesReport:
-    verdict: str  # "Diverges" | "Inconclusive"
-    terms: tuple[Fraction, ...]
-    partial_sums: tuple[Fraction, ...]
-    certificate: str | None
+class SeriesReport(Record):
+    """verdict is "Diverges" or "Inconclusive"; terms and partial_sums are
+    tuples of Fractions; certificate explains a "Diverges", else None."""
+
+    __slots__ = ("verdict", "terms", "partial_sums", "certificate")
 
 
 def series_divergence(
     c: SeqSpec,
     step_degrees: SeqSpec,
     horizon: int = 64,
-    threshold: Fraction = Fraction(10),
 ) -> SeriesReport:
     """Decide divergence of sum_i c_i / [T_{i+1} : T_i], never convergence.
 
     Constant and periodic specs get a symbolic certificate: if one full
     period of terms has positive sum, partial sums grow linearly forever.
-    For callables only a horizon-limited check is available (threshold
-    exceeded with nondecreasing positive terms); anything weaker is
-    Inconclusive, which deliberately includes genuinely convergent series.
+    A callable is only sampled up to the horizon, and a finite horizon is
+    not a certificate, so it is always Inconclusive; so is a period with
+    zero sum.  Convergence is never claimed.
     """
     if horizon < 1:
         raise InvalidHypotheses("horizon must be >= 1")
@@ -373,15 +363,6 @@ def series_divergence(
             cert = (
                 f"terms repeat with period {n} and period sum {sigma} > 0; "
                 f"partial sums grow by at least {sigma} every {n} terms"
-            )
-    elif sums[-1] > threshold and all(
-        terms[k + 1] >= terms[k] for k in range(len(terms) - 1)
-    ):
-        if terms[0] > 0:
-            verdict = "Diverges"
-            cert = (
-                f"partial sum {sums[-1]} exceeds threshold {threshold} at "
-                f"horizon {horizon} with nondecreasing positive terms"
             )
     return SeriesReport(verdict, tuple(terms), tuple(sums), cert)
 

@@ -108,9 +108,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return self.den.degree() == 0
-
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             if other.field is not self.field:
@@ -287,9 +284,6 @@ class RatPlace:
     @classmethod
     def finite(cls, poly: FFPoly) -> "RatPlace":
         return cls(poly.field, poly)
-
-    def is_infinite(self) -> bool:
-        return self.poly is None
 
     def degree(self) -> int:
         return 1 if self.poly is None else self.poly.degree()

@@ -143,9 +143,11 @@ def test_series_divergence_periodic():
 
 
 def test_series_divergence_sampled():
+    # a sampled callable is seen only up to the horizon, which certifies
+    # nothing about the tail, even for a constant that clearly diverges
     rep = series_divergence(lambda k: Fraction(1, 2), 3)
-    assert rep.verdict == "Diverges"
-    assert "threshold" in rep.certificate
+    assert rep.verdict == "Inconclusive"
+    assert rep.certificate is None
 
 
 def test_series_divergence_inconclusive_on_shrinking_terms():
