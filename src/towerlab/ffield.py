@@ -87,6 +87,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, increasing."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 class FiniteField:
     """The field GF(p^k) on base-p int encodings.  Construct via make_field,
     which interns instances.  This class is the prime field (k = 1);
@@ -331,17 +346,31 @@ class _ZechField(_ExtensionField):
 
     @cached_property
     def _tables(self) -> tuple[list, list, list | None]:
-        """(log, exp, zech), built on first use."""
+        """(log, exp, zech), built on first use.  g is the first candidate
+        >= p of order q - 1: g^((q-1)/r) != 1 for every prime r | q - 1.
+        The powers run on the packed multiply, since this one needs the
+        tables being built."""
         p, q1 = self.p, self.order - 1
         mul = super()._mul
-        for g in range(p, self.order):
-            exp = [1]
-            x = g
-            while x != 1:
-                exp.append(x)
-                x = mul(x, g)
-            if len(exp) == q1:
-                break
+
+        def power(x: int, n: int) -> int:
+            result = 1
+            while n:
+                if n & 1:
+                    result = mul(result, x)
+                x = mul(x, x)
+                n >>= 1
+            return result
+
+        cofactors = [q1 // r for r in _prime_divisors(q1)]
+        g = p
+        while any(power(g, c) == 1 for c in cofactors):
+            g += 1
+        exp = [1]
+        x = g
+        while x != 1:
+            exp.append(x)
+            x = mul(x, g)
         log = [None] * self.order
         for i, x in enumerate(exp):
             log[x] = i
@@ -1004,8 +1033,9 @@ class FFPoly:
         while n:
             if n & 1:
                 result = _pmul(F, result, base)
-            base = _pmul(F, base, base)
             n >>= 1
+            if n:
+                base = _pmul(F, base, base)
         return FFPoly._of(F, result)
 
     def __divmod__(self, other):
@@ -1115,18 +1145,7 @@ def is_irreducible(f: FFPoly) -> bool:
     Q = field.order
     x = FFPoly._of(field, [0, 1])
     fm = f.monic()
-    prime_divs = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            prime_divs.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        prime_divs.append(m)
-    for l in prime_divs:
+    for l in _prime_divisors(n):
         h = _pow_mod(x, Q ** (n // l), fm)
         if not poly_gcd(h - x, fm).is_one():
             return False
@@ -1261,6 +1280,8 @@ def poly_factor(f: FFPoly, seed: int | None = None) -> list[tuple[FFPoly, int]]:
         raise ValueError("cannot factor the zero polynomial")
     if f.degree() == 0:
         return []
+    if f.degree() == 1:
+        return [(f.monic(), 1)]
     rng = random.Random(FACTOR_SEED if seed is None else seed)
     out = []
     for mult, g in _squarefree_decomposition(f):

@@ -54,14 +54,23 @@ class Inseparable(TowerlabError):
     """Raised when the defining polynomial is not separable and squarefree in y."""
 
 
+def _qval(n, d: int):
+    """n/d as an int when d divides n, else as a Fraction; INF stays INF."""
+    if n == INF:
+        return INF
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def _stage_data(prev_E: int, keyval):
     """(E, rel_n, rel_d, inv_a, inv_b) for a stage of key value keyval over a
-    previous stage with value group (1/prev_E)Z."""
+    previous stage with value group (1/prev_E)Z; keyval is an int or a
+    Fraction, and rel_n / rel_d = keyval * prev_E in lowest terms."""
     if keyval == INF:
         return prev_E, None, 1, 0, 1
-    lamE = Fraction(keyval) * prev_E
-    rel_d = lamE.denominator
-    rel_n = lamE.numerator
+    n, d = keyval.numerator * prev_E, keyval.denominator
+    g = math.gcd(n, d)
+    rel_n, rel_d = n // g, d // g
     E = prev_E * rel_d
     inv_a = pow(rel_n, -1, rel_d) if rel_d > 1 else 0
     inv_b = (1 - inv_a * rel_n) // rel_d
@@ -70,7 +79,12 @@ def _stage_data(prev_E: int, keyval):
 
 class StageVal:
     """One stage of an inductive valuation.  Immutable; augment() returns a
-    new object (collapsing onto the previous stage for same-degree keys)."""
+    new object (collapsing onto the previous stage for same-degree keys).
+
+    Values lie in (1/E)Z, so the engine computes E * V(f), an int, and
+    keeps it per polynomial for the life of the stage; keyval * E = rel_n.
+    val() and keyval are ints when integral and Fractions otherwise.
+    """
 
     __slots__ = (
         "place",
@@ -88,18 +102,20 @@ class StageVal:
         "res_deg",
         "nstages",
         "_lift_cols",
+        "_vals",
     )
 
     def __init__(self, place: RatPlace, prev, phi: YPoly, keyval, psi: FFPoly | None):
         self.place = place
         self.prev = prev
         self.phi = phi
-        self.keyval = keyval if keyval == INF else Fraction(keyval)
         prev_E = 1 if prev is None else prev.E
         self.E, self.rel_n, self.rel_d, self.inv_a, self.inv_b = _stage_data(
             prev_E, keyval
         )
+        self.keyval = INF if self.rel_n is None else _qval(self.rel_n, self.E)
         self._lift_cols = None
+        self._vals = {}
         if prev is None:
             if phi.degree() != 1 or not phi.lc() == RatFunc.const(phi.field, 1):
                 raise ValueError("stage-zero key must be monic linear")
@@ -130,52 +146,64 @@ class StageVal:
     def stage_zero(cls, place: RatPlace, phi: YPoly, keyval) -> "StageVal":
         return cls(place, None, phi, keyval, None)
 
-    def augment(self, phi_new: YPoly, keyval) -> "StageVal":
-        """MacLane augmentation with same-degree collapse."""
+    def augment(self, phi_new: YPoly, keyval, psi: FFPoly | None = None) -> "StageVal":
+        """MacLane augmentation with same-degree collapse.  psi, when given,
+        is the monic residual of phi_new at this stage (the factor phi_new
+        was lifted from); a collapse needs the residual one stage down."""
         if phi_new.degree() == self.phi.degree():
             if self.prev is None:
                 return StageVal.stage_zero(self.place, phi_new, keyval)
-            return self.prev._augment_stage(phi_new, keyval)
-        return self._augment_stage(phi_new, keyval)
+            return self.prev._augment_stage(phi_new, keyval, None)
+        return self._augment_stage(phi_new, keyval, psi)
 
-    def _augment_stage(self, phi_new: YPoly, keyval) -> "StageVal":
-        psi = self.residual(phi_new)
-        psi = psi.monic()
+    def _augment_stage(self, phi_new: YPoly, keyval, psi) -> "StageVal":
+        if psi is None:
+            psi = self.residual(phi_new).monic()
         return StageVal(self.place, self, phi_new, keyval, psi)
 
     # -- the valuation ------------------------------------------------------------
 
-    def _coeff_val(self, c: YPoly):
+    def _coeff_sval(self, c: YPoly):
+        """E * v(c) for c of degree below deg phi, v the previous stage (the
+        place's valuation at stage zero); INF for c = 0."""
+        if not c.coeffs:
+            return INF
         if self.prev is None:
-            return self.place.valuation(c.coeff(0))
-        return self.prev.val(c)
+            return self.rel_d * self.place.valuation(c.coeffs[0])
+        return self.rel_d * self.prev._sval(c)
+
+    def _terms(self, f: YPoly) -> list:
+        """E * (v(c_i) + i * keyval) over the phi-expansion sum c_i phi^i of
+        f; INF where c_i = 0 and, at an infinite stage, for every i > 0."""
+        cc = f.expand_in(self.phi)
+        cv = self._coeff_sval
+        n = self.rel_n
+        if n is None:
+            return [cv(cc[0])] + [INF] * (len(cc) - 1)
+        return [cv(c) + i * n for i, c in enumerate(cc)]
+
+    def _sval(self, f: YPoly):
+        """E * V(f), an int, or INF for f = 0."""
+        v = self._vals.get(f)
+        if v is None:
+            if f.degree() < self.phi.degree():
+                v = self._coeff_sval(f)
+            else:
+                v = min(self._terms(f))
+            self._vals[f] = v
+        return v
 
     def val(self, f: YPoly):
-        if f.is_zero():
-            return INF
-        if f.degree() < self.phi.degree():
-            return self._coeff_val(f)
-        best = INF
-        for i, c in enumerate(f.expand_in(self.phi)):
-            if c.is_zero():
-                continue
-            cv = self._coeff_val(c)
-            if self.keyval == INF:
-                if i == 0:
-                    best = min(best, cv)
-                continue
-            t = cv if i == 0 else cv + i * self.keyval
-            if t < best:
-                best = t
-        return best
+        return _qval(self._sval(f), self.E)
 
     # -- graded residue machinery ------------------------------------------------
 
     def graded_reduction(self, f: YPoly):
-        """(fbar, i0, j0, v): f reduces to s^i0 t^j0 fbar(s^d/t^n) of grade v."""
+        """(fbar, i0, j0, G): f reduces to s^i0 t^j0 fbar(s^d/t^n), of grade
+        G/E."""
         if f.is_zero():
             raise ValueError("graded reduction of zero")
-        if self.keyval == INF:
+        if self.rel_n is None:
             raise TowerlabError("no graded reduction at an infinite stage")
         d, n = self.rel_d, self.rel_n
         terms = {}
@@ -185,17 +213,13 @@ class StageVal:
                 if c.is_zero():
                     continue
                 r = c.coeff(0)
-                vc = P.valuation(r)
-                terms[i] = (i * n + vc * d, P.unit_residue(r), None)
+                terms[i] = (i * n + P.valuation(r) * d, P.unit_residue(r), None)
         else:
             for i, c in enumerate(f.expand_in(self.phi)):
                 if c.is_zero():
                     continue
                 c1, i1, j1, vc = self.prev.graded_reduction(c)
-                vnum = Fraction(vc) * self.E + i * n
-                if vnum.denominator != 1:
-                    raise TowerlabError("grade not in the value lattice")
-                terms[i] = (int(vnum), c1, (i1, j1))
+                terms[i] = (vc * d + i * n, c1, (i1, j1))
         Vf = min(t[0] for t in terms.values())
         i0 = (self.inv_a * Vf) % d
         j0 = (Vf - i0 * n) // d
@@ -218,7 +242,7 @@ class StageVal:
             self.resfield,
             [coeff_map.get(t, self.resfield.zero()) for t in range(top + 1)],
         )
-        return R, i0, j0, Fraction(Vf, self.E)
+        return R, i0, j0, Vf
 
     def residual(self, f: YPoly) -> FFPoly:
         return self.graded_reduction(f)[0]
@@ -273,7 +297,7 @@ class StageVal:
     def graded_reduction_lift(self, h: FFPoly, i: int | None = None, j: int | None = None) -> YPoly:
         """A polynomial whose graded reduction is s^i t^j h(s^d/t^n).  With
         the defaults (i=0, j=n*deg h) the lift is monic in phi."""
-        if self.keyval == INF:
+        if self.rel_n is None:
             raise TowerlabError("no lifts at an infinite stage")
         n, d = self.rel_n, self.rel_d
         if i is None:
@@ -324,9 +348,9 @@ class StageVal:
         return [s for s in ss if s > vP]
 
     def is_key(self, f: YPoly) -> bool:
-        if self.keyval == INF:
+        if self.rel_n is None:
             return False
-        vf = self.val(f)
+        vf = self._sval(f)
         cc = f.expand_in(self.phi)
         nn = len(cc) - 1
         top = cc[nn]
@@ -334,11 +358,9 @@ class StageVal:
             return False
         if nn == 0:
             return False
-        if nn * self.keyval != vf:
+        if nn * self.rel_n != vf:
             return False
-        c0 = cc[0]
-        v0 = INF if c0.is_zero() else self._coeff_val(c0)
-        if v0 > vf:
+        if self._coeff_sval(cc[0]) > vf:
             # equivalence-divisible by the current key
             return nn == 1
         return is_irreducible(self.residual(f))
@@ -347,7 +369,7 @@ class StageVal:
         """Candidate keys for augmenting along G, as (key, residual factor)
         pairs.  The residual factor u itself is skipped: the branches it
         marks belong to steeper segments handled by sibling valuations."""
-        if self.val(G) == INF:
+        if self._sval(G) == INF:
             return []
         R = self.residual(G)
         fac = poly_factor(R)
@@ -364,20 +386,14 @@ class StageVal:
         out = []
         for key, psi in self.new_keys(G):
             for v in self.new_values(G, key):
-                out.append((self.augment(key, v), key, v, psi))
+                out.append((self.augment(key, v, psi), key, v, psi))
         return out
 
     def projection(self, G: YPoly) -> int:
-        v = self.val(G)
+        v = self._sval(G)
         if v == INF:
             return 1
-        ii = []
-        for i, c in enumerate(G.expand_in(self.phi)):
-            if c.is_zero():
-                continue
-            t = self._coeff_val(c) if i == 0 else self._coeff_val(c) + i * self.keyval
-            if t == v:
-                ii.append(i)
+        ii = [i for i, t in enumerate(self._terms(G)) if t == v]
         return ii[-1] - ii[0]
 
     # -- display ------------------------------------------------------------------
@@ -431,7 +447,8 @@ def decompose(place: RatPlace, H: YPoly, max_depth: int = 8):
             raise DepthExceeded(
                 f"decomposition at {place!r} exceeded {max_depth} refinement levels"
             )
-        slope_here = None if V.keyval == INF else -V.keyval
+        # a Fraction: ties in (E, f) are ordered by str(levels) below
+        slope_here = None if V.rel_n is None else Fraction(-V.rel_n, V.E)
         for W, _key, _lam, psi in V.augmentations(H):
             lev = levels + ((V.phi.to_str(), slope_here, psi.to_str("u")),)
             if W.projection(H) == 1:
@@ -471,19 +488,11 @@ def exact_val(V: StageVal, H: YPoly, g: YPoly, max_rounds: int = 200):
     if g.is_zero():
         return INF, V
     for _ in range(max_rounds):
-        if V.keyval == INF or g.degree() < V.phi.degree():
+        if V.rel_n is None or g.degree() < V.phi.degree():
             return V.val(g), V
-        cc = g.expand_in(V.phi)
-        v0 = INF if cc[0].is_zero() else V._coeff_val(cc[0])
-        rest = INF
-        for i in range(1, len(cc)):
-            if cc[i].is_zero():
-                continue
-            t = V._coeff_val(cc[i]) + i * V.keyval
-            if t < rest:
-                rest = t
-        if v0 < rest:
-            return v0, V
+        terms = V._terms(g)
+        if terms[0] < min(terms[1:]):
+            return _qval(terms[0], V.E), V
         V = improve(V, H)
     raise TowerlabError(
         "valuation did not stabilize; is the element zero at this place?"

@@ -30,14 +30,15 @@ class NPSegment(Record):
     __slots__ = ("slope", "length")
 
 
-def _finite_points(points) -> list[tuple[int, Fraction]]:
-    best: dict[int, Fraction] = {}
+def _finite_points(points) -> list[tuple]:
+    """The lowest finite value at each index, sorted by index; values stay
+    as given (ints, or Fractions where not integral)."""
+    best: dict = {}
     for i, v in points:
         if v == INF or v is None:
             continue
-        fv = Fraction(v)
-        if i not in best or fv < best[i]:
-            best[i] = fv
+        if i not in best or v < best[i]:
+            best[i] = v
     return sorted(best.items())
 
 
@@ -53,7 +54,7 @@ def newton_polygon(points) -> list[NPSegment]:
             f"need at least two finite points, got {len(pts)}"
         )
     # Andrew's monotone chain, lower hull only, exact arithmetic.
-    hull: list[tuple[int, Fraction]] = []
+    hull: list[tuple] = []
     for p in pts:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]

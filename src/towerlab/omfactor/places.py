@@ -14,9 +14,6 @@ nu(y) = nu(z) - M*e.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from ..errors import TowerlabError
 from ..ffield import BivarPoly, FFPoly, FiniteField, poly_gcd
 from ..ratfunc import RatFunc, RatPlace
@@ -48,7 +45,7 @@ class _Handle:
         v, self.V = exact_val(self.V, self.H, g)
         if v == INF:
             return INF
-        nv = Fraction(v) * self.V.E
+        nv = v * self.V.E
         if nv.denominator != 1:
             raise TowerlabError("valuation outside the value group")
         return int(nv)
@@ -116,7 +113,7 @@ def monic_integral_model(F: BivarPoly, P: RatPlace):
         v = P.valuation(aj)
         if v < 0:
             # z = y*pi^M makes coefficient j pick up valuation (m-j)*M
-            M = max(M, math.ceil(Fraction(-v, m - j)))
+            M = max(M, -(v // (m - j)))  # ceil(-v / (m - j))
     if M:
         H = G.subst_scaled(pi ** (-M)) * pi ** (m * M)
     else:
@@ -228,4 +225,4 @@ def eisenstein_at(F: BivarPoly, P: RatPlace, side: str = "x") -> bool:
     if len(segs) != 1:
         return False
     seg = segs[0]
-    return seg.length == m and Fraction(seg.slope).denominator == m
+    return seg.length == m and seg.slope.denominator == m

@@ -60,7 +60,7 @@ def _divmod_coeffs(a, b: tuple) -> tuple[list, list]:
 class YPoly:
     """Dense polynomial in y with RatFunc coefficients, low-to-high, trimmed."""
 
-    __slots__ = ("field", "coeffs", "_expansions")
+    __slots__ = ("field", "coeffs", "_expansions", "_hash")
 
     def __init__(self, field: FiniteField, coeffs):
         cs = []
@@ -77,6 +77,7 @@ class YPoly:
         self.field = field
         self.coeffs = _trimmed(cs)
         self._expansions = None
+        self._hash = None
 
     @classmethod
     def _of(cls, field: FiniteField, coeffs: tuple) -> "YPoly":
@@ -85,6 +86,7 @@ class YPoly:
         f.field = field
         f.coeffs = coeffs
         f._expansions = None
+        f._hash = None
         return f
 
     @classmethod
@@ -118,7 +120,7 @@ class YPoly:
         if lc.num.is_one() and lc.den.is_one():
             return self
         inv = lc.inverse()
-        return YPoly(self.field, [c * inv for c in self.coeffs])
+        return YPoly._of(self.field, _trimmed([c * inv for c in self.coeffs]))
 
     def is_one(self) -> bool:
         return self.degree() == 0 and self.coeffs[0] == RatFunc.const(self.field, 1)
@@ -137,7 +139,7 @@ class YPoly:
         if other is None:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return YPoly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return YPoly._of(self.field, _trimmed([self.coeff(i) + other.coeff(i) for i in range(n)]))
 
     __radd__ = __add__
 
@@ -146,13 +148,13 @@ class YPoly:
         if other is None:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return YPoly(self.field, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return YPoly._of(self.field, _trimmed([self.coeff(i) - other.coeff(i) for i in range(n)]))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return YPoly(self.field, [-c for c in self.coeffs])
+        return YPoly._of(self.field, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -168,19 +170,20 @@ class YPoly:
             for j, b in enumerate(other.coeffs):
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
-        return YPoly(self.field, out)
+        return YPoly._of(self.field, _trimmed(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = YPoly(self.field, [1])
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return YPoly(self.field, [1]) if result is None else result
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -238,7 +241,7 @@ class YPoly:
         for c in self.coeffs:
             out.append(c * power)
             power = power * s
-        return YPoly(self.field, out)
+        return YPoly._of(self.field, _trimmed(out))
 
     def gcd(self, other: "YPoly") -> "YPoly":
         a, b = self, other
@@ -254,7 +257,10 @@ class YPoly:
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        # kept: the expansion and stage-value memos look polynomials up by value
+        if self._hash is None:
+            self._hash = hash((self.field, self.coeffs))
+        return self._hash
 
     def to_str(self, var: str = "y") -> str:
         if self.is_zero():

@@ -30,24 +30,32 @@ RatFunc arithmetic keeps num/den canonical (coprime, monic denominator)
 with Henrici's rules (Knuth, TAOCP 2, 4.5.1), as Python's fractions module
 does for integers: a sum takes gcd(d1, d2) = g and then only gcd(num, g); a
 product takes the cross gcds gcd(n1, d2) and gcd(n2, d1); an inverse or a
-power of a canonical fraction is coprime already.
+power of a canonical fraction is coprime already.  The rules run on the
+coefficient lists (FFPoly.ints) with ffield's list kernels, and only each
+result is wrapped in FFPolys.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 from .errors import TowerlabError
 from .ffield import (
     FFElem,
     FFPoly,
     FiniteField,
+    _embed_ints,
+    _padd,
+    _pdivmod,
+    _peval,
+    _pgcd,
+    _pmul,
+    _pscale,
+    _psub,
     embed,
     gfp_solve,
     is_irreducible,
     make_field,
-    poly_gcd,
     roots_in_field,
 )
 
@@ -66,24 +74,24 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: FFPoly, den: FFPoly | None = None):
+        F = num.field
         if den is None:
-            den = FFPoly(num.field, [1])
+            self.num, self.den = num, FFPoly._of(F, [1])
+            return
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.field is not den.field:
+        if den.field is not F:
             raise ValueError("numerator and denominator over different fields")
-        if num.is_zero():
-            den = FFPoly(num.field, [1])
+        n, d = num.ints, den.ints
+        if not n:
+            d = [1]
         else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-            lc = den.lc()
-            if not lc == den.field.one():
-                inv = lc.inverse()
-                num, den = num * inv, den * inv
-        self.num = num
-        self.den = den
+            g = _pgcd(F, n, d)
+            if len(g) > 1:
+                n, d = _quo(F, n, g), _quo(F, d, g)
+            n, d = _monic_den(F, n, d)
+        self.num = FFPoly._of(F, n)
+        self.den = FFPoly._of(F, d)
 
     @classmethod
     def _of(cls, num: FFPoly, den: FFPoly) -> "RatFunc":
@@ -95,7 +103,8 @@ class RatFunc:
 
     @classmethod
     def const(cls, field: FiniteField, c) -> "RatFunc":
-        return cls._of(FFPoly(field, [c]), FFPoly._of(field, [1]))
+        v = c % field.order if isinstance(c, int) else field.elem(c).v
+        return cls._of(FFPoly._of(field, [v] if v else []), FFPoly._of(field, [1]))
 
     @classmethod
     def var(cls, field: FiniteField) -> "RatFunc":
@@ -106,7 +115,7 @@ class RatFunc:
         return self.num.field
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.ints
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -123,7 +132,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _sum(self, other, operator.add)
+        return _sum(self, other, _padd)
 
     __radd__ = __add__
 
@@ -131,7 +140,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _sum(self, other, operator.sub)
+        return _sum(self, other, _psub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -143,7 +152,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _product(self.num, self.den, other.num, other.den)
+        return _product(self.field, self.num.ints, self.den.ints, other.num.ints, other.den.ints)
 
     __rmul__ = __mul__
 
@@ -153,7 +162,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return _product(self.num, self.den, other.den, other.num)
+        return _product(self.field, self.num.ints, self.den.ints, other.den.ints, other.num.ints)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -162,7 +171,7 @@ class RatFunc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         # den/num is coprime already; only the new denominator needs scaling
-        return _monic_den(self.den, self.num)
+        return _wrap(self.field, *_monic_den(self.field, self.den.ints, self.num.ints))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -180,7 +189,7 @@ class RatFunc:
         )
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((tuple(self.num.ints), tuple(self.den.ints)))
 
     def to_str(self, var: str = "x") -> str:
         ns = self.num.to_str(var)
@@ -201,59 +210,67 @@ class RatFunc:
 # denominator, and each result is canonical without a final gcd.
 
 
-def _monic_den(num: FFPoly, den: FFPoly) -> RatFunc:
-    """num/den for coprime num and den, scaled so den is monic."""
-    lc = den.lc()
-    if lc == den.field.one():
-        return RatFunc._of(num, den)
-    inv = lc.inverse()
-    return RatFunc._of(num * inv, den * inv)
+def _wrap(F: FiniteField, num: list[int], den: list[int]) -> RatFunc:
+    """The RatFunc of canonical coefficient lists num and den."""
+    return RatFunc._of(FFPoly._of(F, num), FFPoly._of(F, den))
 
 
-def _sum(a: RatFunc, b: RatFunc, op) -> RatFunc:
-    """a + b or a - b, as op is operator.add or operator.sub."""
-    d1, d2 = a.den, b.den
+def _quo(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
+    """a / b for b dividing a."""
+    return _pdivmod(F, a, b)[0]
+
+
+def _monic_den(F: FiniteField, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """num and den scaled so den is monic."""
+    lc = den[-1]
+    if lc == 1:
+        return num, den
+    inv = F._inv(lc)
+    return _pscale(F, num, inv), _pscale(F, den, inv)
+
+
+def _sum(a: RatFunc, b: RatFunc, kernel) -> RatFunc:
+    """a + b or a - b, as kernel is _padd or _psub."""
+    F = a.num.field
+    n1, d1, n2, d2 = a.num.ints, a.den.ints, b.num.ints, b.den.ints
     if d1 == d2:
-        num = op(a.num, b.num)
-        if d1.is_one():
-            return RatFunc._of(num, d1)
-        if num.is_zero():
-            return RatFunc._of(num, FFPoly._of(num.field, [1]))
-        g = poly_gcd(num, d1)
-        if g.is_one():
-            return RatFunc._of(num, d1)
-        return RatFunc._of(num.exact_div(g), d1.exact_div(g))
+        num = kernel(F, n1, n2)
+        if len(d1) == 1:
+            return _wrap(F, num, d1)
+        if not num:
+            return _wrap(F, num, [1])
+        g = _pgcd(F, num, d1)
+        if len(g) == 1:
+            return _wrap(F, num, d1)
+        return _wrap(F, _quo(F, num, g), _quo(F, d1, g))
     # d1 = 1 shares nothing with d2, and needs no division to show it
-    g = d1 if d1.is_one() else poly_gcd(d1, d2)
-    if g.is_one():
-        return RatFunc._of(op(a.num * d2, b.num * d1), d1 * d2)
-    s = d1.exact_div(g)
-    d2g = d2.exact_div(g)
-    t = op(a.num * d2g, b.num * s)
-    if t.is_zero():
-        return RatFunc._of(t, FFPoly._of(t.field, [1]))
-    g2 = poly_gcd(t, g)
-    if g2.is_one():
-        return RatFunc._of(t, s * d2)
-    return RatFunc._of(t.exact_div(g2), s * d2.exact_div(g2))
+    g = d1 if len(d1) == 1 else _pgcd(F, d1, d2)
+    if len(g) == 1:
+        return _wrap(F, kernel(F, _pmul(F, n1, d2), _pmul(F, n2, d1)), _pmul(F, d1, d2))
+    s = _quo(F, d1, g)
+    t = kernel(F, _pmul(F, n1, _quo(F, d2, g)), _pmul(F, n2, s))
+    if not t:
+        return _wrap(F, t, [1])
+    g2 = _pgcd(F, t, g)
+    if len(g2) == 1:
+        return _wrap(F, t, _pmul(F, s, d2))
+    return _wrap(F, _quo(F, t, g2), _pmul(F, s, _quo(F, d2, g2)))
 
 
-def _product(n1: FFPoly, d1: FFPoly, n2: FFPoly, d2: FFPoly) -> RatFunc:
+def _product(F: FiniteField, n1: list[int], d1: list[int], n2: list[int], d2: list[int]) -> RatFunc:
     """(n1/d1) * (n2/d2) for coprime pairs with d1 monic; d2 need not be
     monic, so a quotient is the product with the flipped divisor."""
-    if n1.is_zero() or n2.is_zero():
-        return RatFunc._of(FFPoly._of(n1.field, []), FFPoly._of(n1.field, [1]))
-    if d1.is_one() and d2.is_one():
-        return RatFunc._of(n1 * n2, d1)
-    if d2.degree() > 0:
-        g = poly_gcd(n1, d2)
-        if not g.is_one():
-            n1, d2 = n1.exact_div(g), d2.exact_div(g)
-    if d1.degree() > 0:
-        g = poly_gcd(n2, d1)
-        if not g.is_one():
-            n2, d1 = n2.exact_div(g), d1.exact_div(g)
-    return _monic_den(n1 * n2, d1 * d2)
+    if not n1 or not n2:
+        return _wrap(F, [], [1])
+    if len(d2) > 1:
+        g = _pgcd(F, n1, d2)
+        if len(g) > 1:
+            n1, d2 = _quo(F, n1, g), _quo(F, d2, g)
+    if len(d1) > 1:
+        g = _pgcd(F, n2, d1)
+        if len(g) > 1:
+            n2, d1 = _quo(F, n2, g), _quo(F, d1, g)
+    return _wrap(F, *_monic_den(F, _pmul(F, n1, n2), _pmul(F, d1, d2)))
 
 
 class RatPlace:
@@ -312,18 +329,19 @@ class RatPlace:
         coefficient value and kept for the life of the place."""
         data = self._padic.get(r)
         if data is None:
-            a, nrem = self._strip(r.num)
-            b, drem = self._strip(r.den)
+            a, nrem = self._strip(r.num.ints)
+            b, drem = self._strip(r.den.ints)
             data = self._padic[r] = [a - b, nrem, drem, None]
         return data
 
-    def _strip(self, f: FFPoly) -> tuple[int, FFPoly]:
-        """(v, g mod P) with f = P^v * g and P not dividing g; f is nonzero."""
-        P = self.poly
+    def _strip(self, f: list[int]) -> tuple[int, list[int]]:
+        """(v, g mod P) with f = P^v * g and P not dividing g, on coefficient
+        lists; f is nonzero."""
+        F, P = self.field, self.poly.ints
         v = 0
-        while f.degree() >= P.degree():
-            q, rem = divmod(f, P)
-            if not rem.is_zero():
+        while len(f) >= len(P):
+            q, rem = _pdivmod(F, f, P)
+            if rem:
                 return v, rem
             v += 1
             f = q
@@ -350,15 +368,15 @@ class RatPlace:
                     self._rho = roots_in_field(self.poly, self._resfield)[0]
         return self._resfield
 
-    def _residue_of(self, rem: FFPoly) -> FFElem:
-        """f(rho) for a finite place, from rem = f mod P."""
+    def _residue_of(self, rem: list[int]) -> FFElem:
+        """f(rho) for a finite place, from the coefficient list of f mod P."""
         res = self.residue_field()
         if self.poly.degree() == 1:
-            return embed(rem.coeff(0), res)
+            return FFElem(res, _embed_ints(self.field, res, rem)[0])
         if self.field.k == 1:
             # rho is the class of x, so f(rho) has the digits of f mod P
-            return res.elem(rem.ints)
-        return rem.eval(self._rho)
+            return FFElem(res, res._from_digits(rem))
+        return FFElem(res, _peval(res, _embed_ints(self.field, res, rem), self._rho.v))
 
     def _unit(self, data: list) -> FFElem:
         if data[3] is None:

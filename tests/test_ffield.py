@@ -3,10 +3,19 @@ import random
 import pytest
 
 from towerlab.ffield import (
+    FACTOR_SEED,
+    ZECH_MAX_ORDER,
     FFPoly,
     NoEmbedding,
     NotPrime,
+    _distinct_degree,
+    _equal_degree_split,
+    _ExtensionField,
+    _smallest_modulus,
+    _squarefree_decomposition,
+    _ZechField,
     embed,
+    is_irreducible,
     is_prime,
     make_field,
     poly_factor,
@@ -179,3 +188,78 @@ def test_bivar_degrees_and_str():
     assert F.deg_y() == 3
     assert F.deg_x() == 3
     assert F.to_str() == "(x + 1)*y^3 + (x + 1)*y + x^3"
+
+
+# -- Zech tables: generator by an order test --------------------------------------
+
+
+def _walk_tables(F):
+    """(log, exp, zech) by the original construction: walk the powers of each
+    candidate g >= p until one has order q - 1 (reference copy)."""
+    p, q1 = F.p, F.order - 1
+
+    def mul(a, b):
+        return _ExtensionField._mul(F, a, b)
+
+    for g in range(p, F.order):
+        exp = [1]
+        x = g
+        while x != 1:
+            exp.append(x)
+            x = mul(x, g)
+        if len(exp) == q1:
+            break
+    log = [None] * F.order
+    for i, x in enumerate(exp):
+        log[x] = i
+    zech = None
+    if p != 2:
+        zech = [log[x - x % p + (x % p + 1) % p] for x in exp]
+    return log, exp + exp, zech
+
+
+def _table_fields():
+    """Private (not interned) copies of every table-backed canonical field,
+    and of a few other moduli like those of residue fields GF(p)[x]/(P)."""
+    out = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        k = 2
+        while p**k <= ZECH_MAX_ORDER:
+            out.append((p, k, _smallest_modulus(p, k)))
+            k += 1
+    base = {p: make_field(p) for p in (2, 3, 5)}
+    for p, k in ((2, 6), (2, 10), (3, 4), (5, 2), (5, 4)):
+        # the largest monic irreducible modulus: t is rarely primitive there
+        for v in range(p**k - 1, -1, -1):
+            digits = [(v // p**i) % p for i in range(k)]
+            if is_irreducible(FFPoly(base[p], digits + [1])):
+                out.append((p, k, tuple(digits) + (1,)))
+                break
+    return out
+
+
+@pytest.mark.parametrize("p,k,modulus", _table_fields())
+def test_zech_tables_match_the_power_walk(p, k, modulus):
+    F = _ZechField(p, k, modulus)
+    assert F._tables == _walk_tables(_ZechField(p, k, modulus))
+
+
+def _general_factor(f):
+    """poly_factor's general path (reference copy): squarefree, distinct-
+    degree and equal-degree factorization with the default seed."""
+    rng = random.Random(FACTOR_SEED)
+    out = []
+    for mult, g in _squarefree_decomposition(f):
+        for prod, d in _distinct_degree(g):
+            for irr in _equal_degree_split(prod, d, rng):
+                out.append((irr, mult))
+    out.sort(key=lambda fm: fm[0].sort_key())
+    return out
+
+
+def test_poly_factor_linear_matches_the_general_path():
+    for F in (F2, F3, F4, F5, make_field(3, 2)):
+        for lc in range(1, F.order):
+            for c in range(F.order):
+                f = FFPoly(F, [c, lc])
+                assert poly_factor(f) == _general_factor(f) == [(f.monic(), 1)]
