@@ -146,19 +146,16 @@ class StageVal:
     def stage_zero(cls, place: RatPlace, phi: YPoly, keyval) -> "StageVal":
         return cls(place, None, phi, keyval, None)
 
-    def augment(self, phi_new: YPoly, keyval, psi: FFPoly | None = None) -> "StageVal":
-        """MacLane augmentation with same-degree collapse.  psi, when given,
-        is the monic residual of phi_new at this stage (the factor phi_new
-        was lifted from); a collapse needs the residual one stage down."""
+    def augment(self, phi_new: YPoly, keyval, psi: FFPoly) -> "StageVal":
+        """MacLane augmentation with same-degree collapse.  psi is the monic
+        residual of phi_new at this stage (the factor phi_new was lifted
+        from); a collapse onto the previous stage takes the residual there."""
         if phi_new.degree() == self.phi.degree():
-            if self.prev is None:
+            prev = self.prev
+            if prev is None:
                 return StageVal.stage_zero(self.place, phi_new, keyval)
-            return self.prev._augment_stage(phi_new, keyval, None)
-        return self._augment_stage(phi_new, keyval, psi)
-
-    def _augment_stage(self, phi_new: YPoly, keyval, psi) -> "StageVal":
-        if psi is None:
-            psi = self.residual(phi_new).monic()
+            psi = prev.residual(phi_new).monic()
+            return StageVal(self.place, prev, phi_new, keyval, psi)
         return StageVal(self.place, self, phi_new, keyval, psi)
 
     # -- the valuation ------------------------------------------------------------

@@ -103,7 +103,7 @@ class RatFunc:
 
     @classmethod
     def const(cls, field: FiniteField, c) -> "RatFunc":
-        v = c % field.order if isinstance(c, int) else field.elem(c).v
+        v = field.elem(c).v
         return cls._of(FFPoly._of(field, [v] if v else []), FFPoly._of(field, [1]))
 
     @classmethod

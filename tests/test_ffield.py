@@ -3,16 +3,12 @@ import random
 import pytest
 
 from towerlab.ffield import (
-    FACTOR_SEED,
     ZECH_MAX_ORDER,
     FFPoly,
     NoEmbedding,
     NotPrime,
-    _distinct_degree,
-    _equal_degree_split,
     _ExtensionField,
     _smallest_modulus,
-    _squarefree_decomposition,
     _ZechField,
     embed,
     is_irreducible,
@@ -244,22 +240,16 @@ def test_zech_tables_match_the_power_walk(p, k, modulus):
     assert F._tables == _walk_tables(_ZechField(p, k, modulus))
 
 
-def _general_factor(f):
-    """poly_factor's general path (reference copy): squarefree, distinct-
-    degree and equal-degree factorization with the default seed."""
-    rng = random.Random(FACTOR_SEED)
-    out = []
-    for mult, g in _squarefree_decomposition(f):
-        for prod, d in _distinct_degree(g):
-            for irr in _equal_degree_split(prod, d, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda fm: fm[0].sort_key())
-    return out
-
-
 def test_poly_factor_linear_matches_the_general_path():
+    # a linear f is returned as is; a product of two coprime linear
+    # polynomials goes through the general path and must list the same
+    # factors in the same form
     for F in (F2, F3, F4, F5, make_field(3, 2)):
         for lc in range(1, F.order):
             for c in range(F.order):
                 f = FFPoly(F, [c, lc])
-                assert poly_factor(f) == _general_factor(f) == [(f.monic(), 1)]
+                assert poly_factor(f) == [(f.monic(), 1)]
+                h = FFPoly(F, [F.elem(c + 1).v, 1])
+                if h != f.monic():
+                    want = sorted(poly_factor(f) + poly_factor(h), key=lambda fm: fm[0].sort_key())
+                    assert poly_factor(f * h) == want
