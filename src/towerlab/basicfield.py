@@ -30,7 +30,7 @@ from .ffield import (
     poly_gcd,
     resultant_y,
 )
-from .omfactor import Inseparable, PlaceExt, monic_integral_model, places_above
+from .omfactor import Inseparable, monic_integral_model, places_above
 from .ratfunc import RatPlace, finite_places_of_degree
 from .record import Record
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -35,7 +34,6 @@ from .errors import TowerlabError
 from .ffield import BivarPoly, FFElem, FFPoly, FiniteField, make_field
 from .omfactor import PlaceExt, is_irreducible_over_ratfield
 from .pyramid import RamHypotheses, climb, render_pyramid
-from .ratfunc import RatPlace
 from .record import Record
 
 __all__ = ["ParseError", "JobSpec", "parse_poly", "parse_elem", "run", "main"]

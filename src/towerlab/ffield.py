@@ -102,6 +102,20 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+def _power(mul, x, n: int, one):
+    """x^n for n >= 0 by square-and-multiply under the product mul, with one
+    standing for x^0.  The result starts from the lowest set bit of n, so
+    there is no product by one and no square after the highest bit."""
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return one if result is None else result
+
+
 class FiniteField:
     """The field GF(p^k) on base-p int encodings.  Construct via make_field,
     which interns instances.  This class is the prime field (k = 1);
@@ -314,25 +328,11 @@ class _ExtensionField(FiniteField):
     def _inv(self, a: int) -> int:
         if not a:
             raise ZeroDivisionError(f"inverse of zero in {self!r}")
-        p = self.p
-        prime = _intern(p, 1, (0, 1))
-        r0, r1 = list(self.modulus), _trim(self._digits(a))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q, r = _pdivmod(prime, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(prime, s0, _pmul(prime, q, s1))
-        c = pow(r1[0], -1, p)
-        return self._from_digits([x * c % p for x in s1])
+        prime = _intern(self.p, 1, (0, 1))
+        return self._from_digits(_pxgcd(prime, _trim(self._digits(a)), list(self.modulus))[1])
 
     def _pow(self, a: int, n: int) -> int:
-        result = 1
-        while n:
-            if n & 1:
-                result = self._mul(result, a)
-            a = self._mul(a, a)
-            n >>= 1
-        return result
+        return _power(self._mul, a, n, 1)
 
 
 class _ZechField(_ExtensionField):
@@ -352,19 +352,9 @@ class _ZechField(_ExtensionField):
         tables being built."""
         p, q1 = self.p, self.order - 1
         mul = super()._mul
-
-        def power(x: int, n: int) -> int:
-            result = 1
-            while n:
-                if n & 1:
-                    result = mul(result, x)
-                x = mul(x, x)
-                n >>= 1
-            return result
-
         cofactors = [q1 // r for r in _prime_divisors(q1)]
         g = p
-        while any(power(g, c) == 1 for c in cofactors):
+        while any(_power(mul, g, c, 1) == 1 for c in cofactors):
             g += 1
         exp = [1]
         x = g
@@ -577,28 +567,34 @@ def _intern(p: int, k: int, modulus: tuple[int, ...]) -> FiniteField:
 
 def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
-        return (0, 1)
-    base = make_field(p)
-    for v in range(p**k):
-        digits = []
-        for _ in range(k):
-            v, d = divmod(v, p)
-            digits.append(d)
-        f = digits + [1]
-        if _ben_or(base, f):
-            return tuple(digits) + (1,)
-    raise TowerlabError("no irreducible modulus found")  # unreachable
+        return (0, 1)  # make_field(p) itself comes here
+    return tuple(next(_monic_irreducibles(make_field(p), k)))
+
+
+def _monic_irreducibles(F: FiniteField, d: int):
+    """The monic irreducibles of degree d >= 1 over F as coefficient lists,
+    in increasing order of their encoding: the d low coefficients read as
+    a base-|F| integer, constant term least significant."""
+    Q = F.order
+    for v in range(Q**d):
+        f = []
+        for _ in range(d):
+            v, c = divmod(v, Q)
+            f.append(c)
+        f.append(1)
+        if _ben_or(F, f):
+            yield f
 
 
 def _ben_or(F: FiniteField, f: list[int]) -> bool:
-    """Ben-Or's test for a monic f of degree k over the prime field F: f is
-    irreducible iff gcd(x^(p^i) - x, f) = 1 for every i <= k/2.  Most
+    """Ben-Or's test for a monic f of degree n >= 1 over F = GF(Q): f is
+    irreducible iff gcd(x^(Q^i) - x, f) = 1 for every i <= n/2.  Most
     reducible candidates have a small factor and fail after a few
-    Frobenius steps."""
+    Frobenius steps (Ben-Or, FOCS 1981)."""
     x = [0, 1]
     h = x
-    for _ in range((len(f) - 1) // 2):  # h = x^(p^i) mod f for i = 1, 2, ...
-        h = _ppowmod(F, h, F.p, f)
+    for _ in range((len(f) - 1) // 2):  # h = x^(Q^i) mod f for i = 1, 2, ...
+        h = _ppowmod(F, h, F.order, f)
         if _pgcd(F, _psub(F, h, x), f) != [1]:
             return False
     return True
@@ -864,13 +860,7 @@ def _kron_powmod(F: _ExtensionField, base: list[int], e: int, mod: list[int]) ->
             out = (out << W) | F._normalize(d.chunk(rem, m), s)
         return out
 
-    result = 1
-    b = _kron_pack(F, _prem(F, base, mod), s, W)
-    while e:
-        if e & 1:
-            result = mulmod(result, b)
-        b = mulmod(b, b)
-        e >>= 1
+    result = _power(mulmod, _kron_pack(F, _prem(F, base, mod), s, W), e, 1)
     out = []
     for _ in range(db):
         out.append(F._unpack(result, s))
@@ -896,17 +886,23 @@ def _pgcd(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
     return _pmonic(F, a)
 
 
+def _pxgcd(F: FiniteField, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(g, s) with g = gcd(a, b) monic and s*a = g mod b, for b nonzero, by
+    the extended Euclidean algorithm; deg s < deg b - deg g."""
+    r0, r1 = a, b
+    s0, s1 = [1], []
+    while r1:
+        q, r = _pdivmod(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(F, s0, _pmul(F, q, s1))
+    inv = F._inv(r0[-1])
+    return _pscale(F, r0, inv), _pscale(F, s0, inv)
+
+
 def _ppowmod(F: FiniteField, base: list[int], e: int, mod: list[int]) -> list[int]:
     if type(F) is _ExtensionField and len(mod) > 1:
         return _kron_powmod(F, base, e, mod)
-    result = [1]
-    base = _prem(F, base, mod)
-    while e:
-        if e & 1:
-            result = _prem(F, _pmul(F, result, base), mod)
-        base = _prem(F, _pmul(F, base, base), mod)
-        e >>= 1
-    return result
+    return _power(lambda a, b: _prem(F, _pmul(F, a, b), mod), _prem(F, base, mod), e, [1])
 
 
 def _peval(F: FiniteField, a: list[int], x: int) -> int:
@@ -991,6 +987,8 @@ class FFPoly:
             if other.field is not self.field:
                 raise ValueError("mixed-field polynomial arithmetic")
             return other
+        if isinstance(other, int):
+            other %= self.field.p  # n means n*1, as for FFElem
         if isinstance(other, (int, FFElem)):
             return FFPoly(self.field, [other])
         return None
@@ -1028,15 +1026,7 @@ class FFPoly:
         if n < 0:
             raise ValueError("negative polynomial power")
         F = self.field
-        result = [1]
-        base = self.ints
-        while n:
-            if n & 1:
-                result = _pmul(F, result, base)
-            n >>= 1
-            if n:
-                base = _pmul(F, base, base)
-        return FFPoly._of(F, result)
+        return FFPoly._of(F, _power(lambda a, b: _pmul(F, a, b), self.ints, n, [1]))
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -1134,23 +1124,11 @@ def _pow_mod(base: FFPoly, e: int, mod: FFPoly) -> FFPoly:
 
 
 def is_irreducible(f: FFPoly) -> bool:
-    """Rabin's deterministic test: x^(Q^n) = x mod f and, for each prime
-    divisor l of n, gcd(x^(Q^(n/l)) - x, f) = 1."""
-    n = f.degree()
-    if n <= 0:
+    """Is f irreducible over its field?  Ben-Or's test on the monic f; a
+    constant is not irreducible."""
+    if f.degree() <= 0:
         return False
-    if n == 1:
-        return True
-    field = f.field
-    Q = field.order
-    x = FFPoly._of(field, [0, 1])
-    fm = f.monic()
-    for l in _prime_divisors(n):
-        h = _pow_mod(x, Q ** (n // l), fm)
-        if not poly_gcd(h - x, fm).is_one():
-            return False
-    h = _pow_mod(x, Q**n, fm)
-    return ((h - x) % fm).is_zero()
+    return _ben_or(f.field, f.monic().ints)
 
 
 def _pth_root_poly(f: FFPoly) -> FFPoly:
@@ -1360,6 +1338,27 @@ def gfp_solve(p: int, columns: list[list[int]], rhs: list[int]) -> list[int]:
     return out
 
 
+def _power_basis(parent: FiniteField, root: FFElem, d: int) -> list[list[int]]:
+    """The GF(p) digits of t^b * root^i for i < d and b < k(parent), t the
+    generator of parent embedded in root's field: the columns in which
+    _subfield_coords solves, when root has degree d over parent."""
+    target = root.field
+    basis = [embed(parent.elem([0] * b + [1]), target) for b in range(parent.k)]
+    cols = []
+    for i in range(d):
+        root_i = root**i
+        cols.extend((t * root_i).digits() for t in basis)
+    return cols
+
+
+def _subfield_coords(parent: FiniteField, cols: list[list[int]], c: FFElem) -> list[FFElem]:
+    """The coefficients a_i in parent with c = sum a_i root^i, for the
+    columns cols that _power_basis built from root."""
+    sol = gfp_solve(parent.p, cols, c.digits())
+    k = parent.k
+    return [parent.elem(sol[i : i + k]) for i in range(0, len(sol), k)]
+
+
 # -- bivariate layer -----------------------------------------------------------
 
 
@@ -1460,14 +1459,7 @@ class BivarPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = BivarPoly(self.field, [FFPoly(self.field, [1])])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(operator.mul, self, n, BivarPoly(self.field, [FFPoly(self.field, [1])]))
 
     def _coerce(self, other):
         if isinstance(other, BivarPoly):
@@ -1476,6 +1468,8 @@ class BivarPoly:
             return other
         if isinstance(other, FFPoly):
             return BivarPoly(self.field, [other])
+        if isinstance(other, int):
+            other %= self.field.p  # n means n*1, as for FFElem
         if isinstance(other, (int, FFElem)):
             return BivarPoly(self.field, [FFPoly(self.field, [other])])
         return None
@@ -1489,11 +1483,7 @@ class BivarPoly:
         return BivarPoly.from_coeff_dict(self.field, d)
 
     def derivative_y(self) -> "BivarPoly":
-        # j % p, not j: int coercion is digit encoding, not reduction mod p.
-        return BivarPoly(
-            self.field,
-            [self.ycoeff(j) * (j % self.field.p) for j in range(1, len(self.ycoeffs))],
-        )
+        return BivarPoly(self.field, [self.ycoeff(j) * j for j in range(1, len(self.ycoeffs))])
 
     def eval_x(self, xi: FFElem) -> FFPoly:
         """Specialize x := xi (possibly in an extension); returns a polynomial

@@ -31,43 +31,21 @@ from ..ffield import (
     FFPoly,
     FiniteField,
     BivarPoly,
+    _pxgcd,
     embed,
     make_field,
     poly_factor,
-    qth_root,
 )
 from ..ratfunc import RatFunc, RatPlace
-from .places import eisenstein_at, squarefree_point
+from .places import eisenstein_at, squarefree_in_y, squarefree_point
 from .ypoly import YPoly
 
 
-def _poly_pth_root(f: FFPoly, p: int) -> FFPoly | None:
-    """g with g^p = f, or None.  Constant-field roots always exist (the
-    field is perfect); only exponent divisibility can fail."""
-    if f.is_zero():
-        return f
-    coeffs = []
-    for j in range(0, f.degree() + 1):
-        c = f.coeff(j)
-        if j % p:
-            if not c.is_zero():
-                return None
-        else:
-            coeffs.append(qth_root(c, p))
-    g = FFPoly(f.field, coeffs)
-    if (g**p - f).is_zero():
-        return g
-    return None
-
-
-def _rat_pth_power(r: RatFunc, p: int) -> bool:
-    """Is r a p-th power in GF(q)(x)?  Scalars from the perfect constant
-    field never obstruct, so only the monic parts matter."""
-    if r.num.is_zero():
-        return True
-    num = r.num.monic()
-    den = r.den.monic()
-    return _poly_pth_root(num, p) is not None and _poly_pth_root(den, p) is not None
+def _rat_pth_power(r: RatFunc) -> bool:
+    """Is r a p-th power in GF(q)(x)?  Over the perfect field GF(q) a
+    polynomial is a p-th power iff its derivative vanishes, and num/den is
+    in lowest terms."""
+    return r.num.derivative().is_zero() and r.den.derivative().is_zero()
 
 
 def _strip_frobenius(F: BivarPoly) -> tuple[BivarPoly, int]:
@@ -115,23 +93,6 @@ def _series_inv(f: FFPoly, N: int) -> FFPoly:
         prec = min(2 * prec, N)
         g = _trunc(g + g * (one - _trunc(f, prec) * g), prec)
     return g
-
-
-def _poly_xgcd(a: FFPoly, b: FFPoly):
-    """(g, s, t) with s*a + t*b = g monic = gcd(a, b), over any FiniteField."""
-    fld = a.field
-    r0, r1 = a, b
-    s0, s1 = FFPoly(fld, [1]), FFPoly(fld, [])
-    t0, t1 = FFPoly(fld, []), FFPoly(fld, [1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lc = r0.lc()
-    inv = lc.inverse()
-    scale = FFPoly(fld, [inv])
-    return r0 * scale, s0 * scale, t0 * scale
 
 
 class _YSeries:
@@ -200,9 +161,12 @@ class _YSeries:
 def _hensel_pair(F: _YSeries, G0: FFPoly, H0: FFPoly) -> tuple["_YSeries", "_YSeries"]:
     """F monic in y; G0*H0 = F(t=0) monic coprime.  Lift to F = G*H mod t^N."""
     field, N = F.field, F.N
-    g, s, t = _poly_xgcd(G0, H0)
-    if g.degree() != 0:
+    # t*H0 + s*G0 = 1
+    g, t = _pxgcd(field, H0.ints, G0.ints)
+    if g != [1]:
         raise TowerlabError("Hensel lift needs coprime cofactors")
+    t = FFPoly._of(field, t)
+    s = (FFPoly(field, [1]) - t * H0).exact_div(G0)
     G = _YSeries.from_ypoly(G0, field, N)
     H = _YSeries.from_ypoly(H0, field, N)
     for k in range(1, N):
@@ -257,7 +221,7 @@ def _reconstruct_subsets(F: BivarPoly) -> bool:
     B = F.deg_x() + lc.degree()
     N = B + 2
     K, xi = _find_specialization(F)
-    fy = FFPoly(K, [F.ycoeff(j).eval(xi) for j in range(m + 1)])
+    fy = F.eval_x(xi)
     fac = poly_factor(fy)
     if len(fac) == 1 and fac[0][1] == 1:
         return True
@@ -340,17 +304,14 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
             return False
         # G(y^{p^k}) irreducible iff not all coefficients of the monic
         # normalization are p-th powers
-        p = F.field.p
         Gy = YPoly.from_bivar(G).monic()
-        return not all(_rat_pth_power(c, p) for c in Gy.coeffs)
+        return not all(_rat_pth_power(c) for c in Gy.coeffs)
     for P in [RatPlace.infinity(F.field)] + [
         RatPlace.finite(FFPoly(F.field, [a, F.field.one()]))
         for a in F.field.elements()
     ]:
         if eisenstein_at(F, P):
             return True
-    if squarefree_point(F, F.field) is None:
-        Fy = YPoly.from_bivar(F)
-        if Fy.gcd(Fy.derivative()).degree() > 0:
-            return False
+    if not squarefree_in_y(F):
+        return False
     return _reconstruct_subsets(F)

@@ -32,8 +32,8 @@ from ..errors import TowerlabError
 from ..ffield import (
     FFElem,
     FFPoly,
-    embed,
-    gfp_solve,
+    _power_basis,
+    _subfield_coords,
     is_irreducible,
     make_field,
     poly_factor,
@@ -169,10 +169,10 @@ class StageVal:
             return self.rel_d * self.place.valuation(c.coeffs[0])
         return self.rel_d * self.prev._sval(c)
 
-    def _terms(self, f: YPoly) -> list:
-        """E * (v(c_i) + i * keyval) over the phi-expansion sum c_i phi^i of
-        f; INF where c_i = 0 and, at an infinite stage, for every i > 0."""
-        cc = f.expand_in(self.phi)
+    def _terms(self, cc: tuple) -> list:
+        """E * (v(c_i) + i * keyval) over a phi-expansion cc = (c_0, c_1, ...)
+        of f = sum c_i phi^i; INF where c_i = 0 and, at an infinite stage,
+        for every i > 0."""
         cv = self._coeff_sval
         n = self.rel_n
         if n is None:
@@ -186,7 +186,7 @@ class StageVal:
             if f.degree() < self.phi.degree():
                 v = self._coeff_sval(f)
             else:
-                v = min(self._terms(f))
+                v = min(self._terms(f.expand_in(self.phi)))
             self._vals[f] = v
         return v
 
@@ -203,34 +203,24 @@ class StageVal:
         if self.rel_n is None:
             raise TowerlabError("no graded reduction at an infinite stage")
         d, n = self.rel_d, self.rel_n
-        terms = {}
-        if self.prev is None:
-            P = self.place
-            for i, c in enumerate(f.expand_in(self.phi)):
-                if c.is_zero():
-                    continue
-                r = c.coeff(0)
-                terms[i] = (i * n + P.valuation(r) * d, P.unit_residue(r), None)
-        else:
-            for i, c in enumerate(f.expand_in(self.phi)):
-                if c.is_zero():
-                    continue
-                c1, i1, j1, vc = self.prev.graded_reduction(c)
-                terms[i] = (vc * d + i * n, c1, (i1, j1))
-        Vf = min(t[0] for t in terms.values())
+        # only the terms of least value reduce; the rest vanish in the grade
+        cc = f.expand_in(self.phi)
+        terms = self._terms(cc)
+        Vf = min(terms)
         i0 = (self.inv_a * Vf) % d
         j0 = (Vf - i0 * n) // d
         coeff_map: dict[int, FFElem] = {}
-        for i, (vnum, payload, ij) in terms.items():
-            if vnum != Vf:
+        for i, c in enumerate(cc):
+            if terms[i] != Vf:
                 continue
             if (i - i0) % d != 0:
                 raise TowerlabError("expansion index off the value lattice")
             m = (i - i0) // d
             if self.prev is None:
-                coeff_map[m] = payload
+                coeff_map[m] = self.place.unit_residue(c.coeff(0))
             else:
-                cconst, mm = self.graded_map(payload, *ij)
+                c1, i1, j1, _ = self.prev.graded_reduction(c)
+                cconst, mm = self.graded_map(c1, i1, j1)
                 if mm != j0 - m * n:
                     raise TowerlabError("graded map grade mismatch")
                 coeff_map[m] = cconst
@@ -262,19 +252,9 @@ class StageVal:
         parent = self.prev.resfield if self.prev else self.place.residue_field()
         if self.psi is None or self.psi.degree() == 1:
             return FFPoly(parent, [c])
-        frel = self.psi.degree()
         if self._lift_cols is None:
-            cols = []
-            for a in range(frel):
-                za = self.z**a
-                for b in range(parent.k):
-                    basis = embed(parent.elem([0] * b + [1]), self.resfield)
-                    cols.append((basis * za).digits())
-            self._lift_cols = cols
-        sol = gfp_solve(self.resfield.p, self._lift_cols, c.digits())
-        k = parent.k
-        coeffs = [parent.elem(sol[a * k : (a + 1) * k]) for a in range(frel)]
-        return FFPoly(parent, coeffs)
+            self._lift_cols = _power_basis(parent, self.z, self.psi.degree())
+        return FFPoly(parent, _subfield_coords(parent, self._lift_cols, c))
 
     def graded_map_lift(self, c: FFElem, m: int):
         """Inverse of graded_map on elements c*t^m; returns (f0, i, j) in the
@@ -390,7 +370,7 @@ class StageVal:
         v = self._sval(G)
         if v == INF:
             return 1
-        ii = [i for i, t in enumerate(self._terms(G)) if t == v]
+        ii = [i for i, t in enumerate(self._terms(G.expand_in(self.phi))) if t == v]
         return ii[-1] - ii[0]
 
     # -- display ------------------------------------------------------------------
@@ -487,7 +467,7 @@ def exact_val(V: StageVal, H: YPoly, g: YPoly, max_rounds: int = 200):
     for _ in range(max_rounds):
         if V.rel_n is None or g.degree() < V.phi.degree():
             return V.val(g), V
-        terms = V._terms(g)
+        terms = V._terms(g.expand_in(V.phi))
         if terms[0] < min(terms[1:]):
             return _qval(terms[0], V.E), V
         V = improve(V, H)

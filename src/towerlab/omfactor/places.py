@@ -15,10 +15,10 @@ nu(y) = nu(z) - M*e.
 from __future__ import annotations
 
 from ..errors import TowerlabError
-from ..ffield import BivarPoly, FFPoly, FiniteField, poly_gcd
-from ..ratfunc import RatFunc, RatPlace
+from ..ffield import BivarPoly, FiniteField, poly_gcd
+from ..ratfunc import RatPlace
 from ..record import Record
-from .maclane import INF, Inseparable, StageVal, decompose, exact_val
+from .maclane import INF, Inseparable, decompose, exact_val
 from .newton import newton_polygon
 from .ypoly import YPoly
 
@@ -143,10 +143,8 @@ def places_above(
         raise ValueError("place and polynomial over different constant fields")
     if F.derivative_y().is_zero():
         raise Inseparable("defining polynomial is inseparable (derivative vanishes)")
-    if squarefree_point(F, F.field) is None:
-        G = YPoly.from_bivar(F)
-        if G.gcd(G.derivative()).degree() > 0:
-            raise Inseparable("defining polynomial is not squarefree in y")
+    if not squarefree_in_y(F):
+        raise Inseparable("defining polynomial is not squarefree in y")
     H, M, pi = monic_integral_model(F, P)
     p = F.field.p
     Hd = H.derivative()
@@ -195,13 +193,23 @@ def squarefree_point(F: BivarPoly, K: FiniteField):
     """
     m = F.deg_y()
     for xi in K.elements():
-        fy = FFPoly(K, [c.eval(xi) for c in F.ycoeffs])
+        fy = F.eval_x(xi)
         if fy.degree() != m:
             continue
         d = fy.derivative()
         if not d.is_zero() and poly_gcd(fy, d).degree() == 0:
             return xi
     return None
+
+
+def squarefree_in_y(F: BivarPoly) -> bool:
+    """Is F squarefree as a polynomial in y over K(x)?  A point of K from
+    squarefree_point certifies it at once; only without one does the
+    Euclidean algorithm over K(x) run."""
+    if squarefree_point(F, F.field) is not None:
+        return True
+    G = YPoly.from_bivar(F)
+    return G.gcd(G.derivative()).degree() == 0
 
 
 def eisenstein_at(F: BivarPoly, P: RatPlace, side: str = "x") -> bool:

@@ -23,7 +23,9 @@ every integral model H is.
 
 from __future__ import annotations
 
-from ..ffield import BivarPoly, FFPoly, FiniteField
+import operator
+
+from ..ffield import BivarPoly, FFPoly, FiniteField, _power
 from ..ratfunc import RatFunc
 
 
@@ -130,6 +132,8 @@ class YPoly:
             if other.field is not self.field:
                 raise ValueError("mixed-field arithmetic")
             return other
+        if isinstance(other, int):
+            other %= self.field.p  # n means n*1, as for FFElem
         if isinstance(other, (RatFunc, FFPoly, int)):
             return YPoly(self.field, [other])
         return None
@@ -175,15 +179,7 @@ class YPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return YPoly(self.field, [1]) if result is None else result
+        return _power(operator.mul, self, n, YPoly(self.field, [1]))
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -207,11 +203,7 @@ class YPoly:
         return q
 
     def derivative(self) -> "YPoly":
-        # i % p, not i: int coercion is digit encoding, not reduction mod p.
-        return YPoly(
-            self.field,
-            [self.coeff(i) * (i % self.field.p) for i in range(1, len(self.coeffs))],
-        )
+        return YPoly(self.field, [self.coeff(i) * i for i in range(1, len(self.coeffs))])
 
     def expand_in(self, phi: "YPoly") -> tuple["YPoly", ...]:
         """phi-adic expansion in a monic nonconstant phi: f = sum c_i phi^i

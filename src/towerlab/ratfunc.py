@@ -45,15 +45,17 @@ from .ffield import (
     FFPoly,
     FiniteField,
     _embed_ints,
+    _monic_irreducibles,
     _padd,
     _pdivmod,
     _peval,
     _pgcd,
     _pmul,
     _pscale,
+    _power_basis,
     _psub,
+    _subfield_coords,
     embed,
-    gfp_solve,
     is_irreducible,
     make_field,
     roots_in_field,
@@ -124,6 +126,8 @@ class RatFunc:
             return other
         if isinstance(other, FFPoly):
             return RatFunc(other)
+        if isinstance(other, int):
+            other %= self.field.p  # n means n*1, as for FFElem
         if isinstance(other, (int, FFElem)):
             return RatFunc.const(self.field, other)
         return None
@@ -417,25 +421,12 @@ class RatPlace:
             if res is self.field:
                 return RatFunc.const(self.field, alpha)
             raise TowerlabError("degree-1 place with unexpected residue field")
-        d = self.degree()
-        k = self.field.k
-        if k == 1:
+        if self.field.k == 1:
             # quotient representation: digits of alpha are the coefficients
             return RatFunc(FFPoly(self.field, alpha.digits()))
         if self._lift_cols is None:
-            self.residue_field()
-            cols = []
-            for i in range(d):
-                rho_i = self._rho**i
-                for b in range(k):
-                    basis_elem = embed(self.field.elem([0] * b + [1]), res)
-                    cols.append((basis_elem * rho_i).digits())
-            self._lift_cols = cols
-        sol = gfp_solve(self.field.p, self._lift_cols, alpha.digits())
-        coeffs = []
-        for i in range(d):
-            coeffs.append(self.field.elem(sol[i * k : (i + 1) * k]))
-        return RatFunc(FFPoly(self.field, coeffs))
+            self._lift_cols = _power_basis(self.field, self._rho, self.degree())
+        return RatFunc(FFPoly(self.field, _subfield_coords(self.field, self._lift_cols, alpha)))
 
     # -- identity / display --------------------------------------------------------
 
@@ -460,21 +451,7 @@ class RatPlace:
         return f"place({self.poly.to_str()})"
 
 
-def place_degree(place: RatPlace) -> int:
-    return place.degree()
-
-
 def finite_places_of_degree(field: FiniteField, d: int) -> list[RatPlace]:
-    """All finite places of degree d, i.e. monic irreducibles of degree d,
-    in increasing coefficient-encoding order."""
-    out = []
-    for v in range(field.order**d):
-        digits = []
-        w = v
-        for _ in range(d):
-            digits.append(field.elem(w % field.order))
-            w //= field.order
-        cand = FFPoly(field, digits + [field.one()])
-        if is_irreducible(cand):
-            out.append(RatPlace.finite(cand))
-    return out
+    """All finite places of degree d >= 1, i.e. monic irreducibles of
+    degree d, in increasing coefficient-encoding order."""
+    return [RatPlace.finite(FFPoly._of(field, f)) for f in _monic_irreducibles(field, d)]

@@ -26,11 +26,14 @@ from sympy import Poly, symbols
 import towerlab.ffield as ffield
 from towerlab.ffield import (
     ZECH_MAX_ORDER,
+    BivarPoly,
     FFPoly,
     _pdivmod,
     _pmul,
     _pow_mod,
     _ppowmod,
+    _psub,
+    _pxgcd,
     _smallest_modulus,
     is_irreducible,
     make_field,
@@ -38,7 +41,8 @@ from towerlab.ffield import (
     poly_gcd,
     roots_in_field,
 )
-from towerlab.ratfunc import RatPlace
+from towerlab.omfactor import YPoly
+from towerlab.ratfunc import RatFunc, RatPlace, finite_places_of_degree
 
 FIELDS = {
     "GF(2)": (2, 1),
@@ -578,3 +582,102 @@ def test_packed_kernels_at_the_slot_width_bound(pk):
                 low = [top] * (n - 1)
                 assert _ppowmod(F, low, 2, b) == _ref_powmod(F, low, 2, b)
                 assert _ppowmod(F, big, 5, b) == _ref_powmod(F, big, 5, b)
+
+
+# -- Ben-Or irreducibility over GF(Q) --------------------------------------------------
+
+
+def _mobius(n):
+    out = 1
+    for r in range(2, n + 1):
+        if n % r == 0:
+            n //= r
+            if n % r == 0:
+                return 0
+            out = -out
+    return out
+
+
+def _monic_polys(F, n):
+    """Every monic polynomial of degree n over F, as coefficient lists."""
+    for v in range(F.order**n):
+        cs = []
+        for _ in range(n):
+            v, c = divmod(v, F.order)
+            cs.append(c)
+        yield cs + [1]
+
+
+@pytest.mark.parametrize("pk, top", [((2, 2), 4), ((2, 3), 3), ((3, 2), 3)])
+def test_is_irreducible_counts_and_trial_division_over_extension_fields(pk, top):
+    # trial division by every monic g of degree 1..n/2 is the reference, and
+    # the count per degree is the necklace number (1/n) sum mu(d) Q^(n/d)
+    F = make_field(*pk)
+    Q = F.order
+    divisors = [cs for d in range(1, top // 2 + 1) for cs in _monic_polys(F, d)]
+    for n in range(1, top + 1):
+        count = 0
+        for cs in _monic_polys(F, n):
+            reducible = any(
+                len(g) <= n // 2 + 1 and not _pdivmod(F, cs, g)[1] for g in divisors
+            )
+            irreducible = is_irreducible(FFPoly(F, cs))
+            assert irreducible == (not reducible), cs
+            count += irreducible
+        necklace = sum(_mobius(d) * Q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        assert count == necklace == len(finite_places_of_degree(F, n))
+
+
+@pytest.mark.parametrize("name", PACKED)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_is_irreducible_on_packed_fields(name, data):
+    F = _field(name)
+    a = FFPoly(F, _kernel_poly(F, data, max_len=4) + [1])
+    b = FFPoly(F, _kernel_poly(F, data, max_len=4) + [1])
+    assert not is_irreducible(a * b)
+    fac = poly_factor(a)
+    assert is_irreducible(a) == (len(fac) == 1 and fac[0][0].degree() == a.degree())
+
+
+@pytest.mark.parametrize("pk", [(5, 1), (3, 2), (2, 11)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pxgcd_is_a_monic_gcd_with_its_bezout_coefficient(pk, data):
+    # a prime, a table-backed and a packed field
+    F = make_field(*pk)
+    a, b = _kernel_poly(F, data, max_len=8), _kernel_poly(F, data, max_len=8)
+    common = _kernel_poly(F, data, max_len=3)
+    a, b = _pmul(F, a, common), _pmul(F, b, common)
+    g, s = _pxgcd(F, a, b)
+    assert g == poly_gcd(FFPoly(F, a), FFPoly(F, b)).ints
+    assert g[-1] == 1
+    assert _pdivmod(F, _psub(F, _pmul(F, s, a), g), b)[1] == []
+    assert len(s) < len(b) - len(g) + 1
+
+
+# -- int operands ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pk", [(2, 2), (3, 2), (5, 5)])
+def test_int_operands_mean_n_times_one_in_every_type(pk):
+    F = make_field(*pk)
+    p, Q = F.p, F.order
+    x = FFPoly(F, [0, 1])
+    g = FFPoly(F, [F.gen()])
+    samples = [
+        F.gen(),
+        x + g,
+        BivarPoly(F, [x, g]),
+        RatFunc(x + g, x),
+        YPoly(F, [RatFunc(x + g, x), RatFunc(g)]),
+    ]
+    for n in (-1, p, p + 1, Q, Q + 1):
+        # r < p is an encoding and n*1 alike
+        r = n % p
+        assert F.one() * n == F.elem(r)
+        for X in samples:
+            assert X * n == n * X == X * r
+            assert X + n == n + X == X + r
+            assert X - n == X - r
+            assert n - X == r - X

@@ -1,10 +1,14 @@
-"""What importing the library loads, each probe in a fresh interpreter.
+"""What importing the library loads, each probe in a fresh interpreter,
+and what the library's modules import.
 
 The CLI runs one process per job, so every module on its import path is
-paid for by every job.  The benchmark tracer, in turn, relies on a plain
-`import towerlab` loading every traced layer.
+paid for by every job, and an import nothing uses is paid for by all of
+them.  The benchmark tracer, in turn, relies on a plain `import towerlab`
+loading every traced layer, and on every name it wraps existing.
 """
 
+import ast
+import glob
 import importlib.util
 import os
 import subprocess
@@ -45,3 +49,41 @@ def test_package_import_loads_every_traced_layer():
     wanted |= {mod for mod, _attr, _name in tracer.ENTRIES if mod != "cli"}
     assert wanted >= {"ffield", "omfactor.places", "checker"}
     assert {"towerlab." + m for m in wanted} <= loaded
+
+
+def _unused_imports(path: str) -> list[str]:
+    """Names a module-level import binds that the module never reads."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_module_level_imports():
+    # package __init__ files import to re-export
+    paths = glob.glob(os.path.join(SRC, "towerlab", "**", "*.py"), recursive=True)
+    unused = {
+        os.path.relpath(path, SRC): names
+        for path in sorted(paths)
+        if os.path.basename(path) != "__init__.py" and (names := _unused_imports(path))
+    }
+    assert unused == {}
+
+
+def test_tracer_wraps_every_entry_and_restores_it():
+    import towerlab.ffield as ffield
+
+    original = ffield.is_irreducible
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert ffield.is_irreducible is not original
+    finally:
+        t.uninstall()
+    assert ffield.is_irreducible is original

@@ -214,6 +214,26 @@ def test_is_irreducible_examples():
     assert is_irreducible_over_ratfield(bivar(F2, {(0, 2): 1, (0, 1): 1, (1, 0): 1}))
 
 
+@pytest.mark.parametrize(
+    "field, coeffs, irreducible",
+    [
+        (F2, {(0, 2): 1, (1, 0): 1}, True),  # y^2 + x
+        (F2, {(0, 2): 1, (2, 0): 1}, False),  # y^2 + x^2 = (y + x)^2
+        (F2, {(0, 4): 1, (1, 0): 1}, True),  # y^4 + x: two strips
+        (F2, {(1, 2): 1, (0, 0): 1}, True),  # y^2 = 1/x: only the denominator is no square
+        (F3, {(0, 3): 1, (1, 0): -1}, True),  # y^3 - x
+        (F3, {(0, 3): 1, (3, 0): -1}, False),  # y^3 - x^3 = (y - x)^3
+        (F4, {(0, 2): 1, (1, 0): F4.gen()}, True),  # y^2 + t*x
+        (F4, {(0, 2): 1, (2, 0): F4.gen()}, False),  # t = s^2 in GF(4)
+    ],
+)
+def test_is_irreducible_inseparable_in_y(field, coeffs, irreducible):
+    # F(x, y) = G(x, y^p^k): the Frobenius branch decides by p-th powers
+    F = bivar(field, coeffs)
+    assert F.derivative_y().is_zero()
+    assert is_irreducible_over_ratfield(F) == irreducible
+
+
 def test_is_irreducible_all_family_instances():
     for q in (2, 3, 4, 5):
         assert is_irreducible_over_ratfield(family_F(q))

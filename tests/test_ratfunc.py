@@ -8,7 +8,6 @@ from towerlab.ratfunc import (
     RatFunc,
     RatPlace,
     finite_places_of_degree,
-    place_degree,
 )
 from helpers import F2, F3, F4, unipoly
 
@@ -51,9 +50,9 @@ def test_unit_residue():
 
 
 def test_place_degrees():
-    assert place_degree(_P(F2, [0, 1])) == 1
-    assert place_degree(_P(F2, [1, 1, 1])) == 2
-    assert place_degree(RatPlace.infinity(F2)) == 1
+    assert _P(F2, [0, 1]).degree() == 1
+    assert _P(F2, [1, 1, 1]).degree() == 2
+    assert RatPlace.infinity(F2).degree() == 1
 
 
 def test_residue_field_of_quadratic_place():
@@ -109,7 +108,7 @@ def test_product_formula():
         r = _random_ratfunc(field, rng)
         if r.is_zero():
             continue
-        total = sum(P.valuation(r) * place_degree(P) for P in _support_places(r))
+        total = sum(P.valuation(r) * P.degree() for P in _support_places(r))
         assert total == 0
 
 
