@@ -168,25 +168,14 @@ def genus_from_table(rt: RamTable) -> GenusResult:
             "full constant field to be the base field"
         )
     m = rt.m
-    base = 0
-    unknowns = []
-    for P, pls in rt.rows:
-        for pl in pls:
-            w = pl.f * P.degree()
-            if pl.d_exact is not None:
-                base += pl.d_exact * w
-            else:
-                unknowns.append((pl.dmin, pl.dmax, w))
-    if not unknowns:
-        D = base
-        if D % 2:
+    lo, hi = rt.different_degree_bounds()
+    if not rt.missing_exact():
+        if lo % 2:
             raise TowerlabError("odd different degree: engine bug")
-        g = (D - 2 * m + 2) // 2
+        g = (lo - 2 * m + 2) // 2
         if g < 0:
             raise TowerlabError("negative genus from exact differents: engine bug")
-        return GenusResult(genus=g, exact=True, diff_degree_bounds=(D, D))
-    lo = base + sum(dmin * w for dmin, _dmax, w in unknowns)
-    hi = base + sum(dmax * w for _dmin, dmax, w in unknowns)
+        return GenusResult(genus=g, exact=True, diff_degree_bounds=(lo, lo))
     # total different degree is even (2g-2 = D-2m with integer g)
     feas = [D for D in range(lo, hi + 1) if D % 2 == 0 and D >= 2 * m - 2]
     if not feas:

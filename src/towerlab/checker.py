@@ -310,7 +310,7 @@ class TheoremVerdict(Record):
     )
 
 
-def check_theorem(F: BivarPoly, f: FFPoly) -> TheoremVerdict:
+def check_theorem(F: BivarPoly, f: FFPoly, max_depth: int = 8) -> TheoremVerdict:
     """Verify conditions (1)-(3) for the pair (F, f).
 
     Preconditions that make the analysis meaningless (deg_y F < 2, f not
@@ -363,8 +363,8 @@ def check_theorem(F: BivarPoly, f: FFPoly) -> TheoremVerdict:
     f_of_x = BivarPoly(K, [f])
     f_of_y = f_of_x.swap_xy()
 
-    pls_y = places_above(F, P_f, side="y")
-    pls_x = places_above(F, P_f, side="x")
+    pls_y = places_above(F, P_f, side="y", max_depth=max_depth)
+    pls_x = places_above(F, P_f, side="x", max_depth=max_depth)
 
     Q_y = None
     if len(pls_y) == 1 and pls_y[0].e == m:

@@ -308,7 +308,7 @@ def _run_check_theorem(job: JobSpec):
     K = _field_of(job)
     F = parse_poly(job.params["F"], K)
     f = parse_unipoly(job.params["f"], K, "--f")
-    v = check_theorem(F, f)
+    v = check_theorem(F, f, max_depth=job.params["max_depth"])
     wits = [_place_json(n, pl) for n, pl in sorted(v.witnesses.items())]
     bounds = {w["name"] + ":d": [w["d_min"], w["d_max"]] for w in wits}
     data = {"failed_conditions": list(v.failed_conditions)}

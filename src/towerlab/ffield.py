@@ -10,7 +10,10 @@ deterministic:
   `is`.  Without an explicit modulus it takes the canonical one: the monic
   irreducible of degree k whose coefficient vector, read as a base-p integer
   with the constant term least significant, is smallest.  Residue fields
-  GF(p)[x]/(P) of K(x) pass P as the modulus.
+  GF(p)[x]/(P) of K(x) pass P as the modulus.  An explicit modulus is
+  checked once, by Ben-Or's test when its field is first interned, and a
+  reducible one raises ValueError instead of yielding a ring that is not a
+  field.
 * An element c_0 + c_1 t + ... + c_{k-1} t^(k-1) is the plain int
   sum(c_i * p^i).  All orderings and reprs derive from that encoding, and
   arithmetic runs on it directly:
@@ -31,13 +34,20 @@ deterministic:
   remainder packed, so a coefficient is packed and reduced once per
   operation rather than once per element operation.  The techniques follow
   FLINT's fq_zech, fq_poly and nmod_poly and Shoup's NTL.
-* Factorization is Cantor-Zassenhaus with an explicit RNG seed; the same
-  (polynomial, seed) pair always yields the same factor list, sorted by
-  (degree, coefficient encoding).
+* Factorization is squarefree decomposition, then distinct-degree
+  factorization (`_ddf`, a lazy generator), then Cantor-Zassenhaus with an
+  explicit RNG seed; the same (polynomial, seed) pair always yields the
+  same factor list, sorted by (degree, coefficient encoding).  Ben-Or's
+  irreducibility test is the first step of `_ddf`: f of degree n is
+  irreducible iff the first factor it splits off has degree n.
 * Roots in an extension are Frobenius orbits: roots_in_field factors f over
   its own field GF(Q0), splits off one root r of each irreducible factor of
   degree m in the target, and takes the others as r^(Q0^i).  Its sorted
   output does not depend on the seed.
+* Adjoin is the one residue-field extension step K1 = K0(z), z a root of a
+  monic irreducible psi over K0: its field and root, evaluation u -> z and
+  the lift back.  ratfunc.RatPlace builds the residue field of a place of
+  K(x) with it, and every augmented MacLane stage the next level up.
 """
 
 from __future__ import annotations
@@ -526,8 +536,9 @@ def make_field(p: int, k: int = 1, modulus=None) -> FiniteField:
     """GF(p^k) = GF(p)[t]/(modulus), one interned instance per (p, modulus).
 
     modulus lists the coefficients low to high; it must be monic and
-    irreducible over GF(p) (the caller's obligation).  It defaults to the
-    canonical smallest modulus (see module docstring)."""
+    irreducible over GF(p), which Ben-Or's test checks once, when the field
+    is first interned (ValueError otherwise).  It defaults to the canonical
+    smallest modulus (see module docstring)."""
     if modulus is None:
         field = _canonical.get((p, k))
         if field is None:
@@ -539,8 +550,8 @@ def make_field(p: int, k: int = 1, modulus=None) -> FiniteField:
     field = _fields.get((p, modulus))
     if field is None:
         _check_degree(p, k)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of the extension degree")
+        if len(modulus) != k + 1 or modulus[-1] != 1 or not _ben_or(make_field(p), list(modulus)):
+            raise ValueError("modulus must be monic irreducible of the extension degree")
         field = _intern(p, k, modulus)
     return field
 
@@ -588,16 +599,11 @@ def _monic_irreducibles(F: FiniteField, d: int):
 
 def _ben_or(F: FiniteField, f: list[int]) -> bool:
     """Ben-Or's test for a monic f of degree n >= 1 over F = GF(Q): f is
-    irreducible iff gcd(x^(Q^i) - x, f) = 1 for every i <= n/2.  Most
-    reducible candidates have a small factor and fail after a few
-    Frobenius steps (Ben-Or, FOCS 1981)."""
-    x = [0, 1]
-    h = x
-    for _ in range((len(f) - 1) // 2):  # h = x^(Q^i) mod f for i = 1, 2, ...
-        h = _ppowmod(F, h, F.order, f)
-        if _pgcd(F, _psub(F, h, x), f) != [1]:
-            return False
-    return True
+    irreducible iff the first (g, d) that `_ddf` yields has d = n, i.e.
+    gcd(x^(Q^i) - x, f) = 1 for every i <= n/2.  Most reducible candidates
+    have a small factor and fail after a few Frobenius steps (Ben-Or, FOCS
+    1981)."""
+    return next(_ddf(F, f))[1] == len(f) - 1
 
 
 def _embed_ints(src: FiniteField, target: FiniteField, cs: list[int]) -> list[int]:
@@ -1173,27 +1179,27 @@ def _squarefree_decomposition(f: FFPoly) -> list[tuple[int, FFPoly]]:
     return sorted(out.items(), key=lambda kv: kv[0])
 
 
-def _distinct_degree(f: FFPoly) -> list[tuple[FFPoly, int]]:
-    """Split squarefree monic f into products of irreducibles of equal degree."""
-    field = f.field
-    Q = field.order
-    x = FFPoly._of(field, [0, 1])
-    out = []
+def _ddf(F: FiniteField, f: list[int]):
+    """Distinct-degree factorization of a monic f of degree >= 1 over
+    F = GF(Q), lazily: yields (g, d) for d = 1, 2, ... with g the product of
+    f's irreducible factors of degree d (for squarefree f), from
+    h = x^(Q^d) mod the part of f not yet split off.  Once 2d exceeds the
+    degree of that part, it is irreducible and is yielded last."""
+    x = [0, 1]
     h = x
     rem = f
     d = 0
-    while rem.degree() > 0:
+    while len(rem) > 1:
         d += 1
-        if 2 * d > rem.degree():
-            out.append((rem, rem.degree()))
-            break
-        h = _pow_mod(h, Q, rem)
-        g = poly_gcd(h - x, rem)
-        if g.degree() > 0:
-            out.append((g, d))
-            rem = rem.exact_div(g)
-            h = h % rem
-    return out
+        if 2 * d > len(rem) - 1:
+            yield rem, len(rem) - 1
+            return
+        h = _ppowmod(F, h, F.order, rem)
+        g = _pgcd(F, _psub(F, h, x), rem)
+        if len(g) > 1:
+            yield g, d
+            rem = _pdivmod(F, rem, g)[0]
+            h = _prem(F, h, rem)
 
 
 def _split_gcd(r: FFPoly, f: FFPoly, d: int) -> FFPoly:
@@ -1263,8 +1269,8 @@ def poly_factor(f: FFPoly, seed: int | None = None) -> list[tuple[FFPoly, int]]:
     rng = random.Random(FACTOR_SEED if seed is None else seed)
     out = []
     for mult, g in _squarefree_decomposition(f):
-        for prod, d in _distinct_degree(g):
-            for irr in _equal_degree_split(prod, d, rng):
+        for prod, d in _ddf(g.field, g.ints):
+            for irr in _equal_degree_split(FFPoly._of(g.field, prod), d, rng):
                 out.append((irr, mult))
     out.sort(key=lambda fm: fm[0].sort_key())
     return out
@@ -1338,25 +1344,64 @@ def gfp_solve(p: int, columns: list[list[int]], rhs: list[int]) -> list[int]:
     return out
 
 
-def _power_basis(parent: FiniteField, root: FFElem, d: int) -> list[list[int]]:
-    """The GF(p) digits of t^b * root^i for i < d and b < k(parent), t the
-    generator of parent embedded in root's field: the columns in which
-    _subfield_coords solves, when root has degree d over parent."""
-    target = root.field
-    basis = [embed(parent.elem([0] * b + [1]), target) for b in range(parent.k)]
-    cols = []
-    for i in range(d):
-        root_i = root**i
-        cols.extend((t * root_i).digits() for t in basis)
-    return cols
+class Adjoin:
+    """The simple extension K1 = K0(z) of parent = K0 by a root z of psi, a
+    monic irreducible polynomial over K0: one level of a residue-field tower
+    F_{i+1} = F_i[u]/(psi_i).  `field` is K1 and `z` the encoding of z in it.
 
+    Which K1 and z is fixed by psi and by the caller's choice of field:
+    * psi linear: K1 = K0 and z = -psi(0);
+    * K0 prime, with the quotient field GF(p)[u]/(psi) passed as field: z is
+      the class of u, so the digits of an element are its coordinates;
+    * otherwise: K1 is the canonical GF(|K0|^d), d = deg psi, and z the
+      smallest root of psi there.
 
-def _subfield_coords(parent: FiniteField, cols: list[list[int]], c: FFElem) -> list[FFElem]:
-    """The coefficients a_i in parent with c = sum a_i root^i, for the
-    columns cols that _power_basis built from root."""
-    sol = gfp_solve(parent.p, cols, c.digits())
-    k = parent.k
-    return [parent.elem(sol[i : i + k]) for i in range(0, len(sol), k)]
+    value() is evaluation u -> z from K0[u] to K1, and lift() inverts it on
+    polynomials of degree < d.  In the last case a lift solves over GF(p) in
+    the basis t^b z^i of K1 (t the generator of K0 embedded in K1, b < k(K0),
+    i < d), whose columns are built on the first lift.
+    """
+
+    __slots__ = ("parent", "psi", "field", "z", "_quotient", "_cols")
+
+    def __init__(self, parent: FiniteField, psi: FFPoly, field: FiniteField | None = None):
+        self.parent = parent
+        self.psi = psi.ints
+        self._quotient = False
+        self._cols = None
+        d = psi.degree()
+        if d == 1:
+            self.field, self.z = parent, parent._neg(psi.ints[0])
+        elif field is not None:
+            self.field, self.z, self._quotient = field, field.p, True
+        else:
+            self.field = make_field(parent.p, parent.k * d)
+            self.z = roots_in_field(psi, self.field)[0].v
+
+    def value(self, a: list[int]) -> int:
+        """a(z) for the coefficient list a over K0."""
+        K1 = self.field
+        if self._quotient:
+            return K1._from_digits(_prem(self.parent, a, self.psi))
+        return _peval(K1, _embed_ints(self.parent, K1, a), self.z)
+
+    def lift(self, c: int) -> list[int]:
+        """The coefficient list a over K0, deg a < deg psi, with a(z) = c."""
+        K0, K1 = self.parent, self.field
+        if K1 is K0:
+            return [c] if c else []
+        if self._quotient:
+            return _trim(K1._digits(c))
+        if self._cols is None:
+            basis = _embed_ints(K0, K1, [K0.p**b for b in range(K0.k)])
+            self._cols = cols = []
+            zi = 1
+            for _ in range(len(self.psi) - 1):
+                cols.extend(K1._digits(K1._mul(t, zi)) for t in basis)
+                zi = K1._mul(zi, self.z)
+        sol = gfp_solve(K1.p, self._cols, K1._digits(c))
+        k = K0.k
+        return _trim([K0._from_digits(sol[i : i + k]) for i in range(0, len(sol), k)])
 
 
 # -- bivariate layer -----------------------------------------------------------

@@ -78,7 +78,7 @@ def _taylor_shift(c: FFPoly, target: FiniteField, a: FFElem) -> FFPoly:
 def _trunc(f: FFPoly, N: int) -> FFPoly:
     if f.degree() < N:
         return f
-    return FFPoly(f.field, [f.coeff(i) for i in range(N)])
+    return FFPoly(f.field, f.ints[:N])
 
 
 def _series_inv(f: FFPoly, N: int) -> FFPoly:
@@ -95,94 +95,43 @@ def _series_inv(f: FFPoly, N: int) -> FFPoly:
     return g
 
 
-class _YSeries:
-    """Polynomial in y whose coefficients are truncated power series in t
-    (FFPoly in t mod t^N).  Just enough arithmetic for Hensel lifting."""
-
-    __slots__ = ("field", "N", "cs")
-
-    def __init__(self, field, N, cs):
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.field = field
-        self.N = N
-        self.cs = cs
-
-    @classmethod
-    def from_ypoly(cls, f: FFPoly, field, N):
-        # f is a plain y-polynomial over the field; constant series coeffs
-        return cls(field, N, [FFPoly(field, [f.coeff(i)]) for i in range(f.degree() + 1)])
-
-    def deg(self):
-        return len(self.cs) - 1
-
-    def coeff(self, i) -> FFPoly:
-        if 0 <= i < len(self.cs):
-            return self.cs[i]
-        return FFPoly(self.field, [])
-
-    def mul(self, other: "_YSeries") -> "_YSeries":
-        if not self.cs or not other.cs:
-            return _YSeries(self.field, self.N, [])
-        out = [FFPoly(self.field, []) for _ in range(len(self.cs) + len(other.cs) - 1)]
-        for i, a in enumerate(self.cs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.cs):
-                if b.is_zero():
-                    continue
-                out[i + j] = _trunc(out[i + j] + a * b, self.N)
-        return _YSeries(self.field, self.N, out)
-
-    def sub(self, other: "_YSeries") -> "_YSeries":
-        n = max(len(self.cs), len(other.cs))
-        out = [self.coeff(i) - other.coeff(i) for i in range(n)]
-        return _YSeries(self.field, self.N, out)
-
-    def add_tk_times(self, k: int, g: FFPoly) -> "_YSeries":
-        """self + t^k * g(y), g a plain y-polynomial."""
-        tk = FFPoly(self.field, [0] * k + [1])
-        n = max(len(self.cs), g.degree() + 1)
-        out = []
-        for i in range(n):
-            c = self.coeff(i)
-            if i <= g.degree():
-                gi = g.coeff(i)
-                if not gi.is_zero():
-                    c = _trunc(c + tk * FFPoly(self.field, [gi]), self.N)
-            out.append(c)
-        return _YSeries(self.field, self.N, out)
-
-    def t_coeff(self, k: int) -> FFPoly:
-        """Coefficient of t^k, as a plain y-polynomial."""
-        return FFPoly(self.field, [c.coeff(k) for c in self.cs])
+def _trunc_t(F: BivarPoly, N: int) -> BivarPoly:
+    """F(t, y) mod t^N: every y-coefficient truncated."""
+    return BivarPoly(F.field, [_trunc(c, N) for c in F.ycoeffs])
 
 
-def _hensel_pair(F: _YSeries, G0: FFPoly, H0: FFPoly) -> tuple["_YSeries", "_YSeries"]:
-    """F monic in y; G0*H0 = F(t=0) monic coprime.  Lift to F = G*H mod t^N."""
-    field, N = F.field, F.N
+def _times_tk(g: FFPoly, k: int) -> BivarPoly:
+    """t^k * g(y) for a polynomial g in y."""
+    return BivarPoly(g.field, [[0] * k + [c] for c in g.ints])
+
+
+def _hensel_pair(F: BivarPoly, G0: FFPoly, H0: FFPoly, N: int) -> tuple[BivarPoly, BivarPoly]:
+    """F(t, y) monic in y; G0*H0 = F(0, y) monic coprime.  Lift to
+    F = G*H mod t^N."""
+    field = F.field
     # t*H0 + s*G0 = 1
     g, t = _pxgcd(field, H0.ints, G0.ints)
     if g != [1]:
         raise TowerlabError("Hensel lift needs coprime cofactors")
     t = FFPoly._of(field, t)
     s = (FFPoly(field, [1]) - t * H0).exact_div(G0)
-    G = _YSeries.from_ypoly(G0, field, N)
-    H = _YSeries.from_ypoly(H0, field, N)
+    G = _times_tk(G0, 0)
+    H = _times_tk(H0, 0)
     for k in range(1, N):
-        E = F.sub(G.mul(H))
-        e_k = E.t_coeff(k)
+        # only the coefficient of t^k is read, so the product is not truncated
+        E = F - G * H
+        e_k = FFPoly(field, [c.coeff(k) for c in E.ycoeffs])
         if e_k.is_zero():
             continue
         # solve dG*H0 + dH*G0 = e_k with deg dG < deg G0
         q, dG = divmod(t * e_k, G0)
         dH = s * e_k + q * H0
-        G = G.add_tk_times(k, dG)
-        H = H.add_tk_times(k, dH)
+        G = G + _times_tk(dG, k)
+        H = H + _times_tk(dH, k)
     return G, H
 
 
-def _hensel_tree(F: _YSeries, factors: list[FFPoly]) -> list["_YSeries"]:
+def _hensel_tree(F: BivarPoly, factors: list[FFPoly], N: int) -> list[BivarPoly]:
     if len(factors) == 1:
         return [F]
     half = len(factors) // 2
@@ -193,8 +142,8 @@ def _hensel_tree(F: _YSeries, factors: list[FFPoly]) -> list["_YSeries"]:
     H0 = B[0]
     for f in B[1:]:
         H0 = H0 * f
-    G, H = _hensel_pair(F, G0, H0)
-    return _hensel_tree(G, A) + _hensel_tree(H, B)
+    G, H = _hensel_pair(F, G0, H0, N)
+    return _hensel_tree(G, A, N) + _hensel_tree(H, B, N)
 
 
 def _find_specialization(F: BivarPoly):
@@ -237,20 +186,20 @@ def _reconstruct_subsets(F: BivarPoly) -> bool:
     for j in range(m + 1):
         cj = _taylor_shift(F.ycoeff(j), K, xi)
         cs.append(_trunc(cj * lct_inv, N))
-    Fmon = _YSeries(K, N, cs)
-    lifted = _hensel_tree(Fmon, factors)
+    Fmon = BivarPoly(K, cs)
+    lifted = _hensel_tree(Fmon, factors, N)
     back = _subfield_map(K, base)
     Fy = YPoly.from_bivar(F)
     idx = range(len(factors))
     for r in range(1, len(factors) // 2 + 1):
         for S in itertools.combinations(idx, r):
-            prod = _YSeries.from_ypoly(FFPoly(K, [1]), K, N)
-            for i in S:
-                prod = prod.mul(lifted[i])
+            prod = lifted[S[0]]
+            for i in S[1:]:
+                prod = _trunc_t(prod * lifted[i], N)
             # candidate = lc(t) * prod must be polynomial of t-degree <= B
             cand_cs = []
             ok = True
-            for c in prod.cs:
+            for c in prod.ycoeffs:
                 cc = _trunc(c * lct, N)
                 if cc.degree() > B:
                     ok = False

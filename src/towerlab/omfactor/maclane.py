@@ -16,7 +16,12 @@ The graded residue ring of a stage is k[s, t, 1/t] with s the image of phi
 (grade lambda) and t the image of the previous-stage uniformizer (grade
 1/E_prev).  Residual polynomials live in k[u] with u = s^d/t^n; they drive
 both branch detection (factor the residual of H) and key construction
-(lift a residual factor back to a key polynomial).
+(lift a residual factor back to a key polynomial).  The constants of an
+augmented stage form one ffield.Adjoin step over the previous stage's: its
+residue field is prev.resfield(z) for a root z of the stage's residual psi
+(prev.resfield itself when psi is linear).  graded_map carries a
+previous-stage residue into this ring by evaluation at z, and
+graded_map_lift inverts it with Adjoin.lift.
 
 Same-degree augmentations collapse onto the previous stage, so chains keep
 strictly increasing key degrees; the stage invariants then satisfy
@@ -30,14 +35,11 @@ from fractions import Fraction
 
 from ..errors import TowerlabError
 from ..ffield import (
+    Adjoin,
     FFElem,
     FFPoly,
-    _power_basis,
-    _subfield_coords,
     is_irreducible,
-    make_field,
     poly_factor,
-    roots_in_field,
 )
 from ..ratfunc import RatFunc, RatPlace
 from .newton import slope_length_pairs
@@ -98,10 +100,9 @@ class StageVal:
         "inv_b",
         "resfield",
         "psi",
-        "z",
+        "ext",
         "res_deg",
         "nstages",
-        "_lift_cols",
         "_vals",
     )
 
@@ -114,13 +115,12 @@ class StageVal:
             prev_E, keyval
         )
         self.keyval = INF if self.rel_n is None else _qval(self.rel_n, self.E)
-        self._lift_cols = None
         self._vals = {}
         if prev is None:
             if phi.degree() != 1 or not phi.lc() == RatFunc.const(phi.field, 1):
                 raise ValueError("stage-zero key must be monic linear")
             self.psi = None
-            self.z = None
+            self.ext = None
             self.resfield = place.residue_field()
             self.res_deg = 1
             self.nstages = 1
@@ -128,16 +128,9 @@ class StageVal:
             if psi is None:
                 raise ValueError("augmented stage requires its residual")
             self.psi = psi
-            frel = psi.degree()
-            if frel == 1:
-                self.resfield = prev.resfield
-                self.z = -psi.coeff(0)
-            else:
-                self.resfield = make_field(
-                    place.field.p, prev.resfield.k * frel
-                )
-                self.z = roots_in_field(psi, self.resfield)[0]
-            self.res_deg = prev.res_deg * frel
+            self.ext = Adjoin(prev.resfield, psi)
+            self.resfield = self.ext.field
+            self.res_deg = prev.res_deg * psi.degree()
             self.nstages = prev.nstages + 1
 
     # -- construction ----------------------------------------------------------
@@ -237,39 +230,28 @@ class StageVal:
     def graded_map(self, fbar: FFPoly, i1: int, j1: int):
         """Image in this stage's graded ring of the previous-stage homogeneous
         element s0^i1 t0^j1 fbar(s0^d0/t0^n0); returns (c, m) meaning c*t^m."""
-        prev = self.prev
+        prev, ext = self.prev, self.ext
         n_, d_, a_, b_ = prev.rel_n, prev.rel_d, prev.inv_a, prev.inv_b
         m = i1 * n_ + j1 * d_
-        c = fbar.eval(self.z)
+        c = FFElem(ext.field, ext.value(fbar.ints))
         exp = i1 * b_ - j1 * a_
         if exp:
-            c = c * self.z**exp
+            c = c * FFElem(ext.field, ext.z) ** exp
         return c, m
-
-    def _const_lift(self, c: FFElem) -> FFPoly:
-        """Express c in resfield as a polynomial in z over the previous
-        stage's residue constant field."""
-        parent = self.prev.resfield if self.prev else self.place.residue_field()
-        if self.psi is None or self.psi.degree() == 1:
-            return FFPoly(parent, [c])
-        if self._lift_cols is None:
-            self._lift_cols = _power_basis(parent, self.z, self.psi.degree())
-        return FFPoly(parent, _subfield_coords(parent, self._lift_cols, c))
 
     def graded_map_lift(self, c: FFElem, m: int):
         """Inverse of graded_map on elements c*t^m; returns (f0, i, j) in the
         previous stage's graded ring."""
-        prev = self.prev
+        prev, ext = self.prev, self.ext
         n_, d_, a_, b_ = prev.rel_n, prev.rel_d, prev.inv_a, prev.inv_b
         i = a_ * m
         if 0 <= i < d_:
             j = b_ * m
-            f0 = self._const_lift(c)
         else:
             v, i = divmod(a_ * m, d_)
             j = n_ * v + b_ * m
-            f0 = self._const_lift(c * self.z**v)
-        return f0, i, j
+            c = c * FFElem(ext.field, ext.z) ** v
+        return FFPoly._of(ext.parent, ext.lift(c.v)), i, j
 
     def graded_reduction_lift(self, h: FFPoly, i: int | None = None, j: int | None = None) -> YPoly:
         """A polynomial whose graded reduction is s^i t^j h(s^d/t^n).  With

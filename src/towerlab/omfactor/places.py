@@ -114,10 +114,10 @@ def monic_integral_model(F: BivarPoly, P: RatPlace):
         if v < 0:
             # z = y*pi^M makes coefficient j pick up valuation (m-j)*M
             M = max(M, -(v // (m - j)))  # ceil(-v / (m - j))
+    H = G
     if M:
-        H = G.subst_scaled(pi ** (-M)) * pi ** (m * M)
-    else:
-        H = G
+        # coefficient j of pi^(mM) * G(z / pi^M) is G_j * pi^((m-j)M)
+        H = YPoly(G.field, [c * pi ** ((m - j) * M) for j, c in enumerate(G.coeffs)])
     for c in H.coeffs:
         if not c.is_zero() and P.valuation(c) < 0:
             raise TowerlabError("integral model transform failed")

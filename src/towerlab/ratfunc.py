@@ -6,10 +6,12 @@ place at infinity.  The valuation at a finite place counts p-multiplicity in
 numerator minus denominator; at infinity it is deg(den) - deg(num).  Every
 valuation returns the +infinity sentinel (math.inf) on the zero element.
 
-The residue field at a finite place of degree d is GF(q^d), realized
-canonically via make_field and the smallest root rho of p(x) there (over a
-prime field q = p it is make_field with p(x) as the modulus, and rho the
-class of x); lift() inverts evaluation at rho on polynomials of degree < d.
+The residue field at a finite place of degree d is K(rho) for a root rho
+of p(x), one ffield.Adjoin step built on first use: over a prime field
+q = p it is GF(p)[x]/(p(x)) with rho the class of x, otherwise the
+canonical GF(q^d) with rho the smallest root of p(x) there.  At a place of
+degree 1, infinity included, it is K itself.  lift() inverts evaluation at
+rho on polynomials of degree < d.
 
 A finite place computes the p-adic data of a nonzero coefficient r once and
 keeps it, keyed by the value of r, for as long as the place lives: v(r) and
@@ -24,7 +26,7 @@ because places are short-lived while a coefficient may meet many of them.
 Residues come from the remainder, f(rho) = (f mod p)(rho): at a degree-1
 place that remainder is the constant f(a); over a prime field its
 coefficients are the digits of f(rho); only otherwise is there a Horner
-evaluation, of a polynomial of degree < d.
+evaluation (Adjoin.value), of a polynomial of degree < d.
 
 RatFunc arithmetic keeps num/den canonical (coprime, monic denominator)
 with Henrici's rules (Knuth, TAOCP 2, 4.5.1), as Python's fractions module
@@ -41,24 +43,19 @@ import math
 
 from .errors import TowerlabError
 from .ffield import (
+    Adjoin,
     FFElem,
     FFPoly,
     FiniteField,
-    _embed_ints,
     _monic_irreducibles,
     _padd,
     _pdivmod,
-    _peval,
     _pgcd,
     _pmul,
     _pscale,
-    _power_basis,
     _psub,
-    _subfield_coords,
-    embed,
     is_irreducible,
     make_field,
-    roots_in_field,
 )
 
 #: Sentinel for the valuation of 0.
@@ -281,7 +278,7 @@ class RatPlace:
     """A place of GF(q)(x): either the zero locus of a monic irreducible
     polynomial, or the place at infinity."""
 
-    __slots__ = ("field", "poly", "_resfield", "_rho", "_lift_cols", "_padic")
+    __slots__ = ("field", "poly", "_ext", "_padic")
 
     def __init__(self, field: FiniteField, poly: FFPoly | None):
         if poly is not None:
@@ -293,9 +290,7 @@ class RatPlace:
                 raise ValueError(f"{poly!r} is not irreducible")
         self.field = field
         self.poly = poly
-        self._resfield = None
-        self._rho = None
-        self._lift_cols = None
+        self._ext = None
         self._padic = {}
 
     @classmethod
@@ -353,34 +348,24 @@ class RatPlace:
 
     # -- residue machinery --------------------------------------------------------
 
+    def _adjoin(self) -> Adjoin:
+        """The residue field of a finite place as K(rho), rho a root of P:
+        over a prime field GF(p)[x]/(P) itself, with rho the class of x."""
+        if self._ext is None:
+            F, d = self.field, self.degree()
+            quotient = make_field(F.p, d, self.poly.ints) if F.k == 1 < d else None
+            self._ext = Adjoin(F, self.poly, quotient)
+        return self._ext
+
     def residue_field(self) -> FiniteField:
-        if self._resfield is None:
-            d = self.degree()
-            if self.poly is not None and d > 1 and self.field.k == 1:
-                # prime base field: GF(p)[x]/(P) is the residue field itself,
-                # with rho the class of x; no root search needed
-                self._resfield = make_field(self.field.p, d, self.poly.ints)
-                self._rho = self._resfield.gen()
-            else:
-                self._resfield = make_field(self.field.p, self.field.k * d)
-                if self.poly is None or d == 1:
-                    if self.poly is None:
-                        self._rho = None
-                    else:
-                        self._rho = embed(-self.poly.coeff(0), self._resfield)
-                else:
-                    self._rho = roots_in_field(self.poly, self._resfield)[0]
-        return self._resfield
+        if self.poly is None:
+            return self.field
+        return self._adjoin().field
 
     def _residue_of(self, rem: list[int]) -> FFElem:
         """f(rho) for a finite place, from the coefficient list of f mod P."""
-        res = self.residue_field()
-        if self.poly.degree() == 1:
-            return FFElem(res, _embed_ints(self.field, res, rem)[0])
-        if self.field.k == 1:
-            # rho is the class of x, so f(rho) has the digits of f mod P
-            return FFElem(res, res._from_digits(rem))
-        return FFElem(res, _peval(res, _embed_ints(self.field, res, rem), self._rho.v))
+        ext = self._adjoin()
+        return FFElem(ext.field, ext.value(rem))
 
     def _unit(self, data: list) -> FFElem:
         if data[3] is None:
@@ -397,7 +382,7 @@ class RatPlace:
             raise PoleAtPlace(f"pole of order {-v} at {self!r}")
         if self.poly is None:
             # equal degrees: ratio of leading coefficients
-            return embed(r.num.lc() / r.den.lc(), res)
+            return r.num.lc() / r.den.lc()
         return self._unit(self._data(r))
 
     def unit_residue(self, r: RatFunc) -> FFElem:
@@ -416,17 +401,9 @@ class RatPlace:
         res = self.residue_field()
         if alpha.field is not res:
             raise ValueError("element not in the residue field of this place")
-        if self.poly is None or self.degree() == 1:
-            # residue field is GF(q) itself; invert the prime-subfield mix
-            if res is self.field:
-                return RatFunc.const(self.field, alpha)
-            raise TowerlabError("degree-1 place with unexpected residue field")
-        if self.field.k == 1:
-            # quotient representation: digits of alpha are the coefficients
-            return RatFunc(FFPoly(self.field, alpha.digits()))
-        if self._lift_cols is None:
-            self._lift_cols = _power_basis(self.field, self._rho, self.degree())
-        return RatFunc(FFPoly(self.field, _subfield_coords(self.field, self._lift_cols, alpha)))
+        if self.poly is None:
+            return RatFunc.const(self.field, alpha)
+        return RatFunc(FFPoly._of(self.field, self._adjoin().lift(alpha.v)))
 
     # -- identity / display --------------------------------------------------------
 

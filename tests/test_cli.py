@@ -155,6 +155,14 @@ def test_check_theorem_exit_codes_and_payload():
     assert len(rep["data"]["failed_conditions"]) == 3
 
 
+def test_check_theorem_honours_max_depth():
+    code, rep = run_json(
+        ["check-theorem", "--p", "2", "--F", FAM, "--f", "x", "--max-depth", "1", "--json"]
+    )
+    assert code == 2
+    assert rep["error"]["type"] == "DepthExceeded"
+
+
 def test_climb_report():
     code, rep = run_json(
         ["climb", "--m", "3", "--n", "1", "--r", "2", "--p", "2", "--levels", "6", "--json"]

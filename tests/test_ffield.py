@@ -41,6 +41,14 @@ def test_make_field_rejects_composite_characteristic():
         make_field(1)
 
 
+@pytest.mark.parametrize("p, k, modulus", [(2, 2, (0, 0, 1)), (2, 11, (0,) * 11 + (1,))])
+def test_make_field_rejects_a_reducible_modulus(p, k, modulus):
+    # x^2 would make a table field, whose generator search never ends, and
+    # x^11 a packed field, whose inverses would be wrong
+    with pytest.raises(ValueError):
+        make_field(p, k, modulus)
+
+
 def test_field_element_enumeration_and_encoding():
     F9 = make_field(3, 2)
     elems = list(F9.elements())

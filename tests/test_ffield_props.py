@@ -12,6 +12,8 @@
   gcd(x^(q^n) - x, f);
 * the packed polynomial kernels of fields above the table bound are checked
   against element-by-element products, long division and modular powers;
+* Adjoin's value and lift are checked as inverse maps, and value against
+  FFPoly.eval at the root, in each of its three forms;
 * pinned values (computed by the earlier tuple-per-element implementation)
   fix the encoding, reprs, sort keys and factor lists, which reports
   depend on.
@@ -26,7 +28,9 @@ from sympy import Poly, symbols
 import towerlab.ffield as ffield
 from towerlab.ffield import (
     ZECH_MAX_ORDER,
+    Adjoin,
     BivarPoly,
+    FFElem,
     FFPoly,
     _pdivmod,
     _pmul,
@@ -654,6 +658,39 @@ def test_pxgcd_is_a_monic_gcd_with_its_bezout_coefficient(pk, data):
     assert g[-1] == 1
     assert _pdivmod(F, _psub(F, _pmul(F, s, a), g), b)[1] == []
     assert len(s) < len(b) - len(g) + 1
+
+
+# -- one extension step ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "pk, quotient",
+    [((2, 1), False), ((2, 1), True), ((3, 1), False), ((3, 1), True), ((2, 2), False), ((3, 2), False)],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_adjoin_value_and_lift_are_inverse(pk, quotient, data):
+    K0 = make_field(*pk)
+    coeff = st.integers(0, K0.order - 1)
+    d = data.draw(st.integers(1, 4))
+    psi = FFPoly(K0, data.draw(st.lists(coeff, min_size=d, max_size=d)) + [1])
+    assume(is_irreducible(psi))
+    field = make_field(K0.p, d, psi.ints) if quotient and d > 1 else None
+    ext = Adjoin(K0, psi, field)
+    K1, z = ext.field, FFElem(ext.field, ext.z)
+    if d == 1:
+        assert K1 is K0 and z == -psi.coeff(0)
+    elif field is not None:
+        assert K1 is field and z == K1.gen()
+    else:
+        assert K1 is make_field(K0.p, K0.k * d) and z == roots_in_field(psi, K1)[0]
+    a = FFPoly(K0, data.draw(st.lists(coeff, max_size=d - 1))).ints
+    assert ext.lift(ext.value(a)) == a
+    c = data.draw(st.integers(0, K1.order - 1))
+    assert len(ext.lift(c)) <= d
+    assert ext.value(ext.lift(c)) == c
+    b = FFPoly(K0, data.draw(st.lists(coeff, max_size=2 * d + 2)))
+    assert ext.value(b.ints) == b.eval(z).v
 
 
 # -- int operands ---------------------------------------------------------------------
