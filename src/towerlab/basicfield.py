@@ -100,7 +100,11 @@ def ramification_locus(F: BivarPoly) -> list[RatPlace]:
     for g, _mult in poly_factor(F.ycoeff(F.deg_y())):
         if g.degree() >= 1:
             polys.add(g)
-    out = [RatPlace.finite(g) for g in sorted(polys, key=lambda g: g.sort_key())]
+    # poly_factor certifies every factor monic irreducible
+    out = [
+        RatPlace.finite(g, certified=True)
+        for g in sorted(polys, key=lambda g: g.sort_key())
+    ]
     out.append(RatPlace.infinity(field))
     return out
 

@@ -1593,33 +1593,40 @@ def resultant_y(F: BivarPoly, G: BivarPoly) -> FFPoly:
         return F.ycoeff(0) ** n
     if n == 0:
         return G.ycoeff(0) ** m
+    # the elimination runs on coefficient lists (see the kernels above)
     N = m + n
     rows = []
-    frow = [F.ycoeff(m - i) for i in range(m + 1)]
-    grow = [G.ycoeff(n - i) for i in range(n + 1)]
-    zero = FFPoly(field, [])
+    frow = [F.ycoeff(m - i).ints for i in range(m + 1)]
+    grow = [G.ycoeff(n - i).ints for i in range(n + 1)]
     for r in range(n):
-        rows.append([zero] * r + frow + [zero] * (n - 1 - r))
+        rows.append([[]] * r + frow + [[]] * (n - 1 - r))
     for r in range(m):
-        rows.append([zero] * r + grow + [zero] * (m - 1 - r))
+        rows.append([[]] * r + grow + [[]] * (m - 1 - r))
     sign = 1
-    prev = FFPoly(field, [1])
+    prev = [1]
     for col in range(N - 1):
         pivot = None
         for r in range(col, N):
-            if not rows[r][col].is_zero():
+            if rows[r][col]:
                 pivot = r
                 break
         if pivot is None:
-            return zero
+            return FFPoly(field, [])
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
+        top = rows[col]
+        a = top[col]
         for r in range(col + 1, N):
+            row = rows[r]
+            b = row[col]
             for c in range(col + 1, N):
-                num = rows[col][col] * rows[r][c] - rows[r][col] * rows[col][c]
-                rows[r][c] = num.exact_div(prev)
-            rows[r][col] = zero
-        prev = rows[col][col]
+                num = _psub(field, _pmul(field, a, row[c]), _pmul(field, b, top[c]))
+                q, rem = _pdivmod(field, num, prev)
+                if rem:
+                    raise ValueError("division was not exact")
+                row[c] = q
+            row[col] = []
+        prev = a
     det = rows[N - 1][N - 1]
-    return det if sign == 1 else -det
+    return FFPoly._of(field, det if sign == 1 else _psub(field, [], det))

@@ -37,7 +37,7 @@ from ..ffield import (
     poly_factor,
 )
 from ..ratfunc import RatFunc, RatPlace
-from .places import eisenstein_at, squarefree_in_y, squarefree_point
+from .places import eisenstein_monic, squarefree_in_y, squarefree_point
 from .ypoly import YPoly
 
 
@@ -255,11 +255,12 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
         # normalization are p-th powers
         Gy = YPoly.from_bivar(G).monic()
         return not all(_rat_pth_power(c) for c in Gy.coeffs)
+    G = YPoly.from_bivar(F).monic()
     for P in [RatPlace.infinity(F.field)] + [
-        RatPlace.finite(FFPoly(F.field, [a, F.field.one()]))
+        RatPlace.finite(FFPoly(F.field, [a, F.field.one()]), certified=True)
         for a in F.field.elements()
     ]:
-        if eisenstein_at(F, P):
+        if eisenstein_monic(G, P):
             return True
     if not squarefree_in_y(F):
         return False

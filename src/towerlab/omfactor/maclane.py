@@ -26,6 +26,13 @@ graded_map_lift inverts it with Adjoin.lift.
 Same-degree augmentations collapse onto the previous stage, so chains keep
 strictly increasing key degrees; the stage invariants then satisfy
 deg phi = E * f with E the ramification index and f the residue degree.
+
+A residual factor psi of multiplicity one closes its branch without an
+augmentation: by the theorem of the residual polynomial (Guardia-Montes-
+Nart, Trans. AMS 2012) the place it marks has E equal to the stage's and
+residue degree deg psi times the stage's.  Such a branch is a Closed; its
+terminal stage (key lift, new value, augmentation) is built on first use,
+which only valuations at the place ask for.
 """
 
 from __future__ import annotations
@@ -324,26 +331,26 @@ class StageVal:
             return nn == 1
         return is_irreducible(self.residual(f))
 
-    def new_keys(self, G: YPoly):
-        """Candidate keys for augmenting along G, as (key, residual factor)
-        pairs.  The residual factor u itself is skipped: the branches it
-        marks belong to steeper segments handled by sibling valuations."""
+    def augmentations(self, G: YPoly):
+        """The branches of G one step past this stage, as (W, key, lam, psi)
+        per monic residual factor psi of G.  A factor of multiplicity one
+        closes its branch: W is a Closed, and key and lam are None until it
+        is built.  Any other factor augments along the key lifted from it,
+        once per new value lam.  The factor u itself is skipped: the
+        branches it marks belong to steeper segments handled by sibling
+        valuations."""
         if self._sval(G) == INF:
             return []
-        R = self.residual(G)
-        fac = poly_factor(R)
-        if len(fac) == 1 and fac[0][1] == 1:
-            G0 = G.monic()
-            if self.is_key(G0):
-                return [(G0, fac[0][0])]
+        fac = poly_factor(self.residual(G))
         gen = FFPoly(self.resfield, [self.resfield.zero(), self.resfield.one()])
-        return [
-            (self.keypol_from_residual(psi), psi) for psi, _ in fac if psi != gen
-        ]
-
-    def augmentations(self, G: YPoly):
         out = []
-        for key, psi in self.new_keys(G):
+        for psi, mult in fac:
+            if psi == gen:
+                continue
+            if mult == 1:
+                out.append((Closed(self, psi, G, len(fac) == 1), None, None, psi))
+                continue
+            key = self.keypol_from_residual(psi)
             for v in self.new_values(G, key):
                 out.append((self.augment(key, v, psi), key, v, psi))
         return out
@@ -354,6 +361,11 @@ class StageVal:
             return 1
         ii = [i for i, t in enumerate(self._terms(G.expand_in(self.phi))) if t == v]
         return ii[-1] - ii[0]
+
+    def stage(self) -> "StageVal":
+        """The terminal stage of a branch: a StageVal is its own (see
+        Closed.stage)."""
+        return self
 
     # -- display ------------------------------------------------------------------
 
@@ -373,11 +385,53 @@ class StageVal:
         return f"val[{self.place!r}: " + ", ".join(parts) + "]"
 
 
+class Closed:
+    """A branch closed by a residual factor psi of multiplicity one of H at
+    stage V.  By the theorem of the residual polynomial its place has
+    E = V.E and residue degree V.res_deg * deg psi, so decompose needs no
+    augmentation for it; stage() builds the terminal StageVal on first
+    use."""
+
+    __slots__ = ("V", "psi", "H", "sole", "E", "res_deg", "_stage")
+
+    def __init__(self, V: StageVal, psi: FFPoly, H: YPoly, sole: bool):
+        self.V = V
+        self.psi = psi
+        self.H = H
+        self.sole = sole  # psi is the only factor of the residual of H
+        self.E = V.E
+        self.res_deg = V.res_deg * psi.degree()
+        self._stage = None
+
+    def stage(self) -> StageVal:
+        """The terminal stage: [V, H -> +inf] when psi is the only factor
+        and H itself is a key, else the augmentation along the key lifted
+        from psi at its one new value.  Raises TowerlabError unless it has
+        projection 1 and the branch's E and residue degree."""
+        if self._stage is None:
+            V, psi, H = self.V, self.psi, self.H
+            H0 = H.monic()
+            if self.sole and V.is_key(H0):
+                W = V.augment(H0, INF, psi)
+            else:
+                key = V.keypol_from_residual(psi)
+                vals = V.new_values(H, key)
+                if len(vals) != 1:
+                    raise TowerlabError("a closed branch has more than one new value")
+                W = V.augment(key, vals[0], psi)
+            if W.projection(H) != 1 or W.E != self.E or W.res_deg != self.res_deg:
+                raise TowerlabError("a closed branch built a non-terminal stage")
+            self._stage = W
+        return self._stage
+
+
 def decompose(place: RatPlace, H: YPoly, max_depth: int = 8):
     """All terminal inductive valuations for the monic, integral, squarefree
     separable polynomial H over the given place.
 
-    Returns a list of (StageVal, levels) pairs.  Each level is one
+    Returns a list of (branch, levels) pairs.  A branch is a terminal
+    StageVal or a Closed; both carry E and res_deg, and stage() gives the
+    terminal StageVal (a Closed builds it then).  Each level is one
     refinement decision (key polynomial string, segment slope, residual
     string); a factor detected on the first polygon needs one level, each
     recursion step adds one more.  A place cut out by y itself (infinite
@@ -410,7 +464,7 @@ def decompose(place: RatPlace, H: YPoly, max_depth: int = 8):
         slope_here = None if V.rel_n is None else Fraction(-V.rel_n, V.E)
         for W, _key, _lam, psi in V.augmentations(H):
             lev = levels + ((V.phi.to_str(), slope_here, psi.to_str("u")),)
-            if W.projection(H) == 1:
+            if isinstance(W, Closed) or W.projection(H) == 1:
                 results.append((W, lev))
             else:
                 work.append((W, lev))
@@ -426,10 +480,13 @@ def decompose(place: RatPlace, H: YPoly, max_depth: int = 8):
 def improve(V: StageVal, H: YPoly) -> StageVal:
     """One more augmentation step along H from a terminal valuation; raises
     if the step is not unique (which would mean V was not terminal)."""
-    hits = [W for W, _, _, _ in V.augmentations(H) if W.projection(H) == 1]
+    hits = [
+        W for W, _, _, _ in V.augmentations(H)
+        if isinstance(W, Closed) or W.projection(H) == 1
+    ]
     if len(hits) != 1:
         raise TowerlabError("expected a unique refinement of a terminal valuation")
-    W = hits[0]
+    W = hits[0].stage()
     if W.E != V.E or W.res_deg != V.res_deg:
         raise TowerlabError("terminal invariants changed during refinement")
     return W

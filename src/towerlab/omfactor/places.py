@@ -25,7 +25,9 @@ from .ypoly import YPoly
 
 class _Handle:
     """Mutable engine state behind a PlaceExt: the integral model and the
-    (improvable) terminal valuation."""
+    (improvable) terminal valuation.  V starts as the branch decompose
+    returned; a branch closed by the theorem of the residual polynomial
+    builds its terminal stage at the first valuation asked for."""
 
     __slots__ = ("place", "side", "H", "M", "pi", "V")
 
@@ -42,7 +44,7 @@ class _Handle:
         g = g % self.H
         if g.is_zero():
             return INF
-        v, self.V = exact_val(self.V, self.H, g)
+        v, self.V = exact_val(self.V.stage(), self.H, g)
         if v == INF:
             return INF
         nv = v * self.V.E
@@ -69,7 +71,9 @@ class PlaceExt(Record):
     d_exact set when the bounds collapse: a tame place (p does not divide e)
     has d = e - 1 exactly, a wild one dmin = e and dmax = nu_Q(H'(z)) on the
     monic integral model, the monogenic-generator bound.  The _Handle
-    behind valuation_of takes no part in equality or the repr.
+    behind valuation_of takes no part in equality or the repr; it builds
+    the place's terminal stage lazily, at the first valuation (a wild
+    place's dmax, or valuation_of).
     """
 
     __slots__ = (
@@ -219,7 +223,12 @@ def eisenstein_at(F: BivarPoly, P: RatPlace, side: str = "x") -> bool:
     with P totally ramified."""
     if side == "y":
         F = F.swap_xy()
-    G = YPoly.from_bivar(F).monic()
+    return eisenstein_monic(YPoly.from_bivar(F).monic(), P)
+
+
+def eisenstein_monic(G: YPoly, P: RatPlace) -> bool:
+    """eisenstein_at on the monic y-model G = F/lc_y(F), built once by a
+    caller that tests many places."""
     m = G.degree()
     if m < 1:
         return False

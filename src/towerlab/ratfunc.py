@@ -47,6 +47,7 @@ from .ffield import (
     FFElem,
     FFPoly,
     FiniteField,
+    _intern,
     _monic_irreducibles,
     _padd,
     _pdivmod,
@@ -55,7 +56,6 @@ from .ffield import (
     _pscale,
     _psub,
     is_irreducible,
-    make_field,
 )
 
 #: Sentinel for the valuation of 0.
@@ -280,13 +280,15 @@ class RatPlace:
 
     __slots__ = ("field", "poly", "_ext", "_padic")
 
-    def __init__(self, field: FiniteField, poly: FFPoly | None):
+    def __init__(self, field: FiniteField, poly: FFPoly | None, certified: bool = False):
+        """certified=True skips the irreducibility test of a poly the caller
+        has already proved irreducible."""
         if poly is not None:
             if poly.field is not field:
                 raise ValueError("place polynomial over the wrong field")
             if poly.degree() < 1 or not poly.lc() == field.one():
                 raise ValueError("place polynomial must be monic of degree >= 1")
-            if not is_irreducible(poly):
+            if not certified and not is_irreducible(poly):
                 raise ValueError(f"{poly!r} is not irreducible")
         self.field = field
         self.poly = poly
@@ -298,8 +300,8 @@ class RatPlace:
         return cls(field, None)
 
     @classmethod
-    def finite(cls, poly: FFPoly) -> "RatPlace":
-        return cls(poly.field, poly)
+    def finite(cls, poly: FFPoly, certified: bool = False) -> "RatPlace":
+        return cls(poly.field, poly, certified)
 
     def degree(self) -> int:
         return 1 if self.poly is None else self.poly.degree()
@@ -353,7 +355,9 @@ class RatPlace:
         over a prime field GF(p)[x]/(P) itself, with rho the class of x."""
         if self._ext is None:
             F, d = self.field, self.degree()
-            quotient = make_field(F.p, d, self.poly.ints) if F.k == 1 < d else None
+            # P is certified irreducible (__init__), so its field is interned
+            # without a second Ben-Or test
+            quotient = _intern(F.p, d, tuple(self.poly.ints)) if F.k == 1 < d else None
             self._ext = Adjoin(F, self.poly, quotient)
         return self._ext
 
@@ -431,4 +435,7 @@ class RatPlace:
 def finite_places_of_degree(field: FiniteField, d: int) -> list[RatPlace]:
     """All finite places of degree d >= 1, i.e. monic irreducibles of
     degree d, in increasing coefficient-encoding order."""
-    return [RatPlace.finite(FFPoly._of(field, f)) for f in _monic_irreducibles(field, d)]
+    return [
+        RatPlace.finite(FFPoly._of(field, f), certified=True)
+        for f in _monic_irreducibles(field, d)
+    ]

@@ -7,30 +7,39 @@ returns an int when the value is integral and a Fraction otherwise.  An
 augmentation that does not collapse takes the residual factor psi its key
 was lifted from instead of recomputing residual(key).  The slopes recorded
 in refinement levels stay Fractions, since decompose orders results that
-tie on (E, f) by str(levels).
+tie on (E, f) by str(levels).  A residual factor of multiplicity one
+closes its branch (a Closed) whose stage is built on first use; built, it
+is the stage the eager engine made, augmenting along every factor.
 """
 
+import importlib.util
 import json
 import math
 import os
 from fractions import Fraction
 from functools import lru_cache
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from towerlab.basicfield import ramification_locus
 from towerlab.checker import FamilyParams, build_family
 from towerlab.cli import parse_poly
-from towerlab.ffield import BivarPoly, FFPoly, make_field
-from towerlab.omfactor import newton_polygon, places_above
-from towerlab.omfactor.maclane import decompose
+from towerlab.ffield import BivarPoly, FFPoly, make_field, poly_factor
+from towerlab.omfactor import Inseparable, newton_polygon, places_above
+from towerlab.omfactor.maclane import Closed, StageVal, decompose, improve
 from towerlab.omfactor.places import monic_integral_model
 from towerlab.omfactor.ypoly import YPoly
 from towerlab.ratfunc import RatFunc, RatPlace
 from helpers import F5, unipoly
 
 INF = math.inf
-GOLDENS = os.path.join(os.path.dirname(__file__), "..", "bench", "goldens.json")
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+GOLDENS = os.path.join(BENCH, "goldens.json")
+
+# the sweep benchmark's curves and substitutions
+_spec = importlib.util.spec_from_file_location("bench_workloads", os.path.join(BENCH, "workloads.py"))
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 # the curves of the CLI report jobs: (p, k, F) for analyze/genus, and the
 # family at q = 8, 9, 16, 27 with a = 0, b = 1, g = x + 1
@@ -89,7 +98,7 @@ def cli_decompositions():
 @lru_cache(maxsize=None)
 def pool_stages():
     """Every terminal valuation of the pool's decompositions, with its H."""
-    return [(V, H) for _, H, res in pool_decompositions() for V, _ in res]
+    return [(V.stage(), H) for _, H, res in pool_decompositions() for V, _ in res]
 
 
 # -- values --------------------------------------------------------------------
@@ -181,7 +190,7 @@ def test_residual_of_each_key_is_its_stored_psi():
     checked = 0
     for _, _, res in pool_decompositions() + cli_decompositions():
         for V, _ in res:
-            for S in V.chain()[1:]:
+            for S in V.stage().chain()[1:]:
                 assert S.prev.residual(S.phi).monic() == S.psi
                 checked += 1
     assert checked > 100
@@ -197,6 +206,7 @@ def test_a_collapsed_stage_takes_the_residual_one_stage_down():
     res = decompose(P, YPoly.from_bivar(F))
     assert [levels[1][2] for _, levels in res] == ["u + 3", "u + 4"]
     for V, _ in res:
+        V = V.stage()
         assert V.nstages == 2 and V.phi.degree() == 2
         assert V.psi == V.prev.residual(V.phi).monic()
         assert V.psi.to_str("u") == "u + 4"
@@ -205,10 +215,13 @@ def test_a_collapsed_stage_takes_the_residual_one_stage_down():
 def test_augmentations_yield_the_residual_of_each_key():
     for P, H, res in cli_decompositions():
         for V, _ in res:
-            for S in V.chain():
+            for S in V.stage().chain():
                 if S.keyval == INF:
                     continue
                 for W, key, _lam, psi in S.augmentations(H):
+                    if key is None:  # a closed branch: build its stage
+                        W = W.stage()
+                        key = W.phi
                     assert S.residual(key).monic() == psi
                     if key.degree() > S.phi.degree():
                         assert W.prev is S and W.psi == psi
@@ -245,3 +258,136 @@ def test_decompose_orders_ties_by_the_refinement_levels():
         "(('y', Fraction(-1, 2), 'u + 4'),)",
         "(('y', Fraction(-2, 1), 'u + 4'), ('y + 4*x^2', Fraction(-5, 2), 'u + 4'))",
     ]
+
+
+# -- closed branches -------------------------------------------------------------
+
+SMALL_FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5)]
+
+
+def _family_curves():
+    """The family with a = 0, b = 1, g = x + 1 for every q <= 9."""
+    out = []
+    for q, p, s in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2)]:
+        K = make_field(p, s)
+        params = FamilyParams(q=q, a=K.zero(), b=K.one(), g=unipoly(K, [1, 1]))
+        out.append(build_family(params).F)
+    return out
+
+
+@st.composite
+def _curves(draw):
+    """A curve over GF(2), GF(3), GF(4) or GF(5) of y-degree 2 to 4 and
+    x-degree at most 3, with a nonzero discriminant in y."""
+    K = draw(st.sampled_from(SMALL_FIELDS))
+    m = draw(st.integers(2, 4))
+    coeff = st.lists(st.integers(0, K.order - 1), max_size=4)
+    cols = [draw(coeff) for _ in range(m)] + [draw(coeff.filter(any))]
+    F = BivarPoly(K, cols)
+    try:
+        ramification_locus(F)
+    except Inseparable:
+        assume(False)
+    return F
+
+
+def _signature(S):
+    return [(T.phi, T.keyval, T.psi) for T in S.chain()]
+
+
+def _eager_closing(V, H, psi):
+    """The stage the eager engine built for a residual factor psi of
+    multiplicity one of H at V: it augmented along the key (H itself when
+    psi is the only factor and H is a key) at every new value, and exactly
+    one augmentation had projection 1."""
+    fac = poly_factor(V.residual(H))
+    key = H.monic()
+    if not (len(fac) == 1 and V.is_key(key)):
+        key = V.keypol_from_residual(psi)
+    hits = [
+        W for W in (V.augment(key, v, psi) for v in V.new_values(H, key))
+        if W.projection(H) == 1
+    ]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def _check_closed_branches(H, res) -> int:
+    """Build every closed branch of one decomposition and compare it, and
+    one improve step from it, with the eager engine; returns the count."""
+    n = 0
+    for B, _ in res:
+        if not isinstance(B, Closed):
+            continue
+        W = B.stage()
+        assert B.stage() is W
+        assert W.projection(H) == 1
+        assert (W.E, W.res_deg) == (B.E, B.res_deg)
+        eager = _eager_closing(B.V, H, B.psi)
+        assert _signature(W) == _signature(eager)
+        if W.rel_n is not None:
+            (psi, mult), = poly_factor(W.residual(H))
+            assert mult == 1
+            assert _signature(improve(W, H)) == _signature(_eager_closing(eager, H, psi))
+        n += 1
+    return n
+
+
+def test_closed_branches_build_the_eager_stage():
+    family = _decompositions(_family_curves())
+    n = sum(
+        _check_closed_branches(H, res)
+        for _, H, res in pool_decompositions() + cli_decompositions() + family
+    )
+    assert n > 200
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(F=_curves())
+def test_closed_branches_of_drawn_curves_build_the_eager_stage(F):
+    for _, H, res in _decompositions([F]):
+        _check_closed_branches(H, res)
+
+
+def test_pinned_curve_augment_count(monkeypatch):
+    # every place above the locus of the sweep's pinned curve is tame and
+    # ends in a closed branch; the two augmentations go along a double
+    # residual factor at the degree-2 and the degree-10 place, which each
+    # have a place with e = 2 above them (13 when every branch was augmented)
+    F = workloads.make_curve(workloads.PINNED)
+    calls = []
+    augment = StageVal.augment
+
+    def counting(self, *args):
+        calls.append(args)
+        return augment(self, *args)
+
+    monkeypatch.setattr(StageVal, "augment", counting)
+    locus = ramification_locus(F)
+    assert [P.degree() for P in locus] == [1, 1, 2, 10, 1]
+    for P in locus:
+        places_above(F, P)
+    assert len(calls) == 2
+
+
+def _place_rows(F):
+    locus = ramification_locus(F)
+    return workloads.place_rows(locus, [places_above(F, P) for P in locus])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_places_above_isomorphic_copies(data):
+    # x -> a*x + b fixes the infinite place of K(x) and maps every finite
+    # place to one of the same degree; y -> c*y is a K(x)-automorphism
+    if data.draw(st.booleans()):
+        pool = _pool_curves()
+        F = pool[data.draw(st.integers(0, len(pool) - 1))]
+    else:
+        F = data.draw(_curves())
+    K = F.field
+    a, c = (K.elem(data.draw(st.integers(1, K.order - 1))) for _ in range(2))
+    b = K.elem(data.draw(st.integers(0, K.order - 1)))
+    assert _place_rows(workloads.substitute(F, a, b, c)) == _place_rows(F)
