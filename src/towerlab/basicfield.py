@@ -31,6 +31,7 @@ from .ffield import (
     resultant_y,
 )
 from .omfactor import Inseparable, monic_integral_model, places_above
+from .omfactor.places import curve_dy
 from .ratfunc import RatPlace, finite_places_of_degree
 from .record import Record
 
@@ -86,7 +87,7 @@ class GenusResult(Record):
 def ramification_locus(F: BivarPoly) -> list[RatPlace]:
     """Places of K(x) where K(x,y)/K(x) can ramify: zeros of the
     y-discriminant, zeros of the leading y-coefficient, and infinity."""
-    Fd = F.derivative_y()
+    Fd = curve_dy(F)
     if Fd.is_zero():
         raise Inseparable("derivative in y vanishes")
     R = resultant_y(F, Fd)

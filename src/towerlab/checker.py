@@ -50,6 +50,7 @@ from .omfactor import (
     is_irreducible_over_ratfield,
     places_above,
 )
+from .omfactor.places import curve_swapped
 from .pyramid import RamHypotheses
 from .ratfunc import RatFunc, RatPlace
 from .record import Record
@@ -345,7 +346,7 @@ def check_theorem(F: BivarPoly, f: FFPoly, max_depth: int = 8) -> TheoremVerdict
         return bail("precondition: f must be monic irreducible of degree >= 1")
     if not is_irreducible_over_ratfield(F):
         return bail("precondition: F is reducible over K(x)")
-    if not is_irreducible_over_ratfield(F.swap_xy()):
+    if not is_irreducible_over_ratfield(curve_swapped(F)):
         return bail("precondition: F is reducible over K(y)")
 
     failed: list[str] = []

@@ -34,12 +34,13 @@ deterministic:
   remainder packed, so a coefficient is packed and reduced once per
   operation rather than once per element operation.  The techniques follow
   FLINT's fq_zech, fq_poly and nmod_poly and Shoup's NTL.
-* Factorization is squarefree decomposition, then distinct-degree
-  factorization (`_ddf`, a lazy generator), then Cantor-Zassenhaus with an
-  explicit RNG seed; the same (polynomial, seed) pair always yields the
-  same factor list, sorted by (degree, coefficient encoding).  Ben-Or's
-  irreducibility test is the first step of `_ddf`: f of degree n is
-  irreducible iff the first factor it splits off has degree n.
+* Factorization runs on the coefficient lists: squarefree decomposition,
+  then distinct-degree factorization (`_ddf`, a lazy generator), then
+  Cantor-Zassenhaus with an explicit RNG seed; the same (polynomial, seed)
+  pair always yields the same factor list, sorted by (degree, coefficient
+  encoding).  Ben-Or's irreducibility test is the first step of `_ddf`: f
+  of degree n is irreducible iff the first factor it splits off has
+  degree n.
 * Roots in an extension are Frobenius orbits: roots_in_field factors f over
   its own field GF(Q0), splits off one root r of each irreducible factor of
   degree m in the target, and takes the others as r^(Q0^i).  Its sorted
@@ -707,6 +708,12 @@ def _pscale(F: FiniteField, a: list[int], s: int) -> list[int]:
     return [mul(c, s) for c in a]
 
 
+def _pderiv(F: FiniteField, a: list[int]) -> list[int]:
+    # i acts as i*1 in the field, whose encoding is i mod p
+    mul, p = F._mul, F.p
+    return _trim([mul(c, i % p) for i, c in enumerate(a) if i])
+
+
 def _pmul(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
@@ -1062,12 +1069,7 @@ class FFPoly:
         return FFPoly._of(self.field, [0] * n + self.ints)
 
     def derivative(self) -> "FFPoly":
-        # i acts as i*1 in the field, whose encoding is i mod p
-        F = self.field
-        mul, p = F._mul, F.p
-        return FFPoly._of(
-            F, _trim([mul(c, i % p) for i, c in enumerate(self.ints) if i])
-        )
+        return FFPoly._of(self.field, _pderiv(self.field, self.ints))
 
     def eval(self, x: FFElem) -> FFElem:
         """Horner evaluation; coefficients are embedded if x lives in an
@@ -1137,46 +1139,46 @@ def is_irreducible(f: FFPoly) -> bool:
     return _ben_or(f.field, f.monic().ints)
 
 
-def _pth_root_poly(f: FFPoly) -> FFPoly:
-    """Inverse of x -> x^p on polynomials: f must satisfy f = g(x^p)."""
-    p = f.field.p
-    out = []
-    for i in range(0, f.degree() + 1, p):
-        out.append(qth_root(f.coeff(i), p))
-    return FFPoly(f.field, out)
+def _pth_root(F: FiniteField, f: list[int]) -> list[int]:
+    """g with f = g(x^p), for f whose exponents are all multiples of p: the
+    Frobenius is bijective on F, so a coefficient's p-th root is its
+    p^(k-1)-th power."""
+    f = f[:: F.p]
+    if F.k == 1:
+        return f
+    e = F.p ** (F.k - 1)
+    return [F._pow(c, e) for c in f]
 
 
-def _squarefree_decomposition(f: FFPoly) -> list[tuple[int, FFPoly]]:
-    """[(m_i, g_i)] with f = prod g_i^{m_i}, each g_i squarefree, m_i distinct."""
-    p = f.field.p
-    out: dict[int, FFPoly] = {}
+def _squarefree_decomposition(F: FiniteField, f: list[int]) -> list[tuple[int, list[int]]]:
+    """[(m_i, g_i)] with the monic f = prod g_i^{m_i}, each g_i monic
+    squarefree, m_i distinct, sorted by m_i."""
+    p = F.p
+    out: dict[int, list[int]] = {}
     e = 1
-    f = f.monic()
-    while f.degree() > 0:
-        fp = f.derivative()
-        if fp.is_zero():
-            f = _pth_root_poly(f)
+    while len(f) > 1:
+        fp = _pderiv(F, f)
+        if not fp:
+            f = _pth_root(F, f)
             e *= p
             continue
-        g = poly_gcd(f, fp)
-        w = f.exact_div(g)
+        g = _pgcd(F, f, fp)
+        w = _pdivmod(F, f, g)[0]
         i = 1
-        while not w.is_one():
-            y = poly_gcd(w, g)
-            z = w.exact_div(y)
-            if not z.is_one():
+        while len(w) > 1:
+            y = _pgcd(F, w, g)
+            z = _pdivmod(F, w, y)[0]
+            if len(z) > 1:
                 key = i * e
-                out[key] = out.get(key, FFPoly(f.field, [1])) * z
-                out[key] = out[key].monic()
+                out[key] = _pmul(F, out[key], z) if key in out else z
             w = y
-            g = g.exact_div(y)
+            g = _pdivmod(F, g, y)[0]
             i += 1
-        if g.degree() > 0:
-            f = _pth_root_poly(g)
-            e *= p
-        else:
+        if len(g) == 1:
             break
-    return sorted(out.items(), key=lambda kv: kv[0])
+        f = _pth_root(F, g)
+        e *= p
+    return sorted(out.items())
 
 
 def _ddf(F: FiniteField, f: list[int]):
@@ -1202,55 +1204,53 @@ def _ddf(F: FiniteField, f: list[int]):
             h = _prem(F, h, rem)
 
 
-def _split_gcd(r: FFPoly, f: FFPoly, d: int) -> FFPoly:
+def _split_gcd(F: FiniteField, r: list[int], f: list[int], d: int) -> list[int]:
     """gcd of f with a map of r that is 0 on about half of f's irreducible
     factors of degree d, for Cantor-Zassenhaus splitting."""
-    field = f.field
-    if field.p == 2:
+    if F.p == 2:
         # trace map sum r^(2^i) splits in characteristic 2
-        t = r % f
+        t = _prem(F, r, f)
         acc = t
-        for _ in range(field.k * d - 1):
-            t = (t * t) % f
-            acc = (acc + t) % f
-        return poly_gcd(acc, f)
-    t = _pow_mod(r, (field.order**d - 1) // 2, f)
-    return poly_gcd(t - 1, f)
+        for _ in range(F.k * d - 1):
+            t = _prem(F, _pmul(F, t, t), f)
+            acc = _padd(F, acc, t)
+        return _pgcd(F, acc, f)
+    t = _ppowmod(F, r, (F.order**d - 1) // 2, f)
+    return _pgcd(F, _psub(F, t, [1]), f)
 
 
-def _random_poly(f: FFPoly, rng: random.Random) -> FFPoly:
-    """A random polynomial of degree 1 to deg f - 1 over f's field."""
-    field, n = f.field, f.degree()
+def _random_poly(F: FiniteField, n: int, rng: random.Random) -> list[int]:
+    """A random polynomial of degree 1 to n - 1 over F."""
     while True:
-        r = FFPoly(field, [rng.randrange(field.order) for _ in range(n)])
-        if r.degree() >= 1:
+        r = _trim([rng.randrange(F.order) for _ in range(n)])
+        if len(r) > 1:
             return r
 
 
-def _equal_degree_split(f: FFPoly, d: int, rng: random.Random) -> list[FFPoly]:
-    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles."""
-    if f.degree() == d:
-        return [f.monic()]
-    n = f.degree()
+def _equal_degree_split(F: FiniteField, f: list[int], d: int, rng: random.Random) -> list[list[int]]:
+    """Cantor-Zassenhaus splitting of a monic product of degree-d
+    irreducibles."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
     while True:
-        g = _split_gcd(_random_poly(f, rng), f, d)
-        if 0 < g.degree() < n:
-            left = _equal_degree_split(g, d, rng)
-            right = _equal_degree_split(f.exact_div(g), d, rng)
-            return left + right
+        g = _split_gcd(F, _random_poly(F, n, rng), f, d)
+        if 0 < len(g) - 1 < n:
+            left = _equal_degree_split(F, g, d, rng)
+            return left + _equal_degree_split(F, _pdivmod(F, f, g)[0], d, rng)
 
 
-def _one_root(f: FFPoly, rng: random.Random) -> int:
-    """A root of the monic f, a product of distinct linear factors over its
-    field: equal-degree splitting that keeps the smaller part of every
-    split until it is linear."""
-    while f.degree() > 1:
-        n = f.degree()
-        g = _split_gcd(_random_poly(f, rng), f, 1)
-        if 0 < g.degree() < n:
-            h = f.exact_div(g)
-            f = g if g.degree() <= h.degree() else h
-    return f.field._neg(f.ints[0])
+def _one_root(F: FiniteField, f: list[int], rng: random.Random) -> int:
+    """A root of the monic f, a product of distinct linear factors over F:
+    equal-degree splitting that keeps the smaller part of every split until
+    it is linear."""
+    while len(f) > 2:
+        n = len(f) - 1
+        g = _split_gcd(F, _random_poly(F, n, rng), f, 1)
+        if 0 < len(g) - 1 < n:
+            h = _pdivmod(F, f, g)[0]
+            f = g if len(g) <= len(h) else h
+    return F._neg(f[0])
 
 
 def poly_factor(f: FFPoly, seed: int | None = None) -> list[tuple[FFPoly, int]]:
@@ -1266,14 +1266,15 @@ def poly_factor(f: FFPoly, seed: int | None = None) -> list[tuple[FFPoly, int]]:
         return []
     if f.degree() == 1:
         return [(f.monic(), 1)]
+    F = f.field
     rng = random.Random(FACTOR_SEED if seed is None else seed)
     out = []
-    for mult, g in _squarefree_decomposition(f):
-        for prod, d in _ddf(g.field, g.ints):
-            for irr in _equal_degree_split(FFPoly._of(g.field, prod), d, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda fm: fm[0].sort_key())
-    return out
+    for mult, g in _squarefree_decomposition(F, _pmonic(F, f.ints)):
+        for prod, d in _ddf(F, g):
+            for irr in _equal_degree_split(F, prod, d, rng):
+                out.append((len(irr), irr, mult))
+    out.sort()
+    return [(FFPoly._of(F, irr), mult) for _, irr, mult in out]
 
 
 def roots_in_field(f: FFPoly, target: FiniteField | None = None) -> list[FFElem]:
@@ -1297,7 +1298,7 @@ def roots_in_field(f: FFPoly, target: FiniteField | None = None) -> list[FFElem]
         m = g.degree()
         if target.k % (src.k * m) != 0:
             continue
-        r = _one_root(g.map_field(target), rng)
+        r = _one_root(target, _embed_ints(src, target, g.ints), rng)
         for _ in range(m):
             roots.append(r)
             r = target._pow(r, Q0)
@@ -1407,11 +1408,32 @@ class Adjoin:
 # -- bivariate layer -----------------------------------------------------------
 
 
+class CurveFacts:
+    """Facts about a defining equation F that several callers derive from F
+    alone, kept on F (`BivarPoly.facts`) so that each is computed once and
+    freed with F.  Every slot is None until its first reader fills it; the
+    readers are in omfactor.places.
+
+    dy          F.derivative_y()
+    point       the first xi of F's field at which F(xi, y) keeps degree
+                deg_y F and is squarefree, or False when there is none
+    squarefree  is F separable and squarefree in y over GF(q)(x)?
+    monic       the monic y-model F / lc_y(F), an omfactor YPoly
+    swapped     F.swap_xy(), which keeps a record of its own
+    """
+
+    __slots__ = ("dy", "point", "squarefree", "monic", "swapped")
+
+    def __init__(self):
+        self.dy = self.point = self.squarefree = self.monic = self.swapped = None
+
+
 class BivarPoly:
     """F(x, y) over GF(q), stored as a tuple of x-polynomials indexed by the
-    power of y."""
+    power of y.  `_facts` holds its CurveFacts once asked for; it takes no
+    part in equality or hashing."""
 
-    __slots__ = ("field", "ycoeffs")
+    __slots__ = ("field", "ycoeffs", "_facts")
 
     def __init__(self, field: FiniteField, ycoeffs):
         cs = list(ycoeffs)
@@ -1424,6 +1446,7 @@ class BivarPoly:
             cs.pop()
         self.field = field
         self.ycoeffs = tuple(cs)
+        self._facts = None
 
     @classmethod
     def from_coeff_dict(cls, field: FiniteField, d: dict) -> "BivarPoly":
@@ -1439,6 +1462,13 @@ class BivarPoly:
             n = max(col) + 1 if col else 0
             ycoeffs.append(FFPoly(field, [col.get(i, 0) for i in range(n)]))
         return cls(field, ycoeffs)
+
+    @property
+    def facts(self) -> CurveFacts:
+        """The per-curve record, made at first use."""
+        if self._facts is None:
+            self._facts = CurveFacts()
+        return self._facts
 
     def deg_y(self) -> int:
         return len(self.ycoeffs) - 1

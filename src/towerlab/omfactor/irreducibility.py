@@ -4,13 +4,22 @@ Route: trivial degree and y-divisibility checks, then Frobenius stripping
 for inseparable inputs, then a scan for a generalized-Eisenstein place
 (cheap certificate), then a squarefree check (a point xi of GF(q) where
 F(xi, y) keeps its degree and is squarefree certifies it; the Euclidean
-algorithm over K(x) runs only without one), and finally a complete
-factor-reconstruction test: pick a squarefree specialization x = xi
-(extending the constant field when every candidate xi is degenerate),
-factor F(xi, y), Hensel-lift the factorization (xi+t)-adically, and try to
-reconstruct a true factor from every subset of the lifted factors with
-exact trial division.  No subset reconstructs a factor iff F is
-irreducible.
+algorithm over K(x) runs only without one), then Musser's degree analysis
+(another cheap certificate), and finally a complete factor-reconstruction
+test: factor F(xi, y) at a squarefree specialization x = xi, Hensel-lift
+the factorization (xi+t)-adically, and try to reconstruct a true factor
+from every subset of the lifted factors with exact trial division.  No
+subset reconstructs a factor iff F is irreducible.
+
+Degree analysis (Musser, "On the efficiency of a polynomial irreducibility
+test", JACM 1978): a factor of F of y-degree k over K(x) specializes to a
+factor of degree k of F(xi, y) at every good point xi, so k is a sum of
+the degrees of some irreducible factors of F(xi, y).  The test walks the
+points of GF(q) in order (at most q of them), factors F(xi, y) at each
+good one and intersects those subset sums; once no 0 < k < m is left, F is
+irreducible.  Otherwise the reconstruction starts from the good point with
+the fewest factors, and only when GF(q) has no good point does it look for
+one in extensions of the constant field.
 
 The test does not always decide.  `_reconstruct_subsets` raises
 TowerlabError when F(xi, y) has more than 16 modular factors (the subset
@@ -37,7 +46,14 @@ from ..ffield import (
     poly_factor,
 )
 from ..ratfunc import RatFunc, RatPlace
-from .places import eisenstein_monic, squarefree_in_y, squarefree_point
+from .places import (
+    curve_dy,
+    curve_monic,
+    curve_point,
+    curve_squarefree,
+    eisenstein_at,
+    squarefree_point,
+)
 from .ypoly import YPoly
 
 
@@ -146,37 +162,68 @@ def _hensel_tree(F: BivarPoly, factors: list[FFPoly], N: int) -> list[BivarPoly]
     return _hensel_tree(G, A, N) + _hensel_tree(H, B, N)
 
 
-def _find_specialization(F: BivarPoly):
-    """(K, xi) with lc(xi) != 0 and F(xi, y) squarefree over K."""
+def _find_specialization(F: BivarPoly, first: int = 1) -> FFElem:
+    """xi with lc(xi) != 0 and F(xi, y) squarefree, in the smallest of
+    GF(q^s), s = first, ..., 6, that has one."""
     base = F.field
-    for s in range(1, 7):
+    for s in range(first, 7):
         K = base if s == 1 else make_field(base.p, base.k * s)
         xi = squarefree_point(F, K)
         if xi is not None:
-            return K, xi
+            return xi
     raise TowerlabError("no squarefree specialization found")
+
+
+def _degree_analysis(F: BivarPoly, xi0: FFElem):
+    """Musser's degree analysis over the good points of GF(q), walked in
+    order from the first one, xi0.  None when the factor degrees there leave
+    no proper factor degree, so F is irreducible; otherwise (xi, factors of
+    F(xi, y)) at the good point with the fewest factors."""
+    K, m = F.field, F.deg_y()
+    left = set(range(1, m))
+    best = None
+    for v in range(xi0.v, K.order):
+        xi = FFElem(K, v)
+        fy = F.eval_x(xi)
+        if fy.degree() != m:
+            continue
+        fac = poly_factor(fy)
+        if any(mult != 1 for _, mult in fac):
+            continue
+        sums = {0}
+        for g, _ in fac:
+            sums |= {k + g.degree() for k in sums}
+        left &= sums
+        if not left:
+            return None
+        if best is None or len(fac) < len(best[1]):
+            best = (xi, [g for g, _ in fac])
+    return best
 
 
 def _subfield_map(K: FiniteField, base: FiniteField) -> dict:
     return {embed(b, K): b for b in base.elements()}
 
 
-def _reconstruct_subsets(F: BivarPoly) -> bool:
+def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, factors=None) -> bool:
     """True iff F (separable, y-free content, deg_y >= 2) is irreducible,
-    by Hensel factor reconstruction."""
+    by Hensel factor reconstruction from the specialization x = xi, whose
+    irreducible factors are `factors`; both are found here when not given."""
     base = F.field
     m = F.deg_y()
     lc = F.ycoeff(m)
     B = F.deg_x() + lc.degree()
     N = B + 2
-    K, xi = _find_specialization(F)
-    fy = F.eval_x(xi)
-    fac = poly_factor(fy)
-    if len(fac) == 1 and fac[0][1] == 1:
+    if xi is None:
+        xi = _find_specialization(F)
+    if factors is None:
+        fac = poly_factor(F.eval_x(xi))
+        if any(mult != 1 for _, mult in fac):
+            raise TowerlabError("specialization was not squarefree")
+        factors = [g for g, _ in fac]
+    if len(factors) == 1:
         return True
-    if any(mult != 1 for _, mult in fac):
-        raise TowerlabError("specialization was not squarefree")
-    factors = [g for g, _ in fac]
+    K = xi.field
     if len(factors) > 16:
         raise TowerlabError("too many modular factors to reconstruct")
     # monic series model: Fmon = F(xi+t, y) / lc(xi+t)
@@ -189,7 +236,7 @@ def _reconstruct_subsets(F: BivarPoly) -> bool:
     Fmon = BivarPoly(K, cs)
     lifted = _hensel_tree(Fmon, factors, N)
     back = _subfield_map(K, base)
-    Fy = YPoly.from_bivar(F)
+    Fy = curve_monic(F)
     idx = range(len(factors))
     for r in range(1, len(factors) // 2 + 1):
         for S in itertools.combinations(idx, r):
@@ -237,8 +284,9 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
     """Is F irreducible as a polynomial in y over the field GF(q)(x)?
 
     Content in GF(q)[x] is a unit for this question and is ignored.  The
-    test is complete: Eisenstein places give a fast certificate when one
-    exists, and Hensel factor reconstruction settles every other case.
+    test is complete: Eisenstein places and degree analysis give fast
+    certificates, and Hensel factor reconstruction settles every other
+    case.
     """
     m = F.deg_y()
     if m <= 0:
@@ -247,21 +295,23 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
         return True
     if F.ycoeff(0).is_zero():
         return False
-    if F.derivative_y().is_zero():
+    if curve_dy(F).is_zero():
         G, k = _strip_frobenius(F)
         if not is_irreducible_over_ratfield(G):
             return False
         # G(y^{p^k}) irreducible iff not all coefficients of the monic
         # normalization are p-th powers
-        Gy = YPoly.from_bivar(G).monic()
-        return not all(_rat_pth_power(c) for c in Gy.coeffs)
-    G = YPoly.from_bivar(F).monic()
+        return not all(_rat_pth_power(c) for c in curve_monic(G).coeffs)
     for P in [RatPlace.infinity(F.field)] + [
         RatPlace.finite(FFPoly(F.field, [a, F.field.one()]), certified=True)
         for a in F.field.elements()
     ]:
-        if eisenstein_monic(G, P):
+        if eisenstein_at(F, P):
             return True
-    if not squarefree_in_y(F):
+    if not curve_squarefree(F):
         return False
-    return _reconstruct_subsets(F)
+    xi = curve_point(F)
+    if xi is None:
+        return _reconstruct_subsets(F, _find_specialization(F, first=2))
+    best = _degree_analysis(F, xi)
+    return best is None or _reconstruct_subsets(F, *best)

@@ -10,6 +10,14 @@ enough that H(z) = pi^{mM} * (F/lc)(x, z/pi^M) has P-integral coefficients.
 This neither moves the places nor changes e, f, or the different exponent
 (K(x)(z) is the same field), it only shifts valuations of y-expressions:
 nu(y) = nu(z) - M*e.
+
+The facts about F that do not depend on P are derived once per curve and
+kept on F in its `ffield.CurveFacts` record: the y-derivative, the first
+point of GF(q) that certifies F squarefree, the squarefree verdict, the
+monic y-model and the swapped curve for side='y'.  The curve_* readers
+below fill it at first use, so the irreducibility test, the ramification
+locus and every places_above call on the same F share one computation of
+each; the record takes no part in F's equality and is freed with F.
 """
 
 from __future__ import annotations
@@ -105,8 +113,7 @@ class PlaceExt(Record):
 
 def monic_integral_model(F: BivarPoly, P: RatPlace):
     """(H, M, pi): H monic in z with P-integral coefficients, z = y*pi^M."""
-    Fy = YPoly.from_bivar(F)
-    G = Fy.monic()
+    G = curve_monic(F)
     m = G.degree()
     pi = P.uniformizer()
     M = 0
@@ -140,18 +147,18 @@ def places_above(
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
     if side == "y":
-        F = F.swap_xy()
+        F = curve_swapped(F)
     if F.deg_y() < 1:
         raise ValueError("defining polynomial has degree 0 in the extension variable")
     if P.field != F.field:
         raise ValueError("place and polynomial over different constant fields")
-    if F.derivative_y().is_zero():
+    if curve_dy(F).is_zero():
         raise Inseparable("defining polynomial is inseparable (derivative vanishes)")
-    if not squarefree_in_y(F):
+    if not curve_squarefree(F):
         raise Inseparable("defining polynomial is not squarefree in y")
     H, M, pi = monic_integral_model(F, P)
     p = F.field.p
-    Hd = H.derivative()
+    Hd = None  # H'(z), built for the first wild place
     out = []
     for V, levels in decompose(P, H, max_depth=max_depth):
         handle = _Handle(P, side, H, M, pi, V)
@@ -162,6 +169,8 @@ def places_above(
             d_exact = e - 1
         else:
             dmin = e
+            if Hd is None:
+                Hd = H.derivative()
             dmax = handle.val_ypoly(Hd)
             if dmax == INF:
                 raise TowerlabError("derivative vanishes at a place of a separable polynomial")
@@ -206,13 +215,57 @@ def squarefree_point(F: BivarPoly, K: FiniteField):
     return None
 
 
+# -- the per-curve record: each reader computes its fact once per F ---------
+
+
+def curve_dy(F: BivarPoly) -> BivarPoly:
+    """F.derivative_y()."""
+    facts = F.facts
+    if facts.dy is None:
+        facts.dy = F.derivative_y()
+    return facts.dy
+
+
+def curve_swapped(F: BivarPoly) -> BivarPoly:
+    """F.swap_xy(): F read as a polynomial in x over K(y)."""
+    facts = F.facts
+    if facts.swapped is None:
+        facts.swapped = F.swap_xy()
+    return facts.swapped
+
+
+def curve_point(F: BivarPoly):
+    """squarefree_point(F, F.field)."""
+    facts = F.facts
+    if facts.point is None:
+        xi = squarefree_point(F, F.field)
+        facts.point = False if xi is None else xi
+    return None if facts.point is False else facts.point
+
+
+def curve_squarefree(F: BivarPoly) -> bool:
+    """squarefree_in_y(F)."""
+    facts = F.facts
+    if facts.squarefree is None:
+        facts.squarefree = squarefree_in_y(F)
+    return facts.squarefree
+
+
+def curve_monic(F: BivarPoly) -> YPoly:
+    """The monic y-model F / lc_y(F) over K(x)."""
+    facts = F.facts
+    if facts.monic is None:
+        facts.monic = YPoly.from_bivar(F).monic()
+    return facts.monic
+
+
 def squarefree_in_y(F: BivarPoly) -> bool:
     """Is F squarefree as a polynomial in y over K(x)?  A point of K from
     squarefree_point certifies it at once; only without one does the
     Euclidean algorithm over K(x) run."""
-    if squarefree_point(F, F.field) is not None:
+    if curve_point(F) is not None:
         return True
-    G = YPoly.from_bivar(F)
+    G = curve_monic(F)
     return G.gcd(G.derivative()).degree() == 0
 
 
@@ -222,13 +275,8 @@ def eisenstein_at(F: BivarPoly, P: RatPlace, side: str = "x") -> bool:
     denominator m in lowest terms.  True certifies F irreducible over K(x)
     with P totally ramified."""
     if side == "y":
-        F = F.swap_xy()
-    return eisenstein_monic(YPoly.from_bivar(F).monic(), P)
-
-
-def eisenstein_monic(G: YPoly, P: RatPlace) -> bool:
-    """eisenstein_at on the monic y-model G = F/lc_y(F), built once by a
-    caller that tests many places."""
+        F = curve_swapped(F)
+    G = curve_monic(F)
     m = G.degree()
     if m < 1:
         return False

@@ -1,0 +1,92 @@
+"""Property tests for the irreducibility test over GF(q)(x), and for its
+degree-analysis certificate in particular.
+
+sympy cannot serve as the oracle here: its factorization raises
+NotImplementedError for multivariate polynomials over finite fields.  The
+reference is the Hensel reconstruction alone (`_reconstruct_subsets`
+called directly), which is complete on separable squarefree inputs.
+Reducible inputs are built as products G*H, some with a factor G that
+looks like two linear factors at every point of GF(q), so that degree
+analysis can never rule the split out and the reconstruction must find it.
+"""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from towerlab.errors import TowerlabError
+from towerlab.ffield import BivarPoly, make_field
+from towerlab.omfactor import is_irreducible_over_ratfield
+from towerlab.omfactor.irreducibility import _degree_analysis, _reconstruct_subsets
+from towerlab.omfactor.places import curve_point, squarefree_in_y
+
+FIELDS = {"GF(2)": (2, 1), "GF(3)": (3, 1), "GF(4)": (2, 2), "GF(5)": (5, 1), "GF(9)": (3, 2)}
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _bivar(K, max_dy, max_dx, min_dy=1):
+    """A random F with deg_y F in [min_dy, max_dy], deg_x at most max_dx."""
+
+    def build(dy):
+        col = st.lists(st.integers(0, K.order - 1), min_size=max_dx + 1, max_size=max_dx + 1)
+        lc = col.filter(any)
+        return st.tuples(st.lists(col, min_size=dy, max_size=dy), lc).map(
+            lambda cols: BivarPoly(K, cols[0] + [cols[1]])
+        )
+
+    return st.integers(min_dy, max_dy).flatmap(build)
+
+
+def _case(draw_more):
+    return st.sampled_from(sorted(FIELDS)).flatmap(
+        lambda name: draw_more(make_field(*FIELDS[name]))
+    )
+
+
+def _hidden_quadratic(K):
+    """G irreducible over K(x) with G(a, y) = (y - 1)(y + 1), or y(y + 1) in
+    characteristic 2, at every a in K: the constant term vanishes on K."""
+    q = K.order
+    vanish = {(q, 0): 1, (1, 0): K.p - 1}  # x^q - x
+    if K.p == 2:
+        # y^2 + y + x(x^q + x): Artin-Schreier with odd pole order q + 1
+        d = {(0, 2): 1, (0, 1): 1, (q + 1, 0): 1, (2, 0): 1}
+    else:
+        # y^2 - 1 - (x^q - x), whose constant term is squarefree of odd degree
+        d = {(0, 2): 1, (0, 0): K.p - 1}
+        for k, v in vanish.items():
+            d[k] = (d.get(k, 0) - v) % K.p
+    return BivarPoly.from_coeff_dict(K, {k: K.elem(v) for k, v in d.items() if v})
+
+
+@SETTINGS
+@given(_case(lambda K: _bivar(K, 4, 2, min_dy=2)))
+def test_agrees_with_hensel_reconstruction(F):
+    assume(not F.ycoeff(0).is_zero() and not F.derivative_y().is_zero())
+    assume(squarefree_in_y(F))
+    try:
+        want = _reconstruct_subsets(F)
+    except TowerlabError:
+        assume(False)
+    assert is_irreducible_over_ratfield(F) == want
+    xi = curve_point(F)
+    if xi is not None and _degree_analysis(F, xi) is None:
+        assert want  # the certificate is only ever given to irreducible F
+
+
+@SETTINGS
+@given(_case(lambda K: st.tuples(_bivar(K, 2, 2), _bivar(K, 3, 2))))
+def test_products_are_reducible(GH):
+    G, H = GH
+    assert not is_irreducible_over_ratfield(G * H)
+
+
+@SETTINGS
+@given(_case(lambda K: st.tuples(st.just(_hidden_quadratic(K)), _bivar(K, 2, 2))))
+def test_products_hidden_at_every_point_are_reducible(GH):
+    G, H = GH
+    assert is_irreducible_over_ratfield(G)
+    F = G * H
+    xi = curve_point(F)
+    if xi is not None:
+        assert _degree_analysis(F, xi) is not None
+    assert not is_irreducible_over_ratfield(F)
