@@ -10,9 +10,14 @@ contribute a [dmin, dmax] window, so the result may be an interval.
 The zeta route never looks at differents: it counts places of each degree
 by residual factorization (Kummer-Dedekind at unramified places, the full
 engine on the locus), turns counts into point counts over constant-field
-extensions, fits an L-polynomial through Newton's identities, and reads the
-genus off its degree.  reconcile_different plays the two routes against
+extensions, computes the L-polynomial's coefficients in one pass of
+Newton's identities, and reads the genus off the least degree that fits.  reconcile_different plays the two routes against
 each other to pin a single missing wild exponent.
+
+Both routes need the full constant field to be GF(q).  The Riemann-Hurwitz
+route certifies it by a gcd of absolute residue degrees: those of the
+locus places, then those that places_above finds, all with e = 1, above
+the places of degree 1 and 2 outside the locus.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .ffield import (
     poly_gcd,
     resultant_y,
 )
-from .omfactor import Inseparable, monic_integral_model, places_above
+from .omfactor import Inseparable, places_above
 from .omfactor.places import curve_dy
 from .ratfunc import RatPlace, finite_places_of_degree
 from .record import Record
@@ -142,19 +147,12 @@ def _constant_field_is_base(rt: RamTable) -> bool:
 
 
 def _unramified_fprofile(F: BivarPoly, P: RatPlace) -> list[int]:
-    """Residue degrees above an unramified place, by residual factorization
-    of the monic integral model (Kummer-Dedekind)."""
-    H, _M, _pi = monic_integral_model(F, P)
-    kP = P.residue_field()
-    hbar = FFPoly(kP, [P.residue(c) for c in (H.coeff(j) for j in range(H.degree() + 1))])
-    if hbar.degree() != H.degree():
-        raise TowerlabError("leading coefficient dropped at an unramified place")
-    out = []
-    for g, mult in poly_factor(hbar):
-        if mult != 1:
-            raise TowerlabError("repeated residual factor at a supposedly unramified place")
-        out.append(g.degree())
-    return out
+    """Residue degrees of the places above a place outside the
+    ramification locus, each of which has e = 1."""
+    pls = places_above(F, P)
+    if any(pl.e != 1 for pl in pls):
+        raise TowerlabError("ramified place outside the ramification locus")
+    return [pl.f for pl in pls]
 
 
 def genus_basic(F: BivarPoly, max_depth: int = 8) -> GenusResult:
@@ -273,34 +271,20 @@ def zeta_genus(F: BivarPoly, g_cap: int, max_depth: int = 8) -> int:
             f"by {degree_gcd}); zeta genus needs absolute irreducibility"
         )
     a = {k: q**k + 1 - S[k] for k in range(1, kmax + 1)}
+    # Newton's identities, j*c_j = -sum_{i<=j} a_i c_{j-i}, give the
+    # coefficients c_j of the L-polynomial's series from the counts alone.
+    # Genus g fits when c_1..c_2g are integral, the functional equation
+    # c_{2g-j} = q^{g-j} c_j holds, and c_j = 0 for 2g < j <= kmax (by
+    # induction on j that is a_j matching the degree-2g L-polynomial).
+    c = [Fraction(1)]
+    for j in range(1, kmax + 1):
+        c.append(-sum(a[i] * c[j - i] for i in range(1, j + 1)) / j)
     for g in range(0, g_cap + 1):
-        # Newton's identities: j*c_j = -sum_{i<=j} a_i c_{j-i}
-        c = [Fraction(1)]
-        ok = True
-        for j in range(1, 2 * g + 1):
-            s = Fraction(0)
-            for i in range(1, j + 1):
-                s += a[i] * c[j - i]
-            cj = -s / j
-            if cj.denominator != 1:
-                ok = False
-                break
-            c.append(cj)
-        if not ok:
-            continue
-        # functional equation c_{2g-j} = q^{g-j} c_j
-        if any(c[2 * g - j] != q ** (g - j) * c[j] for j in range(0, g + 1)):
-            continue
-        # predicted power sums for the remaining k must match the counts
-        def predicted(k):
-            # a_k = -sum_{i=1..min(k,2g)} c_i a_{k-i} - k*c_k (a_0 := 2g)
-            s = Fraction(0)
-            for i in range(1, min(k, 2 * g) + 1):
-                prev = a[k - i] if k - i >= 1 else 2 * g
-                s += c[i] * prev
-            return -s - (k * c[k] if k <= 2 * g else 0)
-
-        if all(predicted(k) == a[k] for k in range(2 * g + 1, kmax + 1)):
+        if (
+            all(cj.denominator == 1 for cj in c[1 : 2 * g + 1])
+            and all(c[2 * g - j] == q ** (g - j) * c[j] for j in range(0, g + 1))
+            and not any(c[2 * g + 1 :])
+        ):
             return g
     raise CapTooSmall(
         f"no L-polynomial of genus <= {g_cap} fits the place counts"

@@ -199,7 +199,7 @@ def verify_family_facts(params: FamilyParams) -> FamilyReport:
     P_xa = RatPlace.finite(x_minus_a)
     checks = []
 
-    ok = eisenstein_at(F, P_inf, side="x")
+    ok = eisenstein_at(F, P_inf)
     checks.append(
         FamilyCheck(
             "a",
@@ -360,7 +360,7 @@ def check_theorem(F: BivarPoly, f: FFPoly, max_depth: int = 8) -> TheoremVerdict
     if math.gcd(m, p) != 1:
         failed.append(f"(1) ramification over P_f(y) cannot be tame: p = {p} divides m = {m}")
 
-    P_f = RatPlace.finite(f)
+    P_f = RatPlace.finite(f, certified=True)
     f_of_x = BivarPoly(K, [f])
     f_of_y = f_of_x.swap_xy()
 

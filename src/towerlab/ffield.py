@@ -59,8 +59,8 @@ from functools import cached_property
 
 from .errors import TowerlabError
 
-#: Default seed for the equal-degree splitting RNG.  Callers may override it
-#: per call; the CLI maps the TOWERLAB_SEED environment variable onto it.
+#: Seed for the equal-degree splitting RNG; the CLI maps the TOWERLAB_SEED
+#: environment variable onto it.
 FACTOR_SEED = 0x7F4A91
 
 #: Largest extension-field order that gets log/antilog (Zech) tables.  A field
@@ -626,14 +626,7 @@ def _embed_ints(src: FiniteField, target: FiniteField, cs: list[int]) -> list[in
         if not rts:
             raise NoEmbedding(f"modulus of {src!r} has no root in {target!r}")
         root = target._embed_roots[key] = rts[0].v
-    mul, add = target._mul, target._add
-    out = []
-    for c in cs:
-        acc = 0
-        for d in reversed(src._digits(c)):
-            acc = add(mul(acc, root), d)
-        out.append(acc)
-    return out
+    return [_peval(target, src._digits(c), root) for c in cs]
 
 
 def embed(e: FFElem, target: FiniteField) -> FFElem:
@@ -1062,12 +1055,6 @@ class FFPoly:
             raise ValueError("division was not exact")
         return q
 
-    def shift(self, n: int) -> "FFPoly":
-        """Multiply by x^n."""
-        if self.is_zero():
-            return self
-        return FFPoly._of(self.field, [0] * n + self.ints)
-
     def derivative(self) -> "FFPoly":
         return FFPoly._of(self.field, _pderiv(self.field, self.ints))
 
@@ -1253,13 +1240,13 @@ def _one_root(F: FiniteField, f: list[int], rng: random.Random) -> int:
     return F._neg(f[0])
 
 
-def poly_factor(f: FFPoly, seed: int | None = None) -> list[tuple[FFPoly, int]]:
+def poly_factor(f: FFPoly) -> list[tuple[FFPoly, int]]:
     """Monic irreducible factors of f with multiplicities, deterministically
     sorted by (degree, coefficient encoding).  The leading coefficient is
     dropped: f = lc(f) * prod factor^mult.
 
-    seed defaults to the module-level FACTOR_SEED, resolved at call time so
-    the CLI can override it process-wide (TOWERLAB_SEED)."""
+    The splitting RNG is seeded with the module-level FACTOR_SEED, read at
+    call time so the CLI can override it process-wide (TOWERLAB_SEED)."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree() == 0:
@@ -1267,7 +1254,7 @@ def poly_factor(f: FFPoly, seed: int | None = None) -> list[tuple[FFPoly, int]]:
     if f.degree() == 1:
         return [(f.monic(), 1)]
     F = f.field
-    rng = random.Random(FACTOR_SEED if seed is None else seed)
+    rng = random.Random(FACTOR_SEED)
     out = []
     for mult, g in _squarefree_decomposition(F, _pmonic(F, f.ints)):
         for prod, d in _ddf(F, g):
@@ -1415,8 +1402,8 @@ class CurveFacts:
     readers are in omfactor.places.
 
     dy          F.derivative_y()
-    point       the first xi of F's field at which F(xi, y) keeps degree
-                deg_y F and is squarefree, or False when there is none
+    point       the first good point of F's field (omfactor.places.good_points:
+                F(xi, y) keeps degree deg_y F and is squarefree), or False
     squarefree  is F separable and squarefree in y over GF(q)(x)?
     monic       the monic y-model F / lc_y(F), an omfactor YPoly
     swapped     F.swap_xy(), which keeps a record of its own
@@ -1486,13 +1473,6 @@ class BivarPoly:
 
     def coeff(self, i: int, j: int) -> FFElem:
         return self.ycoeff(j).coeff(i)
-
-    def lc_y(self) -> FFPoly:
-        """Leading coefficient as a polynomial in y: the x-polynomial on the
-        top power of y."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        return self.ycoeffs[-1]
 
     def __add__(self, other):
         other = self._coerce(other)

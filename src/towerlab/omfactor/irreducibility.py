@@ -2,32 +2,33 @@
 
 Route: trivial degree and y-divisibility checks, then Frobenius stripping
 for inseparable inputs, then a scan for a generalized-Eisenstein place
-(cheap certificate), then a squarefree check (a point xi of GF(q) where
-F(xi, y) keeps its degree and is squarefree certifies it; the Euclidean
-algorithm over K(x) runs only without one), then Musser's degree analysis
-(another cheap certificate), and finally a complete factor-reconstruction
-test: factor F(xi, y) at a squarefree specialization x = xi, Hensel-lift
-the factorization (xi+t)-adically, and try to reconstruct a true factor
-from every subset of the lifted factors with exact trial division.  No
-subset reconstructs a factor iff F is irreducible.
+(cheap certificate), then a squarefree check (a good point xi of GF(q),
+where F(xi, y) keeps its degree and is squarefree, certifies it; the
+Euclidean algorithm over K(x) runs only without one), then Musser's degree
+analysis (another cheap certificate), and finally a complete
+factor-reconstruction test: factor F(xi, y) at a good point x = xi,
+Hensel-lift the factorization (xi+t)-adically, and try to reconstruct a
+true factor from every subset of the lifted factors with exact trial
+division.  No subset reconstructs a factor iff F is irreducible.  Every
+fibre F(xi, y) comes from `places.good_points`, so no step here evaluates
+a fibre or checks that it is squarefree.
 
 Degree analysis (Musser, "On the efficiency of a polynomial irreducibility
 test", JACM 1978): a factor of F of y-degree k over K(x) specializes to a
 factor of degree k of F(xi, y) at every good point xi, so k is a sum of
 the degrees of some irreducible factors of F(xi, y).  The test walks the
-points of GF(q) in order (at most q of them), factors F(xi, y) at each
-good one and intersects those subset sums; once no 0 < k < m is left, F is
-irreducible.  Otherwise the reconstruction starts from the good point with
-the fewest factors, and only when GF(q) has no good point does it look for
-one in extensions of the constant field.
+good points of GF(q) in order (at most q of them), factors each fibre and
+intersects those subset sums; once no 0 < k < m is left, F is irreducible.
+Otherwise the reconstruction starts from the good point with the fewest
+factors.  When GF(q) has no good point, the first good point of the
+smallest extension of the constant field that has one stands in for them.
 
 The test does not always decide.  `_reconstruct_subsets` raises
 TowerlabError when F(xi, y) has more than 16 modular factors (the subset
-search would be exponential) and when the specialization it factors turns
-out not to be squarefree; `_find_specialization` raises it when no
-squarefree specialization exists in the extensions it tries.  The CLI
-treats such a raise as undecided: it does not refuse F, and leaves it to
-the engine, whose exact genus check still catches a reducible F.
+search would be exponential), and `_find_specialization` raises it when no
+good point exists in the extensions it tries.  The CLI treats such a raise
+as undecided: it does not refuse F, and leaves it to the engine, whose
+exact genus check still catches a reducible F.
 """
 
 from __future__ import annotations
@@ -40,19 +41,19 @@ from ..ffield import (
     FFPoly,
     FiniteField,
     BivarPoly,
+    _embed_ints,
     _pxgcd,
-    embed,
     make_field,
     poly_factor,
 )
-from ..ratfunc import RatFunc, RatPlace
+from ..ratfunc import RatFunc, RatPlace, finite_places_of_degree
 from .places import (
     curve_dy,
     curve_monic,
     curve_point,
     curve_squarefree,
     eisenstein_at,
-    squarefree_point,
+    good_points,
 )
 from .ypoly import YPoly
 
@@ -62,23 +63,6 @@ def _rat_pth_power(r: RatFunc) -> bool:
     polynomial is a p-th power iff its derivative vanishes, and num/den is
     in lowest terms."""
     return r.num.derivative().is_zero() and r.den.derivative().is_zero()
-
-
-def _strip_frobenius(F: BivarPoly) -> tuple[BivarPoly, int]:
-    """(G, k) with F(x, y) = G(x, y^{p^k}) and G separable in y."""
-    p = F.field.p
-    k = 0
-    while F.derivative_y().is_zero() and F.deg_y() > 0:
-        ycoeffs = {}
-        for j in range(0, F.deg_y() + 1, p):
-            c = F.ycoeff(j)
-            if not c.is_zero():
-                ycoeffs[j // p] = c
-        F = BivarPoly.from_coeff_dict(
-            F.field, {(i, j): c.coeff(i) for j, c in ycoeffs.items() for i in range(c.degree() + 1)}
-        )
-        k += 1
-    return F, k
 
 
 def _taylor_shift(c: FFPoly, target: FiniteField, a: FFElem) -> FFPoly:
@@ -162,65 +146,50 @@ def _hensel_tree(F: BivarPoly, factors: list[FFPoly], N: int) -> list[BivarPoly]
     return _hensel_tree(G, A, N) + _hensel_tree(H, B, N)
 
 
-def _find_specialization(F: BivarPoly, first: int = 1) -> FFElem:
-    """xi with lc(xi) != 0 and F(xi, y) squarefree, in the smallest of
-    GF(q^s), s = first, ..., 6, that has one."""
+def _find_specialization(F: BivarPoly, first: int = 1) -> tuple[FFElem, FFPoly]:
+    """The first good point (xi, F(xi, y)) of the smallest of GF(q^s),
+    s = first, ..., 6, that has one."""
     base = F.field
     for s in range(first, 7):
         K = base if s == 1 else make_field(base.p, base.k * s)
-        xi = squarefree_point(F, K)
-        if xi is not None:
-            return xi
+        for point in good_points(F, K):
+            return point
     raise TowerlabError("no squarefree specialization found")
 
 
-def _degree_analysis(F: BivarPoly, xi0: FFElem):
-    """Musser's degree analysis over the good points of GF(q), walked in
-    order from the first one, xi0.  None when the factor degrees there leave
-    no proper factor degree, so F is irreducible; otherwise (xi, factors of
-    F(xi, y)) at the good point with the fewest factors."""
-    K, m = F.field, F.deg_y()
-    left = set(range(1, m))
+def _degree_analysis(F: BivarPoly, points):
+    """Musser's degree analysis over good points (xi, F(xi, y)).  None when
+    the factor degrees there leave no proper factor degree, so F is
+    irreducible; otherwise (xi, irreducible factors of F(xi, y)) at the
+    point with the fewest factors."""
+    left = set(range(1, F.deg_y()))
     best = None
-    for v in range(xi0.v, K.order):
-        xi = FFElem(K, v)
-        fy = F.eval_x(xi)
-        if fy.degree() != m:
-            continue
-        fac = poly_factor(fy)
-        if any(mult != 1 for _, mult in fac):
-            continue
+    for xi, fy in points:
+        factors = [g for g, _ in poly_factor(fy)]
         sums = {0}
-        for g, _ in fac:
+        for g in factors:
             sums |= {k + g.degree() for k in sums}
         left &= sums
         if not left:
             return None
-        if best is None or len(fac) < len(best[1]):
-            best = (xi, [g for g, _ in fac])
+        if best is None or len(factors) < len(best[1]):
+            best = (xi, factors)
     return best
-
-
-def _subfield_map(K: FiniteField, base: FiniteField) -> dict:
-    return {embed(b, K): b for b in base.elements()}
 
 
 def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, factors=None) -> bool:
     """True iff F (separable, y-free content, deg_y >= 2) is irreducible,
-    by Hensel factor reconstruction from the specialization x = xi, whose
-    irreducible factors are `factors`; both are found here when not given."""
+    by Hensel factor reconstruction from the good point x = xi, whose
+    fibre's irreducible factors are `factors`; both are found here when
+    not given."""
     base = F.field
     m = F.deg_y()
     lc = F.ycoeff(m)
     B = F.deg_x() + lc.degree()
     N = B + 2
     if xi is None:
-        xi = _find_specialization(F)
-    if factors is None:
-        fac = poly_factor(F.eval_x(xi))
-        if any(mult != 1 for _, mult in fac):
-            raise TowerlabError("specialization was not squarefree")
-        factors = [g for g, _ in fac]
+        xi, fy = _find_specialization(F)
+        factors = [g for g, _ in poly_factor(fy)]
     if len(factors) == 1:
         return True
     K = xi.field
@@ -235,7 +204,8 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, factors=None) -
         cs.append(_trunc(cj * lct_inv, N))
     Fmon = BivarPoly(K, cs)
     lifted = _hensel_tree(Fmon, factors, N)
-    back = _subfield_map(K, base)
+    # encodings of the base field's elements in K, mapped back
+    back = dict(zip(_embed_ints(base, K, list(range(base.order))), range(base.order)))
     Fy = curve_monic(F)
     idx = range(len(factors))
     for r in range(1, len(factors) // 2 + 1):
@@ -243,40 +213,21 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, factors=None) -
             prod = lifted[S[0]]
             for i in S[1:]:
                 prod = _trunc_t(prod * lifted[i], N)
-            # candidate = lc(t) * prod must be polynomial of t-degree <= B
-            cand_cs = []
-            ok = True
+            # candidate = lc(t) * prod must be polynomial of t-degree <= B,
+            # back in x and with coefficients in the base field
+            cand = []
             for c in prod.ycoeffs:
                 cc = _trunc(c * lct, N)
                 if cc.degree() > B:
-                    ok = False
                     break
-                cand_cs.append(cc)
-            if not ok:
-                continue
-            # back to x and down to the base field
-            coeff_dict = {}
-            for j, cc in enumerate(cand_cs):
-                cx = _taylor_shift(cc, K, -xi)
-                for i in range(cx.degree() + 1):
-                    a = cx.coeff(i)
-                    if a.is_zero():
-                        continue
-                    b = back.get(a)
-                    if b is None:
-                        ok = False
-                        break
-                    coeff_dict[(i, j)] = b
-                if not ok:
+                cx = [back.get(a) for a in _taylor_shift(cc, K, -xi).ints]
+                if None in cx:
                     break
-            if not ok or not coeff_dict:
-                continue
-            C = BivarPoly.from_coeff_dict(base, coeff_dict)
-            Cy = YPoly.from_bivar(C)
-            if Cy.degree() < 1:
-                continue
-            if (Fy % Cy).is_zero():
-                return False
+                cand.append(FFPoly._of(base, cx))
+            else:
+                C = YPoly(base, cand)
+                if C.degree() >= 1 and (Fy % C).is_zero():
+                    return False
     return True
 
 
@@ -296,22 +247,20 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
     if F.ycoeff(0).is_zero():
         return False
     if curve_dy(F).is_zero():
-        G, k = _strip_frobenius(F)
+        # F = G(x, y^p); G(y^p) is irreducible iff G is and not all
+        # coefficients of its monic normalization are p-th powers
+        G = BivarPoly(F.field, F.ycoeffs[:: F.field.p])
         if not is_irreducible_over_ratfield(G):
             return False
-        # G(y^{p^k}) irreducible iff not all coefficients of the monic
-        # normalization are p-th powers
         return not all(_rat_pth_power(c) for c in curve_monic(G).coeffs)
-    for P in [RatPlace.infinity(F.field)] + [
-        RatPlace.finite(FFPoly(F.field, [a, F.field.one()]), certified=True)
-        for a in F.field.elements()
-    ]:
+    for P in [RatPlace.infinity(F.field)] + finite_places_of_degree(F.field, 1):
         if eisenstein_at(F, P):
             return True
     if not curve_squarefree(F):
         return False
-    xi = curve_point(F)
-    if xi is None:
-        return _reconstruct_subsets(F, _find_specialization(F, first=2))
-    best = _degree_analysis(F, xi)
+    if curve_point(F) is None:
+        points = [_find_specialization(F, first=2)]
+    else:
+        points = good_points(F, F.field)
+    best = _degree_analysis(F, points)
     return best is None or _reconstruct_subsets(F, *best)

@@ -297,9 +297,7 @@ class StageVal:
 
     # -- approximation driver ------------------------------------------------------
 
-    def newton_slopes(self, f: YPoly, P: YPoly | None = None):
-        if P is None:
-            P = self.phi
+    def newton_slopes(self, f: YPoly, P: YPoly):
         vals = {}
         for i, c in enumerate(f.expand_in(P)):
             if not c.is_zero():
@@ -492,7 +490,7 @@ def improve(V: StageVal, H: YPoly) -> StageVal:
     return W
 
 
-def exact_val(V: StageVal, H: YPoly, g: YPoly, max_rounds: int = 200):
+def exact_val(V: StageVal, H: YPoly, g: YPoly):
     """The exact valuation of g at the place approximated by V, improving V
     along H as needed.  Returns (value, final_V); value is INF when g
     vanishes at the place (g divisible by H's local factor).
@@ -503,7 +501,7 @@ def exact_val(V: StageVal, H: YPoly, g: YPoly, max_rounds: int = 200):
     """
     if g.is_zero():
         return INF, V
-    for _ in range(max_rounds):
+    for _ in range(200):
         if V.rel_n is None or g.degree() < V.phi.degree():
             return V.val(g), V
         terms = V._terms(g.expand_in(V.phi))

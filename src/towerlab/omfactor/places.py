@@ -11,20 +11,26 @@ This neither moves the places nor changes e, f, or the different exponent
 (K(x)(z) is the same field), it only shifts valuations of y-expressions:
 nu(y) = nu(z) - M*e.
 
+good_points is the one place that decides which fibres F(xi, y) certify
+something: those that keep degree deg_y F and are squarefree.  The
+squarefree certificate, Musser's degree analysis and the Hensel
+reconstruction in omfactor.irreducibility all take their fibres from it.
+The Eisenstein test reads the Newton polygon of F's own coefficients.
+
 The facts about F that do not depend on P are derived once per curve and
 kept on F in its `ffield.CurveFacts` record: the y-derivative, the first
-point of GF(q) that certifies F squarefree, the squarefree verdict, the
-monic y-model and the swapped curve for side='y'.  The curve_* readers
-below fill it at first use, so the irreducibility test, the ramification
-locus and every places_above call on the same F share one computation of
-each; the record takes no part in F's equality and is freed with F.
+good point of GF(q), the squarefree verdict, the monic y-model and the
+swapped curve for side='y'.  The curve_* readers below fill it at first
+use, so the irreducibility test, the ramification locus and every
+places_above call on the same F share one computation of each; the record
+takes no part in F's equality and is freed with F.
 """
 
 from __future__ import annotations
 
 from ..errors import TowerlabError
 from ..ffield import BivarPoly, FiniteField, poly_gcd
-from ..ratfunc import RatPlace
+from ..ratfunc import RatFunc, RatPlace
 from ..record import Record
 from .maclane import INF, Inseparable, decompose, exact_val
 from .newton import newton_polygon
@@ -194,15 +200,17 @@ def places_above(
     return out
 
 
-def squarefree_point(F: BivarPoly, K: FiniteField):
-    """The first xi in K (an extension of F's field) at which F(xi, y) keeps
-    degree deg_y F and is squarefree, or None.
+def good_points(F: BivarPoly, K: FiniteField):
+    """Yield (xi, F(xi, y)) for each xi in K (an extension of F's field), in
+    encoding order, at which the fibre keeps degree deg_y F and is
+    squarefree.
 
-    Such a point certifies F squarefree and separable in y over K(x): by
-    Gauss's lemma a square factor A^2 of F can be taken in K[x][y], and
-    where lc_y F does not vanish neither does lc_y A, so A(xi, y) keeps its
-    positive degree and its square divides F(xi, y).  None decides nothing:
-    y^2 - (x^5 - x) over GF(5) is squarefree but is y^2 at every point.
+    The first such point certifies F squarefree and separable in y over
+    K(x): by Gauss's lemma a square factor A^2 of F can be taken in
+    K[x][y], and where lc_y F does not vanish neither does lc_y A, so
+    A(xi, y) keeps its positive degree and its square divides F(xi, y).
+    No point decides nothing: y^2 - (x^5 - x) over GF(5) is squarefree but
+    is y^2 at every point.
     """
     m = F.deg_y()
     for xi in K.elements():
@@ -211,8 +219,7 @@ def squarefree_point(F: BivarPoly, K: FiniteField):
             continue
         d = fy.derivative()
         if not d.is_zero() and poly_gcd(fy, d).degree() == 0:
-            return xi
-    return None
+            yield xi, fy
 
 
 # -- the per-curve record: each reader computes its fact once per F ---------
@@ -235,11 +242,10 @@ def curve_swapped(F: BivarPoly) -> BivarPoly:
 
 
 def curve_point(F: BivarPoly):
-    """squarefree_point(F, F.field)."""
+    """The first good point of F's own field, or None."""
     facts = F.facts
     if facts.point is None:
-        xi = squarefree_point(F, F.field)
-        facts.point = False if xi is None else xi
+        facts.point = next((xi for xi, _ in good_points(F, F.field)), False)
     return None if facts.point is False else facts.point
 
 
@@ -260,34 +266,23 @@ def curve_monic(F: BivarPoly) -> YPoly:
 
 
 def squarefree_in_y(F: BivarPoly) -> bool:
-    """Is F squarefree as a polynomial in y over K(x)?  A point of K from
-    squarefree_point certifies it at once; only without one does the
-    Euclidean algorithm over K(x) run."""
+    """Is F squarefree as a polynomial in y over K(x)?  A good point of K
+    certifies it at once; only without one does the Euclidean algorithm
+    over K(x) run."""
     if curve_point(F) is not None:
         return True
     G = curve_monic(F)
     return G.gcd(G.derivative()).degree() == 0
 
 
-def eisenstein_at(F: BivarPoly, P: RatPlace, side: str = "x") -> bool:
-    """Generalized Eisenstein test: the Newton polygon of the monic-
-    normalized F at P is one segment of length m = deg F whose slope has
-    denominator m in lowest terms.  True certifies F irreducible over K(x)
-    with P totally ramified."""
-    if side == "y":
-        F = curve_swapped(F)
-    G = curve_monic(F)
-    m = G.degree()
-    if m < 1:
-        return False
-    pts = {}
-    for i, c in enumerate(G.coeffs):
-        if not c.is_zero():
-            pts[i] = P.valuation(c)
-    if 0 not in pts:
-        return False  # y divides F
-    segs = newton_polygon(pts.items())
-    if len(segs) != 1:
-        return False
-    seg = segs[0]
-    return seg.length == m and seg.slope.denominator == m
+def eisenstein_at(F: BivarPoly, P: RatPlace) -> bool:
+    """Generalized Eisenstein test: the Newton polygon of F at P is one
+    segment of length m = deg_y F whose slope has denominator m in lowest
+    terms.  It is read off F's own coefficients: the monic model F / lc_y F
+    has the same polygon moved down by v_P(lc_y F).  True certifies F
+    irreducible over K(x) with P totally ramified."""
+    m = F.deg_y()
+    if m < 1 or F.ycoeff(0).is_zero():
+        return False  # constant in y, or y divides F
+    segs = newton_polygon((i, P.valuation(RatFunc(c))) for i, c in enumerate(F.ycoeffs))
+    return len(segs) == 1 and segs[0].length == m and segs[0].slope.denominator == m

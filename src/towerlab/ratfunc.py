@@ -105,10 +105,6 @@ class RatFunc:
         v = field.elem(c).v
         return cls._of(FFPoly._of(field, [v] if v else []), FFPoly._of(field, [1]))
 
-    @classmethod
-    def var(cls, field: FiniteField) -> "RatFunc":
-        return cls._of(FFPoly._of(field, [0, 1]), FFPoly._of(field, [1]))
-
     @property
     def field(self) -> FiniteField:
         return self.num.field
@@ -394,9 +390,7 @@ class RatPlace:
         if r.is_zero():
             raise ZeroDivisionError("unit part of zero")
         if self.poly is None:
-            v = self.valuation(r)
-            x = RatFunc.var(self.field)
-            return self.residue(r * x**v)
+            return r.num.lc() / r.den.lc()
         return self._unit(self._data(r))
 
     def lift(self, alpha: FFElem) -> RatFunc:

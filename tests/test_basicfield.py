@@ -1,9 +1,14 @@
+import importlib.util
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
+from towerlab import basicfield
 from towerlab.basicfield import (
     CapTooSmall,
+    _unramified_fprofile,
     InconsistentOracle,
     genus_basic,
     genus_from_table,
@@ -13,6 +18,9 @@ from towerlab.basicfield import (
     zeta_genus,
 )
 from towerlab.errors import TowerlabError
+from towerlab.ffield import FFPoly, poly_factor
+from towerlab.omfactor import monic_integral_model
+from towerlab.ratfunc import finite_places_of_degree
 from helpers import (
     F2,
     F3,
@@ -183,3 +191,87 @@ def test_random_curves_nonnegative_genus_even_different():
         lo, hi = g.diff_degree_bounds
         assert lo % 2 == 0 and hi % 2 == 0  # feasible window is even
         done += 1
+
+
+# -- residue degrees outside the locus -------------------------------------------
+
+
+def _kummer_dedekind_fprofile(F, P):
+    """The degrees of the irreducible factors of the reduction of the
+    monic integral model at P (Kummer-Dedekind; P outside the locus)."""
+    H, _M, _pi = monic_integral_model(F, P)
+    hbar = FFPoly(P.residue_field(), [P.residue(c) for c in H.coeffs])
+    assert hbar.degree() == H.degree()
+    factors = poly_factor(hbar)
+    assert all(mult == 1 for _, mult in factors)
+    return sorted(g.degree() for g, _ in factors)
+
+
+@pytest.mark.parametrize("make", [elliptic5, kummer5, cubic2, hyper3, lambda: family_F(3)])
+def test_unramified_fprofile_matches_kummer_dedekind(make):
+    F = make()
+    locus = set(ramification_locus(F))
+    outside = [
+        P
+        for d in (1, 2)
+        for P in finite_places_of_degree(F.field, d)
+        if P not in locus
+    ]
+    assert outside
+    for P in outside:
+        assert sorted(_unramified_fprofile(F, P)) == _kummer_dedekind_fprofile(F, P), P
+
+
+# -- the L-polynomial fit at every cap -----------------------------------------
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads",
+    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "workloads.py"),
+)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+# zeta_genus on each benchmark genus curve at caps 1-6: the genus, or None
+# for CapTooSmall
+ZETA_AT_CAPS = {
+    "cubic2": [0, 0, 0, 0, 0, 0],
+    "elliptic5": [1, 1, 1, 1, 1, 1],
+    "family2": [None, 2, 2, 2, 2, 2],
+    "hyper3": [None, 2, 2, 2, 2, 2],
+    "kummer5": [0, 0, 0, 0, 0, 0],
+}
+
+
+def _counts_from_the_zeta_function(monkeypatch, genus):
+    """Count points over GF(q^k) directly for k <= 2*genus, and beyond that
+    from the L-polynomial those counts determine (the zeta function is
+    rational): the true counts, without enumerating GF(q^12)."""
+    count = basicfield._point_count
+    seen = {}
+
+    def point_count(F, k, locus_data):
+        if k <= 2 * genus:
+            seen[k] = count(F, k, locus_data)
+            return seen[k]
+        q = F.field.order
+        a = {j: q**j + 1 - seen[j] for j in range(1, 2 * genus + 1)}
+        c = [Fraction(1)]
+        for j in range(1, 2 * genus + 1):
+            c.append(-sum(a[i] * c[j - i] for i in range(1, j + 1)) / j)
+        for j in range(2 * genus + 1, k + 1):
+            a[j] = -sum(c[i] * a[j - i] for i in range(1, 2 * genus + 1))
+        return int(q**k + 1 - a[k])
+
+    monkeypatch.setattr(basicfield, "_point_count", point_count)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.GENUS_CURVES))
+def test_zeta_genus_at_caps_one_to_six(monkeypatch, name):
+    _counts_from_the_zeta_function(monkeypatch, workloads.GENUS_CURVES[name]["genus"])
+    got = []
+    for cap in range(1, 7):
+        try:
+            got.append(zeta_genus(workloads.genus_curve(name), cap))
+        except CapTooSmall:
+            got.append(None)
+    assert got == ZETA_AT_CAPS[name]

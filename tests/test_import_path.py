@@ -1,5 +1,6 @@
 """What importing the library loads, each probe in a fresh interpreter,
-and what the library's modules import.
+what the library's modules import, and that every function they define is
+named somewhere.
 
 The CLI runs one process per job, so every module on its import path is
 paid for by every job, and an import nothing uses is paid for by all of
@@ -87,3 +88,59 @@ def test_tracer_wraps_every_entry_and_restores_it():
     finally:
         t.uninstall()
     assert ffield.is_irreducible is original
+
+
+def _names_read(node, inside=()) -> tuple[set, set]:
+    """(names, attributes) a module reads, leaving out a function's reads
+    of its own name inside its def.  Attributes include imported names and
+    the parts of dotted-identifier strings (the tracer's entries); names
+    are those read as plain names, plus every attribute."""
+    names, attrs = set(), set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        attrs.add(node.attr)
+    elif isinstance(node, ast.alias):
+        attrs.add(node.name.split(".")[-1])
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if all(part.isidentifier() for part in node.value.split(".")):
+            attrs.update(node.value.split("."))
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        n, a = _names_read(child, inside)
+        names |= n
+        attrs |= a
+    return names - set(inside) | attrs - set(inside), attrs - set(inside)
+
+
+def _defined(tree):
+    """(name, is_method) for every non-dunder function a module defines;
+    dunder methods are called by the language, not by name."""
+    methods = {
+        id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, id(node) in methods
+
+
+def test_every_function_is_named_outside_its_def():
+    # a method counts as named only through an attribute (or a dotted
+    # string), so a local variable of the same name does not keep it alive
+    names, attrs, unnamed = set(), set(), set()
+    trees = {}
+    for top in ("src", "tests", "bench"):
+        for path in glob.glob(os.path.join(ROOT, top, "**", "*.py"), recursive=True):
+            with open(path) as fh:
+                trees[path] = ast.parse(fh.read())
+            n, a = _names_read(trees[path])
+            names |= n
+            attrs |= a
+    for path, tree in trees.items():
+        if path.startswith(os.path.join(SRC, "towerlab")):
+            for name, is_method in _defined(tree):
+                if name not in (attrs if is_method else names):
+                    unnamed.add(name)
+    assert sorted(unnamed) == []

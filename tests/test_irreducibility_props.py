@@ -1,5 +1,5 @@
 """Property tests for the irreducibility test over GF(q)(x), and for its
-degree-analysis certificate in particular.
+degree-analysis and Eisenstein certificates in particular.
 
 sympy cannot serve as the oracle here: its factorization raises
 NotImplementedError for multivariate polynomials over finite fields.  The
@@ -14,9 +14,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from towerlab.errors import TowerlabError
 from towerlab.ffield import BivarPoly, make_field
-from towerlab.omfactor import is_irreducible_over_ratfield
+from towerlab.omfactor import eisenstein_at, is_irreducible_over_ratfield
 from towerlab.omfactor.irreducibility import _degree_analysis, _reconstruct_subsets
-from towerlab.omfactor.places import curve_point, squarefree_in_y
+from towerlab.omfactor.newton import newton_polygon
+from towerlab.omfactor.places import curve_point, good_points, squarefree_in_y
+from towerlab.omfactor.ypoly import YPoly
+from towerlab.ratfunc import RatPlace, finite_places_of_degree
 
 FIELDS = {"GF(2)": (2, 1), "GF(3)": (3, 1), "GF(4)": (2, 2), "GF(5)": (5, 1), "GF(9)": (3, 2)}
 
@@ -68,8 +71,7 @@ def test_agrees_with_hensel_reconstruction(F):
     except TowerlabError:
         assume(False)
     assert is_irreducible_over_ratfield(F) == want
-    xi = curve_point(F)
-    if xi is not None and _degree_analysis(F, xi) is None:
+    if curve_point(F) is not None and _degree_analysis(F, good_points(F, F.field)) is None:
         assert want  # the certificate is only ever given to irreducible F
 
 
@@ -86,7 +88,26 @@ def test_products_hidden_at_every_point_are_reducible(GH):
     G, H = GH
     assert is_irreducible_over_ratfield(G)
     F = G * H
-    xi = curve_point(F)
-    if xi is not None:
-        assert _degree_analysis(F, xi) is not None
+    if curve_point(F) is not None:
+        assert _degree_analysis(F, good_points(F, F.field)) is not None
     assert not is_irreducible_over_ratfield(F)
+
+
+def _eisenstein_on_monic_model(F, P):
+    """The Eisenstein test on the polygon of the monic model F / lc_y F."""
+    G = YPoly.from_bivar(F).monic()
+    m = G.degree()
+    pts = {i: P.valuation(c) for i, c in enumerate(G.coeffs) if not c.is_zero()}
+    if m < 1 or 0 not in pts:
+        return False
+    segs = newton_polygon(pts.items())
+    return len(segs) == 1 and segs[0].length == m and segs[0].slope.denominator == m
+
+
+@SETTINGS
+@given(_case(lambda K: _bivar(K, 4, 3)))
+def test_eisenstein_on_own_coefficients_matches_the_monic_model(F):
+    K = F.field
+    places = [RatPlace.infinity(K)] + finite_places_of_degree(K, 1) + finite_places_of_degree(K, 2)
+    for P in places:
+        assert eisenstein_at(F, P) == _eisenstein_on_monic_model(F, P), P

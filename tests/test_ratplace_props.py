@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from towerlab.ffield import FFPoly, embed, is_irreducible, make_field, poly_gcd, roots_in_field
 from towerlab.omfactor import Inseparable, is_irreducible_over_ratfield, places_above
-from towerlab.omfactor.places import squarefree_point
+from towerlab.omfactor.places import curve_point
 from towerlab.ratfunc import PoleAtPlace, RatFunc, RatPlace
 from helpers import F5, bivar, unipoly
 
@@ -133,6 +133,17 @@ def test_one_coefficient_at_two_places(case):
         assert _observed(at_q, r) == _oracle(Q, r)
 
 
+@SETTINGS
+@given(_case(lambda F: st.tuples(_polys(F, 5, nonzero=True), _polys(F, 5, nonzero=True))))
+def test_unit_residue_at_infinity_is_the_leading_coefficient_ratio(case):
+    num, den = case
+    r = RatFunc(num, den)
+    place = RatPlace.infinity(r.field)
+    # the residue of r * x^v(r), the definition of the leading unit
+    x = RatFunc(FFPoly(r.field, [0, 1]))
+    assert place.unit_residue(r) == place.residue(r * x ** place.valuation(r))
+
+
 def test_valuation_and_unit_residue_at_two_places():
     F = make_field(5)
     x, x1 = unipoly(F, [0, 1]), unipoly(F, [1, 1])
@@ -233,13 +244,13 @@ def test_fraction_arithmetic_branches():
 
 def test_squarefree_certificate_found():
     F = bivar(F5, {(0, 2): 1, (1, 0): -1})  # y^2 - x
-    assert squarefree_point(F, F5) == F5.elem(1)
+    assert curve_point(F) == F5.elem(1)
 
 
 def test_squarefree_without_a_certifying_point_reaches_euclid():
     # y^2 - (x^5 - x): squarefree, but y^2 at every point of GF(5)
     F = bivar(F5, {(0, 2): 1, (5, 0): -1, (1, 0): 1})
-    assert squarefree_point(F, F5) is None
+    assert curve_point(F) is None
     P = RatPlace.finite(unipoly(F5, [0, 1]))
     pls = places_above(F, P)
     assert [(pl.e, pl.f) for pl in pls] == [(2, 1)]
@@ -250,7 +261,7 @@ def test_square_factor_in_y_still_raises():
     # (y - x)^2 * (y + 1) over GF(5): separable derivative, square factor
     F = bivar(F5, {(0, 3): 1, (0, 2): 1, (1, 2): -2, (1, 1): -2, (2, 1): 1, (2, 0): 1})
     assert not F.derivative_y().is_zero()
-    assert squarefree_point(F, F5) is None
+    assert curve_point(F) is None
     with pytest.raises(Inseparable, match="not squarefree"):
         places_above(F, RatPlace.finite(unipoly(F5, [0, 1])))
     assert not is_irreducible_over_ratfield(F)
