@@ -33,10 +33,9 @@ from .ffield import (
     make_field,
     poly_factor,
     poly_gcd,
-    resultant_y,
 )
 from .omfactor import Inseparable, places_above
-from .omfactor.places import curve_dy
+from .omfactor.places import curve_disc, curve_disc_factors, curve_dy
 from .ratfunc import RatPlace, finite_places_of_degree
 from .record import Record
 
@@ -92,15 +91,13 @@ class GenusResult(Record):
 def ramification_locus(F: BivarPoly) -> list[RatPlace]:
     """Places of K(x) where K(x,y)/K(x) can ramify: zeros of the
     y-discriminant, zeros of the leading y-coefficient, and infinity."""
-    Fd = curve_dy(F)
-    if Fd.is_zero():
+    if curve_dy(F).is_zero():
         raise Inseparable("derivative in y vanishes")
-    R = resultant_y(F, Fd)
-    if R.is_zero():
+    if curve_disc(F).is_zero():
         raise Inseparable("defining polynomial is not squarefree in y")
     field = F.field
     polys = set()
-    for g, _mult in poly_factor(R):
+    for g, _mult in curve_disc_factors(F):
         if g.degree() >= 1:
             polys.add(g)
     for g, _mult in poly_factor(F.ycoeff(F.deg_y())):

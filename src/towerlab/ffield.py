@@ -874,6 +874,48 @@ def _kron_powmod(F: _ExtensionField, base: list[int], e: int, mod: list[int]) ->
     return _trim(out)
 
 
+def _ptaylor(F: FiniteField, f, a: int, n: int) -> tuple[int, list[int]]:
+    """(v, u) for the nonzero polynomial f(t + a) = t^v * (u + O(t^n)): the
+    Taylor coefficients of f at a, one synthetic division by x - a each."""
+    if not a:
+        v = 0
+        while not f[v]:
+            v += 1
+        return v, list(f[v : v + n])
+    p = F.p if F.k == 1 else 0
+    add, mul = F._add, F._mul
+    f = list(f)
+    v = 0
+    u = []
+    top = len(f)
+    while top and len(u) < n:
+        acc = 0
+        for i in range(top - 1, -1, -1):
+            acc = (acc * a + f[i]) % p if p else add(mul(acc, a), f[i])
+            f[i] = acc
+        # f[0] is f(a), and f[1:top] the quotient by x - a
+        if u or acc:
+            u.append(acc)
+        else:
+            v += 1
+        f = f[1:top]
+        top -= 1
+    return v, _trim(u)
+
+
+def _pseries_inv(F: FiniteField, u: list[int], n: int) -> list[int]:
+    """1/u mod t^n for u(0) != 0: w_k = -w_0 * sum_{1 <= j <= k} u_j w_(k-j)."""
+    mul, add = F._mul, F._add
+    w0 = F._inv(u[0])
+    w = [w0]
+    for k in range(1, n):
+        acc = 0
+        for j in range(1, min(k, len(u) - 1) + 1):
+            acc = add(acc, mul(u[j], w[k - j]))
+        w.append(mul(F._neg(acc), w0))
+    return _trim(w)
+
+
 def _prem(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
     return _pdivmod(F, a, b)[1]
 
@@ -1085,14 +1127,18 @@ class FFPoly:
     def to_str(self, var: str = "x") -> str:
         if self.is_zero():
             return "0"
+        F = self.field
         terms = []
-        for i in range(self.degree(), -1, -1):
-            c = self.coeff(i)
-            if c.is_zero():
+        for i in range(len(self.ints) - 1, -1, -1):
+            v = self.ints[i]
+            if not v:
                 continue
-            cs = repr(c)
-            if self.field.k > 1 and ("+" in cs or "*" in cs or "^" in cs):
-                cs = "(" + cs + ")"
+            if F.k == 1:
+                cs = str(v)
+            else:
+                cs = repr(FFElem(F, v))
+                if "+" in cs or "*" in cs or "^" in cs:
+                    cs = "(" + cs + ")"
             if i == 0:
                 terms.append(cs)
             else:
@@ -1254,10 +1300,12 @@ def poly_factor(f: FFPoly) -> list[tuple[FFPoly, int]]:
     if f.degree() == 1:
         return [(f.monic(), 1)]
     F = f.field
-    rng = random.Random(FACTOR_SEED)
+    rng = None  # seeded at the first split that draws from it
     out = []
     for mult, g in _squarefree_decomposition(F, _pmonic(F, f.ints)):
         for prod, d in _ddf(F, g):
+            if rng is None and len(prod) - 1 > d:
+                rng = random.Random(FACTOR_SEED)
             for irr in _equal_degree_split(F, prod, d, rng):
                 out.append((len(irr), irr, mult))
     out.sort()
@@ -1402,17 +1450,21 @@ class CurveFacts:
     readers are in omfactor.places.
 
     dy          F.derivative_y()
-    point       the first good point of F's field (omfactor.places.good_points:
-                F(xi, y) keeps degree deg_y F and is squarefree), or False
+    point       the first good point of F's field and its fibre (xi, F(xi, y))
+                (omfactor.places.good_points: the fibre keeps degree deg_y F
+                and is squarefree), or False
     squarefree  is F separable and squarefree in y over GF(q)(x)?
     monic       the monic y-model F / lc_y(F), an omfactor YPoly
     swapped     F.swap_xy(), which keeps a record of its own
+    disc        resultant_y(F, dy), the discriminant up to a power of lc_y(F)
+    disc_factors  poly_factor(disc): its irreducible factors and their orders
     """
 
-    __slots__ = ("dy", "point", "squarefree", "monic", "swapped")
+    __slots__ = ("dy", "point", "squarefree", "monic", "swapped", "disc", "disc_factors")
 
     def __init__(self):
         self.dy = self.point = self.squarefree = self.monic = self.swapped = None
+        self.disc = self.disc_factors = None
 
 
 class BivarPoly:

@@ -42,6 +42,8 @@ from ..ffield import (
     FiniteField,
     BivarPoly,
     _embed_ints,
+    _pseries_inv,
+    _ptaylor,
     _pxgcd,
     make_field,
     poly_factor,
@@ -49,6 +51,7 @@ from ..ffield import (
 from ..ratfunc import RatFunc, RatPlace, finite_places_of_degree
 from .places import (
     curve_dy,
+    curve_fibres,
     curve_monic,
     curve_point,
     curve_squarefree,
@@ -67,32 +70,16 @@ def _rat_pth_power(r: RatFunc) -> bool:
 
 def _taylor_shift(c: FFPoly, target: FiniteField, a: FFElem) -> FFPoly:
     """c(t + a) as a polynomial in t over target (coefficients embedded)."""
-    cc = c.map_field(target)
-    t_plus_a = FFPoly(target, [a, target.one()])
-    out = FFPoly(target, [])
-    for j in range(cc.degree(), -1, -1):
-        out = out * t_plus_a + FFPoly(target, [cc.coeff(j)])
-    return out
+    if c.is_zero():
+        return c.map_field(target)
+    v, u = _ptaylor(target, c.map_field(target).ints, a.v, c.degree() + 1)
+    return FFPoly._of(target, [0] * v + u)
 
 
 def _trunc(f: FFPoly, N: int) -> FFPoly:
     if f.degree() < N:
         return f
     return FFPoly(f.field, f.ints[:N])
-
-
-def _series_inv(f: FFPoly, N: int) -> FFPoly:
-    """Inverse of f mod t^N (f(0) != 0), by Newton doubling."""
-    c0 = f.coeff(0)
-    if c0.is_zero():
-        raise ZeroDivisionError("series with zero constant term")
-    one = FFPoly(f.field, [f.field.one()])
-    g = FFPoly(f.field, [c0.inverse()])
-    prec = 1
-    while prec < N:
-        prec = min(2 * prec, N)
-        g = _trunc(g + g * (one - _trunc(f, prec) * g), prec)
-    return g
 
 
 def _trunc_t(F: BivarPoly, N: int) -> BivarPoly:
@@ -197,7 +184,7 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, factors=None) -
         raise TowerlabError("too many modular factors to reconstruct")
     # monic series model: Fmon = F(xi+t, y) / lc(xi+t)
     lct = _taylor_shift(lc, K, xi)
-    lct_inv = _series_inv(lct, N)
+    lct_inv = FFPoly._of(K, _pseries_inv(K, lct.ints, N))
     cs = []
     for j in range(m + 1):
         cj = _taylor_shift(F.ycoeff(j), K, xi)
@@ -261,6 +248,6 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
     if curve_point(F) is None:
         points = [_find_specialization(F, first=2)]
     else:
-        points = good_points(F, F.field)
+        points = curve_fibres(F)
     best = _degree_analysis(F, points)
     return best is None or _reconstruct_subsets(F, *best)

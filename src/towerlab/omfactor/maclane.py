@@ -33,6 +33,23 @@ Nart, Trans. AMS 2012) the place it marks has E equal to the stage's and
 residue degree deg psi times the stage's.  Such a branch is a Closed; its
 terminal stage (key lift, new value, augmentation) is built on first use,
 which only valuations at the place ask for.
+
+Keys, key values and residuals are exact.  Values are computed in O_P/P^N
+(ratfunc.LocalRing) on the images of the exact polynomials, at the
+precision N that a decomposition's stages share (`_Precision`), after
+Guardia-Montes-Nart and Bauch-Nart-Stainsby (LMS J. Comput. Math. 2013).
+The certificate: keys are monic and P-integral and every stage is >= 0 on
+O_P[y], so a polynomial known mod P^N has, at every stage, the value of its
+image whenever that value is below N; the same holds for a residual (it
+reads only terms of that least value) and for a Newton polygon whose first
+and last points lie below N (every other point then lies above it).  A
+public method takes exact polynomials and checks exactly these values;
+when one reaches N it doubles N for the decomposition and computes again.
+The value that reached N is bounded by `_bound`, from the top digits of
+the exact expansions, so the raises stop there, and a value that passes
+its bound is an engine fault (PrecisionExceeded).  Values that are truly
+infinite are decided on the exact polynomials: H(x, 0) = 0, a key dividing
+H, and a polynomial divisible by the key of an infinite stage.
 """
 
 from __future__ import annotations
@@ -63,6 +80,65 @@ class Inseparable(TowerlabError):
     """Raised when the defining polynomial is not separable and squarefree in y."""
 
 
+class PrecisionExceeded(TowerlabError):
+    """Raised when a value reaches the precision N although the exact
+    polynomials bound it below N: an engine bug, never a user error."""
+
+
+def start_precision(disc_val: int, low_val: int) -> int:
+    """The first N of a decomposition of H: v_P(disc H) plus the value of
+    H's lowest nonzero coefficient, plus one.  Every value the engine reads
+    on the benchmark's curves and on the family for q <= 27 lies below it;
+    the lowest coefficient's value is the first point of the first Newton
+    polygon, which the discriminant alone does not bound."""
+    return disc_val + low_val + 1
+
+
+class _Precision:
+    """The ring O_P/P^N a decomposition's stages compute in, raised in place
+    (N doubled) when a value they need reaches N, and the images there of
+    the exact polynomials they were asked about, each converted once.  For
+    the values of H itself, the image of u * H may come from a model
+    (decompose)."""
+
+    __slots__ = ("ring", "_images", "H", "model", "_model_image")
+
+    def __init__(self, ring, H: YPoly, model):
+        self.ring = ring
+        self._images = {}
+        self.H = H
+        self.model = model
+        self._model_image = None
+
+    def local(self, f: YPoly) -> tuple[YPoly, int]:
+        """f.local(ring) at the current ring, converted once."""
+        out = self._images.get(f)
+        if out is None:
+            out = self._images[f] = f.local(self.ring)
+        return out
+
+    def image(self, f: YPoly) -> tuple[YPoly, int]:
+        """The image to compute f's values on: local(f), or for H itself the
+        model's image of u * H when decompose was given one.  A key takes
+        local, since it must stay monic."""
+        if f is not self.H or self.model is None:
+            return self.local(f)
+        if self._model_image is None:
+            self._model_image = self.model.image(self.ring), 0
+        return self._model_image
+
+    def raise_past(self, bound) -> None:
+        """Double N; bound is an upper bound of the value that reached it."""
+        ring = self.ring
+        if ring.N > bound:
+            raise PrecisionExceeded(
+                f"a value at {ring.place!r} bounded by {bound} reached N = {ring.N}"
+            )
+        self.ring = ring.place.local(max(1, 2 * ring.N))
+        self._images = {}
+        self._model_image = None
+
+
 def _qval(n, d: int):
     """n/d as an int when d divides n, else as a Fraction; INF stays INF."""
     if n == INF:
@@ -75,7 +151,7 @@ def _stage_data(prev_E: int, keyval):
     """(E, rel_n, rel_d, inv_a, inv_b) for a stage of key value keyval over a
     previous stage with value group (1/prev_E)Z; keyval is an int or a
     Fraction, and rel_n / rel_d = keyval * prev_E in lowest terms."""
-    if keyval == INF:
+    if isinstance(keyval, float):  # INF
         return prev_E, None, 1, 0, 1
     n, d = keyval.numerator * prev_E, keyval.denominator
     g = math.gcd(n, d)
@@ -91,12 +167,14 @@ class StageVal:
     new object (collapsing onto the previous stage for same-degree keys).
 
     Values lie in (1/E)Z, so the engine computes E * V(f), an int, and
-    keeps it per polynomial for the life of the stage; keyval * E = rel_n.
-    val() and keyval are ints when integral and Fractions otherwise.
+    keeps it per local polynomial for the life of the stage; keyval * E =
+    rel_n.  val() and keyval are ints when integral and Fractions otherwise.
+    The stages of one decomposition share their precision `prec`.
     """
 
     __slots__ = (
         "place",
+        "prec",
         "prev",
         "phi",
         "keyval",
@@ -113,8 +191,10 @@ class StageVal:
         "_vals",
     )
 
-    def __init__(self, place: RatPlace, prev, phi: YPoly, keyval, psi: FFPoly | None):
+    def __init__(self, place: RatPlace, prev, phi: YPoly, keyval, psi: FFPoly | None,
+                 prec: _Precision):
         self.place = place
+        self.prec = prec
         self.prev = prev
         self.phi = phi
         prev_E = 1 if prev is None else prev.E
@@ -124,7 +204,7 @@ class StageVal:
         self.keyval = INF if self.rel_n is None else _qval(self.rel_n, self.E)
         self._vals = {}
         if prev is None:
-            if phi.degree() != 1 or not phi.lc() == RatFunc.const(phi.field, 1):
+            if phi.degree() != 1 or not phi.lc().is_one():
                 raise ValueError("stage-zero key must be monic linear")
             self.psi = None
             self.ext = None
@@ -143,8 +223,8 @@ class StageVal:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def stage_zero(cls, place: RatPlace, phi: YPoly, keyval) -> "StageVal":
-        return cls(place, None, phi, keyval, None)
+    def stage_zero(cls, place: RatPlace, phi: YPoly, keyval, prec: _Precision) -> "StageVal":
+        return cls(place, None, phi, keyval, None, prec)
 
     def augment(self, phi_new: YPoly, keyval, psi: FFPoly) -> "StageVal":
         """MacLane augmentation with same-degree collapse.  psi is the monic
@@ -153,58 +233,105 @@ class StageVal:
         if phi_new.degree() == self.phi.degree():
             prev = self.prev
             if prev is None:
-                return StageVal.stage_zero(self.place, phi_new, keyval)
+                return StageVal.stage_zero(self.place, phi_new, keyval, self.prec)
             psi = prev.residual(phi_new).monic()
-            return StageVal(self.place, prev, phi_new, keyval, psi)
-        return StageVal(self.place, self, phi_new, keyval, psi)
+            return StageVal(self.place, prev, phi_new, keyval, psi, self.prec)
+        return StageVal(self.place, self, phi_new, keyval, psi, self.prec)
 
-    # -- the valuation ------------------------------------------------------------
+    # -- the valuation on local polynomials ------------------------------------------
+
+    def _key(self) -> YPoly:
+        """The key's image at the current precision, which every local
+        polynomial a computation holds is at."""
+        return self.prec.local(self.phi)[0]
 
     def _coeff_sval(self, c: YPoly):
-        """E * v(c) for c of degree below deg phi, v the previous stage (the
-        place's valuation at stage zero); INF for c = 0."""
+        """E * v(c) for a local c of degree below deg phi, v the previous
+        stage (the place's valuation at stage zero); INF for c = 0."""
         if not c.coeffs:
             return INF
         if self.prev is None:
-            return self.rel_d * self.place.valuation(c.coeffs[0])
+            return self.rel_d * c.coeffs[0].val()
         return self.rel_d * self.prev._sval(c)
 
     def _terms(self, cc: tuple) -> list:
         """E * (v(c_i) + i * keyval) over a phi-expansion cc = (c_0, c_1, ...)
         of f = sum c_i phi^i; INF where c_i = 0 and, at an infinite stage,
         for every i > 0."""
-        cv = self._coeff_sval
-        n = self.rel_n
+        n, d = self.rel_n, self.rel_d
         if n is None:
-            return [cv(cc[0])] + [INF] * (len(cc) - 1)
-        return [cv(c) + i * n for i, c in enumerate(cc)]
+            return [self._coeff_sval(cc[0])] + [INF] * (len(cc) - 1)
+        if self.prev is None:
+            return [d * c.coeffs[0].val() + i * n if c.coeffs else INF for i, c in enumerate(cc)]
+        sval = self.prev._sval
+        return [d * sval(c) + i * n if c.coeffs else INF for i, c in enumerate(cc)]
 
     def _sval(self, f: YPoly):
-        """E * V(f), an int, or INF for f = 0."""
+        """E * V(f) for a local f, an int, or INF for f = 0 mod P^N; a
+        value >= E * N is only a lower bound."""
         v = self._vals.get(f)
         if v is None:
             if f.degree() < self.phi.degree():
                 v = self._coeff_sval(f)
             else:
-                v = min(self._terms(f.expand_in(self.phi)))
+                v = min(self._terms(f.expand_in(self._key())))
             self._vals[f] = v
         return v
 
+    def _bound(self, f: YPoly):
+        """An upper bound of E * V(f) for an exact f, nonzero at a finite
+        stage: V(f) <= V(c_n) + n * keyval for the top digit c_n."""
+        cc = f.expand_in(self.phi)
+        top = cc[-1]
+        if self.prev is None:
+            b = self.place.valuation(top.coeffs[0])
+        else:
+            b = self.prev._bound(top)
+        return self.rel_d * b + (len(cc) - 1) * self.rel_n
+
+    def _exact_sval(self, f: YPoly):
+        """E * V(f) for an exact f, certified; INF for f = 0 and for f
+        divisible by the key of an infinite stage."""
+        if f.is_zero():
+            return INF
+        if self.rel_n is None:
+            r = None if f is self.phi else f % self.phi
+            if r is None or r.is_zero():
+                return INF
+            if self.prev is None:
+                return self.place.valuation(r.coeffs[0])
+            return self.prev._exact_sval(r)
+        while True:
+            ring = self.prec.ring
+            g, s = self.prec.image(f)
+            v = self._sval(g)
+            if v < ring.N * self.E:
+                return v - s * self.E
+            self.prec.raise_past(Fraction(self._bound(f), self.E) + s)
+
     def val(self, f: YPoly):
-        return _qval(self._sval(f), self.E)
+        return _qval(self._exact_sval(f), self.E)
 
     # -- graded residue machinery ------------------------------------------------
 
     def graded_reduction(self, f: YPoly):
-        """(fbar, i0, j0, G): f reduces to s^i0 t^j0 fbar(s^d/t^n), of grade
-        G/E."""
+        """(fbar, i0, j0, G): the P-integral f reduces to s^i0 t^j0
+        fbar(s^d/t^n), of grade G/E."""
         if f.is_zero():
             raise ValueError("graded reduction of zero")
         if self.rel_n is None:
             raise TowerlabError("no graded reduction at an infinite stage")
+        self._exact_sval(f)  # certifies V(f) at the current precision
+        g, s = self.prec.image(f)
+        if s:
+            raise ValueError("graded reduction of a polynomial that is not P-integral")
+        return self._reduce(g)
+
+    def _reduce(self, f: YPoly):
+        """graded_reduction of a local f whose value is certified."""
         d, n = self.rel_d, self.rel_n
         # only the terms of least value reduce; the rest vanish in the grade
-        cc = f.expand_in(self.phi)
+        cc = f.expand_in(self._key())
         terms = self._terms(cc)
         Vf = min(terms)
         i0 = (self.inv_a * Vf) % d
@@ -217,9 +344,9 @@ class StageVal:
                 raise TowerlabError("expansion index off the value lattice")
             m = (i - i0) // d
             if self.prev is None:
-                coeff_map[m] = self.place.unit_residue(c.coeff(0))
+                coeff_map[m] = c.coeffs[0].unit()
             else:
-                c1, i1, j1, _ = self.prev.graded_reduction(c)
+                c1, i1, j1, _ = self.prev._reduce(c)
                 cconst, mm = self.graded_map(c1, i1, j1)
                 if mm != j0 - m * n:
                     raise TowerlabError("graded map grade mismatch")
@@ -271,9 +398,16 @@ class StageVal:
         if j is None:
             j = n * h.degree()
         field = self.phi.field
-        pi = self.place.uniformizer()
+        if self.prev is None and self.phi.coeffs[0].is_zero():
+            # phi = y: the term of h's coefficient k is the coefficient of y^(i + k*d)
+            zero = RatFunc.const(field, 0)
+            cs = [zero] * (i + h.degree() * d + 1)
+            for k, c in enumerate(h.coeffs):
+                if not c.is_zero():
+                    cs[i + k * d] = self.place.scaled(self.place.lift(c), j - k * n)
+            return YPoly._of(field, tuple(cs))
         # Horner in phi^d: the term of h's coefficient k sits at phi^(i + k*d)
-        phi_d = self.phi**d
+        phi_d = self.phi if d == 1 else self.phi**d
         F = YPoly(field, [])
         for k in range(h.degree(), -1, -1):
             F = F * phi_d
@@ -282,7 +416,7 @@ class StageVal:
                 continue
             jj = j - k * n
             if self.prev is None:
-                C = YPoly(field, [self.place.lift(c) * pi**jj])
+                C = YPoly(field, [self.place.scaled(self.place.lift(c), jj)])
             else:
                 f0, i0, j0 = self.graded_map_lift(c, jj)
                 C = self.prev.graded_reduction_lift(f0, i0, j0)
@@ -291,18 +425,34 @@ class StageVal:
 
     def keypol_from_residual(self, h: FFPoly) -> YPoly:
         lifted = self.graded_reduction_lift(h)
-        if not lifted.lc() == RatFunc.const(lifted.field, 1):
+        if not lifted.lc().is_one():
             raise TowerlabError("key lift is not monic")
         return lifted
 
     # -- approximation driver ------------------------------------------------------
 
     def newton_slopes(self, f: YPoly, P: YPoly):
-        vals = {}
-        for i, c in enumerate(f.expand_in(P)):
-            if not c.is_zero():
-                vals[i] = self.val(c)
-        return slope_length_pairs(vals)
+        """(slope, length) pairs of the Newton polygon of the monic,
+        P-integral f in the key P at this stage.  Its first point is digit 0,
+        or the first digit that is exactly nonzero when P divides f; that
+        point and the last are certified, and a point whose value reaches N
+        lies above the polygon and is left out."""
+        while True:
+            ring = self.prec.ring
+            cc = self.prec.image(f)[0].expand_in(self.prec.local(P)[0])
+            top = ring.N * self.E
+            vals = [self._sval(c) for c in cc]
+            first = 0
+            if vals[0] >= top:
+                first = next(i for i, c in enumerate(f.expand_in(P)) if not c.is_zero())
+            for i in (first, len(cc) - 1):
+                if vals[i] >= top:
+                    self.prec.raise_past(Fraction(self._bound(f.expand_in(P)[i]), self.E))
+                    break
+            else:
+                return slope_length_pairs(
+                    {i: v for i, v in enumerate(vals) if i >= first and v < top}, self.E
+                )
 
     def new_values(self, G: YPoly, P: YPoly):
         if G == P:
@@ -312,15 +462,15 @@ class StageVal:
         return [s for s in ss if s > vP]
 
     def is_key(self, f: YPoly) -> bool:
+        """Is the monic, P-integral f a key polynomial of this stage?"""
         if self.rel_n is None:
             return False
-        vf = self._sval(f)
-        cc = f.expand_in(self.phi)
+        vf = self._exact_sval(f)
+        g = self.prec.image(f)[0]
+        cc = g.expand_in(self._key())
         nn = len(cc) - 1
-        top = cc[nn]
-        if not (top.degree() == 0 and top.coeff(0) == RatFunc.const(f.field, 1)):
-            return False
-        if nn == 0:
+        # f is phi^nn plus terms of lower phi-degree
+        if nn == 0 or f.degree() != nn * self.phi.degree() or not f.lc().is_one():
             return False
         if nn * self.rel_n != vf:
             return False
@@ -337,7 +487,7 @@ class StageVal:
         once per new value lam.  The factor u itself is skipped: the
         branches it marks belong to steeper segments handled by sibling
         valuations."""
-        if self._sval(G) == INF:
+        if self._exact_sval(G) == INF:
             return []
         fac = poly_factor(self.residual(G))
         gen = FFPoly(self.resfield, [self.resfield.zero(), self.resfield.one()])
@@ -354,10 +504,11 @@ class StageVal:
         return out
 
     def projection(self, G: YPoly) -> int:
-        v = self._sval(G)
+        v = self._exact_sval(G)
         if v == INF:
             return 1
-        ii = [i for i, t in enumerate(self._terms(G.expand_in(self.phi))) if t == v]
+        g = self.prec.image(G)[0]
+        ii = [i for i, t in enumerate(self._terms(g.expand_in(self._key()))) if t == v]
         return ii[-1] - ii[0]
 
     def stage(self) -> "StageVal":
@@ -423,9 +574,15 @@ class Closed:
         return self._stage
 
 
-def decompose(place: RatPlace, H: YPoly, max_depth: int = 8):
+def decompose(place: RatPlace, H: YPoly, max_depth: int = 8, model=None):
     """All terminal inductive valuations for the monic, integral, squarefree
-    separable polynomial H over the given place.
+    separable polynomial H over the given place.  model, when given (by
+    places_above), carries disc_val = v_P(disc H) (0 when not known), from
+    which the starting precision is derived (start_precision), and maps a
+    LocalRing to the image of u * H for a unit u at the place (image), which
+    has H's values, Newton polygons and residual factors; the engine then
+    computes on it instead of converting H.  The precision is raised when a
+    value needs more.
 
     Returns a list of (branch, levels) pairs.  A branch is a terminal
     StageVal or a Closed; both carry E and res_deg, and stage() gives the
@@ -440,18 +597,26 @@ def decompose(place: RatPlace, H: YPoly, max_depth: int = 8):
     m = H.degree()
     field = H.field
     y = YPoly.variable(field)
-    vals = {}
-    for i, c in enumerate(H.coeffs):
-        if not c.is_zero():
-            vals[i] = place.valuation(c)
+    # the first polygon: its first point is H's lowest nonzero coefficient
+    # (an exact test), its last the leading coefficient, a unit
+    low = next(i for i, c in enumerate(H.coeffs) if not c.is_zero())
+    v_low = place.valuation(H.coeffs[low])
+    disc_val = 0 if model is None else model.disc_val
+    prec = _Precision(place.local(start_precision(disc_val, v_low)), H, model)
+    while prec.ring.N <= v_low:
+        prec.raise_past(v_low)
+    image, shift = prec.image(H)
+    if shift:
+        raise TowerlabError(f"H is not integral at {place!r}")
+    vals = {i: c.val() for i, c in enumerate(image.coeffs) if i >= low and c.c}
     work = []
     results = []
     for slope, _length in slope_length_pairs(vals):
         if slope == -INF:
-            V0 = StageVal.stage_zero(place, y, INF)
+            V0 = StageVal.stage_zero(place, y, INF, prec)
             results.append((V0, ((y.to_str(), None, None),)))
         else:
-            work.append((StageVal.stage_zero(place, y, -slope), ()))
+            work.append((StageVal.stage_zero(place, y, -slope, prec), ()))
     while work:
         V, levels = work.pop()
         if len(levels) >= max_depth:
@@ -460,8 +625,9 @@ def decompose(place: RatPlace, H: YPoly, max_depth: int = 8):
             )
         # a Fraction: ties in (E, f) are ordered by str(levels) below
         slope_here = None if V.rel_n is None else Fraction(-V.rel_n, V.E)
+        key = V.phi.to_str()
         for W, _key, _lam, psi in V.augmentations(H):
-            lev = levels + ((V.phi.to_str(), slope_here, psi.to_str("u")),)
+            lev = levels + ((key, slope_here, psi.to_str("u")),)
             if isinstance(W, Closed) or W.projection(H) == 1:
                 results.append((W, lev))
             else:
@@ -497,17 +663,26 @@ def exact_val(V: StageVal, H: YPoly, g: YPoly):
 
     The value of the phi-expansion constant term is exact whenever it is the
     strict minimum among term values, because coefficients of degree below
-    deg phi take their final values on a collapsed chain.
+    deg phi take their final values on a collapsed chain.  Each comparison
+    reads certified values only; when neither side is certified, the
+    precision is raised.
     """
     if g.is_zero():
         return INF, V
     for _ in range(200):
         if V.rel_n is None or g.degree() < V.phi.degree():
             return V.val(g), V
-        terms = V._terms(g.expand_in(V.phi))
-        if terms[0] < min(terms[1:]):
-            return _qval(terms[0], V.E), V
-        V = improve(V, H)
+        ring = V.prec.ring
+        loc, s = V.prec.image(g)
+        terms = V._terms(loc.expand_in(V._key()))
+        t0, rest, top = terms[0], min(terms[1:], default=INF), ring.N * V.E
+        if t0 < top and t0 < rest:
+            return _qval(t0 - s * V.E, V.E), V
+        if rest < top and rest <= t0:
+            V = improve(V, H)
+        else:
+            # neither the constant term's value nor the rest is certified
+            V.prec.raise_past(Fraction(V._bound(g), V.E) + s)
     raise TowerlabError(
         "valuation did not stabilize; is the element zero at this place?"
     )

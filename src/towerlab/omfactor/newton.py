@@ -53,7 +53,12 @@ def newton_polygon(points) -> list[NPSegment]:
         raise DegeneratePolygon(
             f"need at least two finite points, got {len(pts)}"
         )
-    # Andrew's monotone chain, lower hull only, exact arithmetic.
+    return [NPSegment(slope=Fraction(dy, dx), length=dx) for dy, dx in _faces(pts)]
+
+
+def _faces(pts: list[tuple]) -> list[tuple]:
+    """(rise, run) of each lower-hull face of the sorted finite points pts,
+    by Andrew's monotone chain in exact arithmetic."""
     hull: list[tuple] = []
     for p in pts:
         while len(hull) >= 2:
@@ -64,20 +69,19 @@ def newton_polygon(points) -> list[NPSegment]:
             else:
                 break
         hull.append(p)
-    return [
-        NPSegment(slope=Fraction(y2 - y1, x2 - x1), length=x2 - x1)
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
-    ]
+    return [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
 
 
-def slope_length_pairs(vals: dict) -> list[tuple]:
+def slope_length_pairs(vals: dict, scale: int = 1) -> list[tuple]:
     """The (slope, length) list used by the valuation engine.
 
-    vals maps expansion index -> valuation (exact rational or INF); entries
-    with INF are dropped.  If the minimum present index is positive (the
-    constant coefficient vanishes), the first returned pair is
-    (-inf, min_index), matching the convention that a zero constant term
-    contributes a face of slope -infinity.
+    vals maps expansion index -> valuation (exact rational or INF), or
+    valuation times scale when scale > 1 (so that ints suffice); entries
+    with INF are dropped.  A slope is an int when integral and a Fraction
+    otherwise.  If the minimum present index is positive (the constant
+    coefficient vanishes), the first returned pair is (-inf, min_index),
+    matching the convention that a zero constant term contributes a face of
+    slope -infinity.
     """
     pts = _finite_points(vals.items())
     if not pts:
@@ -85,7 +89,9 @@ def slope_length_pairs(vals: dict) -> list[tuple]:
     out = []
     if pts[0][0] > 0:
         out.append((-INF, pts[0][0]))
-    if len(pts) >= 2:
-        for seg in newton_polygon(pts):
-            out.append((seg.slope, seg.length))
+    for dy, dx in _faces(pts):
+        if type(dy) is int and not dy % (dx * scale):
+            out.append((dy // (dx * scale), dx))
+        else:
+            out.append((Fraction(dy, dx * scale), dx))
     return out

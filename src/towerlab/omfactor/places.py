@@ -11,30 +11,43 @@ This neither moves the places nor changes e, f, or the different exponent
 (K(x)(z) is the same field), it only shifts valuations of y-expressions:
 nu(y) = nu(z) - M*e.
 
+The engine computes in O_P/P^N (see maclane).  places_above splits each
+coefficient of F at P once (RatPlace.split: its valuation, which gives M,
+and its unit part) and hands decompose the image of u * H for the unit
+u = lc_y(F) / pi^v_P(lc_y F): coefficient j is F_j * pi^((m-j)M - v_P(lc)),
+so no denominator is inverted.  u * H has H's values, Newton polygons and
+residual factors.  The starting precision comes from v_P(disc H), read off
+the discriminant Res_y(F, F_y) and its factorization on the curve's record.
+
 good_points is the one place that decides which fibres F(xi, y) certify
 something: those that keep degree deg_y F and are squarefree.  The
 squarefree certificate, Musser's degree analysis and the Hensel
-reconstruction in omfactor.irreducibility all take their fibres from it.
-The Eisenstein test reads the Newton polygon of F's own coefficients.
+reconstruction in omfactor.irreducibility all take their fibres from it,
+and the degree analysis resumes the walk after the first good fibre, which
+the record keeps.  The Eisenstein test reads the Newton polygon of F's own
+coefficients.
 
 The facts about F that do not depend on P are derived once per curve and
 kept on F in its `ffield.CurveFacts` record: the y-derivative, the first
-good point of GF(q), the squarefree verdict, the monic y-model and the
-swapped curve for side='y'.  The curve_* readers below fill it at first
-use, so the irreducibility test, the ramification locus and every
-places_above call on the same F share one computation of each; the record
-takes no part in F's equality and is freed with F.
+good point of GF(q) and its fibre, the squarefree verdict, the monic
+y-model, the swapped curve for side='y', and the discriminant with its
+factorization.  The curve_* readers below fill it at first use, so the
+irreducibility test, the ramification locus and every places_above call on
+the same F share one computation of each; the record takes no part in F's
+equality and is freed with F.
 """
 
 from __future__ import annotations
 
+import math
+
 from ..errors import TowerlabError
-from ..ffield import BivarPoly, FiniteField, poly_gcd
-from ..ratfunc import RatFunc, RatPlace
+from ..ffield import BivarPoly, FFElem, FiniteField, poly_factor, poly_gcd, resultant_y
+from ..ratfunc import LocalElem, RatPlace
 from ..record import Record
 from .maclane import INF, Inseparable, decompose, exact_val
 from .newton import newton_polygon
-from .ypoly import YPoly
+from .ypoly import YPoly, _trimmed
 
 
 class _Handle:
@@ -119,26 +132,31 @@ class PlaceExt(Record):
 
 def monic_integral_model(F: BivarPoly, P: RatPlace):
     """(H, M, pi): H monic in z with P-integral coefficients, z = y*pi^M."""
+    return _integral_model(F, P, _splits(F, P))
+
+
+def _splits(F: BivarPoly, P: RatPlace) -> list:
+    """P.split of each coefficient of F in y (None for a zero one): its
+    valuation and its unit part, exactly."""
+    return [None if c.is_zero() else P.split(c.ints) for c in F.ycoeffs]
+
+
+def _integral_model(F: BivarPoly, P: RatPlace, splits: list):
+    """monic_integral_model from the splits of F's coefficients."""
     G = curve_monic(F)
     m = G.degree()
-    pi = P.uniformizer()
+    # v_P of G's coefficient j is v_P(F_j) - v_P(lc_y F)
+    vl = splits[m][0]
     M = 0
     for j in range(m):
-        aj = G.coeff(j)
-        if aj.is_zero():
-            continue
-        v = P.valuation(aj)
-        if v < 0:
+        if splits[j] is not None and splits[j][0] < vl:
             # z = y*pi^M makes coefficient j pick up valuation (m-j)*M
-            M = max(M, -(v // (m - j)))  # ceil(-v / (m - j))
+            M = max(M, -((splits[j][0] - vl) // (m - j)))  # ceil(-v / (m - j))
     H = G
     if M:
         # coefficient j of pi^(mM) * G(z / pi^M) is G_j * pi^((m-j)M)
-        H = YPoly(G.field, [c * pi ** ((m - j) * M) for j, c in enumerate(G.coeffs)])
-    for c in H.coeffs:
-        if not c.is_zero() and P.valuation(c) < 0:
-            raise TowerlabError("integral model transform failed")
-    return H, M, pi
+        H = YPoly(G.field, [P.scaled(c, (m - j) * M) for j, c in enumerate(G.coeffs)])
+    return H, M, P.uniformizer()
 
 
 def places_above(
@@ -162,11 +180,24 @@ def places_above(
         raise Inseparable("defining polynomial is inseparable (derivative vanishes)")
     if not curve_squarefree(F):
         raise Inseparable("defining polynomial is not squarefree in y")
-    H, M, pi = monic_integral_model(F, P)
+    splits = _splits(F, P)
+    H, M, pi = _integral_model(F, P, splits)
+    # v_P(disc H), when the curve's record has the discriminant's factors
+    # (ramification_locus puts them there; decompose starts lower without):
+    # Res_y(F, F_y) = +-lc^(m + deg F_y) * prod_{i != j} (y_i - y_j) over the
+    # roots y_i of F, and z = y * pi^M scales each root difference
+    m = F.deg_y()
+    disc_val = 0
+    if F.facts.disc_factors is not None:
+        if P.poly is None:
+            v_R = -curve_disc(F).degree()
+        else:
+            v_R = next((k for g, k in curve_disc_factors(F) if g == P.poly), 0)
+        disc_val = v_R - (m + curve_dy(F).deg_y()) * splits[m][0] + M * m * (m - 1)
     p = F.field.p
     Hd = None  # H'(z), built for the first wild place
     out = []
-    for V, levels in decompose(P, H, max_depth=max_depth):
+    for V, levels in decompose(P, H, max_depth, _UnitModel(splits, M, disc_val)):
         handle = _Handle(P, side, H, M, pi, V)
         e = V.E
         f = V.res_deg
@@ -181,29 +212,41 @@ def places_above(
             if dmax == INF:
                 raise TowerlabError("derivative vanishes at a place of a separable polynomial")
             d_exact = dmax if dmax == dmin else None
-        out.append(
-            PlaceExt(
-                base=P,
-                side=side,
-                e=e,
-                f=f,
-                dmin=dmin,
-                dmax=dmax,
-                d_exact=d_exact,
-                refinement=levels,
-                _handle=handle,
-            )
-        )
+        # in slot order: base, side, e, f, dmin, dmax, d_exact, refinement, _handle
+        out.append(PlaceExt(P, side, e, f, dmin, dmax, d_exact, levels, handle))
     total = sum(pl.e * pl.f for pl in out)
     if total != F.deg_y():
         raise TowerlabError("fundamental equality violated in places_above")
     return out
 
 
-def good_points(F: BivarPoly, K: FiniteField):
+class _UnitModel:
+    """What places_above hands decompose about H at P: disc_val = v_P(disc H)
+    (0 when the curve's record has no discriminant), and the image in
+    O_P/P^N of u * H, H the monic integral model and u = lc_y(F) /
+    pi^v_P(lc_y F) a unit at P: its coefficient j is
+    F_j * pi^((m - j)M - v_P(lc_y F)), so F's own coefficients, split once,
+    are all it reads, and no denominator is inverted."""
+
+    __slots__ = ("splits", "M", "disc_val")
+
+    def __init__(self, splits: list, M: int, disc_val: int):
+        self.splits, self.M, self.disc_val = splits, M, disc_val
+
+    def image(self, ring) -> YPoly:
+        splits, M = self.splits, self.M
+        shift = M * (len(splits) - 1) - splits[-1][0]
+        cs = [
+            LocalElem(ring, ()) if s is None else ring.embed(s[0] + shift - j * M, s[1])
+            for j, s in enumerate(splits)
+        ]
+        return YPoly._of(ring, _trimmed(cs))
+
+
+def good_points(F: BivarPoly, K: FiniteField, start: int = 0):
     """Yield (xi, F(xi, y)) for each xi in K (an extension of F's field), in
-    encoding order, at which the fibre keeps degree deg_y F and is
-    squarefree.
+    encoding order from the encoding start on, at which the fibre keeps
+    degree deg_y F and is squarefree.
 
     The first such point certifies F squarefree and separable in y over
     K(x): by Gauss's lemma a square factor A^2 of F can be taken in
@@ -213,7 +256,8 @@ def good_points(F: BivarPoly, K: FiniteField):
     is y^2 at every point.
     """
     m = F.deg_y()
-    for xi in K.elements():
+    for v in range(start, K.order):
+        xi = FFElem(K, v)
         fy = F.eval_x(xi)
         if fy.degree() != m:
             continue
@@ -245,8 +289,32 @@ def curve_point(F: BivarPoly):
     """The first good point of F's own field, or None."""
     facts = F.facts
     if facts.point is None:
-        facts.point = next((xi for xi, _ in good_points(F, F.field)), False)
-    return None if facts.point is False else facts.point
+        facts.point = next(good_points(F, F.field), False)
+    return None if facts.point is False else facts.point[0]
+
+
+def curve_fibres(F: BivarPoly):
+    """good_points(F, F.field) for F with a good point: the first, kept on
+    the record with its fibre, then the walk resumed after it."""
+    xi, fy = F.facts.point
+    yield xi, fy
+    yield from good_points(F, F.field, xi.v + 1)
+
+
+def curve_disc(F: BivarPoly):
+    """resultant_y(F, F_y), the discriminant of F up to a power of lc_y F."""
+    facts = F.facts
+    if facts.disc is None:
+        facts.disc = resultant_y(F, curve_dy(F))
+    return facts.disc
+
+
+def curve_disc_factors(F: BivarPoly) -> list:
+    """poly_factor(curve_disc(F)) for F squarefree in y."""
+    facts = F.facts
+    if facts.disc_factors is None:
+        facts.disc_factors = poly_factor(curve_disc(F))
+    return facts.disc_factors
 
 
 def curve_squarefree(F: BivarPoly) -> bool:
@@ -284,5 +352,10 @@ def eisenstein_at(F: BivarPoly, P: RatPlace) -> bool:
     m = F.deg_y()
     if m < 1 or F.ycoeff(0).is_zero():
         return False  # constant in y, or y divides F
-    segs = newton_polygon((i, P.valuation(RatFunc(c))) for i, c in enumerate(F.ycoeffs))
+    # the one segment's rise v(F_0) - v(F_m) is prime to m
+    if math.gcd(P.order(F.ycoeff(0)) - P.order(F.ycoeff(m)), m) != 1:
+        return False
+    segs = newton_polygon(
+        (i, P.order(c)) for i, c in enumerate(F.ycoeffs) if not c.is_zero()
+    )
     return len(segs) == 1 and segs[0].length == m and segs[0].slope.denominator == m

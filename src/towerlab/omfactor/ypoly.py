@@ -1,8 +1,14 @@
-"""Polynomials in y over the rational function field GF(q)(x).
+"""Polynomials in y over GF(q)(x), and over the local rings O_P/P^N.
 
-This is the ring in which key polynomials and local defining equations live.
-Coefficients are RatFunc elements, so division by any nonzero leading
-coefficient is exact and no content bookkeeping is needed.
+A YPoly's coefficients are RatFuncs (exact elements of K(x)) or
+ratfunc.LocalElems (elements of O_P/P^N for one LocalRing, which then is
+the polynomial's `field`).  Both kinds support the same few operations
+(subtraction, multiplication, is_zero, is_one), and every method below
+that the MacLane engine calls on a local polynomial uses only those, so
+division and the phi-adic expansion have one code path for both.  Keys,
+the integral model H and everything a report prints stay exact; `local`
+converts an exact polynomial into O_P/P^N, and the engine computes on the
+image.
 
 Division runs on coefficient lists (`_divmod_coeffs`): the leading term of
 each step is known to cancel and is never computed, and a monic divisor, as
@@ -12,13 +18,8 @@ linear key that is synthetic division (a Taylor shift).  The MacLane engine
 expands the same polynomial in the same key many times (the valuation, the
 residual polynomial, the Newton polygon and the projection all start from
 it), so each key keeps the expansions made in it, as tuples, for as long as
-the key itself lives.
-
-The coefficients' own arithmetic is canonical-fraction arithmetic (see
-ratfunc), and their P-adic valuations and unit residues are remembered by
-the place, so the engine may ask for them as often as it likes.  monic()
-returns the polynomial itself when it is monic already, as every key and
-every integral model H is.
+the key itself lives.  monic() returns the polynomial itself when it is
+monic already, as every key and every integral model H is.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import operator
 
 from ..ffield import BivarPoly, FFPoly, FiniteField, _power
-from ..ratfunc import RatFunc
+from ..ratfunc import LocalElem, RatFunc
 
 
 def _trimmed(cs: list) -> tuple:
@@ -36,7 +37,7 @@ def _trimmed(cs: list) -> tuple:
 
 
 def _divmod_coeffs(a, b: tuple) -> tuple[list, list]:
-    """Quotient and remainder lists of a by b (RatFunc sequences,
+    """Quotient and remainder lists of a by b (coefficient sequences,
     low-to-high, b trimmed and nonzero).  The remainder has len(b) - 1
     entries, untrimmed; the quotient is trimmed when a is."""
     m = len(b) - 1
@@ -44,7 +45,7 @@ def _divmod_coeffs(a, b: tuple) -> tuple[list, list]:
     if len(rem) <= m:
         return [], rem
     lc = b[m]
-    inv = None if lc.num.is_one() and lc.den.is_one() else lc.inverse()
+    inv = None if lc.is_one() else lc.inverse()
     low = [(j, c) for j, c in enumerate(b[:m]) if not c.is_zero()]
     q = [None] * (len(rem) - m)
     for i in range(len(q) - 1, -1, -1):
@@ -60,7 +61,9 @@ def _divmod_coeffs(a, b: tuple) -> tuple[list, list]:
 
 
 class YPoly:
-    """Dense polynomial in y with RatFunc coefficients, low-to-high, trimmed."""
+    """Dense polynomial in y, low-to-high, trimmed: RatFunc coefficients over
+    the constant field `field`, or LocalElem ones over the LocalRing
+    `field` (made by `local`)."""
 
     __slots__ = ("field", "coeffs", "_expansions", "_hash")
 
@@ -83,7 +86,7 @@ class YPoly:
 
     @classmethod
     def _of(cls, field: FiniteField, coeffs: tuple) -> "YPoly":
-        """Wrap a trimmed tuple of RatFuncs over field without checks."""
+        """Wrap a trimmed coefficient tuple over field without checks."""
         f = cls.__new__(cls)
         f.field = field
         f.coeffs = coeffs
@@ -119,13 +122,10 @@ class YPoly:
         if self.is_zero():
             return self
         lc = self.lc()
-        if lc.num.is_one() and lc.den.is_one():
+        if lc.is_one():
             return self
         inv = lc.inverse()
         return YPoly._of(self.field, _trimmed([c * inv for c in self.coeffs]))
-
-    def is_one(self) -> bool:
-        return self.degree() == 0 and self.coeffs[0] == RatFunc.const(self.field, 1)
 
     def _coerce(self, other):
         if isinstance(other, YPoly):
@@ -142,8 +142,13 @@ class YPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return YPoly._of(self.field, _trimmed([self.coeff(i) + other.coeff(i) for i in range(n)]))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return YPoly._of(self.field, _trimmed(out))
 
     __radd__ = __add__
 
@@ -151,8 +156,7 @@ class YPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return YPoly._of(self.field, _trimmed([self.coeff(i) - other.coeff(i) for i in range(n)]))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -166,15 +170,15 @@ class YPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return YPoly(self.field, [])
-        zero = RatFunc.const(self.field, 0)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.coeffs, i):
                 if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return YPoly._of(self.field, _trimmed(out))
+                    out[j] = a * b if out[j] is None else out[j] + a * b
+        zero = RatFunc.const(self.field, 0)
+        return YPoly._of(self.field, _trimmed([zero if c is None else c for c in out]))
 
     __rmul__ = __mul__
 
@@ -190,17 +194,8 @@ class YPoly:
         q, r = _divmod_coeffs(self.coeffs, other.coeffs)
         return YPoly._of(self.field, tuple(q)), YPoly._of(self.field, _trimmed(r))
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def exact_div(self, other: "YPoly") -> "YPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("division was not exact")
-        return q
 
     def derivative(self) -> "YPoly":
         return YPoly(self.field, [self.coeff(i) * i for i in range(1, len(self.coeffs))])
@@ -213,18 +208,31 @@ class YPoly:
         """
         memo = phi._expansions
         if memo is None:
-            if phi.degree() < 1 or not phi.lc() == RatFunc.const(phi.field, 1):
+            if phi.degree() < 1 or not phi.lc().is_one():
                 raise ValueError("expansion base must be monic and nonconstant")
             memo = phi._expansions = {}
         out = memo.get(self)
         if out is None:
             cs = self.coeffs
-            digits = []
-            while cs:
-                cs, r = _divmod_coeffs(cs, phi.coeffs)
-                digits.append(YPoly._of(self.field, _trimmed(r)))
+            if len(phi.coeffs) == 2 and phi.coeffs[0].is_zero():
+                # phi = y: the digits are the coefficients
+                digits = [YPoly._of(self.field, () if c.is_zero() else (c,)) for c in cs]
+            else:
+                digits = []
+                while cs:
+                    cs, r = _divmod_coeffs(cs, phi.coeffs)
+                    digits.append(YPoly._of(self.field, _trimmed(r)))
             out = memo[self] = tuple(digits) if digits else (self,)
         return out
+
+    def local(self, ring) -> tuple["YPoly", int]:
+        """(g, s) for an exact polynomial and ring = O_P/P^N: s >= 0 is the
+        least shift that makes P^s * self P-integral, and g the image of
+        P^s * self in O_P/P^N[y]."""
+        parts = [None if c.is_zero() else ring.split(c) for c in self.coeffs]
+        s = max([0] + [-p[0] for p in parts if p is not None])
+        cs = [LocalElem(ring, ()) if p is None else ring.embed(p[0] + s, p[1]) for p in parts]
+        return YPoly._of(ring, _trimmed(cs)), s
 
     def subst_scaled(self, s: RatFunc) -> "YPoly":
         """The polynomial f(s*y): coefficient i is multiplied by s^i."""

@@ -1,5 +1,6 @@
 """The rational function field K(x) over K = GF(q): elements, places,
-valuations and residues.
+valuations and residues, and the local rings O_P/P^N the MacLane engine
+computes in.
 
 Places of K(x) are the monic irreducible polynomials p(x) together with the
 place at infinity.  The valuation at a finite place counts p-multiplicity in
@@ -11,30 +12,26 @@ of p(x), one ffield.Adjoin step built on first use: over a prime field
 q = p it is GF(p)[x]/(p(x)) with rho the class of x, otherwise the
 canonical GF(q^d) with rho the smallest root of p(x) there.  At a place of
 degree 1, infinity included, it is K itself.  lift() inverts evaluation at
-rho on polynomials of degree < d.
-
-A finite place computes the p-adic data of a nonzero coefficient r once and
-keeps it, keyed by the value of r, for as long as the place lives: v(r) and
-the remainders mod p(x) of num/p^a and den/p^b, where p^a and p^b are the
-powers of p(x) dividing them, plus the unit residue once asked for.
-valuation, residue and unit_residue all read it.  The record sits on the
-place rather than on the coefficient because equal coefficients recur as
-distinct objects (one pass of the sweep benchmark asks about 2,300
-(place, object) pairs but only about 1,050 (place, value) pairs), and
-because places are short-lived while a coefficient may meet many of them.
-
-Residues come from the remainder, f(rho) = (f mod p)(rho): at a degree-1
-place that remainder is the constant f(a); over a prime field its
-coefficients are the digits of f(rho); only otherwise is there a Horner
-evaluation (Adjoin.value), of a polynomial of degree < d.
+rho on polynomials of degree < d.  Residues come from the remainder,
+f(rho) = (f mod p)(rho).
 
 RatFunc arithmetic keeps num/den canonical (coprime, monic denominator)
 with Henrici's rules (Knuth, TAOCP 2, 4.5.1), as Python's fractions module
 does for integers: a sum takes gcd(d1, d2) = g and then only gcd(num, g); a
 product takes the cross gcds gcd(n1, d2) and gcd(n2, d1); an inverse or a
 power of a canonical fraction is coprime already.  The rules run on the
-coefficient lists (FFPoly.ints) with ffield's list kernels, and only each
-result is wrapped in FFPolys.
+coefficient lists (FFPoly.ints) with ffield's list kernels.
+
+`RatPlace.local(N)` is the ring O_P/P^N, and `LocalRing.split` is the one
+conversion of a RatFunc into it.  At a place of degree 1 and at infinity an
+element is a power series in t = x - a or t = 1/x cut after t^(N-1): its
+valuation is the index of the first nonzero coefficient, its unit residue
+that coefficient, and a product needs no gcd.  At a place of degree d >= 2
+an element is a polynomial in x reduced mod P^N, so the arithmetic stays
+over K and never enters the residue field GF(q^d); its valuation strips P
+by division.  A nonzero element of O_P/P^N has a valuation below N, and it
+is exact: an element known mod P^N has the value of its image whenever
+that value is below N.  The zero element stands for "value >= N".
 """
 
 from __future__ import annotations
@@ -54,7 +51,11 @@ from .ffield import (
     _pgcd,
     _pmul,
     _pscale,
+    _pseries_inv,
     _psub,
+    _ptaylor,
+    _pxgcd,
+    _trim,
     is_irreducible,
 )
 
@@ -112,6 +113,9 @@ class RatFunc:
     def is_zero(self) -> bool:
         return not self.num.ints
 
+    def is_one(self) -> bool:
+        return self.num.ints == [1] and self.den.ints == [1]
+
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             if other.field is not self.field:
@@ -160,9 +164,6 @@ class RatFunc:
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return _product(self.field, self.num.ints, self.den.ints, other.den.ints, other.num.ints)
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
@@ -274,7 +275,7 @@ class RatPlace:
     """A place of GF(q)(x): either the zero locus of a monic irreducible
     polynomial, or the place at infinity."""
 
-    __slots__ = ("field", "poly", "_ext", "_padic")
+    __slots__ = ("field", "poly", "_ext")
 
     def __init__(self, field: FiniteField, poly: FFPoly | None, certified: bool = False):
         """certified=True skips the irreducibility test of a poly the caller
@@ -289,7 +290,6 @@ class RatPlace:
         self.field = field
         self.poly = poly
         self._ext = None
-        self._padic = {}
 
     @classmethod
     def infinity(cls, field: FiniteField) -> "RatPlace":
@@ -304,9 +304,43 @@ class RatPlace:
 
     def uniformizer(self) -> RatFunc:
         if self.poly is None:
-            one = FFPoly(self.field, [1])
-            return RatFunc(one, FFPoly(self.field, [0, 1]))
+            return _wrap(self.field, [1], [0, 1])
         return RatFunc(self.poly)
+
+    def scaled(self, r: RatFunc, k: int) -> RatFunc:
+        """r * pi^k for the uniformizer pi, in canonical form: the powers of
+        P (of x at infinity) that cancel are stripped, and no gcd is taken."""
+        if not k or r.is_zero():
+            return r
+        F = self.field
+        n, d = r.num.ints, r.den.ints
+        if self.poly is None:
+            P, k = [0, 1], -k  # pi = 1/x
+        else:
+            P = self.poly.ints
+        if k < 0:
+            d, n = n, d
+        e = abs(k)
+        if self.poly is None:
+            # powers of x: leading zero coefficients
+            s = 0
+            while s < e and not d[s]:
+                s += 1
+            d, n, e = d[s:], [0] * (e - s) + n, 0
+        while e and len(d) >= len(P):
+            q, rem = _pdivmod(F, d, P)
+            if rem:
+                break
+            d, e = q, e - 1
+        for _ in range(e):
+            n = _pmul(F, n, P)
+        if k < 0:
+            d, n = n, d
+        return _wrap(F, *_monic_den(F, n, d))
+
+    def local(self, N: int) -> "LocalRing":
+        """The ring O_P/P^N."""
+        return LocalRing(self, N)
 
     # -- valuation --------------------------------------------------------------
 
@@ -316,33 +350,47 @@ class RatPlace:
             raise TypeError("valuation takes a RatFunc")
         if r.is_zero():
             return INF
+        return self.order(r.num) - self.order(r.den)
+
+    def order(self, f: FFPoly) -> int:
+        """The valuation of a nonzero polynomial."""
         if self.poly is None:
-            return r.den.degree() - r.num.degree()
-        return self._data(r)[0]
+            return -f.degree()
+        return self._unit(f.ints)[0]
 
-    def _data(self, r: RatFunc) -> list:
-        """[v, num/P^a mod P, den/P^b mod P, unit residue or None] for a
-        nonzero r at this finite place, with v = a - b; computed once per
-        coefficient value and kept for the life of the place."""
-        data = self._padic.get(r)
-        if data is None:
-            a, nrem = self._strip(r.num.ints)
-            b, drem = self._strip(r.den.ints)
-            data = self._padic[r] = [a - b, nrem, drem, None]
-        return data
+    def split(self, f, n: int | None = None) -> tuple[int, list[int]]:
+        """(v, g) with the nonzero polynomial f = pi^v * g: g a polynomial in
+        the local variable of LocalRing (t = x - a, or t = 1/x at infinity)
+        at a place of degree 1, cut to its first n coefficients when n is
+        given, else g in x, exactly."""
+        if self.poly is None:
+            return 1 - len(f), _trim(f[::-1][:n])
+        P = self.poly.ints
+        if len(P) == 2:
+            return _ptaylor(self.field, f, self.field._neg(P[0]), n or len(f))
+        return self._strip(f)[:2]
 
-    def _strip(self, f: list[int]) -> tuple[int, list[int]]:
-        """(v, g mod P) with f = P^v * g and P not dividing g, on coefficient
-        lists; f is nonzero."""
+    def _unit(self, f) -> tuple[int, list[int]]:
+        """(v, r) with f = P^v * g, g a unit, and r = g mod P (at a place of
+        degree 1, the value of g at the root), for a nonzero f."""
+        P = self.poly.ints
+        if len(P) == 2:
+            return _ptaylor(self.field, f, self.field._neg(P[0]), 1)
+        v, _, r = self._strip(f)
+        return v, r
+
+    def _strip(self, f) -> tuple[int, list[int], list[int]]:
+        """(v, g, r) with f = P^v * g and r = g mod P nonzero, on coefficient
+        lists; f is nonzero and P finite."""
         F, P = self.field, self.poly.ints
         v = 0
         while len(f) >= len(P):
             q, rem = _pdivmod(F, f, P)
             if rem:
-                return v, rem
+                return v, list(f), rem
             v += 1
             f = q
-        return v, f
+        return v, list(f), list(f)
 
     # -- residue machinery --------------------------------------------------------
 
@@ -362,28 +410,19 @@ class RatPlace:
             return self.field
         return self._adjoin().field
 
-    def _residue_of(self, rem: list[int]) -> FFElem:
-        """f(rho) for a finite place, from the coefficient list of f mod P."""
+    def _residue_of(self, f: list[int]) -> FFElem:
+        """f(rho) for a finite place, from a coefficient list f."""
         ext = self._adjoin()
-        return FFElem(ext.field, ext.value(rem))
-
-    def _unit(self, data: list) -> FFElem:
-        if data[3] is None:
-            data[3] = self._residue_of(data[1]) / self._residue_of(data[2])
-        return data[3]
+        return FFElem(ext.field, ext.value(_pdivmod(self.field, f, self.poly.ints)[1]))
 
     def residue(self, r: RatFunc) -> FFElem:
         """The image of r in the residue field; PoleAtPlace if v(r) < 0."""
         v = self.valuation(r)
-        res = self.residue_field()
         if v is INF or v > 0:
-            return res.zero()
+            return self.residue_field().zero()
         if v < 0:
             raise PoleAtPlace(f"pole of order {-v} at {self!r}")
-        if self.poly is None:
-            # equal degrees: ratio of leading coefficients
-            return r.num.lc() / r.den.lc()
-        return self._unit(self._data(r))
+        return self.unit_residue(r)
 
     def unit_residue(self, r: RatFunc) -> FFElem:
         """residue(r * pi^(-v(r))): the leading unit of r at this place."""
@@ -391,7 +430,8 @@ class RatPlace:
             raise ZeroDivisionError("unit part of zero")
         if self.poly is None:
             return r.num.lc() / r.den.lc()
-        return self._unit(self._data(r))
+        num = self._residue_of(self._unit(r.num.ints)[1])
+        return num / self._residue_of(self._unit(r.den.ints)[1])
 
     def lift(self, alpha: FFElem) -> RatFunc:
         """A rational function (in fact a polynomial of degree < deg P, or a
@@ -424,6 +464,129 @@ class RatPlace:
         if self.poly is None:
             return "place(infinity)"
         return f"place({self.poly.to_str()})"
+
+
+class LocalRing:
+    """O_P/P^N for a place P of K(x) (module docstring).  Elements are
+    trimmed coefficient tuples: in t, of length <= N, at a place of degree 1
+    or infinity (the series form); in x, of degree < N deg P, otherwise."""
+
+    __slots__ = ("place", "N", "field", "_mod", "_dens")
+
+    def __init__(self, place: RatPlace, N: int):
+        self.place, self.N, self.field = place, N, place.field
+        self._dens = {}  # denominator -> (its valuation, its unit's inverse)
+        P = place.poly
+        self._mod = None if P is None or P.degree() == 1 else (P**N).ints
+
+    def _unit_part(self, f: list[int]) -> tuple[int, list[int]]:
+        """(v, u) with the nonzero polynomial f = t^v * u (P^v * u), u a
+        unit known mod P^N."""
+        v, u = self.place.split(f, self.N)
+        if self._mod is not None:
+            u = _pdivmod(self.field, u, self._mod)[1]
+        return v, u
+
+    def split(self, r: RatFunc) -> tuple[int, list[int]]:
+        """(v_P(r), u) for a nonzero r = t^v * u, u a unit mod P^N; the
+        valuation is exact."""
+        v, u = self._unit_part(r.num.ints)
+        den = r.den.ints
+        if len(den) == 1:
+            return v, u
+        key = tuple(den)
+        inv = self._dens.get(key)
+        if inv is None:
+            w, d = self._unit_part(den)
+            inv = self._dens[key] = (w, self._inverse(d))
+        return v - inv[0], self.mul(u, inv[1])
+
+    def embed(self, v: int, u: list[int]) -> "LocalElem":
+        """The element t^v * u (P^v * u) for v >= 0."""
+        if v >= self.N:
+            return LocalElem(self, ())
+        if self._mod is None:
+            return LocalElem(self, tuple(_trim(([0] * v + list(u))[: self.N])))
+        if v:
+            u = _pmul(self.field, (self.place.poly**v).ints, u)
+        return LocalElem(self, self._reduce(u))
+
+    def _reduce(self, a: list[int]) -> tuple:
+        if self._mod is None:
+            return tuple(_trim(a[: self.N]) if len(a) > self.N else a)
+        return tuple(_pdivmod(self.field, a, self._mod)[1])
+
+    def mul(self, a, b) -> tuple:
+        return self._reduce(_pmul(self.field, a, b))
+
+    def _inverse(self, u: list[int]) -> list[int]:
+        """1/u mod P^N for a unit u."""
+        F = self.field
+        if len(u) == 1:
+            return [F._inv(u[0])]
+        if self._mod is not None:
+            return _pxgcd(F, u, self._mod)[1]
+        return _pseries_inv(F, u, self.N)
+
+    def lead(self, a: tuple) -> tuple:
+        """(v, r) for a nonzero element a = t^v * u (P^v * u): its valuation,
+        below N, and its leading unit's residue in the form residue() reads
+        (the coefficient u(0), or u mod P at a place of degree >= 2)."""
+        if self._mod is not None:
+            return self.place._unit(a)
+        v = 0
+        while not a[v]:
+            v += 1
+        return v, a[v]
+
+    def residue(self, r) -> FFElem:
+        if self._mod is not None:
+            return self.place._residue_of(r)
+        return FFElem(self.field, r)
+
+
+class LocalElem:
+    """An element of a LocalRing: its ring, its coefficient tuple c, and its
+    valuation once asked for."""
+
+    __slots__ = ("ring", "c", "_lead")
+
+    def __init__(self, ring: LocalRing, c: tuple):
+        self.ring = ring
+        self.c = c
+        self._lead = None
+
+    def val(self):
+        """The valuation: below N, or INF for zero."""
+        if not self.c:
+            return INF
+        if self._lead is None:
+            self._lead = self.ring.lead(self.c)
+        return self._lead[0]
+
+    def unit(self) -> FFElem:
+        """The residue of self * t^(-v) for nonzero self."""
+        if self._lead is None:
+            self._lead = self.ring.lead(self.c)
+        return self.ring.residue(self._lead[1])
+
+    def is_zero(self) -> bool:
+        return not self.c
+
+    def is_one(self) -> bool:
+        return self.c == (1,)
+
+    def __sub__(self, other: "LocalElem") -> "LocalElem":
+        return LocalElem(self.ring, tuple(_psub(self.ring.field, self.c, other.c)))
+
+    def __mul__(self, other: "LocalElem") -> "LocalElem":
+        return LocalElem(self.ring, self.ring.mul(self.c, other.c))
+
+    def __eq__(self, other):
+        return isinstance(other, LocalElem) and other.c == self.c
+
+    def __hash__(self):
+        return hash(self.c)
 
 
 def finite_places_of_degree(field: FiniteField, d: int) -> list[RatPlace]:

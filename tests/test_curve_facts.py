@@ -113,3 +113,22 @@ def test_sweep_pool_place_tables_match_goldens_fresh_and_reused():
     # the record, and none may leak from one curve into another
     assert [_digest(F) for F in reversed(curves)] == want[::-1]
     assert [_digest(workloads.make_curve(spec)) for spec in specs] == want
+
+
+def test_irreducibility_evaluates_each_fibre_once(monkeypatch):
+    # curve_point keeps the first good fibre on the record, and the degree
+    # analysis resumes the walk after it instead of starting over: on the
+    # sweep pool every evaluation is of a distinct (F, xi)
+    curves = [workloads.make_curve(spec) for spec in _goldens()[0]]
+    calls = []
+    eval_x = BivarPoly.eval_x
+
+    def counted(G, xi):
+        calls.append((id(G), xi.field, xi.v))
+        return eval_x(G, xi)
+
+    monkeypatch.setattr(BivarPoly, "eval_x", counted)
+    for F in curves:
+        assert is_irreducible_over_ratfield(F)
+    assert len(curves) == 41
+    assert len(calls) == len(set(calls)) == 59
