@@ -1127,18 +1127,14 @@ class FFPoly:
     def to_str(self, var: str = "x") -> str:
         if self.is_zero():
             return "0"
-        F = self.field
         terms = []
-        for i in range(len(self.ints) - 1, -1, -1):
-            v = self.ints[i]
-            if not v:
+        for i in range(self.degree(), -1, -1):
+            c = self.coeff(i)
+            if c.is_zero():
                 continue
-            if F.k == 1:
-                cs = str(v)
-            else:
-                cs = repr(FFElem(F, v))
-                if "+" in cs or "*" in cs or "^" in cs:
-                    cs = "(" + cs + ")"
+            cs = repr(c)
+            if self.field.k > 1 and ("+" in cs or "*" in cs or "^" in cs):
+                cs = "(" + cs + ")"
             if i == 0:
                 terms.append(cs)
             else:
@@ -1300,12 +1296,10 @@ def poly_factor(f: FFPoly) -> list[tuple[FFPoly, int]]:
     if f.degree() == 1:
         return [(f.monic(), 1)]
     F = f.field
-    rng = None  # seeded at the first split that draws from it
+    rng = random.Random(FACTOR_SEED)
     out = []
     for mult, g in _squarefree_decomposition(F, _pmonic(F, f.ints)):
         for prod, d in _ddf(F, g):
-            if rng is None and len(prod) - 1 > d:
-                rng = random.Random(FACTOR_SEED)
             for irr in _equal_degree_split(F, prod, d, rng):
                 out.append((len(irr), irr, mult))
     out.sort()

@@ -87,28 +87,23 @@ class PrecisionExceeded(TowerlabError):
 
 def start_precision(disc_val: int, low_val: int) -> int:
     """The first N of a decomposition of H: v_P(disc H) plus the value of
-    H's lowest nonzero coefficient, plus one.  Every value the engine reads
-    on the benchmark's curves and on the family for q <= 27 lies below it;
-    the lowest coefficient's value is the first point of the first Newton
-    polygon, which the discriminant alone does not bound."""
-    return disc_val + low_val + 1
+    H's lowest nonzero coefficient (the first point of the first Newton
+    polygon, which the discriminant alone does not bound), plus one; at
+    least 1, so that an H that is not integral reaches the check in
+    decompose."""
+    return max(1, disc_val + low_val + 1)
 
 
 class _Precision:
     """The ring O_P/P^N a decomposition's stages compute in, raised in place
     (N doubled) when a value they need reaches N, and the images there of
-    the exact polynomials they were asked about, each converted once.  For
-    the values of H itself, the image of u * H may come from a model
-    (decompose)."""
+    the exact polynomials they were asked about, each converted once."""
 
-    __slots__ = ("ring", "_images", "H", "model", "_model_image")
+    __slots__ = ("ring", "_images")
 
-    def __init__(self, ring, H: YPoly, model):
+    def __init__(self, ring):
         self.ring = ring
         self._images = {}
-        self.H = H
-        self.model = model
-        self._model_image = None
 
     def local(self, f: YPoly) -> tuple[YPoly, int]:
         """f.local(ring) at the current ring, converted once."""
@@ -116,16 +111,6 @@ class _Precision:
         if out is None:
             out = self._images[f] = f.local(self.ring)
         return out
-
-    def image(self, f: YPoly) -> tuple[YPoly, int]:
-        """The image to compute f's values on: local(f), or for H itself the
-        model's image of u * H when decompose was given one.  A key takes
-        local, since it must stay monic."""
-        if f is not self.H or self.model is None:
-            return self.local(f)
-        if self._model_image is None:
-            self._model_image = self.model.image(self.ring), 0
-        return self._model_image
 
     def raise_past(self, bound) -> None:
         """Double N; bound is an upper bound of the value that reached it."""
@@ -136,7 +121,6 @@ class _Precision:
             )
         self.ring = ring.place.local(max(1, 2 * ring.N))
         self._images = {}
-        self._model_image = None
 
 
 def _qval(n, d: int):
@@ -151,7 +135,7 @@ def _stage_data(prev_E: int, keyval):
     """(E, rel_n, rel_d, inv_a, inv_b) for a stage of key value keyval over a
     previous stage with value group (1/prev_E)Z; keyval is an int or a
     Fraction, and rel_n / rel_d = keyval * prev_E in lowest terms."""
-    if isinstance(keyval, float):  # INF
+    if keyval == INF:
         return prev_E, None, 1, 0, 1
     n, d = keyval.numerator * prev_E, keyval.denominator
     g = math.gcd(n, d)
@@ -303,7 +287,7 @@ class StageVal:
             return self.prev._exact_sval(r)
         while True:
             ring = self.prec.ring
-            g, s = self.prec.image(f)
+            g, s = self.prec.local(f)
             v = self._sval(g)
             if v < ring.N * self.E:
                 return v - s * self.E
@@ -322,7 +306,7 @@ class StageVal:
         if self.rel_n is None:
             raise TowerlabError("no graded reduction at an infinite stage")
         self._exact_sval(f)  # certifies V(f) at the current precision
-        g, s = self.prec.image(f)
+        g, s = self.prec.local(f)
         if s:
             raise ValueError("graded reduction of a polynomial that is not P-integral")
         return self._reduce(g)
@@ -434,12 +418,10 @@ class StageVal:
     def newton_slopes(self, f: YPoly, P: YPoly):
         """(slope, length) pairs of the Newton polygon of the monic,
         P-integral f in the key P at this stage.  Its first point is digit 0,
-        or the first digit that is exactly nonzero when P divides f; that
-        point and the last are certified, and a point whose value reaches N
-        lies above the polygon and is left out."""
+        or the first digit that is exactly nonzero when P divides f."""
         while True:
             ring = self.prec.ring
-            cc = self.prec.image(f)[0].expand_in(self.prec.local(P)[0])
+            cc = self.prec.local(f)[0].expand_in(self.prec.local(P)[0])
             top = ring.N * self.E
             vals = [self._sval(c) for c in cc]
             first = 0
@@ -466,7 +448,7 @@ class StageVal:
         if self.rel_n is None:
             return False
         vf = self._exact_sval(f)
-        g = self.prec.image(f)[0]
+        g = self.prec.local(f)[0]
         cc = g.expand_in(self._key())
         nn = len(cc) - 1
         # f is phi^nn plus terms of lower phi-degree
@@ -507,7 +489,7 @@ class StageVal:
         v = self._exact_sval(G)
         if v == INF:
             return 1
-        g = self.prec.image(G)[0]
+        g = self.prec.local(G)[0]
         ii = [i for i, t in enumerate(self._terms(g.expand_in(self._key()))) if t == v]
         return ii[-1] - ii[0]
 
@@ -574,15 +556,11 @@ class Closed:
         return self._stage
 
 
-def decompose(place: RatPlace, H: YPoly, max_depth: int = 8, model=None):
+def decompose(place: RatPlace, H: YPoly, max_depth: int = 8, disc_val: int = 0):
     """All terminal inductive valuations for the monic, integral, squarefree
-    separable polynomial H over the given place.  model, when given (by
-    places_above), carries disc_val = v_P(disc H) (0 when not known), from
-    which the starting precision is derived (start_precision), and maps a
-    LocalRing to the image of u * H for a unit u at the place (image), which
-    has H's values, Newton polygons and residual factors; the engine then
-    computes on it instead of converting H.  The precision is raised when a
-    value needs more.
+    separable polynomial H over the given place.  disc_val is v_P(disc H)
+    when the caller knows it (0 otherwise); the starting precision is
+    derived from it (start_precision).
 
     Returns a list of (branch, levels) pairs.  A branch is a terminal
     StageVal or a Closed; both carry E and res_deg, and stage() gives the
@@ -601,11 +579,10 @@ def decompose(place: RatPlace, H: YPoly, max_depth: int = 8, model=None):
     # (an exact test), its last the leading coefficient, a unit
     low = next(i for i, c in enumerate(H.coeffs) if not c.is_zero())
     v_low = place.valuation(H.coeffs[low])
-    disc_val = 0 if model is None else model.disc_val
-    prec = _Precision(place.local(start_precision(disc_val, v_low)), H, model)
+    prec = _Precision(place.local(start_precision(disc_val, v_low)))
     while prec.ring.N <= v_low:
         prec.raise_past(v_low)
-    image, shift = prec.image(H)
+    image, shift = prec.local(H)
     if shift:
         raise TowerlabError(f"H is not integral at {place!r}")
     vals = {i: c.val() for i, c in enumerate(image.coeffs) if i >= low and c.c}
@@ -673,7 +650,7 @@ def exact_val(V: StageVal, H: YPoly, g: YPoly):
         if V.rel_n is None or g.degree() < V.phi.degree():
             return V.val(g), V
         ring = V.prec.ring
-        loc, s = V.prec.image(g)
+        loc, s = V.prec.local(g)
         terms = V._terms(loc.expand_in(V._key()))
         t0, rest, top = terms[0], min(terms[1:], default=INF), ring.N * V.E
         if t0 < top and t0 < rest:

@@ -11,13 +11,8 @@ This neither moves the places nor changes e, f, or the different exponent
 (K(x)(z) is the same field), it only shifts valuations of y-expressions:
 nu(y) = nu(z) - M*e.
 
-The engine computes in O_P/P^N (see maclane).  places_above splits each
-coefficient of F at P once (RatPlace.split: its valuation, which gives M,
-and its unit part) and hands decompose the image of u * H for the unit
-u = lc_y(F) / pi^v_P(lc_y F): coefficient j is F_j * pi^((m-j)M - v_P(lc)),
-so no denominator is inverted.  u * H has H's values, Newton polygons and
-residual factors.  The starting precision comes from v_P(disc H), read off
-the discriminant Res_y(F, F_y) and its factorization on the curve's record.
+places_above hands decompose v_P(disc H) for its starting precision (see
+maclane) when the curve's record holds the discriminant's factorization.
 
 good_points is the one place that decides which fibres F(xi, y) certify
 something: those that keep degree deg_y F and are squarefree.  The
@@ -39,15 +34,13 @@ equality and is freed with F.
 
 from __future__ import annotations
 
-import math
-
 from ..errors import TowerlabError
 from ..ffield import BivarPoly, FFElem, FiniteField, poly_factor, poly_gcd, resultant_y
-from ..ratfunc import LocalElem, RatPlace
+from ..ratfunc import RatPlace
 from ..record import Record
 from .maclane import INF, Inseparable, decompose, exact_val
 from .newton import newton_polygon
-from .ypoly import YPoly, _trimmed
+from .ypoly import YPoly
 
 
 class _Handle:
@@ -132,26 +125,18 @@ class PlaceExt(Record):
 
 def monic_integral_model(F: BivarPoly, P: RatPlace):
     """(H, M, pi): H monic in z with P-integral coefficients, z = y*pi^M."""
-    return _integral_model(F, P, _splits(F, P))
-
-
-def _splits(F: BivarPoly, P: RatPlace) -> list:
-    """P.split of each coefficient of F in y (None for a zero one): its
-    valuation and its unit part, exactly."""
-    return [None if c.is_zero() else P.split(c.ints) for c in F.ycoeffs]
-
-
-def _integral_model(F: BivarPoly, P: RatPlace, splits: list):
-    """monic_integral_model from the splits of F's coefficients."""
     G = curve_monic(F)
     m = G.degree()
     # v_P of G's coefficient j is v_P(F_j) - v_P(lc_y F)
-    vl = splits[m][0]
+    vl = P.order(F.ycoeff(m))
     M = 0
     for j in range(m):
-        if splits[j] is not None and splits[j][0] < vl:
-            # z = y*pi^M makes coefficient j pick up valuation (m-j)*M
-            M = max(M, -((splits[j][0] - vl) // (m - j)))  # ceil(-v / (m - j))
+        c = F.ycoeff(j)
+        if not c.is_zero():
+            v = P.order(c) - vl
+            if v < 0:
+                # z = y*pi^M makes coefficient j pick up valuation (m-j)*M
+                M = max(M, -(v // (m - j)))  # ceil(-v / (m - j))
     H = G
     if M:
         # coefficient j of pi^(mM) * G(z / pi^M) is G_j * pi^((m-j)M)
@@ -180,8 +165,7 @@ def places_above(
         raise Inseparable("defining polynomial is inseparable (derivative vanishes)")
     if not curve_squarefree(F):
         raise Inseparable("defining polynomial is not squarefree in y")
-    splits = _splits(F, P)
-    H, M, pi = _integral_model(F, P, splits)
+    H, M, pi = monic_integral_model(F, P)
     # v_P(disc H), when the curve's record has the discriminant's factors
     # (ramification_locus puts them there; decompose starts lower without):
     # Res_y(F, F_y) = +-lc^(m + deg F_y) * prod_{i != j} (y_i - y_j) over the
@@ -193,11 +177,11 @@ def places_above(
             v_R = -curve_disc(F).degree()
         else:
             v_R = next((k for g, k in curve_disc_factors(F) if g == P.poly), 0)
-        disc_val = v_R - (m + curve_dy(F).deg_y()) * splits[m][0] + M * m * (m - 1)
+        disc_val = v_R - (m + curve_dy(F).deg_y()) * P.order(F.ycoeff(m)) + M * m * (m - 1)
     p = F.field.p
     Hd = None  # H'(z), built for the first wild place
     out = []
-    for V, levels in decompose(P, H, max_depth, _UnitModel(splits, M, disc_val)):
+    for V, levels in decompose(P, H, max_depth, disc_val):
         handle = _Handle(P, side, H, M, pi, V)
         e = V.E
         f = V.res_deg
@@ -212,35 +196,23 @@ def places_above(
             if dmax == INF:
                 raise TowerlabError("derivative vanishes at a place of a separable polynomial")
             d_exact = dmax if dmax == dmin else None
-        # in slot order: base, side, e, f, dmin, dmax, d_exact, refinement, _handle
-        out.append(PlaceExt(P, side, e, f, dmin, dmax, d_exact, levels, handle))
+        out.append(
+            PlaceExt(
+                base=P,
+                side=side,
+                e=e,
+                f=f,
+                dmin=dmin,
+                dmax=dmax,
+                d_exact=d_exact,
+                refinement=levels,
+                _handle=handle,
+            )
+        )
     total = sum(pl.e * pl.f for pl in out)
     if total != F.deg_y():
         raise TowerlabError("fundamental equality violated in places_above")
     return out
-
-
-class _UnitModel:
-    """What places_above hands decompose about H at P: disc_val = v_P(disc H)
-    (0 when the curve's record has no discriminant), and the image in
-    O_P/P^N of u * H, H the monic integral model and u = lc_y(F) /
-    pi^v_P(lc_y F) a unit at P: its coefficient j is
-    F_j * pi^((m - j)M - v_P(lc_y F)), so F's own coefficients, split once,
-    are all it reads, and no denominator is inverted."""
-
-    __slots__ = ("splits", "M", "disc_val")
-
-    def __init__(self, splits: list, M: int, disc_val: int):
-        self.splits, self.M, self.disc_val = splits, M, disc_val
-
-    def image(self, ring) -> YPoly:
-        splits, M = self.splits, self.M
-        shift = M * (len(splits) - 1) - splits[-1][0]
-        cs = [
-            LocalElem(ring, ()) if s is None else ring.embed(s[0] + shift - j * M, s[1])
-            for j, s in enumerate(splits)
-        ]
-        return YPoly._of(ring, _trimmed(cs))
 
 
 def good_points(F: BivarPoly, K: FiniteField, start: int = 0):
@@ -352,9 +324,6 @@ def eisenstein_at(F: BivarPoly, P: RatPlace) -> bool:
     m = F.deg_y()
     if m < 1 or F.ycoeff(0).is_zero():
         return False  # constant in y, or y divides F
-    # the one segment's rise v(F_0) - v(F_m) is prime to m
-    if math.gcd(P.order(F.ycoeff(0)) - P.order(F.ycoeff(m)), m) != 1:
-        return False
     segs = newton_polygon(
         (i, P.order(c)) for i, c in enumerate(F.ycoeffs) if not c.is_zero()
     )

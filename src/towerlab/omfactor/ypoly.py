@@ -1,14 +1,10 @@
 """Polynomials in y over GF(q)(x), and over the local rings O_P/P^N.
 
-A YPoly's coefficients are RatFuncs (exact elements of K(x)) or
-ratfunc.LocalElems (elements of O_P/P^N for one LocalRing, which then is
-the polynomial's `field`).  Both kinds support the same few operations
-(subtraction, multiplication, is_zero, is_one), and every method below
-that the MacLane engine calls on a local polynomial uses only those, so
-division and the phi-adic expansion have one code path for both.  Keys,
-the integral model H and everything a report prints stay exact; `local`
-converts an exact polynomial into O_P/P^N, and the engine computes on the
-image.
+A YPoly's coefficients are RatFuncs or ratfunc.LocalElems (O_P/P^N, one
+LocalRing, which then is the polynomial's `field`); `local` converts the
+first kind into the second.  Division and the phi-adic expansion use only
+subtraction, multiplication, is_zero and is_one of the coefficients, so
+they are one code path for both.
 
 Division runs on coefficient lists (`_divmod_coeffs`): the leading term of
 each step is known to cancel and is never computed, and a monic divisor, as
@@ -142,13 +138,8 @@ class YPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return YPoly._of(self.field, _trimmed(out))
+        n = max(len(self.coeffs), len(other.coeffs))
+        return YPoly._of(self.field, _trimmed([self.coeff(i) + other.coeff(i) for i in range(n)]))
 
     __radd__ = __add__
 
@@ -156,7 +147,8 @@ class YPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return YPoly._of(self.field, _trimmed([self.coeff(i) - other.coeff(i) for i in range(n)]))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -170,15 +162,15 @@ class YPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return YPoly(self.field, [])
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        zero = RatFunc.const(self.field, 0)
+        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs, i):
+            for j, b in enumerate(other.coeffs):
                 if not b.is_zero():
-                    out[j] = a * b if out[j] is None else out[j] + a * b
-        zero = RatFunc.const(self.field, 0)
-        return YPoly._of(self.field, _trimmed([zero if c is None else c for c in out]))
+                    out[i + j] = out[i + j] + a * b
+        return YPoly._of(self.field, _trimmed(out))
 
     __rmul__ = __mul__
 

@@ -29,9 +29,8 @@ valuation is the index of the first nonzero coefficient, its unit residue
 that coefficient, and a product needs no gcd.  At a place of degree d >= 2
 an element is a polynomial in x reduced mod P^N, so the arithmetic stays
 over K and never enters the residue field GF(q^d); its valuation strips P
-by division.  A nonzero element of O_P/P^N has a valuation below N, and it
-is exact: an element known mod P^N has the value of its image whenever
-that value is below N.  The zero element stands for "value >= N".
+by division.  The zero element stands for "value >= N" (see
+omfactor.maclane for the precision certificate).
 """
 
 from __future__ import annotations
@@ -358,16 +357,16 @@ class RatPlace:
             return -f.degree()
         return self._unit(f.ints)[0]
 
-    def split(self, f, n: int | None = None) -> tuple[int, list[int]]:
+    def split(self, f, n: int) -> tuple[int, list[int]]:
         """(v, g) with the nonzero polynomial f = pi^v * g: g a polynomial in
         the local variable of LocalRing (t = x - a, or t = 1/x at infinity)
-        at a place of degree 1, cut to its first n coefficients when n is
-        given, else g in x, exactly."""
+        cut to its first n coefficients at a place of degree 1, else g in x,
+        exactly."""
         if self.poly is None:
             return 1 - len(f), _trim(f[::-1][:n])
         P = self.poly.ints
         if len(P) == 2:
-            return _ptaylor(self.field, f, self.field._neg(P[0]), n or len(f))
+            return _ptaylor(self.field, f, self.field._neg(P[0]), n)
         return self._strip(f)[:2]
 
     def _unit(self, f) -> tuple[int, list[int]]:
@@ -503,6 +502,8 @@ class LocalRing:
 
     def embed(self, v: int, u: list[int]) -> "LocalElem":
         """The element t^v * u (P^v * u) for v >= 0."""
+        if v < 0:
+            raise TowerlabError(f"an element of negative value {v} is not in O_P at {self.place!r}")
         if v >= self.N:
             return LocalElem(self, ())
         if self._mod is None:

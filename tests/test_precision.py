@@ -18,8 +18,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from towerlab.basicfield import ramification_locus
 from towerlab.cli import parse_poly
 from towerlab.checker import FamilyParams, build_family
+from towerlab.errors import TowerlabError
 from towerlab.ffield import BivarPoly, make_field, resultant_y
-from towerlab.omfactor import Inseparable, YPoly, maclane, places_above
+from towerlab.omfactor import Inseparable, maclane, monic_integral_model, places_above
+from towerlab.omfactor.places import curve_monic
 from towerlab.ratfunc import RatFunc, RatPlace
 from helpers import F2, F3, F4, bivar, family_F, unipoly
 
@@ -104,6 +106,26 @@ def test_the_normal_start_needs_no_raise_on_the_benchmark_curves(monkeypatch):
     assert raises == []
 
 
+def test_without_the_discriminant_a_place_raises_at_most_twice(monkeypatch):
+    # places_above before ramification_locus (family verification,
+    # check-theorem) has no v_P(disc H) on the record and starts at
+    # v(H's lowest coefficient) + 1
+    raises = _count_raises(monkeypatch)
+    for F in _pool() + _cli_curves() + _family():
+        if F.derivative_y().is_zero():
+            F = F.swap_xy()
+        want = _rows(BivarPoly(F.field, F.ycoeffs))
+        locus = ramification_locus(BivarPoly(F.field, F.ycoeffs))
+        got = []
+        for P in locus:
+            raises.clear()
+            pls = places_above(F, P)
+            assert len(raises) <= 2
+            got.append([(pl.e, pl.f, pl.dmin, pl.dmax, pl.d_exact, pl.refinement) for pl in pls])
+        assert F.facts.disc_factors is None
+        assert got == want
+
+
 def test_a_zero_value_is_decided_exactly_without_raising(monkeypatch):
     # (y - x)(y - x - 1) over GF(3) at x = 0: y - x vanishes on its own
     # component, an infinite stage whose key is the exact factor y - x
@@ -113,18 +135,6 @@ def test_a_zero_value_is_decided_exactly_without_raising(monkeypatch):
     values = sorted(pl.valuation_of(bivar(F3, {(0, 1): 1, (1, 0): 2})) for pl in places_above(F, P))
     assert values == [0, INF]
     assert raises == []
-
-
-def test_a_stage_whose_key_is_H_values_other_polynomials():
-    # places_above hands decompose the image of u * H, which is not monic;
-    # a stage whose key is H itself (here x is totally ramified, H
-    # Eisenstein) still expands in H's own image
-    F = parse_poly("(x+1)*y^3+x*y^2+x*y+x", F2)
-    P = RatPlace.finite(unipoly(F2, [0, 1]))
-    stages = [pl._handle.V.stage() for pl in places_above(F, P)]
-    W = next(S for S in stages if S.rel_n is None and S.phi is S.prec.H)
-    g = YPoly.variable(F2) + 1
-    assert (W.projection(g), W.val(g)) == (0, 0)
 
 
 def test_a_terminal_slope_far_above_the_discriminant(monkeypatch):
@@ -145,12 +155,25 @@ def test_a_terminal_slope_far_above_the_discriminant(monkeypatch):
 
 def test_a_raise_past_the_bound_is_an_engine_fault():
     P = RatPlace.finite(unipoly(F3, [0, 1]))
-    prec = maclane._Precision(P.local(4), None, None)
+    prec = maclane._Precision(P.local(4))
     prec.raise_past(7)
     assert prec.ring.N == 8
     # a value bounded by 7 cannot reach N = 8
     with pytest.raises(maclane.PrecisionExceeded):
         prec.raise_past(7)
+
+
+def test_an_integral_model_with_too_small_a_shift_is_refused():
+    # x*y^2 + y + 1 over GF(2) at x = 0: the monic model y^2 + y/x + 1/x
+    # needs z = y * x (M = 1); decompose on M = 0 must refuse it
+    F = parse_poly("x*y^2+y+1", F2)
+    P = RatPlace.finite(unipoly(F2, [0, 1]))
+    H, M, _pi = monic_integral_model(F, P)
+    assert M == 1 and maclane.decompose(P, H)
+    with pytest.raises(TowerlabError, match="not integral"):
+        maclane.decompose(P, curve_monic(F))
+    with pytest.raises(TowerlabError, match="negative value"):
+        P.local(4).embed(-1, [1])
 
 
 # -- the norm identity -------------------------------------------------------------
