@@ -52,7 +52,7 @@ from .omfactor import (
 )
 from .omfactor.places import curve_swapped
 from .pyramid import RamHypotheses
-from .ratfunc import RatFunc, RatPlace
+from .ratfunc import RatPlace
 from .record import Record
 
 __all__ = [
@@ -261,7 +261,7 @@ def verify_family_facts(params: FamilyParams) -> FamilyReport:
             )
         )
 
-    vg = P_xa.valuation(RatFunc(params.g))
+    vg = P_xa.order(params.g)
     checks.append(
         FamilyCheck(
             "e",

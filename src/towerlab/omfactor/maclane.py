@@ -17,11 +17,11 @@ The graded residue ring of a stage is k[s, t, 1/t] with s the image of phi
 1/E_prev).  Residual polynomials live in k[u] with u = s^d/t^n; they drive
 both branch detection (factor the residual of H) and key construction
 (lift a residual factor back to a key polynomial).  The constants of an
-augmented stage form one ffield.Adjoin step over the previous stage's: its
-residue field is prev.resfield(z) for a root z of the stage's residual psi
-(prev.resfield itself when psi is linear).  graded_map carries a
-previous-stage residue into this ring by evaluation at z, and
-graded_map_lift inverts it with Adjoin.lift.
+augmented stage form one ffield.Adjoin step over the previous stage's,
+built on first read: its residue field is prev.resfield(z) for a root z of
+the stage's residual psi (prev.resfield itself when psi is linear).
+graded_map carries a previous-stage residue into this ring by evaluation
+at z, and graded_map_lift inverts it with Adjoin.lift.
 
 Same-degree augmentations collapse onto the previous stage, so chains keep
 strictly increasing key degrees; the stage invariants then satisfy
@@ -62,6 +62,7 @@ from ..ffield import (
     Adjoin,
     FFElem,
     FFPoly,
+    FiniteField,
     is_irreducible,
     poly_factor,
 )
@@ -167,11 +168,10 @@ class StageVal:
         "rel_d",
         "inv_a",
         "inv_b",
-        "resfield",
         "psi",
-        "ext",
         "res_deg",
-        "nstages",
+        "_ext",
+        "_resfield",
         "_vals",
     )
 
@@ -187,22 +187,33 @@ class StageVal:
         )
         self.keyval = INF if self.rel_n is None else _qval(self.rel_n, self.E)
         self._vals = {}
+        self._ext = self._resfield = None
         if prev is None:
             if phi.degree() != 1 or not phi.lc().is_one():
                 raise ValueError("stage-zero key must be monic linear")
             self.psi = None
-            self.ext = None
-            self.resfield = place.residue_field()
             self.res_deg = 1
-            self.nstages = 1
         else:
             if psi is None:
                 raise ValueError("augmented stage requires its residual")
             self.psi = psi
-            self.ext = Adjoin(prev.resfield, psi)
-            self.resfield = self.ext.field
             self.res_deg = prev.res_deg * psi.degree()
-            self.nstages = prev.nstages + 1
+
+    # the residue field is built on first read: the terminal stage of a
+    # Closed branch, built only to answer valuations, never reads it
+
+    @property
+    def ext(self) -> Adjoin:
+        """The step prev.resfield(z), z a root of psi (augmented stages)."""
+        if self._ext is None:
+            self._ext = Adjoin(self.prev.resfield, self.psi)
+        return self._ext
+
+    @property
+    def resfield(self) -> FiniteField:
+        if self._resfield is None:
+            self._resfield = self.place.residue_field() if self.prev is None else self.ext.field
+        return self._resfield
 
     # -- construction ----------------------------------------------------------
 
@@ -335,11 +346,8 @@ class StageVal:
                 if mm != j0 - m * n:
                     raise TowerlabError("graded map grade mismatch")
                 coeff_map[m] = cconst
-        top = max(coeff_map)
-        R = FFPoly(
-            self.resfield,
-            [coeff_map.get(t, self.resfield.zero()) for t in range(top + 1)],
-        )
+        K = self.resfield
+        R = FFPoly(K, [coeff_map.get(t, K.zero()) for t in range(max(coeff_map) + 1)])
         return R, i0, j0, Vf
 
     def residual(self, f: YPoly) -> FFPoly:

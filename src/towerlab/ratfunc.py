@@ -15,12 +15,14 @@ degree 1, infinity included, it is K itself.  lift() inverts evaluation at
 rho on polynomials of degree < d.  Residues come from the remainder,
 f(rho) = (f mod p)(rho).
 
-RatFunc arithmetic keeps num/den canonical (coprime, monic denominator)
-with Henrici's rules (Knuth, TAOCP 2, 4.5.1), as Python's fractions module
-does for integers: a sum takes gcd(d1, d2) = g and then only gcd(num, g); a
-product takes the cross gcds gcd(n1, d2) and gcd(n2, d1); an inverse or a
-power of a canonical fraction is coprime already.  The rules run on the
-coefficient lists (FFPoly.ints) with ffield's list kernels.
+A RatFunc is num/den in canonical form: coprime, with a monic
+denominator.  The constructor is the one place that makes it so, with one
+gcd; sums, differences, products, quotients and inverses build their
+result through it.  A power of a canonical fraction is canonical already.
+RatFunc is the exact, cold side of the engine.
+
+`RatPlace.split` is the one routine that strips P from a polynomial:
+valuations, unit residues and the local ring's conversions all read it.
 
 `RatPlace.local(N)` is the ring O_P/P^N, and `LocalRing.split` is the one
 conversion of a RatFunc into it.  At a place of degree 1 and at infinity an
@@ -29,8 +31,7 @@ valuation is the index of the first nonzero coefficient, its unit residue
 that coefficient, and a product needs no gcd.  At a place of degree d >= 2
 an element is a polynomial in x reduced mod P^N, so the arithmetic stays
 over K and never enters the residue field GF(q^d); its valuation strips P
-by division.  The zero element stands for "value >= N" (see
-omfactor.maclane for the precision certificate).
+by division.  The zero element stands for "value >= N".
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .ffield import (
     FiniteField,
     _intern,
     _monic_irreducibles,
-    _padd,
     _pdivmod,
     _pgcd,
     _pmul,
@@ -87,7 +87,7 @@ class RatFunc:
         else:
             g = _pgcd(F, n, d)
             if len(g) > 1:
-                n, d = _quo(F, n, g), _quo(F, d, g)
+                n, d = _pdivmod(F, n, g)[0], _pdivmod(F, d, g)[0]
             n, d = _monic_den(F, n, d)
         self.num = FFPoly._of(F, n)
         self.den = FFPoly._of(F, d)
@@ -132,7 +132,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _sum(self, other, _padd)
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -140,7 +140,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _sum(self, other, _psub)
+        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -152,7 +152,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _product(self.field, self.num.ints, self.den.ints, other.num.ints, other.den.ints)
+        return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -162,13 +162,12 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return _product(self.field, self.num.ints, self.den.ints, other.den.ints, other.num.ints)
+        return RatFunc(self.num * other.den, self.den * other.num)
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # den/num is coprime already; only the new denominator needs scaling
-        return _wrap(self.field, *_monic_den(self.field, self.den.ints, self.num.ints))
+        return RatFunc(self.den, self.num)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -201,20 +200,9 @@ class RatFunc:
         return self.to_str()
 
 
-# -- Henrici's fraction arithmetic (Knuth, TAOCP 2, 4.5.1) ------------------------
-#
-# The operands are canonical, so a gcd is only ever taken with a factor of a
-# denominator, and each result is canonical without a final gcd.
-
-
 def _wrap(F: FiniteField, num: list[int], den: list[int]) -> RatFunc:
     """The RatFunc of canonical coefficient lists num and den."""
     return RatFunc._of(FFPoly._of(F, num), FFPoly._of(F, den))
-
-
-def _quo(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
-    """a / b for b dividing a."""
-    return _pdivmod(F, a, b)[0]
 
 
 def _monic_den(F: FiniteField, num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -224,50 +212,6 @@ def _monic_den(F: FiniteField, num: list[int], den: list[int]) -> tuple[list[int
         return num, den
     inv = F._inv(lc)
     return _pscale(F, num, inv), _pscale(F, den, inv)
-
-
-def _sum(a: RatFunc, b: RatFunc, kernel) -> RatFunc:
-    """a + b or a - b, as kernel is _padd or _psub."""
-    F = a.num.field
-    n1, d1, n2, d2 = a.num.ints, a.den.ints, b.num.ints, b.den.ints
-    if d1 == d2:
-        num = kernel(F, n1, n2)
-        if len(d1) == 1:
-            return _wrap(F, num, d1)
-        if not num:
-            return _wrap(F, num, [1])
-        g = _pgcd(F, num, d1)
-        if len(g) == 1:
-            return _wrap(F, num, d1)
-        return _wrap(F, _quo(F, num, g), _quo(F, d1, g))
-    # d1 = 1 shares nothing with d2, and needs no division to show it
-    g = d1 if len(d1) == 1 else _pgcd(F, d1, d2)
-    if len(g) == 1:
-        return _wrap(F, kernel(F, _pmul(F, n1, d2), _pmul(F, n2, d1)), _pmul(F, d1, d2))
-    s = _quo(F, d1, g)
-    t = kernel(F, _pmul(F, n1, _quo(F, d2, g)), _pmul(F, n2, s))
-    if not t:
-        return _wrap(F, t, [1])
-    g2 = _pgcd(F, t, g)
-    if len(g2) == 1:
-        return _wrap(F, t, _pmul(F, s, d2))
-    return _wrap(F, _quo(F, t, g2), _pmul(F, s, _quo(F, d2, g2)))
-
-
-def _product(F: FiniteField, n1: list[int], d1: list[int], n2: list[int], d2: list[int]) -> RatFunc:
-    """(n1/d1) * (n2/d2) for coprime pairs with d1 monic; d2 need not be
-    monic, so a quotient is the product with the flipped divisor."""
-    if not n1 or not n2:
-        return _wrap(F, [], [1])
-    if len(d2) > 1:
-        g = _pgcd(F, n1, d2)
-        if len(g) > 1:
-            n1, d2 = _quo(F, n1, g), _quo(F, d2, g)
-    if len(d1) > 1:
-        g = _pgcd(F, n2, d1)
-        if len(g) > 1:
-            n2, d1 = _quo(F, n2, g), _quo(F, d1, g)
-    return _wrap(F, *_monic_den(F, _pmul(F, n1, n2), _pmul(F, d1, d2)))
 
 
 class RatPlace:
@@ -353,9 +297,7 @@ class RatPlace:
 
     def order(self, f: FFPoly) -> int:
         """The valuation of a nonzero polynomial."""
-        if self.poly is None:
-            return -f.degree()
-        return self._unit(f.ints)[0]
+        return self.split(f.ints, 1)[0]
 
     def split(self, f, n: int) -> tuple[int, list[int]]:
         """(v, g) with the nonzero polynomial f = pi^v * g: g a polynomial in
@@ -367,29 +309,20 @@ class RatPlace:
         P = self.poly.ints
         if len(P) == 2:
             return _ptaylor(self.field, f, self.field._neg(P[0]), n)
-        return self._strip(f)[:2]
+        return self._strip(f)
 
-    def _unit(self, f) -> tuple[int, list[int]]:
-        """(v, r) with f = P^v * g, g a unit, and r = g mod P (at a place of
-        degree 1, the value of g at the root), for a nonzero f."""
-        P = self.poly.ints
-        if len(P) == 2:
-            return _ptaylor(self.field, f, self.field._neg(P[0]), 1)
-        v, _, r = self._strip(f)
-        return v, r
-
-    def _strip(self, f) -> tuple[int, list[int], list[int]]:
-        """(v, g, r) with f = P^v * g and r = g mod P nonzero, on coefficient
+    def _strip(self, f) -> tuple[int, list[int]]:
+        """(v, g) with f = P^v * g and P not dividing g, on coefficient
         lists; f is nonzero and P finite."""
         F, P = self.field, self.poly.ints
         v = 0
         while len(f) >= len(P):
             q, rem = _pdivmod(F, f, P)
             if rem:
-                return v, list(f), rem
+                break
             v += 1
             f = q
-        return v, list(f), list(f)
+        return v, list(f)
 
     # -- residue machinery --------------------------------------------------------
 
@@ -429,8 +362,8 @@ class RatPlace:
             raise ZeroDivisionError("unit part of zero")
         if self.poly is None:
             return r.num.lc() / r.den.lc()
-        num = self._residue_of(self._unit(r.num.ints)[1])
-        return num / self._residue_of(self._unit(r.den.ints)[1])
+        num = self._residue_of(self.split(r.num.ints, 1)[1])
+        return num / self._residue_of(self.split(r.den.ints, 1)[1])
 
     def lift(self, alpha: FFElem) -> RatFunc:
         """A rational function (in fact a polynomial of degree < deg P, or a
@@ -531,10 +464,10 @@ class LocalRing:
 
     def lead(self, a: tuple) -> tuple:
         """(v, r) for a nonzero element a = t^v * u (P^v * u): its valuation,
-        below N, and its leading unit's residue in the form residue() reads
-        (the coefficient u(0), or u mod P at a place of degree >= 2)."""
+        below N, and its leading unit in the form residue() reads (the
+        coefficient u(0), or u itself at a place of degree >= 2)."""
         if self._mod is not None:
-            return self.place._unit(a)
+            return self.place.split(a, 1)
         v = 0
         while not a[v]:
             v += 1

@@ -144,3 +144,42 @@ def test_every_function_is_named_outside_its_def():
                 if name not in (attrs if is_method else names):
                     unnamed.add(name)
     assert sorted(unnamed) == []
+
+
+def _slot_reads(node, in_init=False) -> set:
+    """Attributes a tree reads outside any __init__."""
+    reads = set()
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        in_init = node.name == "__init__"
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and not in_init:
+        reads.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        reads |= _slot_reads(child, in_init)
+    return reads
+
+
+def _slots(cls: ast.ClassDef) -> list[str]:
+    for stmt in cls.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ):
+            return [e.value for e in ast.walk(stmt.value) if isinstance(e, ast.Constant)]
+    return []
+
+
+def test_every_stored_slot_is_read():
+    # a Record's fields take part in its equality and repr, so only the
+    # slots of other classes must be read somewhere past their __init__
+    reads, classes = set(), []
+    for top in ("src", "bench"):
+        for path in glob.glob(os.path.join(ROOT, top, "**", "*.py"), recursive=True):
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            reads |= _slot_reads(tree)
+            classes += [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    unread = sorted(
+        f"{c.name}.{slot}" for c in classes
+        if not any(isinstance(b, ast.Name) and b.id == "Record" for b in c.bases)
+        for slot in _slots(c) if slot not in reads
+    )
+    assert unread == []

@@ -237,3 +237,23 @@ def test_norm_identity_on_the_family_with_raises(monkeypatch):
     right = _v(P, resultant_y(F, G)) - _v(P, F.ycoeff(F.deg_y()))
     assert left == right > 20
     assert raises
+
+
+def test_a_closed_branch_values_y_without_building_its_residue_field(monkeypatch):
+    # above x + 1, the first pool curve over GF(2) has a branch closed by a
+    # residual factor of degree 2; its terminal stage, built only to answer
+    # valuations, reads no residue and so adjoins no root
+    F = _pool()[0]
+    K = F.field
+    assert K.order == 2
+    built = []
+    adjoin = maclane.Adjoin
+    monkeypatch.setattr(maclane, "Adjoin", lambda *args: built.append(args) or adjoin(*args))
+    pls = places_above(F, RatPlace.finite(unipoly(K, [1, 1])))
+    closed = [pl for pl in pls if (pl.e, pl.f) == (1, 2)]
+    assert len(closed) == 1
+    branch = closed[0]._handle.V
+    assert isinstance(branch, maclane.Closed) and branch.psi.degree() == 2
+    built.clear()
+    assert closed[0].valuation_of(bivar(K, {(0, 1): 1})) == 0
+    assert built == []

@@ -6,11 +6,13 @@ strips P from the numerator and denominator by repeated division and
 evaluates the full polynomials at rho by Horner, on places of degree 1-3
 over GF(2), GF(4) and GF(5).  rho is the root the ratfunc module docstring
 names: the class of x over a prime field, else the smallest root of P in
-GF(q^d).
+GF(q^d).  Fraction arithmetic is checked against the fraction multiplied
+out and, over GF(2), GF(3), GF(5) and GF(7), against sympy's lowest terms.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Poly, symbols
 
 from towerlab.ffield import FFPoly, embed, is_irreducible, make_field, poly_gcd, roots_in_field
 from towerlab.omfactor import Inseparable, is_irreducible_over_ratfield, places_above
@@ -19,6 +21,7 @@ from towerlab.ratfunc import PoleAtPlace, RatFunc, RatPlace
 from helpers import F5, bivar, unipoly
 
 FIELDS = {"GF(2)": (2, 1), "GF(4)": (2, 2), "GF(5)": (5, 1)}
+MORE_FIELDS = {"GF(2)": (2, 1), "GF(3)": (3, 1), "GF(4)": (2, 2), "GF(5)": (5, 1), "GF(7)": (7, 1)}
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -50,9 +53,9 @@ def _fraction_at(F, P):
     )
 
 
-def _case(draw_more):
-    return st.sampled_from(sorted(FIELDS)).flatmap(
-        lambda name: draw_more(make_field(*FIELDS[name]))
+def _case(draw_more, fields=FIELDS):
+    return st.sampled_from(sorted(fields)).flatmap(
+        lambda name: draw_more(make_field(*fields[name]))
     )
 
 
@@ -144,6 +147,36 @@ def test_unit_residue_at_infinity_is_the_leading_coefficient_ratio(case):
     assert place.unit_residue(r) == place.residue(r * x ** place.valuation(r))
 
 
+@SETTINGS
+@given(
+    _case(
+        lambda F: st.tuples(
+            st.one_of(st.none(), _place_polys(F)),
+            _polys(F, 4, nonzero=True),
+            st.integers(0, 4),
+            st.integers(1, 6),
+        ),
+        MORE_FIELDS,
+    )
+)
+def test_the_local_lead_is_the_exact_valuation_and_unit_residue(case):
+    # f = u * P^a (u alone at infinity) in O_P/P^N, shifted by pi^s into
+    # O_P as YPoly.local does: val() and unit() read the truncated image
+    P, u, a, N = case
+    place = RatPlace.infinity(u.field) if P is None else RatPlace.finite(P)
+    f = u if P is None else u * P**a
+    ring = place.local(N)
+    v, unit = ring.split(RatFunc(f))
+    assert v == place.order(f)
+    s = max(0, -v)
+    image = ring.embed(v + s, unit)
+    if v + s < N:
+        assert image.val() == v + s
+        assert image.unit() == place.unit_residue(RatFunc(f))
+    else:
+        assert image.is_zero()
+
+
 def test_valuation_and_unit_residue_at_two_places():
     F = make_field(5)
     x, x1 = unipoly(F, [0, 1]), unipoly(F, [1, 1])
@@ -159,7 +192,9 @@ def test_valuation_and_unit_residue_at_two_places():
             at_x1.residue(r)
 
 
-# -- canonical fraction arithmetic -----------------------------------------------
+# -- canonical fraction arithmetic, against sympy over GF(p) -------------------
+
+X = symbols("x")
 
 
 def _is_canonical(r):
@@ -168,24 +203,44 @@ def _is_canonical(r):
     return r.den.lc() == r.field.one() and poly_gcd(r.num, r.den).is_one()
 
 
+def _sympy(f):
+    return Poly(list(reversed(f.ints)), X, modulus=f.field.p)
+
+
+def _lowest_terms(num, den):
+    """num/den divided by their gcd and scaled to a monic denominator, by
+    sympy, as (num, den) coefficient lists low to high."""
+    p = num.field.p
+    if num.is_zero():
+        return [], [1]
+    num, den = _sympy(num), _sympy(den)
+    g = num.gcd(den)
+    num, den = num.exquo(g), den.exquo(g)
+    inv = pow(int(den.LC()) % p, -1, p)
+    return tuple([int(c) * inv % p for c in reversed(f.all_coeffs())] for f in (num, den))
+
+
 def _check_ops(r, s):
-    want = {
-        "+": RatFunc(r.num * s.den + s.num * r.den, r.den * s.den),
-        "-": RatFunc(r.num * s.den - s.num * r.den, r.den * s.den),
-        "*": RatFunc(r.num * s.num, r.den * s.den),
+    """Each result is canonical and equal to the fraction multiplied out;
+    over a prime field its num and den are sympy's lowest terms."""
+    unreduced = {
+        "+": (r.num * s.den + s.num * r.den, r.den * s.den),
+        "-": (r.num * s.den - s.num * r.den, r.den * s.den),
+        "*": (r.num * s.num, r.den * s.den),
+        "^3": (r.num**3, r.den**3),
     }
-    got = {"+": r + s, "-": r - s, "*": r * s}
+    got = {"+": r + s, "-": r - s, "*": r * s, "^3": r**3}
     if not s.is_zero():
-        want["/"] = RatFunc(r.num * s.den, r.den * s.num)
+        unreduced["/"] = (r.num * s.den, r.den * s.num)
         got["/"] = r / s
     if not r.is_zero():
-        want["inverse"] = RatFunc(r.den, r.num)
+        unreduced["inverse"] = (r.den, r.num)
         got["inverse"] = r.inverse()
-    want["^3"] = RatFunc(r.num**3, r.den**3)
-    got["^3"] = r**3
-    for op in want:
+    for op, (num, den) in unreduced.items():
         assert _is_canonical(got[op]), op
-        assert (got[op].num, got[op].den) == (want[op].num, want[op].den), op
+        assert got[op].num * den == got[op].den * num, op
+        if r.field.k == 1:
+            assert (got[op].num.ints, got[op].den.ints) == _lowest_terms(num, den), op
 
 
 def _shared_denominators(F):
@@ -206,7 +261,7 @@ def _shared_denominators(F):
 
 
 @SETTINGS
-@given(_case(lambda F: st.tuples(st.just(F), _shared_denominators(F))))
+@given(_case(lambda F: st.tuples(st.just(F), _shared_denominators(F)), MORE_FIELDS))
 def test_fraction_arithmetic_with_shared_denominators_is_canonical(case):
     _F, (r, t) = case
     _check_ops(r, t)
@@ -228,8 +283,8 @@ def test_fraction_arithmetic_branches():
         (RatFunc(one, x), RatFunc(one, x1)),  # coprime denominators
         (a, b),  # shared factor x+1; numerator 1 + x cancels it
         (a, RatFunc(one, x1 * x1)),  # shared factor x+1, no cancellation
-        (RatFunc(x, x1), RatFunc(x1, x * x)),  # both cross gcds nontrivial
-        (RatFunc(unipoly(F, [0, 2]), x1), RatFunc(unipoly(F, [0, 3]) * x1, one)),  # non-monic divisor
+        (RatFunc(x, x1), RatFunc(x1, x * x)),  # each numerator shares a factor with the other denominator
+        (RatFunc(unipoly(F, [0, 2]), x1), RatFunc(unipoly(F, [0, 3]) * x1, one)),  # non-monic numerator as divisor
     ]
     for r, s in cases:
         _check_ops(r, s)

@@ -207,7 +207,7 @@ def test_a_collapsed_stage_takes_the_residual_one_stage_down():
     assert [levels[1][2] for _, levels in res] == ["u + 3", "u + 4"]
     for V, _ in res:
         V = V.stage()
-        assert V.nstages == 2 and V.phi.degree() == 2
+        assert len(V.chain()) == 2 and V.phi.degree() == 2
         assert V.psi == V.prev.residual(V.phi).monic()
         assert V.psi.to_str("u") == "u + 4"
 
