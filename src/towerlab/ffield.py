@@ -1447,7 +1447,7 @@ class CurveFacts:
     point       the first good point of F's field and its fibre (xi, F(xi, y))
                 (omfactor.places.good_points: the fibre keeps degree deg_y F
                 and is squarefree), or False
-    squarefree  is F separable and squarefree in y over GF(q)(x)?
+    squarefree  disc != 0: is F separable and squarefree in y over GF(q)(x)?
     monic       the monic y-model F / lc_y(F), an omfactor YPoly
     swapped     F.swap_xy(), which keeps a record of its own
     disc        resultant_y(F, dy), the discriminant up to a power of lc_y(F)
@@ -1633,56 +1633,51 @@ class BivarPoly:
 
 
 def resultant_y(F: BivarPoly, G: BivarPoly) -> FFPoly:
-    """Res_y(F, G) as a polynomial in x, via fraction-free (Bareiss)
-    elimination of the Sylvester matrix.  With F of y-degree m and roots
-    theta_i over an algebraic closure of GF(q)(x),
+    """Res_y(F, G) as a polynomial in x: the Sylvester determinant, F's rows
+    first.  With F of y-degree m and roots theta_i over an algebraic closure
+    of GF(q)(x), Res_y(F, G) = lc_y(F)^deg(G) * prod_i G(x, theta_i).
 
-        Res_y(F, G) = lc_y(F)^deg(G) * prod_i G(x, theta_i).
+    It runs the subresultant remainder sequence in y (Collins, J. ACM 1967;
+    Brown-Traub, J. ACM 1971; Cohen, GTM 138, Alg. 3.3.7).  With deg A >=
+    deg B and delta = deg A - deg B, a step pseudo-divides, lc(B)^(delta+1)
+    * A = Q * B + R, and goes on with (B, R / (g * h^delta)), then sets g =
+    lc(A) and h = g^delta / h^(delta-1), g = h = 1 at the start.  Each new B
+    is a subresultant, so both divisions are exact in GF(q)[x] (ValueError
+    if not).  R = 0 is a common factor and gives 0; R of y-degree 0 gives
+    lc(B)^deg(A) / h^(deg(A)-1) with the sign (-1)^(deg A * deg B) of each
+    step.  Only the coefficients' ring operations are used.
     """
     if F.is_zero() or G.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    field = F.field
     m, n = F.deg_y(), G.deg_y()
-    if m == 0 and n == 0:
-        return FFPoly(field, [1])
     if m == 0:
         return F.ycoeff(0) ** n
     if n == 0:
         return G.ycoeff(0) ** m
-    # the elimination runs on coefficient lists (see the kernels above)
-    N = m + n
-    rows = []
-    frow = [F.ycoeff(m - i).ints for i in range(m + 1)]
-    grow = [G.ycoeff(n - i).ints for i in range(n + 1)]
-    for r in range(n):
-        rows.append([[]] * r + frow + [[]] * (n - 1 - r))
-    for r in range(m):
-        rows.append([[]] * r + grow + [[]] * (m - 1 - r))
-    sign = 1
-    prev = [1]
-    for col in range(N - 1):
-        pivot = None
-        for r in range(col, N):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return FFPoly(field, [])
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        top = rows[col]
-        a = top[col]
-        for r in range(col + 1, N):
-            row = rows[r]
-            b = row[col]
-            for c in range(col + 1, N):
-                num = _psub(field, _pmul(field, a, row[c]), _pmul(field, b, top[c]))
-                q, rem = _pdivmod(field, num, prev)
-                if rem:
-                    raise ValueError("division was not exact")
-                row[c] = q
-            row[col] = []
-        prev = a
-    det = rows[N - 1][N - 1]
-    return FFPoly._of(field, det if sign == 1 else _psub(field, [], det))
+    A, B, sign = list(F.ycoeffs), list(G.ycoeffs), 1
+    if m < n:
+        A, B, sign = B, A, (-1) ** (m * n)
+    g = h = FFPoly(F.field, [1])
+    while len(B) > 1:
+        a, b = len(A) - 1, len(B) - 1
+        delta = a - b
+        sign *= (-1) ** (a * b)
+        # R = lc(B)^(delta+1) * A mod B, one y-degree of A at a time
+        R = A
+        for k in range(delta, -1, -1):
+            c = R[b + k]
+            R = [r * B[-1] for r in R[: b + k]]
+            for i in range(b):
+                R[k + i] -= c * B[i]
+        while R and R[-1].is_zero():
+            R.pop()
+        if not R:
+            return FFPoly(F.field, [])
+        d = g * h**delta
+        A, B = B, [r.exact_div(d) for r in R]
+        g = A[-1]
+        if delta:
+            h = (g**delta).exact_div(h ** (delta - 1))
+    a = len(A) - 1
+    res = (B[0] ** a).exact_div(h ** (a - 1))
+    return res if sign == 1 else -res

@@ -3,8 +3,8 @@
 Route: trivial degree and y-divisibility checks, then Frobenius stripping
 for inseparable inputs, then a scan for a generalized-Eisenstein place
 (cheap certificate), then a squarefree check (a good point xi of GF(q),
-where F(xi, y) keeps its degree and is squarefree, certifies it; the
-Euclidean algorithm over K(x) runs only without one), then Musser's degree
+where F(xi, y) keeps its degree and is squarefree, certifies it; without
+one a nonzero discriminant Res_y(F, F_y) does), then Musser's degree
 analysis (another cheap certificate), and finally a complete
 factor-reconstruction test: factor F(xi, y) at a good point x = xi,
 Hensel-lift the factorization (xi+t)-adically, and try to reconstruct a

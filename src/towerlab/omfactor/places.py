@@ -169,7 +169,10 @@ def places_above(
     # v_P(disc H), when the curve's record has the discriminant's factors
     # (ramification_locus puts them there; decompose starts lower without):
     # Res_y(F, F_y) = +-lc^(m + deg F_y) * prod_{i != j} (y_i - y_j) over the
-    # roots y_i of F, and z = y * pi^M scales each root difference
+    # roots y_i of F, and z = y * pi^M scales each root difference.  Callers
+    # that run before the locus keep the low start: factoring the
+    # discriminant here made cold `family --q 125 --g x+1` take 5.0 s instead
+    # of 0.22 s (q = 128: 2.4 s instead of 0.25 s; Python 3.11, one core)
     m = F.deg_y()
     disc_val = 0
     if F.facts.disc_factors is not None:
@@ -306,13 +309,11 @@ def curve_monic(F: BivarPoly) -> YPoly:
 
 
 def squarefree_in_y(F: BivarPoly) -> bool:
-    """Is F squarefree as a polynomial in y over K(x)?  A good point of K
-    certifies it at once; only without one does the Euclidean algorithm
-    over K(x) run."""
-    if curve_point(F) is not None:
-        return True
-    G = curve_monic(F)
-    return G.gcd(G.derivative()).degree() == 0
+    """Is F separable and squarefree as a polynomial in y over K(x)?  A good
+    point of K certifies it at once.  Without one it reads the fact that
+    ramification_locus reads too: F and F_y share a factor of positive
+    y-degree iff the discriminant Res_y(F, F_y) is zero."""
+    return curve_point(F) is not None or not (curve_dy(F).is_zero() or curve_disc(F).is_zero())
 
 
 def eisenstein_at(F: BivarPoly, P: RatPlace) -> bool:

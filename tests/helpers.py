@@ -1,7 +1,8 @@
 """Shared constructors for the test suite: the base fields, the canonical
-one-parameter family instances, and the fixed comparison curves."""
+one-parameter family instances, the fixed comparison curves, and the
+Bareiss resultant kept as a reference for ffield.resultant_y."""
 
-from towerlab.ffield import BivarPoly, FFPoly, make_field
+from towerlab.ffield import BivarPoly, FFPoly, _pdivmod, _pmul, _psub, make_field
 from towerlab.checker import FamilyParams, build_family
 
 F2 = make_field(2)
@@ -67,3 +68,59 @@ def cubic2():
 # y^2 = x^5 + 2x + 1 over GF(3): hyperelliptic, tame everywhere, genus 2
 def hyper3():
     return bivar(F3, {(0, 2): 1, (5, 0): -1, (1, 0): -2, (0, 0): -1})
+
+
+def bareiss_resultant_y(F: BivarPoly, G: BivarPoly) -> FFPoly:
+    """Res_y(F, G) as a polynomial in x, via fraction-free (Bareiss)
+    elimination of the Sylvester matrix.  With F of y-degree m and roots
+    theta_i over an algebraic closure of GF(q)(x),
+
+        Res_y(F, G) = lc_y(F)^deg(G) * prod_i G(x, theta_i).
+    """
+    if F.is_zero() or G.is_zero():
+        raise ValueError("resultant of the zero polynomial")
+    field = F.field
+    m, n = F.deg_y(), G.deg_y()
+    if m == 0 and n == 0:
+        return FFPoly(field, [1])
+    if m == 0:
+        return F.ycoeff(0) ** n
+    if n == 0:
+        return G.ycoeff(0) ** m
+    # the elimination runs on coefficient lists (see the kernels above)
+    N = m + n
+    rows = []
+    frow = [F.ycoeff(m - i).ints for i in range(m + 1)]
+    grow = [G.ycoeff(n - i).ints for i in range(n + 1)]
+    for r in range(n):
+        rows.append([[]] * r + frow + [[]] * (n - 1 - r))
+    for r in range(m):
+        rows.append([[]] * r + grow + [[]] * (m - 1 - r))
+    sign = 1
+    prev = [1]
+    for col in range(N - 1):
+        pivot = None
+        for r in range(col, N):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            return FFPoly(field, [])
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        top = rows[col]
+        a = top[col]
+        for r in range(col + 1, N):
+            row = rows[r]
+            b = row[col]
+            for c in range(col + 1, N):
+                num = _psub(field, _pmul(field, a, row[c]), _pmul(field, b, top[c]))
+                q, rem = _pdivmod(field, num, prev)
+                if rem:
+                    raise ValueError("division was not exact")
+                row[c] = q
+            row[col] = []
+        prev = a
+    det = rows[N - 1][N - 1]
+    return FFPoly._of(field, det if sign == 1 else _psub(field, [], det))

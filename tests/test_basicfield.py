@@ -17,8 +17,9 @@ from towerlab.basicfield import (
     reconcile_different,
     zeta_genus,
 )
+from towerlab.checker import FamilyParams, build_family
 from towerlab.errors import TowerlabError
-from towerlab.ffield import FFPoly, poly_factor
+from towerlab.ffield import FFPoly, make_field, poly_factor
 from towerlab.omfactor import monic_integral_model
 from towerlab.ratfunc import finite_places_of_degree
 from helpers import (
@@ -49,6 +50,17 @@ def test_ramification_locus_elliptic():
 def test_ramification_locus_family_contains_required_places():
     locus = {repr(P) for P in ramification_locus(family_F(2))}
     assert {"place(x)", "place(x + 1)", "place(infinity)"} <= locus
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 3), (2, 6)])
+def test_ramification_locus_of_the_family_is_x_x1_infinity(p, k):
+    # F = g*(y^m + y) - x^m with g = x + 1 and m = q + 1 has F_y = g*(y^q + 1),
+    # so its discriminant is a unit times powers of x and x + 1; at q = 64
+    # it is the determinant of a 129-square Sylvester matrix
+    K = make_field(p, k)
+    params = FamilyParams(q=p**k, a=K.zero(), b=K.one(), g=FFPoly(K, [1, 1]))
+    locus = ramification_locus(build_family(params).F)
+    assert [repr(P) for P in locus] == ["place(x)", "place(x + 1)", "place(infinity)"]
 
 
 def test_ramification_locus_line_is_trivial():

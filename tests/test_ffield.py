@@ -20,7 +20,7 @@ from towerlab.ffield import (
     resultant_y,
     roots_in_field,
 )
-from helpers import F2, F3, F4, F5, bivar, unipoly
+from helpers import F2, F3, F4, F5, bareiss_resultant_y, bivar, unipoly
 
 
 def test_is_prime():
@@ -158,6 +158,44 @@ def test_resultant_y_detects_common_factor():
     C = bivar(F5, {(0, 1): 1, (0, 0): 1})  # y + 1, coprime to y - x
     D = bivar(F5, {(0, 1): 1, (1, 0): -1})
     assert not resultant_y(C, D).is_zero()
+
+
+# (field, F, G or None for F_y, Res_y(F, G) low to high or None where only
+# the Bareiss reference gives the value)
+RESULTANT_CASES = {
+    "both of y-degree 0": (F5, {(1, 0): 1, (0, 0): 1}, {(1, 0): 1}, [1]),
+    "F of y-degree 0": (F5, {(1, 0): 1, (0, 0): 1}, {(0, 2): 1, (1, 0): 1}, [1, 2, 1]),
+    "G of y-degree 0": (F5, {(0, 2): 1, (1, 0): 1}, {(1, 0): 1, (0, 0): 1}, [1, 2, 1]),
+    # m < n with m*n odd: lc(F)^3 * G(x); the Sylvester matrix of y and
+    # y^3 + 1 is triangular with determinant 1
+    "m < n, m*n odd": (F5, {(0, 1): 1, (1, 0): -1}, {(0, 3): 1, (0, 0): 1}, [1, 0, 0, 1]),
+    "y before y^3 + 1": (F5, {(0, 1): 1}, {(0, 3): 1, (0, 0): 1}, [1]),
+    "m > n, m*n odd": (F5, {(0, 3): 1, (0, 0): 1}, {(0, 1): 1, (1, 0): -1}, [-1, 0, 0, -1]),
+    # y^5 + x*y^2 + y + x over GF(5): F_y = 2x*y + 1
+    "sparse F_y over GF(5)": (F5, {(0, 5): 1, (1, 2): 1, (0, 1): 1, (1, 0): 1}, None, None),
+    # y^6 + x*y^4 + y^2 + x over GF(3): F_y = x*y^3 + 2y
+    "sparse F_y over GF(3)": (F3, {(0, 6): 1, (1, 4): 1, (0, 2): 1, (1, 0): 1}, None, None),
+    # (y - x)^2 (y + 1) over GF(3) shares y - x with its F_y
+    "common factor": (
+        F3, {(0, 3): 1, (0, 2): 1, (1, 2): 1, (1, 1): 1, (2, 1): 1, (2, 0): 1}, None, [],
+    ),
+    # (x + 1)*y + x: Res(F, F_y) = x + 1, and Res(F, y^2 + 1) = x^2 + (x + 1)^2
+    "F linear, with its F_y": (F5, {(1, 1): 1, (0, 1): 1, (1, 0): 1}, None, [1, 1]),
+    "F linear": (F5, {(1, 1): 1, (0, 1): 1, (1, 0): 1}, {(0, 2): 1, (0, 0): 1}, [1, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULTANT_CASES))
+def test_resultant_y_degenerate_cases(name):
+    K, f, g, want = RESULTANT_CASES[name]
+    F = bivar(K, f)
+    G = F.derivative_y() if g is None else bivar(K, g)
+    if name.startswith("sparse"):
+        assert G.deg_y() < F.deg_y() - 1
+    R = resultant_y(F, G)
+    assert R == bareiss_resultant_y(F, G)
+    if want is not None:
+        assert R == unipoly(K, want)
 
 
 def test_poly_gcd():

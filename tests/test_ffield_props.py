@@ -6,7 +6,9 @@
   digit vectors modulo the field's modulus;
 * FFPoly division and gcd are checked against their defining identities;
 * sympy's factorization over GF(p) is an independent oracle for
-  poly_factor and is_irreducible;
+  poly_factor and is_irreducible, and its resultant for resultant_y over
+  GF(p); over GF(p^k) the Bareiss elimination in tests/helpers.py is the
+  reference;
 * roots_in_field is checked against enumerating every element of the
   target, and on fields too large to enumerate against a root count from
   gcd(x^(q^n) - x, f);
@@ -43,10 +45,12 @@ from towerlab.ffield import (
     make_field,
     poly_factor,
     poly_gcd,
+    resultant_y,
     roots_in_field,
 )
 from towerlab.omfactor import YPoly
 from towerlab.ratfunc import RatFunc, RatPlace, finite_places_of_degree
+from helpers import bareiss_resultant_y
 
 FIELDS = {
     "GF(2)": (2, 1),
@@ -187,6 +191,66 @@ def test_poly_factor_and_is_irreducible_match_sympy(p, cs):
     assert ours == _sympy_factors(f)
     sympy_irreducible = Poly(list(reversed(f.ints)), X, modulus=p).is_irreducible
     assert is_irreducible(f) == sympy_irreducible
+
+
+# -- resultant_y -----------------------------------------------------------------
+
+Y = symbols("y")
+
+
+def _bivars(F, max_dy=5, max_dx=3):
+    col = st.lists(st.integers(0, F.order - 1), max_size=max_dx + 1)
+    return st.lists(col, min_size=1, max_size=max_dy + 1).map(lambda cols: BivarPoly(F, cols))
+
+
+def _resultant_pair(F, data):
+    """(A, B), both nonzero: random, a curve and its y-derivative (sparse in
+    characteristic p), or two curves times a common factor (resultant 0)."""
+    A = data.draw(_bivars(F))
+    shape = data.draw(st.sampled_from(["random", "derivative", "common factor"]))
+    if shape == "derivative":
+        B = A.derivative_y()
+    else:
+        B = data.draw(_bivars(F))
+    if shape == "common factor":
+        C = data.draw(_bivars(F, max_dy=2, max_dx=1))
+        assume(C.deg_y() >= 1)
+        A, B = A * C, B * C
+    assume(not A.is_zero() and not B.is_zero())
+    return A, B
+
+
+def _sympy_poly(G):
+    terms = {(j, i): c for j, col in enumerate(G.ycoeffs) for i, c in enumerate(col.ints)}
+    return Poly.from_dict(terms, Y, X, modulus=G.field.p)
+
+
+def _sympy_resultant(A, B):
+    p = A.field.p
+    r = Poly(_sympy_poly(A).resultant(_sympy_poly(B)), X, modulus=p)
+    return FFPoly(A.field, [int(c) % p for c in reversed(r.all_coeffs())])
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_resultant_y_matches_sympy(p, data):
+    A, B = _resultant_pair(make_field(p), data)
+    m, n = A.deg_y(), B.deg_y()
+    # sympy 1.14 returns -1 for Res(y, y^3 + 1), whose Sylvester matrix is
+    # triangular with determinant 1: it is asked with the higher degree first
+    if m >= n:
+        want = _sympy_resultant(A, B)
+    else:
+        want = _sympy_resultant(B, A) * (-1) ** (m * n)
+    assert resultant_y(A, B) == want
+
+
+@pytest.mark.parametrize("pk", [(2, 2), (2, 3), (3, 2)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_resultant_y_matches_bareiss_elimination(pk, data):
+    A, B = _resultant_pair(make_field(*pk), data)
+    assert resultant_y(A, B) == bareiss_resultant_y(A, B)
 
 
 # -- pinned values ---------------------------------------------------------------

@@ -10,6 +10,7 @@ looks like two linear factors at every point of GF(q), so that degree
 analysis can never rule the split out and the reconstruction must find it.
 """
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from towerlab.errors import TowerlabError
@@ -17,9 +18,10 @@ from towerlab.ffield import BivarPoly, make_field
 from towerlab.omfactor import eisenstein_at, is_irreducible_over_ratfield
 from towerlab.omfactor.irreducibility import _degree_analysis, _reconstruct_subsets
 from towerlab.omfactor.newton import newton_polygon
-from towerlab.omfactor.places import curve_point, good_points, squarefree_in_y
+from towerlab.omfactor.places import curve_monic, curve_point, good_points, squarefree_in_y
 from towerlab.omfactor.ypoly import YPoly
 from towerlab.ratfunc import RatPlace, finite_places_of_degree
+from helpers import F3, F5, bivar
 
 FIELDS = {"GF(2)": (2, 1), "GF(3)": (3, 1), "GF(4)": (2, 2), "GF(5)": (5, 1), "GF(9)": (3, 2)}
 
@@ -111,3 +113,34 @@ def test_eisenstein_on_own_coefficients_matches_the_monic_model(F):
     places = [RatPlace.infinity(K)] + finite_places_of_degree(K, 1) + finite_places_of_degree(K, 2)
     for P in places:
         assert eisenstein_at(F, P) == _eisenstein_on_monic_model(F, P), P
+
+
+def _euclid_squarefree(F):
+    """The reference: gcd(G, G') = 1 over K(x) for the monic model G."""
+    G = curve_monic(F)
+    return G.gcd(G.derivative()).degree() == 0
+
+
+@SETTINGS
+@given(
+    _case(lambda K: st.tuples(_bivar(K, 3, 2), _bivar(K, 2, 1), st.booleans())),
+)
+def test_squarefree_in_y_matches_euclid_over_ratfield(FGs):
+    F, G, square = FGs
+    if square:
+        F = G * G * F  # forced repeated factor G
+    assert squarefree_in_y(F) == _euclid_squarefree(F)
+
+
+@pytest.mark.parametrize(
+    "K, F, want",
+    [
+        (F5, {(0, 2): 1, (5, 0): -1, (1, 0): 1}, True),  # y^2 - (x^5 - x)
+        # (y - x)^2 (y + 1)
+        (F3, {(0, 3): 1, (0, 2): 1, (1, 2): 1, (1, 1): 1, (2, 1): 1, (2, 0): 1}, False),
+    ],
+)
+def test_squarefree_in_y_without_a_good_point(K, F, want):
+    F = bivar(K, F)
+    assert curve_point(F) is None
+    assert squarefree_in_y(F) == _euclid_squarefree(F) == want
