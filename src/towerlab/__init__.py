@@ -45,6 +45,7 @@ from .basicfield import (
     RamTable,
     GenusResult,
     CapTooSmall,
+    PointCountTooLarge,
     InconsistentOracle,
     ramification_locus,
     ram_table,
@@ -109,6 +110,7 @@ __all__ = [
     "RamTable",
     "GenusResult",
     "CapTooSmall",
+    "PointCountTooLarge",
     "InconsistentOracle",
     "ramification_locus",
     "ram_table",

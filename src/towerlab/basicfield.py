@@ -41,9 +41,18 @@ from .record import Record
 
 INF = math.inf
 
+# Largest constant-field extension GF(q^k) whose elements _point_count walks:
+# the smallest power of two at or above the largest walk the benchmark makes,
+# GF(5^6) with 15,625 elements.
+POINT_COUNT_BUDGET = 2**14
+
 
 class CapTooSmall(TowerlabError):
     """zeta_genus could not fit a consistent L-polynomial under its cap."""
+
+
+class PointCountTooLarge(TowerlabError):
+    """_point_count would walk more than POINT_COUNT_BUDGET elements."""
 
 
 class InconsistentOracle(TowerlabError):
@@ -205,8 +214,13 @@ def _point_count(F: BivarPoly, k: int, locus_data) -> int:
     evaluated."""
     base = F.field
     q = base.order
+    if q**k > POINT_COUNT_BUDGET:
+        raise PointCountTooLarge(
+            f"counting points over GF({q}^{k}) walks {q**k} elements, past the "
+            f"budget of {POINT_COUNT_BUDGET}; lower the genus cap"
+        )
     K = base if k == 1 else make_field(base.p, base.k * k)
-    bad = [entry[2] for entry in locus_data if entry[2] is not None]
+    bad = [poly for _degQs, poly in locus_data if poly is not None]
     total = 0
     for xi in K.elements():
         # smallest conjugate is the orbit representative
@@ -226,29 +240,31 @@ def _point_count(F: BivarPoly, k: int, locus_data) -> int:
             continue
         fy = F.eval_x(xi)
         total += orbit * _count_roots(fy)
-    for _degP, degQs, _poly in locus_data:
+    for degQs, _poly in locus_data:
         total += sum(dq for dq in degQs if k % dq == 0)
     return total
 
 
 def zeta_genus(F: BivarPoly, g_cap: int, max_depth: int = 8) -> int:
     """Genus by place counting: fit the L-polynomial of the function field
-    from the numbers of places of degree up to 2*g_cap.
+    from the numbers of places of degree up to 2*g_cap.  The places over the
+    locus are read off the rows of ram_table(F, max_depth); _point_count
+    counts the rest.
 
     Independent of different exponents.  Raises CapTooSmall when no
-    L-polynomial of degree <= 2*g_cap matches the counts, and TowerlabError
-    when the constant field visibly extends (gcd of place degrees > 1)."""
+    L-polynomial of degree <= 2*g_cap matches the counts, PointCountTooLarge
+    when a count would walk more than POINT_COUNT_BUDGET elements, and
+    TowerlabError when the constant field visibly extends (gcd of place
+    degrees > 1)."""
     if g_cap < 0:
         raise ValueError("g_cap must be >= 0")
     field = F.field
     q = field.order
     kmax = max(2 * g_cap, 1)
-    locus_data = []
-    for P in ramification_locus(F):
-        pls = places_above(F, P, max_depth=max_depth)
-        locus_data.append(
-            (P.degree(), [pl.f * P.degree() for pl in pls], P.poly)
-        )
+    locus_data = [
+        ([pl.f * P.degree() for pl in pls], P.poly)
+        for P, pls in ram_table(F, max_depth).rows
+    ]
     S = {k: _point_count(F, k, locus_data) for k in range(1, kmax + 1)}
     # place counts by degree, via Moebius inversion of S_k = sum_{d|k} d*N_d;
     # their degree gcd certifies the constant field

@@ -245,6 +245,12 @@ def _place_json(name: str, pl: PlaceExt) -> dict:
     }
 
 
+def _witnesses(places) -> tuple[list, dict]:
+    """Report witnesses for (name, place) pairs, in order, and their :d bounds."""
+    wits = [_place_json(name, pl) for name, pl in places]
+    return wits, {w["name"] + ":d": [w["d_min"], w["d_max"]] for w in wits}
+
+
 def _report(job: JobSpec, verdict: str, witnesses=(), bounds=None, notes=(),
             data=None) -> dict:
     return {
@@ -289,12 +295,9 @@ def _run_analyze(job: JobSpec):
     F = _function_field_poly(job)
     rt = ram_table(F, max_depth=job.params["max_depth"])
     gr = genus_from_table(rt)
-    wits, bounds = [], {}
-    for P, pls in rt.rows:
-        for idx, pl in enumerate(pls):
-            name = f"{repr(P)}#{idx}"
-            wits.append(_place_json(name, pl))
-            bounds[name + ":d"] = [pl.dmin, pl.dmax]
+    wits, bounds = _witnesses(
+        (f"{P!r}#{idx}", pl) for P, pls in rt.rows for idx, pl in enumerate(pls)
+    )
     lo, hi = gr.diff_degree_bounds
     bounds["different_degree"] = [lo, hi]
     g_hi = max(gr.genus, (hi + 2 - 2 * rt.m) // 2)
@@ -309,8 +312,7 @@ def _run_check_theorem(job: JobSpec):
     F = parse_poly(job.params["F"], K)
     f = parse_unipoly(job.params["f"], K, "--f")
     v = check_theorem(F, f, max_depth=job.params["max_depth"])
-    wits = [_place_json(n, pl) for n, pl in sorted(v.witnesses.items())]
-    bounds = {w["name"] + ":d": [w["d_min"], w["d_max"]] for w in wits}
+    wits, bounds = _witnesses(sorted(v.witnesses.items()))
     data = {"failed_conditions": list(v.failed_conditions)}
     if v.hypotheses is not None:
         h = v.hypotheses
@@ -323,15 +325,14 @@ def _run_check_theorem(job: JobSpec):
     return (0 if v.holds else 1), _report(job, verdict, wits, bounds, v.notes, data)
 
 
+def _climb_hypotheses(job: JobSpec) -> RamHypotheses:
+    p = job.params
+    return RamHypotheses(m=p["m"], n=p["n"], r=p["r"], p=p["p"],
+                         d_prime_min=p.get("d_prime_min") or 0)
+
+
 def _run_climb(job: JobSpec):
-    h = RamHypotheses(
-        m=job.params["m"],
-        n=job.params["n"],
-        r=job.params["r"],
-        p=job.params["p"],
-        d_prime_min=job.params.get("d_prime_min") or 0,
-    )
-    rep = climb(h, job.params["levels"])
+    rep = climb(_climb_hypotheses(job), job.params["levels"])
     data = {
         "c": _frac(rep.c),
         "levels": [
@@ -364,8 +365,7 @@ def _run_family(job: JobSpec):
         g=parse_unipoly(job.params["g"], K, "--g"),
     )
     rep = verify_family_facts(params)
-    wits = [_place_json(n, pl) for n, pl in sorted(rep.witnesses.items())]
-    bounds = {w["name"] + ":d": [w["d_min"], w["d_max"]] for w in wits}
+    wits, bounds = _witnesses(sorted(rep.witnesses.items()))
     data = {
         "F": rep.tower.F.to_str(),
         "m": params.m,
@@ -486,13 +486,8 @@ def _text_summary(job: JobSpec, report: dict) -> str:
                 f"  {lv['i']:>5}  {lv['degree']:>6}  {lv['d_bound']:>7}  {s}"
             )
         if job.params["levels"] <= 4:
-            h = RamHypotheses(
-                m=job.params["m"], n=job.params["n"], r=job.params["r"],
-                p=job.params["p"],
-                d_prime_min=job.params.get("d_prime_min") or 0,
-            )
             lines.append("")
-            lines.append(render_pyramid(h, job.params["levels"]))
+            lines.append(render_pyramid(_climb_hypotheses(job), job.params["levels"]))
     if job.command == "family":
         for c in data["checks"]:
             mark = "pass" if c["passed"] else "FAIL"

@@ -17,11 +17,11 @@ Degree analysis (Musser, "On the efficiency of a polynomial irreducibility
 test", JACM 1978): a factor of F of y-degree k over K(x) specializes to a
 factor of degree k of F(xi, y) at every good point xi, so k is a sum of
 the degrees of some irreducible factors of F(xi, y).  The test walks the
-good points of GF(q) in order (at most q of them), factors each fibre and
-intersects those subset sums; once no 0 < k < m is left, F is irreducible.
-Otherwise the reconstruction starts from the good point with the fewest
-factors.  When GF(q) has no good point, the first good point of the
-smallest extension of the constant field that has one stands in for them.
+good points of GF(q) in order (at most q of them), reads each fibre's
+factor degrees off its distinct-degree factorization and intersects those
+subset sums; once no 0 < k < m is left, F is irreducible.  Otherwise the
+reconstruction factors the fibre with the fewest factors.  Without a good
+point in GF(q), the first one of the smallest extension that has one is used.
 
 The test does not always decide.  `_reconstruct_subsets` raises
 TowerlabError when F(xi, y) has more than 16 modular factors (the subset
@@ -41,6 +41,7 @@ from ..ffield import (
     FFPoly,
     FiniteField,
     BivarPoly,
+    _ddf,
     _embed_ints,
     _pseries_inv,
     _ptaylor,
@@ -145,29 +146,29 @@ def _find_specialization(F: BivarPoly, first: int = 1) -> tuple[FFElem, FFPoly]:
 
 
 def _degree_analysis(F: BivarPoly, points):
-    """Musser's degree analysis over good points (xi, F(xi, y)).  None when
-    the factor degrees there leave no proper factor degree, so F is
-    irreducible; otherwise (xi, irreducible factors of F(xi, y)) at the
-    point with the fewest factors."""
+    """Musser's degree analysis over good points (xi, F(xi, y)), whose fibres
+    good_points certifies squarefree, so `_ddf` gives their factor degrees
+    without splitting them.  None when those leave no proper factor degree,
+    so F is irreducible; else (xi, F(xi, y)) with the fewest factors."""
     left = set(range(1, F.deg_y()))
     best = None
     for xi, fy in points:
-        factors = [g for g, _ in poly_factor(fy)]
+        degrees = [d for g, d in _ddf(fy.field, fy.monic().ints) for _ in range((len(g) - 1) // d)]
         sums = {0}
-        for g in factors:
-            sums |= {k + g.degree() for k in sums}
+        for d in degrees:
+            sums |= {k + d for k in sums}
         left &= sums
         if not left:
             return None
-        if best is None or len(factors) < len(best[1]):
-            best = (xi, factors)
-    return best
+        if best is None or len(degrees) < best[0]:
+            best = (len(degrees), xi, fy)
+    return best[1:]
 
 
-def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, factors=None) -> bool:
+def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy: FFPoly | None = None) -> bool:
     """True iff F (separable, y-free content, deg_y >= 2) is irreducible,
-    by Hensel factor reconstruction from the good point x = xi, whose
-    fibre's irreducible factors are `factors`; both are found here when
+    by Hensel factor reconstruction from the good point x = xi with fibre
+    fy = F(xi, y), which is factored here; the point is found here when
     not given."""
     base = F.field
     m = F.deg_y()
@@ -176,7 +177,7 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, factors=None) -
     N = B + 2
     if xi is None:
         xi, fy = _find_specialization(F)
-        factors = [g for g, _ in poly_factor(fy)]
+    factors = [g for g, _ in poly_factor(fy)]
     if len(factors) == 1:
         return True
     K = xi.field

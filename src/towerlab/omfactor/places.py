@@ -169,10 +169,14 @@ def places_above(
     # v_P(disc H), when the curve's record has the discriminant's factors
     # (ramification_locus puts them there; decompose starts lower without):
     # Res_y(F, F_y) = +-lc^(m + deg F_y) * prod_{i != j} (y_i - y_j) over the
-    # roots y_i of F, and z = y * pi^M scales each root difference.  Callers
-    # that run before the locus keep the low start: factoring the
-    # discriminant here made cold `family --q 125 --g x+1` take 5.0 s instead
-    # of 0.22 s (q = 128: 2.4 s instead of 0.25 s; Python 3.11, one core)
+    # roots y_i of F, and z = y * pi^M scales each root difference.  So the
+    # start depends on whether the locus ran first on F; neither single rule
+    # tried beats both (Python 3.11, one core of a shared x86-64 host).
+    # Reading v_P(Res) off the resultant for every caller, without factoring
+    # it, took the in-process `family --g x+1` run from 16 to 42 ms at
+    # q = 27, 24 to 234 ms at q = 64 and 86 to 5,360 ms at q = 125.  Starting
+    # every place low took a warm benchmark `sweep` pass from 0 to 42
+    # precision raises and from 85-91 to 100-107 ms of CPU time.
     m = F.deg_y()
     disc_val = 0
     if F.facts.disc_factors is not None:

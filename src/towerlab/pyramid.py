@@ -78,6 +78,8 @@ RATIO_NOTE = (
     "m^i - 1 + r >= m^i/2, and divergence of the genus series holds either way"
 )
 
+GENUS_VERDICT = {"Diverges": "InfiniteGenus", "Inconclusive": "Inconclusive"}
+
 
 class BothWild(TowerlabError):
     """Abhyankar's lemma needs at least one index prime to p."""
@@ -167,10 +169,10 @@ class PyramidReport(Record):
 def climb(h: RamHypotheses, levels: int) -> PyramidReport:
     """Closed-form per-level bounds d(P'|P) >= m^i * d_prime_min + (m^i - 1)(1 - r).
 
-    The verdict is InfiniteGenus exactly because the hypotheses make the
-    series terms a positive constant: c_i = 1/2 and [T_{i+1} : T_i] = m give
-    terms 1/(2m), so partial sums grow linearly past any bound.  All
-    arithmetic is exact.
+    The series terms, partial sums and verdict (via GENUS_VERDICT) come from
+    series_divergence(c, m, levels + 1): c_i = 1/2 and [T_{i+1} : T_i] = m
+    give constant terms 1/(2m), whose divergence it certifies, so the
+    verdict is InfiniteGenus.  All arithmetic is exact.
     """
     if levels < 0:
         raise InvalidHypotheses("levels must be >= 0")
@@ -183,16 +185,14 @@ def climb(h: RamHypotheses, levels: int) -> PyramidReport:
         assert 2 * bound >= deg
         out.append(PyramidLevel(i, deg, bound, Fraction(bound, 2 * deg * m)))
     c = Fraction(1, 2)
-    term = c / m
-    terms = tuple(term for _ in out)
-    sums = tuple(term * (k + 1) for k in range(len(out)))
+    series = series_divergence(c, m, levels + 1)
     return PyramidReport(
         hypotheses=h,
         levels=tuple(out),
         c=c,
-        series_terms=terms,
-        series_partial_sums=sums,
-        verdict="InfiniteGenus",
+        series_terms=series.terms,
+        series_partial_sums=series.partial_sums,
+        verdict=GENUS_VERDICT[series.verdict],
         notes=(RATIO_NOTE,),
     )
 

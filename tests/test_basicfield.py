@@ -8,6 +8,7 @@ import pytest
 from towerlab import basicfield
 from towerlab.basicfield import (
     CapTooSmall,
+    PointCountTooLarge,
     _unramified_fprofile,
     InconsistentOracle,
     genus_basic,
@@ -120,6 +121,15 @@ def test_zeta_matches_riemann_hurwitz_on_exact_curves():
 def test_zeta_cap_too_small():
     with pytest.raises(CapTooSmall):
         zeta_genus(hyper3(), 1)
+
+
+def test_point_count_refuses_past_its_budget(monkeypatch):
+    # hyper3 is over GF(3); cap 2 counts points over GF(3^k) for k <= 4
+    monkeypatch.setattr(basicfield, "POINT_COUNT_BUDGET", 3**3)
+    with pytest.raises(PointCountTooLarge, match=r"GF\(3\^4\)"):
+        zeta_genus(hyper3(), 2)
+    monkeypatch.setattr(basicfield, "POINT_COUNT_BUDGET", 3**4)
+    assert zeta_genus(hyper3(), 2) == 2
 
 
 def test_reconcile_identity_when_nothing_missing():

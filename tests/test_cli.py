@@ -267,6 +267,23 @@ def test_genus_explicit_cap_is_kept():
     assert rep["data"]["zeta_genus"] == 2
 
 
+Q3_FAMILY = "(x+1)*y^4+(x+1)*y-x^4"
+
+
+def test_genus_refuses_a_point_count_past_the_budget():
+    # the default cap is the top of the genus window, 6, so the oracle would
+    # count points over GF(3^k) up to k = 12
+    code, rep = run_json(["genus", "--p", "3", "--F", Q3_FAMILY, "--json"])
+    assert code == 2
+    assert rep["error"]["type"] == "PointCountTooLarge"
+
+
+def test_genus_cap_keeps_the_point_count_within_the_budget():
+    code, rep = run_json(["genus", "--p", "3", "--F", Q3_FAMILY, "--cap", "3", "--json"])
+    assert code == 0
+    assert rep["data"]["zeta_genus"] == rep["data"]["genus"] == 3
+
+
 def test_invalid_hypotheses_cli():
     code, rep = run_json(
         ["climb", "--m", "4", "--n", "1", "--r", "2", "--p", "2", "--levels", "3", "--json"]

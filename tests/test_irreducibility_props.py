@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from towerlab.errors import TowerlabError
-from towerlab.ffield import BivarPoly, make_field
+from towerlab.ffield import BivarPoly, make_field, poly_factor
 from towerlab.omfactor import eisenstein_at, is_irreducible_over_ratfield
 from towerlab.omfactor.irreducibility import _degree_analysis, _reconstruct_subsets
 from towerlab.omfactor.newton import newton_polygon
@@ -75,6 +75,37 @@ def test_agrees_with_hensel_reconstruction(F):
     assert is_irreducible_over_ratfield(F) == want
     if curve_point(F) is not None and _degree_analysis(F, good_points(F, F.field)) is None:
         assert want  # the certificate is only ever given to irreducible F
+
+
+def _degree_analysis_by_factoring(F, points):
+    """The reference: Musser's degree analysis on the factors that
+    poly_factor finds at each point; None, or the point with the fewest."""
+    left, best = set(range(1, F.deg_y())), None
+    for xi, fy in points:
+        degrees = [g.degree() for g, _ in poly_factor(fy)]
+        sums = {0}
+        for d in degrees:
+            sums |= {k + d for k in sums}
+        left &= sums
+        if not left:
+            return None
+        if best is None or len(degrees) < best[0]:
+            best = (len(degrees), xi)
+    return best[1]
+
+
+@SETTINGS
+@given(_case(lambda K: st.tuples(_bivar(K, 3, 2), _bivar(K, 3, 2), st.booleans())))
+def test_degree_analysis_matches_factoring_every_fibre(GHs):
+    G, H, product = GHs
+    F = G * H if product else G
+    assume(F.deg_y() >= 2 and curve_point(F) is not None)
+    got = _degree_analysis(F, good_points(F, F.field))
+    want = _degree_analysis_by_factoring(F, good_points(F, F.field))
+    if want is None:
+        assert got is None
+    else:
+        assert got == (want, F.eval_x(want))
 
 
 @SETTINGS

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from towerlab import pyramid
 from towerlab.pyramid import (
     BothWild,
     InvalidHypotheses,
     RamHypotheses,
+    SeriesReport,
     abhyankar_e,
     climb,
     different_transitivity,
@@ -73,6 +75,16 @@ def test_climb_canonical_levels():
         Fraction(1, 2),
         Fraction(2, 3),
     )
+
+
+def test_climb_series_and_verdict_come_from_series_divergence(monkeypatch):
+    rep = climb(H, 4)
+    assert rep.series_terms == (Fraction(1, 6),) * 5
+    monkeypatch.setattr(
+        pyramid, "series_divergence",
+        lambda c, m, horizon: SeriesReport("Inconclusive", (), (), None),
+    )
+    assert climb(H, 4).verdict == "Inconclusive"
 
 
 def test_climb_bound_closed_form():
