@@ -41,9 +41,10 @@ from .record import Record
 
 INF = math.inf
 
-# Largest constant-field extension GF(q^k) whose elements _point_count walks:
-# the smallest power of two at or above the largest walk the benchmark makes,
-# GF(5^6) with 15,625 elements.
+# Largest constant-field extension GF(q^k) that the default genus cap may have
+# _point_count walk: the smallest power of two at or above the largest walk
+# the benchmark makes, GF(5^6) with 15,625 elements.  An explicit cap is not
+# held to it.
 POINT_COUNT_BUDGET = 2**14
 
 
@@ -52,7 +53,8 @@ class CapTooSmall(TowerlabError):
 
 
 class PointCountTooLarge(TowerlabError):
-    """_point_count would walk more than POINT_COUNT_BUDGET elements."""
+    """The default genus cap would count points over a field of more than
+    POINT_COUNT_BUDGET elements."""
 
 
 class InconsistentOracle(TowerlabError):
@@ -214,11 +216,6 @@ def _point_count(F: BivarPoly, k: int, locus_data) -> int:
     evaluated."""
     base = F.field
     q = base.order
-    if q**k > POINT_COUNT_BUDGET:
-        raise PointCountTooLarge(
-            f"counting points over GF({q}^{k}) walks {q**k} elements, past the "
-            f"budget of {POINT_COUNT_BUDGET}; lower the genus cap"
-        )
     K = base if k == 1 else make_field(base.p, base.k * k)
     bad = [poly for _degQs, poly in locus_data if poly is not None]
     total = 0
@@ -245,17 +242,15 @@ def _point_count(F: BivarPoly, k: int, locus_data) -> int:
     return total
 
 
-def zeta_genus(F: BivarPoly, g_cap: int, max_depth: int = 8) -> int:
+def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
     """Genus by place counting: fit the L-polynomial of the function field
     from the numbers of places of degree up to 2*g_cap.  The places over the
-    locus are read off the rows of ram_table(F, max_depth); _point_count
-    counts the rest.
+    locus are read off the rows of `table`, ram_table(F) when not given;
+    _point_count counts the rest.
 
     Independent of different exponents.  Raises CapTooSmall when no
-    L-polynomial of degree <= 2*g_cap matches the counts, PointCountTooLarge
-    when a count would walk more than POINT_COUNT_BUDGET elements, and
-    TowerlabError when the constant field visibly extends (gcd of place
-    degrees > 1)."""
+    L-polynomial of degree <= 2*g_cap matches the counts, and TowerlabError
+    when the constant field visibly extends (gcd of place degrees > 1)."""
     if g_cap < 0:
         raise ValueError("g_cap must be >= 0")
     field = F.field
@@ -263,7 +258,7 @@ def zeta_genus(F: BivarPoly, g_cap: int, max_depth: int = 8) -> int:
     kmax = max(2 * g_cap, 1)
     locus_data = [
         ([pl.f * P.degree() for pl in pls], P.poly)
-        for P, pls in ram_table(F, max_depth).rows
+        for P, pls in (ram_table(F) if table is None else table).rows
     ]
     S = {k: _point_count(F, k, locus_data) for k in range(1, kmax + 1)}
     # place counts by degree, via Moebius inversion of S_k = sum_{d|k} d*N_d;

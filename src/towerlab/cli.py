@@ -27,7 +27,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import ffield
+from . import basicfield, ffield
 from .basicfield import genus_from_table, ram_table, reconcile_different, zeta_genus
 from .checker import FamilyParams, check_theorem, verify_family_facts
 from .errors import TowerlabError
@@ -392,7 +392,14 @@ def _run_genus(job: JobSpec):
     lo, hi = gr.diff_degree_bounds
     if cap is None:
         cap = max(1, gr.genus, (hi + 2 - 2 * rt.m) // 2)
-    z = zeta_genus(F, cap, max_depth=job.params["max_depth"])
+        q, budget = F.field.order, basicfield.POINT_COUNT_BUDGET
+        if q ** (2 * cap) > budget:
+            raise basicfield.PointCountTooLarge(
+                f"the default cap {cap} counts points over GF({q}^{2 * cap}), "
+                f"{q ** (2 * cap)} elements, past the budget of {budget}; "
+                "pass --cap to choose the walk"
+            )
+    z = zeta_genus(F, cap, rt)
     notes = []
     if gr.exact:
         agree = z == gr.genus

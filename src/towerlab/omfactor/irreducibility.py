@@ -153,7 +153,9 @@ def _degree_analysis(F: BivarPoly, points):
     left = set(range(1, F.deg_y()))
     best = None
     for xi, fy in points:
-        degrees = [d for g, d in _ddf(fy.field, fy.monic().ints) for _ in range((len(g) - 1) // d)]
+        degrees = []
+        for g, d in _ddf(fy.field, fy.monic().ints):
+            degrees += [d] * ((len(g) - 1) // d)
         sums = {0}
         for d in degrees:
             sums |= {k + d for k in sums}
@@ -165,7 +167,7 @@ def _degree_analysis(F: BivarPoly, points):
     return best[1:]
 
 
-def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy: FFPoly | None = None) -> bool:
+def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> bool:
     """True iff F (separable, y-free content, deg_y >= 2) is irreducible,
     by Hensel factor reconstruction from the good point x = xi with fibre
     fy = F(xi, y), which is factored here; the point is found here when

@@ -78,7 +78,7 @@ RATIO_NOTE = (
     "m^i - 1 + r >= m^i/2, and divergence of the genus series holds either way"
 )
 
-GENUS_VERDICT = {"Diverges": "InfiniteGenus", "Inconclusive": "Inconclusive"}
+GENUS_VERDICT = {"Diverges": "InfiniteGenus"}
 
 
 class BothWild(TowerlabError):

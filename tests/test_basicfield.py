@@ -8,7 +8,6 @@ import pytest
 from towerlab import basicfield
 from towerlab.basicfield import (
     CapTooSmall,
-    PointCountTooLarge,
     _unramified_fprofile,
     InconsistentOracle,
     genus_basic,
@@ -123,13 +122,15 @@ def test_zeta_cap_too_small():
         zeta_genus(hyper3(), 1)
 
 
-def test_point_count_refuses_past_its_budget(monkeypatch):
-    # hyper3 is over GF(3); cap 2 counts points over GF(3^k) for k <= 4
-    monkeypatch.setattr(basicfield, "POINT_COUNT_BUDGET", 3**3)
-    with pytest.raises(PointCountTooLarge, match=r"GF\(3\^4\)"):
-        zeta_genus(hyper3(), 2)
-    monkeypatch.setattr(basicfield, "POINT_COUNT_BUDGET", 3**4)
-    assert zeta_genus(hyper3(), 2) == 2
+def test_zeta_genus_reads_a_given_table_without_rebuilding_it(monkeypatch):
+    F = hyper3()
+    rt = ram_table(F)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("zeta_genus rebuilt the table it was given")
+
+    monkeypatch.setattr(basicfield, "ram_table", rebuilt)
+    assert zeta_genus(F, 2, rt) == 2
 
 
 def test_reconcile_identity_when_nothing_missing():

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import towerlab.ffield as ffield
-from towerlab import cli
+from towerlab import basicfield, cli
 from towerlab.cli import ParseError, parse_elem, parse_poly, parse_unipoly
 from helpers import F2, F4, F5, bivar
 
@@ -282,6 +282,18 @@ def test_genus_cap_keeps_the_point_count_within_the_budget():
     code, rep = run_json(["genus", "--p", "3", "--F", Q3_FAMILY, "--cap", "3", "--json"])
     assert code == 0
     assert rep["data"]["zeta_genus"] == rep["data"]["genus"] == 3
+
+
+def test_genus_budget_binds_the_default_cap_only(monkeypatch):
+    # FAM's default cap is 3, a walk over GF(2^6) = 64 elements
+    monkeypatch.setattr(basicfield, "POINT_COUNT_BUDGET", 2**5)
+    code, rep = run_json(["genus", "--p", "2", "--F", FAM, "--json"])
+    assert code == 2
+    assert rep["error"]["type"] == "PointCountTooLarge"
+    assert "GF(2^6)" in rep["error"]["message"]
+    code, rep = run_json(["genus", "--p", "2", "--F", FAM, "--cap", "3", "--json"])
+    assert code == 0
+    assert rep["data"]["zeta_genus"] == 2
 
 
 def test_invalid_hypotheses_cli():

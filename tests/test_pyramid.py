@@ -2,12 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from towerlab import pyramid
 from towerlab.pyramid import (
     BothWild,
     InvalidHypotheses,
     RamHypotheses,
-    SeriesReport,
     abhyankar_e,
     climb,
     different_transitivity,
@@ -77,14 +75,13 @@ def test_climb_canonical_levels():
     )
 
 
-def test_climb_series_and_verdict_come_from_series_divergence(monkeypatch):
+def test_climb_series_and_verdict_come_from_series_divergence():
     rep = climb(H, 4)
-    assert rep.series_terms == (Fraction(1, 6),) * 5
-    monkeypatch.setattr(
-        pyramid, "series_divergence",
-        lambda c, m, horizon: SeriesReport("Inconclusive", (), (), None),
-    )
-    assert climb(H, 4).verdict == "Inconclusive"
+    series = series_divergence(Fraction(1, 2), H.m, 5)
+    assert rep.series_terms == series.terms == (Fraction(1, 6),) * 5
+    assert rep.series_partial_sums == series.partial_sums
+    assert series.verdict == "Diverges"
+    assert rep.verdict == "InfiniteGenus"
 
 
 def test_climb_bound_closed_form():
