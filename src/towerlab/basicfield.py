@@ -29,6 +29,7 @@ from .errors import TowerlabError
 from .ffield import (
     BivarPoly,
     FFPoly,
+    _monic_irreducibles,
     _pow_mod,
     make_field,
     poly_factor,
@@ -36,7 +37,7 @@ from .ffield import (
 )
 from .omfactor import Inseparable, places_above
 from .omfactor.places import curve_disc, curve_disc_factors, curve_dy
-from .ratfunc import RatPlace, finite_places_of_degree
+from .ratfunc import RatPlace
 from .record import Record
 
 INF = math.inf
@@ -144,7 +145,9 @@ def _constant_field_is_base(rt: RamTable) -> bool:
     F = rt.F
     locus = {P for P, _ in rt.rows}
     for d in (1, 2):
-        for P in finite_places_of_degree(F.field, d):
+        # lazily: over a large field the first place or two usually decide
+        for f in _monic_irreducibles(F.field, d):
+            P = RatPlace.finite(FFPoly._of(F.field, f), certified=True)
             if P in locus:
                 continue
             for fdeg in _unramified_fprofile(F, P):

@@ -33,7 +33,7 @@ from .checker import FamilyParams, check_theorem, verify_family_facts
 from .errors import TowerlabError
 from .ffield import BivarPoly, FFElem, FFPoly, FiniteField, make_field
 from .omfactor import PlaceExt, is_irreducible_over_ratfield
-from .pyramid import RamHypotheses, climb, render_pyramid
+from .pyramid import RamHypotheses, climb, climb_level, render_pyramid
 from .record import Record
 
 __all__ = ["ParseError", "JobSpec", "parse_poly", "parse_elem", "run", "main"]
@@ -332,7 +332,16 @@ def _climb_hypotheses(job: JobSpec) -> RamHypotheses:
 
 
 def _run_climb(job: JobSpec):
-    rep = climb(_climb_hypotheses(job), job.params["levels"])
+    h, levels = _climb_hypotheses(job), job.params["levels"]
+    limit = sys.get_int_max_str_digits()
+    if limit and levels >= 0:
+        # the last level prints the largest numbers; past 4 * limit levels
+        # its degree m^levels >= 16^limit is too long unbuilt
+        lv = climb_level(h, min(levels, 4 * limit))
+        g = lv.genus_contribution
+        if max(lv.degree, lv.d_bound, g.numerator, g.denominator) >= 10**limit:
+            raise InvalidOption(f"--levels {levels} prints integers past {limit} digits")
+    rep = climb(h, levels)
     data = {
         "c": _frac(rep.c),
         "levels": [

@@ -2,9 +2,10 @@
 
 Route: trivial degree and y-divisibility checks, then Frobenius stripping
 for inseparable inputs, then a scan for a generalized-Eisenstein place
-(cheap certificate), then a squarefree check (a good point xi of GF(q),
-where F(xi, y) keeps its degree and is squarefree, certifies it; without
-one a nonzero discriminant Res_y(F, F_y) does), then Musser's degree
+(cheap certificate, tried at infinity and at the roots of c_0 * c_m in
+GF(q)), then a squarefree check (a good point xi of GF(q), where F(xi, y)
+keeps its degree and is squarefree, certifies it; without one a nonzero
+discriminant Res_y(F, F_y) does), then Musser's degree
 analysis (another cheap certificate), and finally a complete
 factor-reconstruction test: factor F(xi, y) at a good point x = xi,
 Hensel-lift the factorization (xi+t)-adically, and try to reconstruct a
@@ -48,8 +49,9 @@ from ..ffield import (
     _pxgcd,
     make_field,
     poly_factor,
+    roots_in_field,
 )
-from ..ratfunc import RatFunc, RatPlace, finite_places_of_degree
+from ..ratfunc import RatFunc, RatPlace
 from .places import (
     curve_dy,
     curve_fibres,
@@ -243,9 +245,14 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
         if not is_irreducible_over_ratfield(G):
             return False
         return not all(_rat_pth_power(c) for c in curve_monic(G).coeffs)
-    for P in [RatPlace.infinity(F.field)] + finite_places_of_degree(F.field, 1):
-        if eisenstein_at(F, P):
-            return True
+    # an Eisenstein polygon is one segment of slope (v(c_m) - v(c_0)) / m with
+    # denominator m, so v(c_0) != v(c_m): a finite place of degree 1 where F
+    # is Eisenstein is a root of c_0 * c_m, not just any of the q
+    K = F.field
+    roots = roots_in_field(F.ycoeff(0) * F.ycoeff(m))
+    places = [RatPlace.finite(FFPoly(K, [-r, K.one()]), certified=True) for r in roots]
+    if any(eisenstein_at(F, P) for P in [RatPlace.infinity(K)] + places):
+        return True
     if not curve_squarefree(F):
         return False
     if curve_point(F) is None:

@@ -45,6 +45,8 @@ reads only terms of that least value) and for a Newton polygon whose first
 and last points lie below N (every other point then lies above it).  A
 public method takes exact polynomials and checks exactly these values;
 when one reaches N it doubles N for the decomposition and computes again.
+The first N is read off H alone (start_precision), so a decomposition
+depends only on P and H.
 The value that reached N is bounded by `_bound`, from the top digits of
 the exact expansions, so the raises stop there, and a value that passes
 its bound is an engine fault (PrecisionExceeded).  Values that are truly
@@ -86,13 +88,12 @@ class PrecisionExceeded(TowerlabError):
     polynomials bound it below N: an engine bug, never a user error."""
 
 
-def start_precision(disc_val: int, low_val: int) -> int:
-    """The first N of a decomposition of H: v_P(disc H) plus the value of
-    H's lowest nonzero coefficient (the first point of the first Newton
-    polygon, which the discriminant alone does not bound), plus one; at
-    least 1, so that an H that is not integral reaches the check in
-    decompose."""
-    return max(1, disc_val + low_val + 1)
+def start_precision(m: int, low_val: int) -> int:
+    """The first N of a decomposition of H of degree m: v_P of H's lowest
+    nonzero coefficient plus m plus one, and at least 1 (an H that is not
+    integral must reach the check in decompose).  Only a cost hint: without
+    the m term a warm benchmark `sweep` pass raises N about 42 times."""
+    return max(1, low_val + m + 1)
 
 
 class _Precision:
@@ -564,11 +565,9 @@ class Closed:
         return self._stage
 
 
-def decompose(place: RatPlace, H: YPoly, max_depth: int = 8, disc_val: int = 0):
+def decompose(place: RatPlace, H: YPoly, max_depth: int = 8):
     """All terminal inductive valuations for the monic, integral, squarefree
-    separable polynomial H over the given place.  disc_val is v_P(disc H)
-    when the caller knows it (0 otherwise); the starting precision is
-    derived from it (start_precision).
+    separable polynomial H over the given place.
 
     Returns a list of (branch, levels) pairs.  A branch is a terminal
     StageVal or a Closed; both carry E and res_deg, and stage() gives the
@@ -587,7 +586,8 @@ def decompose(place: RatPlace, H: YPoly, max_depth: int = 8, disc_val: int = 0):
     # (an exact test), its last the leading coefficient, a unit
     low = next(i for i, c in enumerate(H.coeffs) if not c.is_zero())
     v_low = place.valuation(H.coeffs[low])
-    prec = _Precision(place.local(start_precision(disc_val, v_low)))
+    prec = _Precision(place.local(start_precision(m, v_low)))
+    # the first polygon's first point must lie below N, from any start
     while prec.ring.N <= v_low:
         prec.raise_past(v_low)
     image, shift = prec.local(H)

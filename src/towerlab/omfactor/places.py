@@ -11,9 +11,6 @@ This neither moves the places nor changes e, f, or the different exponent
 (K(x)(z) is the same field), it only shifts valuations of y-expressions:
 nu(y) = nu(z) - M*e.
 
-places_above hands decompose v_P(disc H) for its starting precision (see
-maclane) when the curve's record holds the discriminant's factorization.
-
 good_points is the one place that decides which fibres F(xi, y) certify
 something: those that keep degree deg_y F and are squarefree.  The
 squarefree certificate, Musser's degree analysis and the Hensel
@@ -166,29 +163,10 @@ def places_above(
     if not curve_squarefree(F):
         raise Inseparable("defining polynomial is not squarefree in y")
     H, M, pi = monic_integral_model(F, P)
-    # v_P(disc H), when the curve's record has the discriminant's factors
-    # (ramification_locus puts them there; decompose starts lower without):
-    # Res_y(F, F_y) = +-lc^(m + deg F_y) * prod_{i != j} (y_i - y_j) over the
-    # roots y_i of F, and z = y * pi^M scales each root difference.  So the
-    # start depends on whether the locus ran first on F; neither single rule
-    # tried beats both (Python 3.11, one core of a shared x86-64 host).
-    # Reading v_P(Res) off the resultant for every caller, without factoring
-    # it, took the in-process `family --g x+1` run from 16 to 42 ms at
-    # q = 27, 24 to 234 ms at q = 64 and 86 to 5,360 ms at q = 125.  Starting
-    # every place low took a warm benchmark `sweep` pass from 0 to 42
-    # precision raises and from 85-91 to 100-107 ms of CPU time.
-    m = F.deg_y()
-    disc_val = 0
-    if F.facts.disc_factors is not None:
-        if P.poly is None:
-            v_R = -curve_disc(F).degree()
-        else:
-            v_R = next((k for g, k in curve_disc_factors(F) if g == P.poly), 0)
-        disc_val = v_R - (m + curve_dy(F).deg_y()) * P.order(F.ycoeff(m)) + M * m * (m - 1)
     p = F.field.p
     Hd = None  # H'(z), built for the first wild place
     out = []
-    for V, levels in decompose(P, H, max_depth, disc_val):
+    for V, levels in decompose(P, H, max_depth):
         handle = _Handle(P, side, H, M, pi, V)
         e = V.E
         f = V.res_deg

@@ -176,16 +176,9 @@ def climb(h: RamHypotheses, levels: int) -> PyramidReport:
     """
     if levels < 0:
         raise InvalidHypotheses("levels must be >= 0")
-    m, r, dmin = h.m, h.r, h.d_prime_min
-    out = []
-    for i in range(levels + 1):
-        deg = m**i
-        bound = deg * dmin + (deg - 1) * (1 - r)
-        # dmin >= r collapses this to deg - 1 + r plus a nonnegative slack
-        assert 2 * bound >= deg
-        out.append(PyramidLevel(i, deg, bound, Fraction(bound, 2 * deg * m)))
+    out = [climb_level(h, i) for i in range(levels + 1)]
     c = Fraction(1, 2)
-    series = series_divergence(c, m, levels + 1)
+    series = series_divergence(c, h.m, levels + 1)
     return PyramidReport(
         hypotheses=h,
         levels=tuple(out),
@@ -195,6 +188,15 @@ def climb(h: RamHypotheses, levels: int) -> PyramidReport:
         verdict=GENUS_VERDICT[series.verdict],
         notes=(RATIO_NOTE,),
     )
+
+
+def climb_level(h: RamHypotheses, i: int) -> PyramidLevel:
+    """Level i >= 0 of climb(h, levels) for any levels >= i."""
+    deg = h.m**i
+    bound = deg * h.d_prime_min + (deg - 1) * (1 - h.r)
+    # d_prime_min >= r collapses this to deg - 1 + r plus a nonnegative slack
+    assert 2 * bound >= deg
+    return PyramidLevel(i, deg, bound, Fraction(bound, 2 * deg * h.m))
 
 
 Node = tuple[int, int]

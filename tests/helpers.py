@@ -1,9 +1,17 @@
 """Shared constructors for the test suite: the base fields, the canonical
-one-parameter family instances, the fixed comparison curves, and the
-Bareiss resultant kept as a reference for ffield.resultant_y."""
+one-parameter family instances, the fixed comparison curves, the sweep
+benchmark's curve pool, and the Bareiss resultant kept as a reference for
+ffield.resultant_y."""
+
+import functools
+import importlib.util
+import json
+import os
 
 from towerlab.ffield import BivarPoly, FFPoly, _pdivmod, _pmul, _psub, make_field
 from towerlab.checker import FamilyParams, build_family
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -124,3 +132,22 @@ def bareiss_resultant_y(F: BivarPoly, G: BivarPoly) -> FFPoly:
         prev = a
     det = rows[N - 1][N - 1]
     return FFPoly._of(field, det if sign == 1 else _psub(field, [], det))
+
+
+@functools.cache
+def bench_workloads():
+    """bench/workloads.py, loaded once by path: bench is not a package."""
+    path = os.path.join(BENCH, "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep_pool():
+    """The sweep benchmark's pool curves (bench/goldens.json) and its pinned
+    degree-10 curve over GF(5)."""
+    workloads = bench_workloads()
+    with open(os.path.join(BENCH, "goldens.json")) as fh:
+        specs = json.load(fh)["sweep"]["pool"] + [workloads.PINNED]
+    return [workloads.make_curve(spec) for spec in specs]

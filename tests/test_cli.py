@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import towerlab.ffield as ffield
-from towerlab import basicfield, cli
+from towerlab import basicfield, cli, pyramid
 from towerlab.cli import ParseError, parse_elem, parse_poly, parse_unipoly
 from helpers import F2, F4, F5, bivar
 
@@ -302,6 +302,51 @@ def test_invalid_hypotheses_cli():
     )
     assert code == 2
     assert rep["error"]["type"] == "InvalidHypotheses"
+
+
+CLIMB = ["climb", "--m", "3", "--n", "1", "--r", "2", "--p", "2", "--levels"]
+
+
+def test_climb_refuses_levels_whose_numbers_pass_the_int_string_limit():
+    code, rep = run_json(CLIMB + ["9100", "--json"])
+    assert code == 2 and rep["error"]["type"] == "InvalidOption"
+    code, out = run_cli(CLIMB + ["9100"])
+    assert code == 2 and "InvalidOption" in out
+    assert run_cli(CLIMB + ["8000"])[0] == 0
+
+
+def test_climb_refuses_exactly_the_levels_that_print_past_the_limit():
+    # at a limit of 640 digits level 1340 prints, and 1341 prints a number
+    # of more digits
+    h = pyramid.RamHypotheses(m=3, n=1, r=2, p=2)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError, match="integer string conversion"):
+            str(pyramid.climb_level(h, 1341).genus_contribution)
+        for mode in ([], ["--json"]):
+            assert run_cli(CLIMB + ["1340"] + mode)[0] == 0
+            code, out = run_cli(CLIMB + ["1341"] + mode)
+            assert code == 2 and "InvalidOption" in out
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("F", ["y^2-x^3-x", "y^2+x^4+1"])
+def test_analyze_over_a_large_prime_field_walks_no_list_of_places(F):
+    # GF(10^9 + 7) has 10^9 places of degree 1: neither the Eisenstein scan
+    # nor the constant-field check may build them all
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    entry = "import sys; from towerlab.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, "analyze", "--p", "1000000007", "--F", F, "--json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        timeout=10,
+        check=False,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["data"]["genus"] == 1
 
 
 def test_text_mode_summary():

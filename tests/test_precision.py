@@ -7,10 +7,7 @@ exact polynomials.  Starting every decomposition at N = 1 must therefore
 change nothing but the number of raises.
 """
 
-import importlib.util
-import json
 import math
-import os
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -23,22 +20,9 @@ from towerlab.ffield import BivarPoly, make_field, resultant_y
 from towerlab.omfactor import Inseparable, maclane, monic_integral_model, places_above
 from towerlab.omfactor.places import curve_monic
 from towerlab.ratfunc import RatFunc, RatPlace
-from helpers import F2, F3, F4, bivar, family_F, unipoly
+from helpers import F2, F3, F4, bivar, family_F, sweep_pool, unipoly
 
 INF = math.inf
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_workloads", os.path.join(ROOT, "bench", "workloads.py")
-)
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
-
-
-def _pool():
-    with open(os.path.join(ROOT, "bench", "goldens.json")) as fh:
-        specs = json.load(fh)["sweep"]["pool"] + [workloads.PINNED]
-    return [workloads.make_curve(spec) for spec in specs]
 
 
 def _cli_curves():
@@ -89,10 +73,10 @@ def _count_raises(monkeypatch):
 
 
 def test_starting_at_precision_one_changes_no_row(monkeypatch):
-    curves = _pool() + _cli_curves() + _family()
+    curves = sweep_pool() + _cli_curves() + _family()
     want = [_rows(F) for F in curves]
     raises = _count_raises(monkeypatch)
-    monkeypatch.setattr(maclane, "start_precision", lambda disc_val, low_val: 1)
+    monkeypatch.setattr(maclane, "start_precision", lambda m, low_val: 1)
     # fresh copies: nothing from the first run is kept on the record but facts
     got = [_rows(BivarPoly(F.field, F.ycoeffs)) for F in curves]
     assert got == want
@@ -100,30 +84,37 @@ def test_starting_at_precision_one_changes_no_row(monkeypatch):
 
 
 def test_the_normal_start_needs_no_raise_on_the_benchmark_curves(monkeypatch):
+    # in both call orders: the locus first (analyze, genus), and
+    # places_above on a fresh copy before any locus (family verification,
+    # check-theorem), which leaves no discriminant on the curve's record
     raises = _count_raises(monkeypatch)
-    for F in _pool() + _cli_curves() + _family():
-        _rows(F)
-    assert raises == []
-
-
-def test_without_the_discriminant_a_place_raises_at_most_twice(monkeypatch):
-    # places_above before ramification_locus (family verification,
-    # check-theorem) has no v_P(disc H) on the record and starts at
-    # v(H's lowest coefficient) + 1
-    raises = _count_raises(monkeypatch)
-    for F in _pool() + _cli_curves() + _family():
+    for F in sweep_pool() + _cli_curves() + _family() + _family((16, 25, 27, 32, 49, 64)):
         if F.derivative_y().is_zero():
             F = F.swap_xy()
         want = _rows(BivarPoly(F.field, F.ycoeffs))
         locus = ramification_locus(BivarPoly(F.field, F.ycoeffs))
-        got = []
-        for P in locus:
-            raises.clear()
-            pls = places_above(F, P)
-            assert len(raises) <= 2
-            got.append([(pl.e, pl.f, pl.dmin, pl.dmax, pl.d_exact, pl.refinement) for pl in pls])
+        got = [
+            [(pl.e, pl.f, pl.dmin, pl.dmax, pl.d_exact, pl.refinement) for pl in places_above(F, P)]
+            for P in locus
+        ]
         assert F.facts.disc_factors is None
         assert got == want
+    assert raises == []
+
+
+def test_the_raises_of_a_place_do_not_depend_on_the_call_order(monkeypatch):
+    K = make_field(5)
+    P = RatPlace.finite(unipoly(K, [0, 1]))
+    raises = _count_raises(monkeypatch)
+    logs = []
+    for locus_first in (False, True):
+        F = parse_poly("(y-x-x^20)*(y-x-x^2)", K)
+        if locus_first:
+            ramification_locus(F)
+        raises.clear()
+        places_above(F, P)
+        logs.append(list(raises))
+    assert logs[0] == logs[1] != []
 
 
 def test_a_zero_value_is_decided_exactly_without_raising(monkeypatch):
@@ -145,12 +136,11 @@ def test_a_terminal_slope_far_above_the_discriminant(monkeypatch):
     K = make_field(5)
     F = parse_poly("(y-x-x^20)*(y-x-x^2)", K)
     P = RatPlace.finite(unipoly(K, [0, 1]))
-    ramification_locus(F)  # puts the discriminant on F's record
     raises = _count_raises(monkeypatch)
     pls = places_above(F, P)
     assert sorted(pl._handle.V.stage().keyval for pl in pls) == [2, 20]
-    # N starts at v_P(disc H) + v(H(x, 0)) + 1 = 4 + 2 + 1
-    assert [N for N, _bound in raises] == [7, 14]
+    # N starts at v(H(x, 0)) + deg H + 1 = 2 + 2 + 1
+    assert [N for N, _bound in raises] == [5, 10, 20]
 
 
 def test_a_raise_past_the_bound_is_an_engine_fault():
@@ -186,7 +176,7 @@ def _curves(draw):
     """A pool curve, or a curve over GF(2), GF(3), GF(4) or GF(5) of y-degree
     2 to 4 and x-degree at most 3, separable and squarefree in y."""
     if draw(st.booleans()):
-        pool = _pool()
+        pool = sweep_pool()
         return pool[draw(st.integers(0, len(pool) - 1))]
     K = draw(st.sampled_from(SMALL))
     m = draw(st.integers(2, 4))
@@ -243,7 +233,7 @@ def test_a_closed_branch_values_y_without_building_its_residue_field(monkeypatch
     # above x + 1, the first pool curve over GF(2) has a branch closed by a
     # residual factor of degree 2; its terminal stage, built only to answer
     # valuations, reads no residue and so adjoins no root
-    F = _pool()[0]
+    F = sweep_pool()[0]
     K = F.field
     assert K.order == 2
     built = []
