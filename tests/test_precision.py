@@ -83,23 +83,36 @@ def test_starting_at_precision_one_changes_no_row(monkeypatch):
     assert len(raises) > 100
 
 
+def _curves_of_the_start_checks():
+    return sweep_pool() + _cli_curves() + _family() + _family((16, 25, 27, 32, 49, 64))
+
+
 def test_the_normal_start_needs_no_raise_on_the_benchmark_curves(monkeypatch):
-    # in both call orders: the locus first (analyze, genus), and
-    # places_above on a fresh copy before any locus (family verification,
-    # check-theorem), which leaves no discriminant on the curve's record
+    # the locus first (analyze, genus)
     raises = _count_raises(monkeypatch)
-    for F in sweep_pool() + _cli_curves() + _family() + _family((16, 25, 27, 32, 49, 64)):
+    for F in _curves_of_the_start_checks():
+        _rows(F)
+    assert raises == []
+
+
+def test_without_the_discriminant_a_place_raises_at_most_twice(monkeypatch):
+    # places_above on a fresh copy before any locus (family verification,
+    # check-theorem) has no v_P(disc H) on the record; the start is read off
+    # H alone, so it needs no raise at all and gives the same rows
+    raises = _count_raises(monkeypatch)
+    for F in _curves_of_the_start_checks():
         if F.derivative_y().is_zero():
             F = F.swap_xy()
         want = _rows(BivarPoly(F.field, F.ycoeffs))
         locus = ramification_locus(BivarPoly(F.field, F.ycoeffs))
-        got = [
-            [(pl.e, pl.f, pl.dmin, pl.dmax, pl.d_exact, pl.refinement) for pl in places_above(F, P)]
-            for P in locus
-        ]
+        got = []
+        for P in locus:
+            raises.clear()
+            pls = places_above(F, P)
+            assert raises == []
+            got.append([(pl.e, pl.f, pl.dmin, pl.dmax, pl.d_exact, pl.refinement) for pl in pls])
         assert F.facts.disc_factors is None
         assert got == want
-    assert raises == []
 
 
 def test_the_raises_of_a_place_do_not_depend_on_the_call_order(monkeypatch):
