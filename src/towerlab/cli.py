@@ -14,7 +14,8 @@ verdict, 2 on any error (bad input, parse failure, internal refusal).
 
 Polynomial grammar for --F/--f/--g: integer literals (reduced mod p),
 variables x and y, operators + - * ^ and parentheses; ^ binds tightest,
-then *, then + and -, all left-associative.  Field elements for --a/--b
+then *, then + and -, all left-associative.  No power or product may
+reach an x- or y-degree past MAX_PARSE_DEGREE.  Field elements for --a/--b
 use the same grammar with the single variable t naming a generator of
 GF(q) over its prime field.
 """
@@ -39,6 +40,11 @@ from .record import Record
 __all__ = ["ParseError", "JobSpec", "parse_poly", "parse_elem", "run", "main"]
 
 SCHEMA_VERSION = 1
+
+# The largest x- or y-degree a power or product may reach in a parse, checked
+# before it is built, so x^100000000 is refused instead of computed.  The
+# family typed as --F up to q = 256 has degree 257.
+MAX_PARSE_DEGREE = 512
 
 
 class InvalidOption(TowerlabError):
@@ -97,6 +103,17 @@ def _tokenize(expr: str):
     return toks
 
 
+def _degrees(val) -> tuple[int, int]:
+    """(deg_x, deg_y) of a parsed polynomial; field elements are not bounded."""
+    return (val.deg_x(), val.deg_y()) if isinstance(val, BivarPoly) else (0, 0)
+
+
+def _check_degree(deg: int, pos: int) -> None:
+    if deg > MAX_PARSE_DEGREE:
+        raise ParseError(f"degree {deg} past the bound {MAX_PARSE_DEGREE}", pos,
+                         (f"degree at most {MAX_PARSE_DEGREE}",))
+
+
 class _Parser:
     """Recursive descent over expr := term (('+'|'-') term)*,
     term := factor ('*' factor)*, factor := '-' factor | atom ('^' INT)*,
@@ -146,8 +163,11 @@ class _Parser:
     def term(self):
         val = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            val = val * self.factor()
+            pos = self.take()[2]
+            rhs = self.factor()
+            (ax, ay), (bx, by) = _degrees(val), _degrees(rhs)
+            _check_degree(max(ax + bx, ay + by), pos)
+            val = val * rhs
         return val
 
     def factor(self):
@@ -162,7 +182,9 @@ class _Parser:
             if kind != "INT":
                 raise ParseError("exponent must be an integer", pos, ("integer",))
             self.take()
-            val = val ** int(text)
+            n = int(text)
+            _check_degree(n * max(_degrees(val)), pos)
+            val = val ** n
         return val
 
     def atom(self):

@@ -1,9 +1,9 @@
 """Irreducibility of bivariate polynomials as polynomials in y over GF(q)(x).
 
 Route: trivial degree and y-divisibility checks, then Frobenius stripping
-for inseparable inputs, then a scan for a generalized-Eisenstein place
-(cheap certificate, tried at infinity and at the roots of c_0 * c_m in
-GF(q)), then a squarefree check (a good point xi of GF(q), where F(xi, y)
+for inseparable inputs, then the generalized-Eisenstein test at infinity
+(a cheap certificate, which settles the wild-tower family at every q),
+then a squarefree check (a good point xi of GF(q), where F(xi, y)
 keeps its degree and is squarefree, certifies it; without one a nonzero
 discriminant Res_y(F, F_y) does), then Musser's degree
 analysis (another cheap certificate), and finally a complete
@@ -18,7 +18,7 @@ Degree analysis (Musser, "On the efficiency of a polynomial irreducibility
 test", JACM 1978): a factor of F of y-degree k over K(x) specializes to a
 factor of degree k of F(xi, y) at every good point xi, so k is a sum of
 the degrees of some irreducible factors of F(xi, y).  The test walks the
-good points of GF(q) in order (at most q of them), reads each fibre's
+good points of GF(q) in order (at most MAX_FIBRES of them), reads each fibre's
 factor degrees off its distinct-degree factorization and intersects those
 subset sums; once no 0 < k < m is left, F is irreducible.  Otherwise the
 reconstruction factors the fibre with the fewest factors.  Without a good
@@ -49,7 +49,6 @@ from ..ffield import (
     _pxgcd,
     make_field,
     poly_factor,
-    roots_in_field,
 )
 from ..ratfunc import RatFunc, RatPlace
 from .places import (
@@ -62,6 +61,11 @@ from .places import (
     good_points,
 )
 from .ypoly import YPoly
+
+# The most fibres the degree analysis reads.  No fibre rules out every factor
+# degree of a reducible F, so an uncapped walk runs through all of GF(q);
+# Musser found a handful enough, and 8 still walks all of GF(q) for q <= 8.
+MAX_FIBRES = 8
 
 
 def _rat_pth_power(r: RatFunc) -> bool:
@@ -196,8 +200,11 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> boo
         cs.append(_trunc(cj * lct_inv, N))
     Fmon = BivarPoly(K, cs)
     lifted = _hensel_tree(Fmon, factors, N)
-    # encodings of the base field's elements in K, mapped back
-    back = dict(zip(_embed_ints(base, K, list(range(base.order))), range(base.order)))
+    # a fibre over an extension (used only when GF(q) has no good point, so
+    # q <= deg(lc * disc)) maps the base field's encodings back
+    back = None
+    if K is not base:
+        back = dict(zip(_embed_ints(base, K, list(range(base.order))), range(base.order)))
     Fy = curve_monic(F)
     idx = range(len(factors))
     for r in range(1, len(factors) // 2 + 1):
@@ -212,9 +219,11 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> boo
                 cc = _trunc(c * lct, N)
                 if cc.degree() > B:
                     break
-                cx = [back.get(a) for a in _taylor_shift(cc, K, -xi).ints]
-                if None in cx:
-                    break
+                cx = _taylor_shift(cc, K, -xi).ints
+                if back is not None:
+                    cx = [back.get(a) for a in cx]
+                    if None in cx:
+                        break
                 cand.append(FFPoly._of(base, cx))
             else:
                 C = YPoly(base, cand)
@@ -227,7 +236,7 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
     """Is F irreducible as a polynomial in y over the field GF(q)(x)?
 
     Content in GF(q)[x] is a unit for this question and is ignored.  The
-    test is complete: Eisenstein places and degree analysis give fast
+    test is complete: Eisenstein at infinity and degree analysis give fast
     certificates, and Hensel factor reconstruction settles every other
     case.
     """
@@ -245,19 +254,13 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
         if not is_irreducible_over_ratfield(G):
             return False
         return not all(_rat_pth_power(c) for c in curve_monic(G).coeffs)
-    # an Eisenstein polygon is one segment of slope (v(c_m) - v(c_0)) / m with
-    # denominator m, so v(c_0) != v(c_m): a finite place of degree 1 where F
-    # is Eisenstein is a root of c_0 * c_m, not just any of the q
-    K = F.field
-    roots = roots_in_field(F.ycoeff(0) * F.ycoeff(m))
-    places = [RatPlace.finite(FFPoly(K, [-r, K.one()]), certified=True) for r in roots]
-    if any(eisenstein_at(F, P) for P in [RatPlace.infinity(K)] + places):
+    if eisenstein_at(F, RatPlace.infinity(F.field)):
         return True
     if not curve_squarefree(F):
         return False
     if curve_point(F) is None:
         points = [_find_specialization(F, first=2)]
     else:
-        points = curve_fibres(F)
+        points = itertools.islice(curve_fibres(F), MAX_FIBRES)
     best = _degree_analysis(F, points)
     return best is None or _reconstruct_subsets(F, *best)

@@ -211,16 +211,25 @@ def good_points(F: BivarPoly, K: FiniteField, start: int = 0):
     A(xi, y) keeps its positive degree and its square divides F(xi, y).
     No point decides nothing: y^2 - (x^5 - x) over GF(5) is squarefree but
     is y^2 at every point.
+
+    A point is good iff lc_y F * Res_y(F, F_y) does not vanish there, and
+    that product has degree at most 2m deg_x F.  A walk past more bad points
+    than that proves F not squarefree, with no good point anywhere, so it
+    stops instead of running through all of K.
     """
     m = F.deg_y()
+    bad = 2 * m * F.deg_x()
     for v in range(start, K.order):
         xi = FFElem(K, v)
         fy = F.eval_x(xi)
-        if fy.degree() != m:
-            continue
-        d = fy.derivative()
-        if not d.is_zero() and poly_gcd(fy, d).degree() == 0:
-            yield xi, fy
+        if fy.degree() == m:
+            d = fy.derivative()
+            if not d.is_zero() and poly_gcd(fy, d).degree() == 0:
+                yield xi, fy
+                continue
+        bad -= 1
+        if bad < 0:
+            return
 
 
 # -- the per-curve record: each reader computes its fact once per F ---------

@@ -1,15 +1,17 @@
 """Shared constructors for the test suite: the base fields, the canonical
 one-parameter family instances, the fixed comparison curves, the sweep
-benchmark's curve pool, and the Bareiss resultant kept as a reference for
-ffield.resultant_y."""
+benchmark's curve pool, the curves of the CLI report jobs, and the Bareiss
+resultant kept as a reference for ffield.resultant_y."""
 
 import functools
 import importlib.util
 import json
+import math
 import os
 
 from towerlab.ffield import BivarPoly, FFPoly, _pdivmod, _pmul, _psub, make_field
 from towerlab.checker import FamilyParams, build_family
+from towerlab.cli import parse_poly
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -151,3 +153,28 @@ def sweep_pool():
     with open(os.path.join(BENCH, "goldens.json")) as fh:
         specs = json.load(fh)["sweep"]["pool"] + [workloads.PINNED]
     return [workloads.make_curve(spec) for spec in specs]
+
+
+def cli_report_curves():
+    """The curves of the ten report jobs of bench/workloads.CLI_JOBS."""
+    fam = "(x+1)*y^3+(x+1)*y+x^3"
+    out = [
+        parse_poly(fam, F2),
+        parse_poly("y^2-x^3-x", make_field(5)),
+        parse_poly("y^2+x", F4),
+    ]
+    for K, b in [(F2, F2.one()), (F4, F4.gen())]:
+        params = FamilyParams(q=K.order, a=K.zero(), b=b, g=unipoly(K, [1, 1]))
+        out.append(build_family(params).F)
+    return out
+
+
+def family_curves(qs=(2, 3, 4, 5, 7, 8, 9)):
+    """The family with a = 0, b = 1 and g = x + 1 at each q."""
+    out = []
+    for q in qs:
+        p = next(p for p in (2, 3, 5, 7) if q % p == 0)
+        K = make_field(p, round(math.log(q, p)))
+        params = FamilyParams(q=q, a=K.zero(), b=K.one(), g=unipoly(K, [1, 1]))
+        out.append(build_family(params).F)
+    return out

@@ -65,6 +65,8 @@ def test_parse_parens():
         ("(x", 2, (")",)),
         ("x$", 1, ("(", ")", "*", "+", "-", "^", "integer", "variable")),
         ("2*", 2, ("(", "integer", "x", "y")),
+        ("y^2+x^100000000", 6, ("degree at most 512",)),
+        ("y^2+x^300*x^300", 9, ("degree at most 512",)),
     ],
 )
 def test_parse_errors_carry_position_and_expectations(expr, pos, expected):
@@ -73,6 +75,19 @@ def test_parse_errors_carry_position_and_expectations(expr, pos, expected):
     assert exc.value.pos == pos
     assert exc.value.expected == expected
     assert f"offset {pos}" in str(exc.value)
+
+
+def test_a_power_past_the_degree_bound_exits_2():
+    # the family at q = 256, typed out, is within the bound
+    assert parse_poly("(x+1)*(y^257+y)-x^257", F2).deg_y() == 257
+    argv = ["analyze", "--p", "2", "--F", "y^2+x^100000000"]
+    code, rep = run_json(argv + ["--json"])
+    assert code == 2
+    assert rep["error"]["type"] == "ParseError"
+    assert "past the bound 512" in rep["error"]["message"]
+    code, out = run_cli(argv)
+    assert code == 2
+    assert "ParseError: degree 100000000 past the bound 512" in out
 
 
 def test_parse_unipoly_rejects_y():
@@ -250,6 +265,22 @@ def test_undecided_irreducibility_test_does_not_refuse_F(monkeypatch):
     monkeypatch.setattr(cli, "is_irreducible_over_ratfield", undecided)
     assert run_json(argv) == decided
     assert decided[0] == 0
+
+
+@pytest.mark.parametrize("F", ["y^2-x^2", "y^3-x^3", "(y-x)*(y^2+x+1)", "(y-x)^2"])
+def test_reducible_F_over_a_large_prime_field_is_refused(F):
+    # no fibre ever rules out a factor degree of a reducible F, and F = (y-x)^2
+    # has no good fibre at all: neither walk may run through all of GF(p)
+    code, rep = run_json(["analyze", "--p", "1000000007", "--F", F, "--json"])
+    assert code == 2
+    assert rep["error"]["type"] == "ReducibleDefiningPolynomial"
+
+
+@pytest.mark.parametrize("F", ["y^2-x^3-x", "y^2+x^4+1"])
+def test_elliptic_curves_over_a_large_prime_field_keep_genus_one(F):
+    code, rep = run_json(["analyze", "--p", "1000000007", "--F", F, "--json"])
+    assert code == 0
+    assert rep["data"]["genus"] == 1
 
 
 def test_genus_cap_below_one_is_an_error():

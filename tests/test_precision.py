@@ -14,39 +14,14 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from towerlab.basicfield import ramification_locus
 from towerlab.cli import parse_poly
-from towerlab.checker import FamilyParams, build_family
 from towerlab.errors import TowerlabError
 from towerlab.ffield import BivarPoly, make_field, resultant_y
 from towerlab.omfactor import Inseparable, maclane, monic_integral_model, places_above
 from towerlab.omfactor.places import curve_monic
 from towerlab.ratfunc import RatFunc, RatPlace
-from helpers import F2, F3, F4, bivar, family_F, sweep_pool, unipoly
+from helpers import F2, F3, F4, bivar, cli_report_curves, family_F, family_curves, sweep_pool, unipoly
 
 INF = math.inf
-
-
-def _cli_curves():
-    """The curves of the ten report jobs of bench/workloads.CLI_JOBS."""
-    fam = "(x+1)*y^3+(x+1)*y+x^3"
-    out = [
-        parse_poly(fam, F2),
-        parse_poly("y^2-x^3-x", make_field(5)),
-        parse_poly("y^2+x", F4),
-    ]
-    for K, b in [(F2, F2.one()), (F4, F4.gen())]:
-        params = FamilyParams(q=K.order, a=K.zero(), b=b, g=unipoly(K, [1, 1]))
-        out.append(build_family(params).F)
-    return out
-
-
-def _family(qs=(2, 3, 4, 5, 7, 8, 9)):
-    out = []
-    for q in qs:
-        p = next(p for p in (2, 3, 5, 7) if q % p == 0)
-        K = make_field(p, round(math.log(q, p)))
-        params = FamilyParams(q=q, a=K.zero(), b=K.one(), g=unipoly(K, [1, 1]))
-        out.append(build_family(params).F)
-    return out
 
 
 def _rows(F):
@@ -73,7 +48,7 @@ def _count_raises(monkeypatch):
 
 
 def test_starting_at_precision_one_changes_no_row(monkeypatch):
-    curves = sweep_pool() + _cli_curves() + _family()
+    curves = sweep_pool() + cli_report_curves() + family_curves()
     want = [_rows(F) for F in curves]
     raises = _count_raises(monkeypatch)
     monkeypatch.setattr(maclane, "start_precision", lambda m, low_val: 1)
@@ -84,7 +59,7 @@ def test_starting_at_precision_one_changes_no_row(monkeypatch):
 
 
 def _curves_of_the_start_checks():
-    return sweep_pool() + _cli_curves() + _family() + _family((16, 25, 27, 32, 49, 64))
+    return sweep_pool() + cli_report_curves() + family_curves() + family_curves((16, 25, 27, 32, 49, 64))
 
 
 def test_the_normal_start_needs_no_raise_on_the_benchmark_curves(monkeypatch):
