@@ -7,12 +7,16 @@ different exponents against residue degrees, and solve
 2g - 2 = -2m + deg Diff.  Tame places contribute exactly e-1; wild places
 contribute a [dmin, dmax] window, so the result may be an interval.
 
-The zeta route never looks at differents: it counts places of each degree
-by residual factorization (Kummer-Dedekind at unramified places, the full
-engine on the locus), turns counts into point counts over constant-field
-extensions, computes the L-polynomial's coefficients in one pass of
-Newton's identities, and reads the genus off the least degree that fits.  reconcile_different plays the two routes against
-each other to pin a single missing wild exponent.
+The zeta route never looks at differents: it counts the points over each
+constant-field extension GF(q^k), as the roots of the good fibres F(xi, y)
+off the locus (one xi per Frobenius orbit), plus the degree f * deg P of
+each place above the locus, read off the ramification table, that divides
+k.  From those it derives the places of each degree, computes the
+L-polynomial's coefficients in one pass of Newton's identities, and reads
+the genus off the least degree that fits.
+
+reconcile_different plays the two routes against each other to pin a
+single missing wild exponent.
 
 Both routes need the full constant field to be GF(q).  The Riemann-Hurwitz
 route certifies it by a gcd of absolute residue degrees: those of the

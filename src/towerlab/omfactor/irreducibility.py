@@ -173,6 +173,18 @@ def _degree_analysis(F: BivarPoly, points):
     return best[1:]
 
 
+def _subset_products(lifted: list[BivarPoly], r: int, N: int, start: int = 0, prefix=None):
+    """The products mod t^N of the r-subsets of lifted[start:], each times
+    prefix, in the order of itertools.combinations: a depth-first walk that
+    forms each product from its prefix's, one product per step."""
+    for i in range(start, len(lifted) - r + 1):
+        prod = lifted[i] if prefix is None else _trunc_t(prefix * lifted[i], N)
+        if r == 1:
+            yield prod
+        else:
+            yield from _subset_products(lifted, r - 1, N, i + 1, prod)
+
+
 def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> bool:
     """True iff F (separable, y-free content, deg_y >= 2) is irreducible,
     by Hensel factor reconstruction from the good point x = xi with fibre
@@ -206,12 +218,8 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> boo
     if K is not base:
         back = dict(zip(_embed_ints(base, K, list(range(base.order))), range(base.order)))
     Fy = curve_monic(F)
-    idx = range(len(factors))
     for r in range(1, len(factors) // 2 + 1):
-        for S in itertools.combinations(idx, r):
-            prod = lifted[S[0]]
-            for i in S[1:]:
-                prod = _trunc_t(prod * lifted[i], N)
+        for prod in _subset_products(lifted, r, N):
             # candidate = lc(t) * prod must be polynomial of t-degree <= B,
             # back in x and with coefficients in the base field
             cand = []

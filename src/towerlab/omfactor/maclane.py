@@ -28,11 +28,13 @@ strictly increasing key degrees; the stage invariants then satisfy
 deg phi = E * f with E the ramification index and f the residue degree.
 
 A residual factor psi of multiplicity one closes its branch without an
-augmentation: by the theorem of the residual polynomial (Guardia-Montes-
-Nart, Trans. AMS 2012) the place it marks has E equal to the stage's and
-residue degree deg psi times the stage's.  Such a branch is a Closed; its
-terminal stage (key lift, new value, augmentation) is built on first use,
-which only valuations at the place ask for.
+augmentation: by the theorem of the residual polynomial (MacLane 1936;
+Guardia-Montes-Nart, Trans. AMS 2012) the place it marks has E equal to
+the stage's and residue degree deg psi times the stage's.  Such a branch
+is a Closed.  The same theorem is the one rule for valuations at the place
+(exact_val): nu(g) = E * V(g) unless psi divides R_V(g), and only then is
+the next stage built (key lift, one new value, augmentation) and the test
+repeated there.
 
 Keys, key values and residuals are exact.  Values are computed in O_P/P^N
 (ratfunc.LocalRing) on the images of the exact polynomials, at the
@@ -60,14 +62,7 @@ import math
 from fractions import Fraction
 
 from ..errors import TowerlabError
-from ..ffield import (
-    Adjoin,
-    FFElem,
-    FFPoly,
-    FiniteField,
-    is_irreducible,
-    poly_factor,
-)
+from ..ffield import Adjoin, FFElem, FFPoly, FiniteField, poly_factor
 from ..ratfunc import RatFunc, RatPlace
 from .newton import slope_length_pairs
 from .ypoly import YPoly
@@ -201,7 +196,7 @@ class StageVal:
             self.res_deg = prev.res_deg * psi.degree()
 
     # the residue field is built on first read: the terminal stage of a
-    # Closed branch, built only to answer valuations, never reads it
+    # Closed branch reads it only when a valuation goes one stage further
 
     @property
     def ext(self) -> Adjoin:
@@ -452,24 +447,6 @@ class StageVal:
         vP = self.val(P)
         return [s for s in ss if s > vP]
 
-    def is_key(self, f: YPoly) -> bool:
-        """Is the monic, P-integral f a key polynomial of this stage?"""
-        if self.rel_n is None:
-            return False
-        vf = self._exact_sval(f)
-        g = self.prec.local(f)[0]
-        cc = g.expand_in(self._key())
-        nn = len(cc) - 1
-        # f is phi^nn plus terms of lower phi-degree
-        if nn == 0 or f.degree() != nn * self.phi.degree() or not f.lc().is_one():
-            return False
-        if nn * self.rel_n != vf:
-            return False
-        if self._coeff_sval(cc[0]) > vf:
-            # equivalence-divisible by the current key
-            return nn == 1
-        return is_irreducible(self.residual(f))
-
     def augmentations(self, G: YPoly):
         """The branches of G one step past this stage, as (W, key, lam, psi)
         per monic residual factor psi of G.  A factor of multiplicity one
@@ -487,7 +464,7 @@ class StageVal:
             if psi == gen:
                 continue
             if mult == 1:
-                out.append((Closed(self, psi, G, len(fac) == 1), None, None, psi))
+                out.append((Closed(self, psi, G), None, None, psi))
                 continue
             key = self.keypol_from_residual(psi)
             for v in self.new_values(G, key):
@@ -532,33 +509,27 @@ class Closed:
     augmentation for it; stage() builds the terminal StageVal on first
     use."""
 
-    __slots__ = ("V", "psi", "H", "sole", "E", "res_deg", "_stage")
+    __slots__ = ("V", "psi", "H", "E", "res_deg", "_stage")
 
-    def __init__(self, V: StageVal, psi: FFPoly, H: YPoly, sole: bool):
+    def __init__(self, V: StageVal, psi: FFPoly, H: YPoly):
         self.V = V
         self.psi = psi
         self.H = H
-        self.sole = sole  # psi is the only factor of the residual of H
         self.E = V.E
         self.res_deg = V.res_deg * psi.degree()
         self._stage = None
 
     def stage(self) -> StageVal:
-        """The terminal stage: [V, H -> +inf] when psi is the only factor
-        and H itself is a key, else the augmentation along the key lifted
-        from psi at its one new value.  Raises TowerlabError unless it has
+        """The terminal stage: the augmentation along the key lifted from
+        psi at its one new value.  Raises TowerlabError unless it has
         projection 1 and the branch's E and residue degree."""
         if self._stage is None:
             V, psi, H = self.V, self.psi, self.H
-            H0 = H.monic()
-            if self.sole and V.is_key(H0):
-                W = V.augment(H0, INF, psi)
-            else:
-                key = V.keypol_from_residual(psi)
-                vals = V.new_values(H, key)
-                if len(vals) != 1:
-                    raise TowerlabError("a closed branch has more than one new value")
-                W = V.augment(key, vals[0], psi)
+            key = V.keypol_from_residual(psi)
+            vals = V.new_values(H, key)
+            if len(vals) != 1:
+                raise TowerlabError("a closed branch has more than one new value")
+            W = V.augment(key, vals[0], psi)
             if W.projection(H) != 1 or W.E != self.E or W.res_deg != self.res_deg:
                 raise TowerlabError("a closed branch built a non-terminal stage")
             self._stage = W
@@ -626,48 +597,35 @@ def decompose(place: RatPlace, H: YPoly, max_depth: int = 8):
     return results
 
 
-def improve(V: StageVal, H: YPoly) -> StageVal:
-    """One more augmentation step along H from a terminal valuation; raises
-    if the step is not unique (which would mean V was not terminal)."""
-    hits = [
-        W for W, _, _, _ in V.augmentations(H)
-        if isinstance(W, Closed) or W.projection(H) == 1
-    ]
-    if len(hits) != 1:
-        raise TowerlabError("expected a unique refinement of a terminal valuation")
-    W = hits[0].stage()
-    if W.E != V.E or W.res_deg != V.res_deg:
-        raise TowerlabError("terminal invariants changed during refinement")
-    return W
+def exact_val(branch, H: YPoly, g: YPoly):
+    """The exact valuation of g at the place of a branch of H (a Closed or
+    a terminal StageVal, as decompose returns them), in units of v_P.
+    Returns (value, branch'), branch' the branch as deep as the value
+    needed.
 
-
-def exact_val(V: StageVal, H: YPoly, g: YPoly):
-    """The exact valuation of g at the place approximated by V, improving V
-    along H as needed.  Returns (value, final_V); value is INF when g
-    vanishes at the place (g divisible by H's local factor).
-
-    The value of the phi-expansion constant term is exact whenever it is the
-    strict minimum among term values, because coefficients of degree below
-    deg phi take their final values on a collapsed chain.  Each comparison
-    reads certified values only; when neither side is certified, the
-    precision is raised.
+    The theorem of the residual polynomial (MacLane 1936; Guardia-Montes-
+    Nart, Trans. AMS 2012) decides it: at the place of a Closed(V, psi) the
+    value is V(g) unless psi divides R_V(g), and only then is the next
+    stage built (Closed.stage) and the test repeated there.  A terminal
+    finite StageVal W is the branch Closed(W, psi), psi the factor of
+    R_W(H) other than u, linear since W has projection 1.  An infinite
+    stage is exact: the value is INF when its key, a factor of H, divides g.
     """
     if g.is_zero():
-        return INF, V
+        return INF, branch
     for _ in range(200):
-        if V.rel_n is None or g.degree() < V.phi.degree():
-            return V.val(g), V
-        ring = V.prec.ring
-        loc, s = V.prec.local(g)
-        terms = V._terms(loc.expand_in(V._key()))
-        t0, rest, top = terms[0], min(terms[1:], default=INF), ring.N * V.E
-        if t0 < top and t0 < rest:
-            return _qval(t0 - s * V.E, V.E), V
-        if rest < top and rest <= t0:
-            V = improve(V, H)
-        else:
-            # neither the constant term's value nor the rest is certified
-            V.prec.raise_past(Fraction(V._bound(g), V.E) + s)
+        if not isinstance(branch, Closed):
+            if branch.rel_n is None:
+                return branch.val(g), branch
+            R = branch.residual(H)
+            k = next(i for i, c in enumerate(R.ints) if c)
+            branch = Closed(branch, FFPoly._of(R.field, R.ints[k:]).monic(), H)
+        V = branch.V
+        v = V._exact_sval(g)
+        # the certified image; its shift only moves R_V(g) by a power of t
+        if not (V._reduce(V.prec.local(g)[0])[0] % branch.psi).is_zero():
+            return _qval(v, V.E), branch
+        branch = branch.stage()
     raise TowerlabError(
         "valuation did not stabilize; is the element zero at this place?"
     )

@@ -42,9 +42,8 @@ from .ypoly import YPoly
 
 class _Handle:
     """Mutable engine state behind a PlaceExt: the integral model and the
-    (improvable) terminal valuation.  V starts as the branch decompose
-    returned; a branch closed by the theorem of the residual polynomial
-    builds its terminal stage at the first valuation asked for."""
+    branch of the place.  V starts as the branch decompose returned, and
+    exact_val deepens it only as far as a value needs."""
 
     __slots__ = ("place", "side", "H", "M", "pi", "V")
 
@@ -61,7 +60,7 @@ class _Handle:
         g = g % self.H
         if g.is_zero():
             return INF
-        v, self.V = exact_val(self.V.stage(), self.H, g)
+        v, self.V = exact_val(self.V, self.H, g)
         if v == INF:
             return INF
         nv = v * self.V.E
@@ -89,8 +88,8 @@ class PlaceExt(Record):
     has d = e - 1 exactly, a wild one dmin = e and dmax = nu_Q(H'(z)) on the
     monic integral model, the monogenic-generator bound.  The _Handle
     behind valuation_of takes no part in equality or the repr; it builds
-    the place's terminal stage lazily, at the first valuation (a wild
-    place's dmax, or valuation_of).
+    a stage past the place's branch only when a valuation (a wild place's
+    dmax, or valuation_of) needs one.
     """
 
     __slots__ = (

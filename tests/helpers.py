@@ -1,17 +1,21 @@
 """Shared constructors for the test suite: the base fields, the canonical
 one-parameter family instances, the fixed comparison curves, the sweep
-benchmark's curve pool, the curves of the CLI report jobs, and the Bareiss
-resultant kept as a reference for ffield.resultant_y."""
+benchmark's curve pool, the curves of the CLI report jobs, the Bareiss
+resultant kept as a reference for ffield.resultant_y, and the constant-term
+valuation kept as a reference for omfactor.maclane.exact_val."""
 
 import functools
 import importlib.util
 import json
 import math
 import os
+from fractions import Fraction
 
 from towerlab.ffield import BivarPoly, FFPoly, _pdivmod, _pmul, _psub, make_field
 from towerlab.checker import FamilyParams, build_family
 from towerlab.cli import parse_poly
+from towerlab.errors import TowerlabError
+from towerlab.omfactor.maclane import INF, Closed, _qval
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -178,3 +182,47 @@ def family_curves(qs=(2, 3, 4, 5, 7, 8, 9)):
         params = FamilyParams(q=q, a=K.zero(), b=K.one(), g=unipoly(K, [1, 1]))
         out.append(build_family(params).F)
     return out
+
+
+def _improve(V, H):
+    """One more augmentation step along H from a terminal valuation; raises
+    if the step is not unique (which would mean V was not terminal)."""
+    hits = [
+        W for W, _, _, _ in V.augmentations(H)
+        if isinstance(W, Closed) or W.projection(H) == 1
+    ]
+    if len(hits) != 1:
+        raise TowerlabError("expected a unique refinement of a terminal valuation")
+    W = hits[0].stage()
+    if W.E != V.E or W.res_deg != V.res_deg:
+        raise TowerlabError("terminal invariants changed during refinement")
+    return W
+
+
+def constant_term_exact_val(V, H, g):
+    """The valuation of g at the place of the terminal stage V, improving V
+    along H as needed; returns (value, final V).
+
+    The value of the phi-expansion constant term is exact whenever it is the
+    strict minimum among term values, because coefficients of degree below
+    deg phi take their final values on a collapsed chain.  Each comparison
+    reads certified values only; when neither side is certified, the
+    precision is raised.
+    """
+    if g.is_zero():
+        return INF, V
+    for _ in range(200):
+        if V.rel_n is None or g.degree() < V.phi.degree():
+            return V.val(g), V
+        ring = V.prec.ring
+        loc, s = V.prec.local(g)
+        terms = V._terms(loc.expand_in(V._key()))
+        t0, rest, top = terms[0], min(terms[1:], default=INF), ring.N * V.E
+        if t0 < top and t0 < rest:
+            return _qval(t0 - s * V.E, V.E), V
+        if rest < top and rest <= t0:
+            V = _improve(V, H)
+        else:
+            # neither the constant term's value nor the rest is certified
+            V.prec.raise_past(Fraction(V._bound(g), V.E) + s)
+    raise TowerlabError("valuation did not stabilize")

@@ -10,13 +10,20 @@ looks like two linear factors at every point of GF(q), so that degree
 analysis can never rule the split out and the reconstruction must find it.
 """
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from towerlab.errors import TowerlabError
 from towerlab.ffield import BivarPoly, make_field, poly_factor
 from towerlab.omfactor import eisenstein_at, is_irreducible_over_ratfield
-from towerlab.omfactor.irreducibility import _degree_analysis, _reconstruct_subsets
+from towerlab.omfactor.irreducibility import (
+    _degree_analysis,
+    _reconstruct_subsets,
+    _subset_products,
+    _trunc_t,
+)
 from towerlab.omfactor.newton import newton_polygon
 from towerlab.omfactor.places import curve_dy, curve_monic, curve_point, good_points, squarefree_in_y
 from towerlab.omfactor.ypoly import YPoly
@@ -91,6 +98,20 @@ def test_agrees_with_hensel_reconstruction_on_the_benchmark_curves(monkeypatch):
     # without content in x or y it is irreducible over GF(q)(x) iff over GF(q)(y)
     want = [_reconstruct_subsets(F.swap_xy() if curve_dy(F).is_zero() else F) for F in curves]
     assert got == want == [True] * len(curves)
+
+
+@SETTINGS
+@given(_case(lambda K: st.lists(_bivar(K, 2, 3), min_size=1, max_size=6)))
+def test_subset_products_follow_the_combinations_order(lifted):
+    # series mod t^4, as the Hensel lift returns them
+    for r in range(1, len(lifted) + 1):
+        want = []
+        for S in itertools.combinations(lifted, r):
+            prod = S[0]
+            for G in S[1:]:
+                prod = prod * G
+            want.append(_trunc_t(prod, 4))
+        assert list(_subset_products(lifted, r, 4)) == want
 
 
 def _degree_analysis_by_factoring(F, points):

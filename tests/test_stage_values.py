@@ -9,13 +9,16 @@ was lifted from instead of recomputing residual(key).  The slopes recorded
 in refinement levels stay Fractions, since decompose orders results that
 tie on (E, f) by str(levels).  A residual factor of multiplicity one
 closes its branch (a Closed) whose stage is built on first use; built, it
-is the stage the eager engine made, augmenting along every factor.
+is the stage the eager engine made, augmenting along every factor.  The
+valuation at a place, read by the theorem of the residual polynomial,
+agrees with the constant-term test kept in helpers as its reference.
 """
 
 import importlib.util
 import json
 import math
 import os
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,11 +29,18 @@ from towerlab.checker import FamilyParams, build_family
 from towerlab.cli import parse_poly
 from towerlab.ffield import BivarPoly, FFPoly, make_field, poly_factor
 from towerlab.omfactor import Inseparable, newton_polygon, places_above
-from towerlab.omfactor.maclane import Closed, StageVal, decompose, improve
+from towerlab.omfactor.maclane import Closed, StageVal, decompose, exact_val
 from towerlab.omfactor.places import monic_integral_model
 from towerlab.omfactor.ypoly import YPoly
 from towerlab.ratfunc import RatFunc, RatPlace
-from helpers import F5, unipoly
+from helpers import (
+    F5,
+    cli_report_curves,
+    constant_term_exact_val,
+    family_curves,
+    sweep_pool,
+    unipoly,
+)
 
 INF = math.inf
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
@@ -297,13 +307,9 @@ def _signature(S):
 
 def _eager_closing(V, H, psi):
     """The stage the eager engine built for a residual factor psi of
-    multiplicity one of H at V: it augmented along the key (H itself when
-    psi is the only factor and H is a key) at every new value, and exactly
-    one augmentation had projection 1."""
-    fac = poly_factor(V.residual(H))
-    key = H.monic()
-    if not (len(fac) == 1 and V.is_key(key)):
-        key = V.keypol_from_residual(psi)
+    multiplicity one of H at V: it augmented along the key lifted from psi
+    at every new value, and exactly one augmentation had projection 1."""
+    key = V.keypol_from_residual(psi)
     hits = [
         W for W in (V.augment(key, v, psi) for v in V.new_values(H, key))
         if W.projection(H) == 1
@@ -314,7 +320,7 @@ def _eager_closing(V, H, psi):
 
 def _check_closed_branches(H, res) -> int:
     """Build every closed branch of one decomposition and compare it, and
-    one improve step from it, with the eager engine; returns the count."""
+    one more step from it, with the eager engine; returns the count."""
     n = 0
     for B, _ in res:
         if not isinstance(B, Closed):
@@ -328,7 +334,7 @@ def _check_closed_branches(H, res) -> int:
         if W.rel_n is not None:
             (psi, mult), = poly_factor(W.residual(H))
             assert mult == 1
-            assert _signature(improve(W, H)) == _signature(_eager_closing(eager, H, psi))
+            assert _signature(Closed(W, psi, H).stage()) == _signature(_eager_closing(eager, H, psi))
         n += 1
     return n
 
@@ -391,3 +397,62 @@ def test_places_above_isomorphic_copies(data):
     a, c = (K.elem(data.draw(st.integers(1, K.order - 1))) for _ in range(2))
     b = K.elem(data.draw(st.integers(0, K.order - 1)))
     assert _place_rows(workloads.substitute(F, a, b, c)) == _place_rows(F)
+
+
+# -- valuations at a place ------------------------------------------------------
+
+
+def _drawn_ypoly(rng, H, place):
+    """A polynomial of y-degree below deg H whose coefficients are drawn
+    polynomials in x of degree <= 2 times pi^e, e in [-3, 2]: at infinity
+    every nonconstant polynomial in x is not integral."""
+    K = H.field
+    cs = []
+    for _ in range(rng.randint(1, H.degree())):
+        num = FFPoly(K, [rng.randrange(K.order) for _ in range(rng.randint(1, 3))])
+        cs.append(RatFunc(num) * place.uniformizer() ** rng.randint(-3, 2))
+    return YPoly(K, cs)
+
+
+def test_the_residual_rule_matches_the_constant_term_reference(monkeypatch):
+    """exact_val reads nu_Q by the theorem of the residual polynomial; the
+    constant-term test it replaced agrees at every place above the locus of
+    the sweep pool, the pinned curve, the CLI report curves, the family at
+    q <= 9, and (y - x - x^20)(y - x - x^2) over GF(5), whose terminal stage
+    of key value 2 has u times a linear factor as the residual of H.  The
+    g are H' and seeded random polynomials, threaded through one branch per
+    place as the place's handle does; a third of them are multiplied by the
+    reference's key, so that psi often divides R_V(g) and the rule has to
+    build the stage past the branch."""
+    built = []
+    stage = Closed.stage
+    monkeypatch.setattr(Closed, "stage", lambda self: built.append(self) or stage(self))
+    rng = random.Random(20261019)
+    curves = sweep_pool() + cli_report_curves() + family_curves()
+    curves.append(parse_poly("(y-x-x^20)*(y-x-x^2)", F5))
+    drawn = hits = u_factors = 0
+    for F in curves:
+        if F.derivative_y().is_zero():
+            F = F.swap_xy()
+        for P in ramification_locus(F):
+            H = monic_integral_model(F, P)[0]
+            # one decomposition each, so neither side shares the other's stages
+            for (branch, _), (ref, _) in zip(decompose(P, H), decompose(P, H)):
+                if isinstance(branch, StageVal) and branch.rel_n is not None:
+                    u_factors += branch.residual(H).ints[0] == 0
+                ref = ref.stage()
+                for i in range(7):
+                    g = H.derivative() if i == 0 else _drawn_ypoly(rng, H, P)
+                    if i > 4:
+                        g = g * ref.phi % H
+                    if g.is_zero():
+                        continue
+                    want, ref = constant_term_exact_val(ref, H, g)
+                    n = len(built)
+                    got, branch = exact_val(branch, H, g)
+                    assert got == want
+                    drawn += 1
+                    hits += len(built) > n
+    assert drawn > 1500
+    assert hits > 200
+    assert u_factors >= 1
