@@ -15,7 +15,8 @@ verdict, 2 on any error (bad input, parse failure, internal refusal).
 Polynomial grammar for --F/--f/--g: integer literals (reduced mod p),
 variables x and y, operators + - * ^ and parentheses; ^ binds tightest,
 then *, then + and -, all left-associative.  No power or product may
-reach an x- or y-degree past MAX_PARSE_DEGREE.  Field elements for --a/--b
+reach an x- or y-degree past MAX_PARSE_DEGREE, or more terms than
+MAX_PARSE_TERMS.  Field elements for --a/--b
 use the same grammar with the single variable t naming a generator of
 GF(q) over its prime field.
 """
@@ -27,6 +28,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import basicfield, ffield
 from .basicfield import genus_from_table, ram_table, reconcile_different, zeta_genus
@@ -45,6 +47,11 @@ SCHEMA_VERSION = 1
 # before it is built, so x^100000000 is refused instead of computed.  The
 # family typed as --F up to q = 256 has degree 257.
 MAX_PARSE_DEGREE = 512
+
+# The most terms a power or product may build in a parse, checked against an
+# upper bound on its result before it is built.  Over GF(10^9 + 7),
+# (x+y+1)^128 has 8,385 terms and took 0.7 s to build, and ^256 took 9.8 s.
+MAX_PARSE_TERMS = 2**13
 
 
 class InvalidOption(TowerlabError):
@@ -108,10 +115,28 @@ def _degrees(val) -> tuple[int, int]:
     return (val.deg_x(), val.deg_y()) if isinstance(val, BivarPoly) else (0, 0)
 
 
+def _terms(val) -> int:
+    """The number of nonzero terms of a parsed polynomial; a field element
+    counts as one."""
+    if isinstance(val, BivarPoly):
+        return sum(1 for c in val.ycoeffs for v in c.ints if v)
+    return 1
+
+
 def _check_degree(deg: int, pos: int) -> None:
     if deg > MAX_PARSE_DEGREE:
         raise ParseError(f"degree {deg} past the bound {MAX_PARSE_DEGREE}", pos,
                          (f"degree at most {MAX_PARSE_DEGREE}",))
+
+
+def _check_terms(terms: int, pos: int) -> None:
+    """terms is an upper bound on a result's terms: for a product the
+    product of the factors' term counts, for a t-term base to the n the
+    monomials of degree n in t variables, and for either the box of its
+    degrees."""
+    if terms > MAX_PARSE_TERMS:
+        raise ParseError(f"up to {terms} terms past the bound {MAX_PARSE_TERMS}", pos,
+                         (f"at most {MAX_PARSE_TERMS} terms",))
 
 
 class _Parser:
@@ -167,6 +192,7 @@ class _Parser:
             rhs = self.factor()
             (ax, ay), (bx, by) = _degrees(val), _degrees(rhs)
             _check_degree(max(ax + bx, ay + by), pos)
+            _check_terms(min(_terms(val) * _terms(rhs), (ax + bx + 1) * (ay + by + 1)), pos)
             val = val * rhs
         return val
 
@@ -183,7 +209,10 @@ class _Parser:
                 raise ParseError("exponent must be an integer", pos, ("integer",))
             self.take()
             n = int(text)
-            _check_degree(n * max(_degrees(val)), pos)
+            dx, dy = _degrees(val)
+            _check_degree(n * max(dx, dy), pos)
+            t = _terms(val)
+            _check_terms(min(comb(t + n - 1, n) if t else 1, (n * dx + 1) * (n * dy + 1)), pos)
             val = val ** n
         return val
 

@@ -6,21 +6,27 @@ deterministic:
 
 * A field GF(p^k) is GF(p)[t]/(modulus) for a monic irreducible modulus of
   degree k.  make_field is the one constructor and interns fields by
-  (p, modulus), so equal fields are the same object and are compared with
-  `is`.  Without an explicit modulus it takes the canonical one: the monic
-  irreducible of degree k whose coefficient vector, read as a base-p integer
-  with the constant term least significant, is smallest.  Residue fields
-  GF(p)[x]/(P) of K(x) pass P as the modulus.  An explicit modulus is
-  checked once, by Ben-Or's test when its field is first interned, and a
-  reducible one raises ValueError instead of yielding a ring that is not a
-  field.
+  (p, modulus): while a field is alive, equal fields are the same object
+  and are compared with `is`.  Without an explicit modulus it takes the
+  canonical one: the monic irreducible of degree k whose coefficient
+  vector, read as a base-p integer with the constant term least
+  significant, is smallest.  A canonical field lives as long as the
+  process.  Residue fields GF(p)[x]/(P) of K(x) pass P as the modulus, and
+  the intern map holds them weakly: such a field goes with the last place,
+  stage, element or polynomial that refers to it, and a later use of P
+  interns it afresh.  An explicit modulus is checked by Ben-Or's test
+  whenever its field is interned, and a reducible one raises ValueError
+  instead of yielding a ring that is not a field.
 * An element c_0 + c_1 t + ... + c_{k-1} t^(k-1) is the plain int
   sum(c_i * p^i).  All orderings and reprs derive from that encoding, and
   arithmetic runs on it directly:
   - prime fields use a*b % p and pow(a, -1, p);
   - extension fields of order at most ZECH_MAX_ORDER multiply, invert and
     (for odd p) add through log/antilog tables and Zech logarithms, built on
-    the first such operation in the field;
+    the first such operation in the field: by walking the powers of a
+    primitive element in the canonical field, and in a field with any other
+    modulus by transporting the canonical field's tables through the
+    isomorphism between them, at one table addition per element;
   - larger extension fields multiply by packing the digits into one int
     (Kronecker substitution) and folding the high half back with
     t^j mod modulus, and invert by the extended Euclidean algorithm;
@@ -55,7 +61,9 @@ from __future__ import annotations
 
 import operator
 import random
+import weakref
 from functools import cached_property
+from math import gcd
 
 from .errors import TowerlabError
 
@@ -64,7 +72,7 @@ from .errors import TowerlabError
 FACTOR_SEED = 0x7F4A91
 
 #: Largest extension-field order that gets log/antilog (Zech) tables.  A field
-#: keeps its tables while it lives, and interned fields live as long as the
+#: keeps its tables while it lives, and canonical fields live as long as the
 #: process: a bound of 2^16 raised the sweep benchmark's peak RSS by 16% with
 #: no gain in speed.
 ZECH_MAX_ORDER = 2**10
@@ -83,18 +91,41 @@ class NoEmbedding(TowerlabError):
     divide k2)."""
 
 
+#: Miller-Rabin with the first 13 primes as bases decides primality exactly
+#: below this bound (Sorenson-Webster 2015); is_prime refuses larger n.
+PRIMALITY_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+class PrimalityUndecided(TowerlabError):
+    """Raised for an n at or past PRIMALITY_BOUND, where the fixed-base
+    Miller-Rabin test is no longer a proof."""
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: exact for n < PRIMALITY_BOUND, and
+    PrimalityUndecided at or past it."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= PRIMALITY_BOUND:
+        raise PrimalityUndecided(f"primality of {n} is undecided at or past the bound {PRIMALITY_BOUND}")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -138,9 +169,9 @@ class FiniteField:
         self.order = p**k
         self.modulus = modulus  # length k+1, monic
         self._hash = hash((p, k, modulus))
-        self._embed_roots: dict[tuple, int] = {}
-        self._zero = FFElem(self, 0)
-        self._one = FFElem(self, 1)
+        # source field -> the root of its modulus that _embed_ints sends its
+        # generator to; an entry lives as long as its source field
+        self._embed_roots: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # -- element construction -------------------------------------------------
 
@@ -157,15 +188,18 @@ class FiniteField:
             raise ValueError("coefficient vector longer than field degree")
         return FFElem(self, self._from_digits(digits))
 
+    # zero, one and gen are made per call: an element cached on its field
+    # would hold the field in a reference cycle, which refcounting never frees
+
     def zero(self) -> FFElem:
-        return self._zero
+        return FFElem(self, 0)
 
     def one(self) -> FFElem:
-        return self._one
+        return FFElem(self, 1)
 
     def gen(self) -> FFElem:
         """The class of t (only meaningful for k > 1)."""
-        return FFElem(self, self.p) if self.k > 1 else self._one
+        return FFElem(self, self.p if self.k > 1 else 1)
 
     def elements(self):
         for v in range(self.order):
@@ -339,7 +373,7 @@ class _ExtensionField(FiniteField):
     def _inv(self, a: int) -> int:
         if not a:
             raise ZeroDivisionError(f"inverse of zero in {self!r}")
-        prime = _intern(self.p, 1, (0, 1))
+        prime = make_field(self.p)
         return self._from_digits(_pxgcd(prime, _trim(self._digits(a)), list(self.modulus))[1])
 
     def _pow(self, a: int, n: int) -> int:
@@ -357,29 +391,63 @@ class _ZechField(_ExtensionField):
 
     @cached_property
     def _tables(self) -> tuple[list, list, list | None]:
-        """(log, exp, zech), built on first use.  g is the first candidate
-        >= p of order q - 1: g^((q-1)/r) != 1 for every prime r | q - 1.
-        The powers run on the packed multiply, since this one needs the
-        tables being built."""
-        p, q1 = self.p, self.order - 1
-        mul = super()._mul
-        cofactors = [q1 // r for r in _prime_divisors(q1)]
-        g = p
-        while any(_power(mul, g, c, 1) == 1 for c in cofactors):
-            g += 1
-        exp = [1]
-        x = g
-        while x != 1:
-            exp.append(x)
-            x = mul(x, g)
-        log = [None] * self.order
-        for i, x in enumerate(exp):
-            log[x] = i
+        """(log, exp, zech), built on first use: by a walk in the canonical
+        field GF(p^k), and transported from that field's tables under any
+        other modulus.  Either way g is the first candidate >= p of order
+        q - 1, so the tables depend on the modulus alone."""
+        p, q = self.p, self.order
+        C = make_field(p, self.k)
+        log = self._walk() if C.modulus == self.modulus else self._transport(C)
+        exp = [0] * (q - 1)
+        for x in range(1, q):
+            exp[log[x]] = x
         zech = None
         if p != 2:
             # 1 + x only changes the constant digit of x
             zech = [log[x - x % p + (x % p + 1) % p] for x in exp]
         return log, exp + exp, zech
+
+    def _walk(self) -> list:
+        """log for g of order q - 1: g^((q-1)/r) != 1 for every prime
+        r | q - 1.  The powers run on the packed multiply, since this one
+        needs the tables being built."""
+        q1 = self.order - 1
+        mul = super()._mul
+        cofactors = [q1 // r for r in _prime_divisors(q1)]
+        g = self.p
+        while any(_power(mul, g, c, 1) == 1 for c in cofactors):
+            g += 1
+        log = [None] * self.order
+        x = 1
+        for i in range(q1):
+            log[x] = i
+            x = mul(x, g)
+        return log
+
+    def _transport(self, C: "_ZechField") -> list:
+        """log read off C's tables through the isomorphism phi to C that
+        sends t to r, the smallest root of the modulus in C (the root
+        _embed_ints uses).  phi is GF(p)-linear, so one addition in C per
+        element gives it everywhere: phi(c p^i + v) = phi(v) + c r^i for
+        v < p^i.  g is primitive iff log_C phi(g) is prime to q - 1, and
+        then log = log_C phi / log_C phi(g) mod q - 1."""
+        q1 = self.order - 1
+        add, mul = C._add, C._mul
+        r = _embed_ints(self, C, [self.p])[0]
+        phi, ri = [0], 1
+        for _ in range(self.k):
+            block = phi[:]
+            for c in range(1, self.p):
+                cri = mul(c, ri)
+                phi += [add(x, cri) for x in block]
+            ri = mul(ri, r)
+        log_C = C._tables[0]
+        lphi = [log_C[x] for x in phi]
+        g = self.p
+        while gcd(lphi[g], q1) != 1:
+            g += 1
+        scale = pow(lphi[g], -1, q1)
+        return [None] + [lv * scale % q1 for lv in lphi[1:]]
 
     def _mul(self, a: int, b: int) -> int:
         if not a or not b:
@@ -528,17 +596,19 @@ class FFElem:
         return " + ".join(terms) if terms else "0"
 
 
-# (p, modulus) -> field, and (p, k) -> the field with the canonical modulus
-_fields: dict[tuple, FiniteField] = {}
+# (p, modulus) -> the live field, held weakly, and (p, k) -> the field with
+# the canonical modulus, held for the life of the process
+_fields: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _canonical: dict[tuple[int, int], FiniteField] = {}
 
 
 def make_field(p: int, k: int = 1, modulus=None) -> FiniteField:
-    """GF(p^k) = GF(p)[t]/(modulus), one interned instance per (p, modulus).
+    """GF(p^k) = GF(p)[t]/(modulus), one interned instance per (p, modulus)
+    while that instance is alive.
 
     modulus lists the coefficients low to high; it must be monic and
-    irreducible over GF(p), which Ben-Or's test checks once, when the field
-    is first interned (ValueError otherwise).  It defaults to the canonical
+    irreducible over GF(p), which Ben-Or's test checks whenever the field
+    is interned (ValueError otherwise).  It defaults to the canonical
     smallest modulus (see module docstring)."""
     if modulus is None:
         field = _canonical.get((p, k))
@@ -618,14 +688,13 @@ def _embed_ints(src: FiniteField, target: FiniteField, cs: list[int]) -> list[in
     if src.k == 1:
         # prime subfield: the unique ring hom, 1 -> 1
         return cs
-    key = (src.p, src.k, src.modulus)
-    root = target._embed_roots.get(key)
+    root = target._embed_roots.get(src)
     if root is None:
         prime = make_field(src.p)
         rts = roots_in_field(FFPoly(prime, list(src.modulus)), target)
         if not rts:
             raise NoEmbedding(f"modulus of {src!r} has no root in {target!r}")
-        root = target._embed_roots[key] = rts[0].v
+        root = target._embed_roots[src] = rts[0].v
     return [_peval(target, src._digits(c), root) for c in cs]
 
 

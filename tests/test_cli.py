@@ -67,6 +67,8 @@ def test_parse_parens():
         ("2*", 2, ("(", "integer", "x", "y")),
         ("y^2+x^100000000", 6, ("degree at most 512",)),
         ("y^2+x^300*x^300", 9, ("degree at most 512",)),
+        ("(x+y+1)^128", 8, ("at most 8192 terms",)),
+        ("(x+1)^127*(y+1)^127", 9, ("at most 8192 terms",)),
     ],
 )
 def test_parse_errors_carry_position_and_expectations(expr, pos, expected):
@@ -88,6 +90,17 @@ def test_a_power_past_the_degree_bound_exits_2():
     code, out = run_cli(argv)
     assert code == 2
     assert "ParseError: degree 100000000 past the bound 512" in out
+
+
+def test_a_power_past_the_term_bound_exits_2():
+    # a sparse power is bounded by its terms, not by the box of its degrees
+    assert parse_poly("(x^256+y^256)^2", F2) == bivar(F2, {(512, 0): 1, (0, 512): 1})
+    assert len(parse_poly("(x+y+1)^126", F5).ycoeffs) == 127
+    argv = ["analyze", "--p", "1000000007", "--F", "y^2+(x+y+1)^256"]
+    code, rep = run_json(argv + ["--json"])
+    assert code == 2
+    assert rep["error"]["type"] == "ParseError"
+    assert "up to 33153 terms past the bound 8192" in rep["error"]["message"]
 
 
 def test_parse_unipoly_rejects_y():
@@ -378,6 +391,29 @@ def test_analyze_over_a_large_prime_field_walks_no_list_of_places(F):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["data"]["genus"] == 1
+
+
+def test_a_characteristic_past_the_primality_bound_exits_2():
+    # 2^89 - 1 is prime, but past the bound where Miller-Rabin is a proof
+    code, rep = run_json(["analyze", "--p", str(2**89 - 1), "--F", "y^2-x^3-x", "--json"])
+    assert code == 2
+    assert rep["error"]["type"] == "PrimalityUndecided"
+    assert str(ffield.PRIMALITY_BOUND) in rep["error"]["message"]
+
+
+def test_analyze_over_an_18_digit_prime_field_finishes():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    entry = "import sys; from towerlab.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, "analyze", "--p", "1000000000000000009",
+         "--F", "y^2-x^3-x", "--json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode in (0, 2)
+    assert json.loads(proc.stdout)["job"]["p"] == 10**18 + 9
 
 
 def test_text_mode_summary():

@@ -1,13 +1,22 @@
+import gc
 import random
+import weakref
+from math import isqrt
 
 import pytest
 
+import towerlab.ffield as ffield
+from towerlab.basicfield import ramification_locus
 from towerlab.ffield import (
+    PRIMALITY_BOUND,
     ZECH_MAX_ORDER,
+    BivarPoly,
     FFPoly,
     NoEmbedding,
     NotPrime,
+    PrimalityUndecided,
     _ExtensionField,
+    _monic_irreducibles,
     _smallest_modulus,
     _ZechField,
     embed,
@@ -20,6 +29,9 @@ from towerlab.ffield import (
     resultant_y,
     roots_in_field,
 )
+from towerlab.omfactor import is_irreducible_over_ratfield, places_above
+from towerlab.omfactor.maclane import Inseparable
+from towerlab.ratfunc import RatFunc, RatPlace
 from helpers import F2, F3, F4, F5, bareiss_resultant_y, bivar, unipoly
 
 
@@ -27,6 +39,31 @@ def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def test_is_prime_agrees_with_trial_division_below_10_to_the_5():
+    for n in range(10**5 + 1):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5, 7
+    assert not is_prime(561)
+    assert not is_prime(3215031751)
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**18 + 9)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+
+def test_is_prime_refuses_past_its_bound():
+    # the bound itself is a strong pseudoprime to every fixed base
+    with pytest.raises(PrimalityUndecided, match=str(PRIMALITY_BOUND)):
+        is_prime(PRIMALITY_BOUND)
+    with pytest.raises(PrimalityUndecided):
+        is_prime(2**89 - 1)
+    # a small factor still answers at any size
+    assert not is_prime(2**89)
+    assert not is_prime(3 * (2**89 - 1))
 
 
 def test_make_field_gf4_canonical_modulus():
@@ -269,8 +306,8 @@ def _table_fields():
         while p**k <= ZECH_MAX_ORDER:
             out.append((p, k, _smallest_modulus(p, k)))
             k += 1
-    base = {p: make_field(p) for p in (2, 3, 5)}
-    for p, k in ((2, 6), (2, 10), (3, 4), (5, 2), (5, 4)):
+    base = {p: make_field(p) for p in (2, 3, 5, 7, 31)}
+    for p, k in ((2, 6), (2, 10), (3, 4), (5, 2), (5, 4), (7, 2), (7, 3), (31, 2)):
         # the largest monic irreducible modulus: t is rarely primitive there
         for v in range(p**k - 1, -1, -1):
             digits = [(v // p**i) % p for i in range(k)]
@@ -284,6 +321,73 @@ def _table_fields():
 def test_zech_tables_match_the_power_walk(p, k, modulus):
     F = _ZechField(p, k, modulus)
     assert F._tables == _walk_tables(_ZechField(p, k, modulus))
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2), (7, 3)])
+def test_transported_tables_match_the_power_walk_for_every_modulus(p, k):
+    C = make_field(p, k)
+    for m in _monic_irreducibles(make_field(p), k):
+        F = _ZechField(p, k, tuple(m))
+        log = F._walk() if C.modulus == F.modulus else F._transport(C)
+        assert (log, F._tables) == (F._walk(), _walk_tables(F))
+
+
+def test_a_field_is_interned_while_referenced_and_freed_after():
+    # x^2 + 3x + 5 is irreducible over GF(13), and not the canonical modulus
+    modulus = (5, 3, 1)
+    assert _smallest_modulus(13, 2) != modulus
+    F = make_field(13, 2, modulus)
+    assert make_field(13, 2, modulus) is F
+    a = F.elem(20)
+    assert a * a.inverse() == F.one()
+    ref = weakref.ref(F)
+    del F
+    assert a.field is make_field(13, 2, modulus)
+    del a
+    # no reference cycle holds a field: it goes with its last reference
+    assert ref() is None
+    # nor does a residue field outlive its place and its elements
+    place = RatPlace(F3, unipoly(F3, [2, 2, 0, 1]))  # x^3 + 2x + 2
+    res = place.residue_field()
+    assert res.modulus == (2, 2, 0, 1)
+    b = place.residue(RatFunc(unipoly(F3, [0, 1])))
+    assert b * b.inverse() == res.one()
+    ref = weakref.ref(res)
+    del place, res, b
+    assert ref() is None
+
+
+def _live_residue_fields() -> int:
+    gc.collect()
+    return sum(1 for F in list(ffield._fields.values()) if ffield._canonical.get((F.p, F.k)) is not F)
+
+
+def test_fresh_curves_leave_no_residue_fields_behind():
+    rng = random.Random(20261019)
+    fields = [F2, F3, F4, F5]
+
+    def batch(n):
+        for i in range(n):
+            field = fields[i % 4]
+            d = {(0, 3): 1}
+            for j in range(4):
+                for e in range(3):
+                    if rng.random() < 0.45:
+                        d[(e, j)] = rng.randrange(1, field.order)
+            F = BivarPoly.from_coeff_dict(field, {key: field.elem(v) for key, v in d.items()})
+            if F.derivative_y().is_zero() or not is_irreducible_over_ratfield(F):
+                continue
+            try:
+                locus = ramification_locus(F)
+            except Inseparable:
+                continue
+            for P in locus:
+                places_above(F, P)
+
+    batch(60)
+    first = _live_residue_fields()
+    batch(60)
+    assert _live_residue_fields() <= first
 
 
 def test_poly_factor_linear_matches_the_general_path():
