@@ -103,6 +103,13 @@ class GenusResult(Record):
 
     __slots__ = ("genus", "exact", "diff_degree_bounds")
 
+    @property
+    def genus_hi(self) -> int:
+        """The largest genus consistent with the bounds (lo, hi): by
+        Riemann-Hurwitz each 2 of different degree past lo adds one."""
+        lo, hi = self.diff_degree_bounds
+        return self.genus + (hi - lo) // 2
+
 
 def ramification_locus(F: BivarPoly) -> list[RatPlace]:
     """Places of K(x) where K(x,y)/K(x) can ramify: zeros of the

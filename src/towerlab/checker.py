@@ -56,6 +56,7 @@ from .ratfunc import RatPlace
 from .record import Record
 
 __all__ = [
+    "FAMILY_MAX_Q",
     "InvalidParams",
     "InvalidTower",
     "IdentificationFailed",
@@ -68,6 +69,12 @@ __all__ = [
     "verify_family_facts",
     "check_theorem",
 ]
+
+#: The largest q the family is built for.  The family's cost grows steeply
+#: in q: on a shared 2-vCPU x86-64 host with Python 3.11, a cold
+#: `family --g x+1` took 7.2 s at q = 4096, and at q = 16384 had printed
+#: nothing after 30 s.  A larger q is refused, not attempted.
+FAMILY_MAX_Q = 2**12
 
 SKEW_NOTE = (
     "the defining equation is non-skew: deg_x F = deg_y F = m; descriptions "
@@ -123,6 +130,7 @@ class FamilyParams(Record):
     _defaults = {"m": 0, "c": None}
 
     def __post_init__(self):
+        self.check_q(self.q)
         K = self.a.field
         if self.b.field != K or self.g.field != K:
             raise InvalidParams("a, b, g must share one coefficient field")
@@ -150,6 +158,12 @@ class FamilyParams(Record):
             )
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "c", qth_root(self.b, q))
+
+    @staticmethod
+    def check_q(q: int) -> None:
+        """Refuse a q past FAMILY_MAX_Q, before anything is built over GF(q)."""
+        if q > FAMILY_MAX_Q:
+            raise InvalidParams(f"q = {q} is past the family's bound FAMILY_MAX_Q = {FAMILY_MAX_Q}")
 
 
 def build_family(params: FamilyParams) -> TowerSpec:

@@ -16,9 +16,9 @@ Polynomial grammar for --F/--f/--g: integer literals (reduced mod p),
 variables x and y, operators + - * ^ and parentheses; ^ binds tightest,
 then *, then + and -, all left-associative.  No power or product may
 reach an x- or y-degree past MAX_PARSE_DEGREE, or more terms than
-MAX_PARSE_TERMS.  Field elements for --a/--b
-use the same grammar with the single variable t naming a generator of
-GF(q) over its prime field.
+MAX_PARSE_TERMS, and parentheses nest at most MAX_PARSE_NESTING deep.
+Field elements for --a/--b use the same grammar with the single variable t
+naming a generator of GF(q) over its prime field.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import comb
 
 from . import basicfield, ffield
 from .basicfield import genus_from_table, ram_table, reconcile_different, zeta_genus
-from .checker import FamilyParams, check_theorem, verify_family_facts
+from .checker import FamilyParams, InvalidParams, check_theorem, verify_family_facts
 from .errors import TowerlabError
 from .ffield import BivarPoly, FFElem, FFPoly, FiniteField, make_field
 from .omfactor import PlaceExt, is_irreducible_over_ratfield
@@ -52,6 +52,10 @@ MAX_PARSE_DEGREE = 512
 # upper bound on its result before it is built.  Over GF(10^9 + 7),
 # (x+y+1)^128 has 8,385 terms and took 0.7 s to build, and ^256 took 9.8 s.
 MAX_PARSE_TERMS = 2**13
+
+# The deepest parenthesis nesting a parse accepts.  The parser recurses once
+# per level, and a deeper nesting would run out of Python stack.
+MAX_PARSE_NESTING = 100
 
 
 class InvalidOption(TowerlabError):
@@ -139,15 +143,29 @@ def _check_terms(terms: int, pos: int) -> None:
                          (f"at most {MAX_PARSE_TERMS} terms",))
 
 
+def _int(text: str, pos: int) -> int:
+    """An integer literal; one past the interpreter's limit on the digits of
+    an int conversion is a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integer of {len(text)} digits past the limit {limit}", pos,
+                         (f"integer of at most {limit} digits",)) from None
+
+
 class _Parser:
     """Recursive descent over expr := term (('+'|'-') term)*,
     term := factor ('*' factor)*, factor := '-' factor | atom ('^' INT)*,
     atom := INT | NAME | '(' expr ')'.  Evaluates as it parses; the ring is
-    whatever the scalar/variable environment supplies."""
+    whatever the scalar/variable environment supplies.  A run of unary
+    minus signs is read in a loop, so only parentheses deepen the
+    recursion."""
 
     def __init__(self, expr: str, env: dict, scalar):
         self.toks = _tokenize(expr)
         self.idx = 0
+        self.depth = 0
         self.env = env
         self.scalar = scalar
         self.atoms = ("integer", "(") + tuple(sorted(env))
@@ -197,10 +215,10 @@ class _Parser:
         return val
 
     def factor(self):
-        kind, _, _ = self.peek()
-        if kind == "-":
+        negate = False
+        while self.peek()[0] == "-":
             self.take()
-            return -self.factor()
+            negate = not negate
         val = self.atom()
         while self.peek()[0] == "^":
             self.take()
@@ -208,24 +226,29 @@ class _Parser:
             if kind != "INT":
                 raise ParseError("exponent must be an integer", pos, ("integer",))
             self.take()
-            n = int(text)
+            n = _int(text, pos)
             dx, dy = _degrees(val)
             _check_degree(n * max(dx, dy), pos)
             t = _terms(val)
             _check_terms(min(comb(t + n - 1, n) if t else 1, (n * dx + 1) * (n * dy + 1)), pos)
             val = val ** n
-        return val
+        return -val if negate else val
 
     def atom(self):
         kind, text, pos = self.take()
         if kind == "INT":
-            return self.scalar(int(text))
+            return self.scalar(_int(text, pos))
         if kind == "NAME":
             if text not in self.env:
                 raise ParseError(f"unknown variable {text!r}", pos, self.atoms)
             return self.env[text]
         if kind == "(":
+            if self.depth == MAX_PARSE_NESTING:
+                raise ParseError(f"parentheses nested past the bound {MAX_PARSE_NESTING}", pos,
+                                 (f"nesting at most {MAX_PARSE_NESTING} deep",))
+            self.depth += 1
             val = self.expr()
+            self.depth -= 1
             kind, _, pos = self.peek()
             if kind != ")":
                 raise ParseError("unbalanced parenthesis", pos, (")",))
@@ -349,10 +372,8 @@ def _run_analyze(job: JobSpec):
     wits, bounds = _witnesses(
         (f"{P!r}#{idx}", pl) for P, pls in rt.rows for idx, pl in enumerate(pls)
     )
-    lo, hi = gr.diff_degree_bounds
-    bounds["different_degree"] = [lo, hi]
-    g_hi = max(gr.genus, (hi + 2 - 2 * rt.m) // 2)
-    bounds["genus"] = [gr.genus, gr.genus if gr.exact else g_hi]
+    bounds["different_degree"] = list(gr.diff_degree_bounds)
+    bounds["genus"] = [gr.genus, gr.genus_hi]
     verdict = "exact" if gr.exact else "bounds"
     data = {"m": rt.m, "genus": gr.genus, "genus_exact": gr.exact}
     return 0, _report(job, verdict, wits, bounds, (), data)
@@ -416,6 +437,7 @@ def _run_climb(job: JobSpec):
 
 def _run_family(job: JobSpec):
     q = job.params["q"]
+    FamilyParams.check_q(q)
     p, s = _prime_power(q)
     K = make_field(p, s)
     params = FamilyParams(
@@ -449,9 +471,8 @@ def _run_genus(job: JobSpec):
     F = _function_field_poly(job)
     rt = ram_table(F, max_depth=job.params["max_depth"])
     gr = genus_from_table(rt)
-    lo, hi = gr.diff_degree_bounds
     if cap is None:
-        cap = max(1, gr.genus, (hi + 2 - 2 * rt.m) // 2)
+        cap = max(1, gr.genus_hi)
         q, budget = F.field.order, basicfield.POINT_COUNT_BUDGET
         if q ** (2 * cap) > budget:
             raise basicfield.PointCountTooLarge(
@@ -484,16 +505,27 @@ def _run_genus(job: JobSpec):
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise TowerlabError(f"q = {q} is not a prime power")
-    p = min(d for d in range(2, q + 1) if q % d == 0)
-    s, t = 0, q
-    while t % p == 0:
-        t //= p
-        s += 1
-    if t != 1 or not ffield.is_prime(p):
-        raise TowerlabError(f"q = {q} is not a prime power")
-    return p, s
+    """(p, s) with q = p^s and p prime.  The largest s <= log2 q for which q
+    has an exact integer s-th root r writes q = r^s with r no perfect power,
+    so q is a prime power iff r is prime; InvalidParams otherwise."""
+    for s in range(max(q, 1).bit_length() - 1, 0, -1):
+        r = _iroot(q, s)
+        if r**s == q:
+            if ffield.is_prime(r):
+                return r, s
+            break
+    raise InvalidParams(f"q = {q} is not a prime power")
+
+
+def _iroot(n: int, s: int) -> int:
+    """floor(n^(1/s)) for n >= 1, by Newton's method on ints from 2^ceil(b/s)
+    >= the root, b the bit length of n: the iterates fall to the root."""
+    x = 1 << -(-n.bit_length() // s)
+    while True:
+        y = ((s - 1) * x + n // x ** (s - 1)) // s
+        if y >= x:
+            return x
+        x = y
 
 
 _RUNNERS = {

@@ -10,31 +10,32 @@ deterministic:
   and are compared with `is`.  Without an explicit modulus it takes the
   canonical one: the monic irreducible of degree k whose coefficient
   vector, read as a base-p integer with the constant term least
-  significant, is smallest.  A canonical field lives as long as the
-  process.  Residue fields GF(p)[x]/(P) of K(x) pass P as the modulus, and
-  the intern map holds them weakly: such a field goes with the last place,
-  stage, element or polynomial that refers to it, and a later use of P
-  interns it afresh.  An explicit modulus is checked by Ben-Or's test
-  whenever its field is interned, and a reducible one raises ValueError
-  instead of yielding a ring that is not a field.
+  significant, is smallest.  The field make_field(p, k) returns lives as
+  long as the process.  Residue fields GF(p)[x]/(P) of K(x) pass P as the
+  modulus, and the intern map holds them weakly: such a field goes with the
+  last place, stage, element or polynomial that refers to it, and a later
+  use of P interns it afresh.  A P that is the canonical modulus gives the
+  same object as make_field(p, k), whichever of the two comes first.  An
+  explicit modulus is checked by Ben-Or's test whenever its field is
+  interned, and a reducible one raises ValueError instead of yielding a
+  ring that is not a field.
 * An element c_0 + c_1 t + ... + c_{k-1} t^(k-1) is the plain int
   sum(c_i * p^i).  All orderings and reprs derive from that encoding, and
   arithmetic runs on it directly:
   - prime fields use a*b % p and pow(a, -1, p);
-  - extension fields of order at most ZECH_MAX_ORDER multiply, invert and
-    (for odd p) add through log/antilog tables and Zech logarithms, built on
-    the first such operation in the field: by walking the powers of a
-    primitive element in the canonical field, and in a field with any other
-    modulus by transporting the canonical field's tables through the
-    isomorphism between them, at one table addition per element;
-  - larger extension fields multiply by packing the digits into one int
-    (Kronecker substitution) and folding the high half back with
-    t^j mod modulus, and invert by the extended Euclidean algorithm;
+  - a canonical extension field of order at most ZECH_MAX_ORDER
+    multiplies, inverts and (for odd p) adds through log/antilog tables and
+    Zech logarithms, built on the first such operation in the field by
+    walking the powers of a primitive element;
+  - every other extension field, residue fields GF(p)[x]/(P) among them,
+    multiplies by packing the digits into one int (Kronecker substitution)
+    and folding the high half back with t^j mod modulus, and inverts by the
+    extended Euclidean algorithm;
   - in characteristic 2 addition is xor.
   FFElem is a thin (field, int) wrapper for the public API and reports.
 * FFPoly keeps its coefficients as a list of these ints, and its
   multiplication, division, gcd, modular powers and evaluation run on the
-  lists.  Above the table bound a product packs both coefficient lists
+  lists.  In a packed field a product packs both coefficient lists
   into one int each and multiplies once, a division keeps its remainder
   packed and unreduced, and a modular power keeps every intermediate
   remainder packed, so a coefficient is packed and reduced once per
@@ -62,8 +63,7 @@ from __future__ import annotations
 import operator
 import random
 import weakref
-from functools import cached_property
-from math import gcd
+from functools import cache, cached_property
 
 from .errors import TowerlabError
 
@@ -71,10 +71,11 @@ from .errors import TowerlabError
 #: environment variable onto it.
 FACTOR_SEED = 0x7F4A91
 
-#: Largest extension-field order that gets log/antilog (Zech) tables.  A field
-#: keeps its tables while it lives, and canonical fields live as long as the
-#: process: a bound of 2^16 raised the sweep benchmark's peak RSS by 16% with
-#: no gain in speed.
+#: Largest order of a canonical extension field that gets log/antilog (Zech)
+#: tables; no other modulus gets them.  A field keeps its tables while it
+#: lives, and make_field(p, k) keeps its field for the life of the process: a
+#: bound of 2^16 raised the sweep benchmark's peak RSS by 16% with no gain in
+#: speed.
 ZECH_MAX_ORDER = 2**10
 
 
@@ -251,7 +252,7 @@ class FiniteField:
 
 
 class _ExtensionField(FiniteField):
-    """GF(p^k) with k > 1, beyond the table bound.
+    """GF(p^k) with k > 1, on packed elements.
 
     Elements are packed for arithmetic: their digits placed s bits apart in
     one int, with s wide enough that no sum below ever carries into the next
@@ -381,7 +382,8 @@ class _ExtensionField(FiniteField):
 
 
 class _ZechField(_ExtensionField):
-    """GF(p^k) with k > 1 and order at most ZECH_MAX_ORDER.
+    """GF(p^k) with k > 1 and order at most ZECH_MAX_ORDER; `_intern` gives
+    this class to the canonical modulus only.
 
     `_tables` is (log, exp, zech) for a primitive element g: exp[i] = g^i,
     stored twice over so that a sum of two logs needs no reduction; log
@@ -391,63 +393,27 @@ class _ZechField(_ExtensionField):
 
     @cached_property
     def _tables(self) -> tuple[list, list, list | None]:
-        """(log, exp, zech), built on first use: by a walk in the canonical
-        field GF(p^k), and transported from that field's tables under any
-        other modulus.  Either way g is the first candidate >= p of order
-        q - 1, so the tables depend on the modulus alone."""
-        p, q = self.p, self.order
-        C = make_field(p, self.k)
-        log = self._walk() if C.modulus == self.modulus else self._transport(C)
-        exp = [0] * (q - 1)
-        for x in range(1, q):
-            exp[log[x]] = x
+        """(log, exp, zech), built on first use by walking the powers of g,
+        the first candidate >= p of order q - 1: g^((q-1)/r) != 1 for every
+        prime r | q - 1.  The powers run on the packed multiply, since this
+        one needs the tables being built."""
+        p, q1 = self.p, self.order - 1
+        mul = super()._mul
+        cofactors = [q1 // r for r in _prime_divisors(q1)]
+        g = p
+        while any(_power(mul, g, c, 1) == 1 for c in cofactors):
+            g += 1
+        exp = [1]
+        for _ in range(q1 - 1):
+            exp.append(mul(exp[-1], g))
+        log = [None] * self.order
+        for i, x in enumerate(exp):
+            log[x] = i
         zech = None
         if p != 2:
             # 1 + x only changes the constant digit of x
             zech = [log[x - x % p + (x % p + 1) % p] for x in exp]
         return log, exp + exp, zech
-
-    def _walk(self) -> list:
-        """log for g of order q - 1: g^((q-1)/r) != 1 for every prime
-        r | q - 1.  The powers run on the packed multiply, since this one
-        needs the tables being built."""
-        q1 = self.order - 1
-        mul = super()._mul
-        cofactors = [q1 // r for r in _prime_divisors(q1)]
-        g = self.p
-        while any(_power(mul, g, c, 1) == 1 for c in cofactors):
-            g += 1
-        log = [None] * self.order
-        x = 1
-        for i in range(q1):
-            log[x] = i
-            x = mul(x, g)
-        return log
-
-    def _transport(self, C: "_ZechField") -> list:
-        """log read off C's tables through the isomorphism phi to C that
-        sends t to r, the smallest root of the modulus in C (the root
-        _embed_ints uses).  phi is GF(p)-linear, so one addition in C per
-        element gives it everywhere: phi(c p^i + v) = phi(v) + c r^i for
-        v < p^i.  g is primitive iff log_C phi(g) is prime to q - 1, and
-        then log = log_C phi / log_C phi(g) mod q - 1."""
-        q1 = self.order - 1
-        add, mul = C._add, C._mul
-        r = _embed_ints(self, C, [self.p])[0]
-        phi, ri = [0], 1
-        for _ in range(self.k):
-            block = phi[:]
-            for c in range(1, self.p):
-                cri = mul(c, ri)
-                phi += [add(x, cri) for x in block]
-            ri = mul(ri, r)
-        log_C = C._tables[0]
-        lphi = [log_C[x] for x in phi]
-        g = self.p
-        while gcd(lphi[g], q1) != 1:
-            g += 1
-        scale = pow(lphi[g], -1, q1)
-        return [None] + [lv * scale % q1 for lv in lphi[1:]]
 
     def _mul(self, a: int, b: int) -> int:
         if not a or not b:
@@ -639,7 +605,7 @@ def _intern(p: int, k: int, modulus: tuple[int, ...]) -> FiniteField:
     if field is None:
         if k == 1:
             cls = FiniteField
-        elif p**k <= ZECH_MAX_ORDER:
+        elif p**k <= ZECH_MAX_ORDER and modulus == _smallest_modulus(p, k):
             cls = _ZechField
         else:
             cls = _ExtensionField
@@ -647,6 +613,7 @@ def _intern(p: int, k: int, modulus: tuple[int, ...]) -> FiniteField:
     return field
 
 
+@cache
 def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
         return (0, 1)  # make_field(p) itself comes here
@@ -837,13 +804,13 @@ def _pdivmod(F: FiniteField, a: list[int], b: list[int]) -> tuple[list[int], lis
     return q, _trim(rem[:db])
 
 
-# Packed fields (above the table bound) run products, divisions and modular
-# powers on whole polynomials packed into one int: coefficient i of a list
-# sits in chunk i, W = (2k-1) s bits wide, and holds that coefficient's
-# digits s bits apart (`_ExtensionField._pack`).  A product of two elements
-# fills 2k-1 slots, so products of chunks never reach the next chunk; every
-# sum stays in its slot because s is `_poly_slot(n)` for the most products n
-# that meet in a slot.
+# Packed fields (every extension field without tables) run products,
+# divisions and modular powers on whole polynomials packed into one int:
+# coefficient i of a list sits in chunk i, W = (2k-1) s bits wide, and holds
+# that coefficient's digits s bits apart (`_ExtensionField._pack`).  A
+# product of two elements fills 2k-1 slots, so products of chunks never
+# reach the next chunk; every sum stays in its slot because s is
+# `_poly_slot(n)` for the most products n that meet in a slot.
 
 
 def _kron_pack(F: _ExtensionField, a: list[int], s: int, W: int) -> int:

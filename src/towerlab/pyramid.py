@@ -112,7 +112,7 @@ class RamHypotheses(Record):
             (math.gcd(self.m, self.p) == 1, "gcd(m, p) = 1"),
             (math.gcd(self.n, self.m) == 1, "gcd(n, m) = 1"),
             (math.gcd(self.r, self.m) == 1, "gcd(r, m) = 1"),
-            (self.r % self.p == 0, "p | r (Q' wild)"),
+            (self.p >= 2 and self.r % self.p == 0, "p | r (Q' wild)"),
             (self.d_prime_min >= self.r, "d_prime_min >= r"),
         ]
         for ok, name in checks:

@@ -1,8 +1,9 @@
 """Shared constructors for the test suite: the base fields, the canonical
 one-parameter family instances, the fixed comparison curves, the sweep
 benchmark's curve pool, the curves of the CLI report jobs, the Bareiss
-resultant kept as a reference for ffield.resultant_y, and the constant-term
-valuation kept as a reference for omfactor.maclane.exact_val."""
+resultant kept as a reference for ffield.resultant_y, the constant-term
+valuation kept as a reference for omfactor.maclane.exact_val, and the
+textbook digit-vector product in GF(p^k)."""
 
 import functools
 import importlib.util
@@ -36,6 +37,20 @@ def bivar(field, d):
 
 def unipoly(field, coeffs):
     return FFPoly(field, [field.elem(c % field.p) if isinstance(c, int) else c for c in coeffs])
+
+
+def textbook_mul(F, a, b):
+    """a*b from digit vectors: convolve, then reduce by the modulus."""
+    p, k, mod = F.p, F.k, F.modulus
+    conv = [0] * (2 * k - 1)
+    for i, ai in enumerate(a.digits()):
+        for j, bj in enumerate(b.digits()):
+            conv[i + j] += ai * bj
+    for top in range(2 * k - 2, k - 1, -1):
+        c = conv[top] % p
+        for i in range(k + 1):
+            conv[top - k + i] -= c * mod[i]
+    return F.elem([c % p for c in conv[:k]])
 
 
 def family_params(q):

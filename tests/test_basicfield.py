@@ -27,13 +27,34 @@ from helpers import (
     F3,
     F5,
     bivar,
+    cli_report_curves,
     cubic2,
     elliptic5,
+    family_curves,
     family_F,
     hyper3,
     kummer5,
     line2,
+    sweep_pool,
 )
+
+
+def test_genus_hi_is_the_upper_end_the_cli_computed():
+    # the CLI used to compute the upper end of the genus window itself, as
+    # below; the curves that the genus formula refuses are left out
+    windows = 0
+    for F in sweep_pool() + cli_report_curves() + family_curves():
+        try:
+            rt = ram_table(F)
+            gr = genus_from_table(rt)
+        except TowerlabError:
+            continue
+        lo, hi = gr.diff_degree_bounds
+        old = gr.genus if gr.exact else max(gr.genus, (hi + 2 - 2 * rt.m) // 2)
+        assert gr.genus_hi == old, F
+        assert max(1, gr.genus_hi) == max(1, gr.genus, (hi + 2 - 2 * rt.m) // 2), F
+        windows += not gr.exact
+    assert windows >= 10
 
 
 def test_ramification_locus_elliptic():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ import pytest
 
 import towerlab.ffield as ffield
 from towerlab import basicfield, cli, pyramid
+from towerlab.checker import FAMILY_MAX_Q, FamilyParams, InvalidParams
 from towerlab.cli import ParseError, parse_elem, parse_poly, parse_unipoly
+from towerlab.ffield import FFPoly
 from helpers import F2, F4, F5, bivar
 
 FAM = "(x+1)*y^3+(x+1)*y+x^3"
@@ -77,6 +80,23 @@ def test_parse_errors_carry_position_and_expectations(expr, pos, expected):
     assert exc.value.pos == pos
     assert exc.value.expected == expected
     assert f"offset {pos}" in str(exc.value)
+
+
+def test_parser_refuses_deep_nesting_and_overlong_integers():
+    # 101 parentheses and a 5000-digit literal used to escape as
+    # RecursionError and ValueError; a run of minus signs is read in a loop
+    assert parse_poly("(" * 100 + "y" + ")" * 100, F2) == parse_poly("y", F2)
+    assert parse_poly("-" * 3001 + "y^2", F5) == -parse_poly("y^2", F5)
+    assert parse_poly("--(-x)*y", F5) == -parse_poly("x*y", F5)
+    for expr, pos, message in [
+        ("(" * 101 + "y" + ")" * 101, 100, "parentheses nested past the bound 100"),
+        ("(" * 5000 + "y" + ")" * 5000, 100, "parentheses nested past the bound 100"),
+        ("y+" + "9" * 5000, 2, "integer of 5000 digits past the limit"),
+        ("y^" + "9" * 5000, 2, "integer of 5000 digits past the limit"),
+    ]:
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_poly(expr, F2)
+        assert exc.value.pos == pos
 
 
 def test_a_power_past_the_degree_bound_exits_2():
@@ -224,6 +244,48 @@ def test_family_constraint_violation_is_an_error():
     assert rep["verdict"] == "error"
     assert rep["error"]["type"] == "InvalidParams"
     assert "b != 0" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("q", [8192, 16384, 65537, 10**18 + 9])
+def test_family_past_its_bound_exits_2_at_once(q):
+    # a cold family job took 7.2 s at q = 4096 and hung at q = 16384; the
+    # prime 10^18 + 9 used to walk every divisor up to q
+    start = time.perf_counter()
+    code, rep = run_json(["family", "--q", str(q), "--g", "x+1", "--json"])
+    assert time.perf_counter() - start < 3
+    assert code == 2
+    assert rep["error"]["type"] == "InvalidParams"
+    assert f"FAMILY_MAX_Q = {FAMILY_MAX_Q}" in rep["error"]["message"]
+    jsonschema.validate(rep, _load_schema())
+
+
+def test_family_params_check_the_bound_first():
+    K = ffield.make_field(2, 13)
+    with pytest.raises(InvalidParams, match=f"FAMILY_MAX_Q = {FAMILY_MAX_Q}"):
+        # b = 0 breaks a constraint too, but the bound is checked first
+        FamilyParams(q=2**13, a=K.zero(), b=K.zero(), g=FFPoly(K, [1, 1]))
+
+
+def test_prime_power_matches_trial_division():
+    found = {}
+    for q in range(-3, 3000):
+        try:
+            found[q] = cli._prime_power(q)
+        except InvalidParams:
+            pass
+    want = {}
+    for q in range(2, 3000):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        s = 0
+        while q % p**(s + 1) == 0:
+            s += 1
+        if p**s == q:
+            want[q] = (p, s)
+    assert found == want
+    assert cli._prime_power(10**18 + 9) == (10**18 + 9, 1)
+    assert cli._prime_power(3**40) == (3, 40)
+    with pytest.raises(InvalidParams, match="not a prime power"):
+        cli._prime_power(6**30)
 
 
 def test_genus_reconcile_report():

@@ -1,5 +1,8 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from math import isqrt
 
@@ -32,7 +35,7 @@ from towerlab.ffield import (
 from towerlab.omfactor import is_irreducible_over_ratfield, places_above
 from towerlab.omfactor.maclane import Inseparable
 from towerlab.ratfunc import RatFunc, RatPlace
-from helpers import F2, F3, F4, F5, bareiss_resultant_y, bivar, unipoly
+from helpers import F2, F3, F4, F5, bareiss_resultant_y, bivar, textbook_mul, unipoly
 
 
 def test_is_prime():
@@ -323,13 +326,60 @@ def test_zech_tables_match_the_power_walk(p, k, modulus):
     assert F._tables == _walk_tables(_ZechField(p, k, modulus))
 
 
-@pytest.mark.parametrize("p,k", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2), (7, 3)])
-def test_transported_tables_match_the_power_walk_for_every_modulus(p, k):
+# GF(8), GF(16), GF(32), GF(9), GF(27), GF(25), GF(49) and GF(343)
+MODULUS_FIELDS = [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("p,k", MODULUS_FIELDS)
+def test_a_modulus_has_tables_iff_it_is_canonical(p, k):
     C = make_field(p, k)
     for m in _monic_irreducibles(make_field(p), k):
-        F = _ZechField(p, k, tuple(m))
-        log = F._walk() if C.modulus == F.modulus else F._transport(C)
-        assert (log, F._tables) == (F._walk(), _walk_tables(F))
+        F = make_field(p, k, m)
+        canonical = tuple(m) == _smallest_modulus(p, k)
+        F.elem(2) * F.elem(p)
+        assert ("_tables" in vars(F)) == canonical, m
+        assert (F is C) == canonical, m
+
+
+def test_a_place_on_the_canonical_modulus_shares_the_canonical_field():
+    # in a fresh interpreter, so that no other test has built these fields:
+    # a place whose P is the canonical modulus interns the table-backed field
+    # first, and make_field(p, k) then returns that same object
+    code = """
+from towerlab import ffield
+from towerlab.ffield import FFPoly, _smallest_modulus, make_field
+from towerlab.ratfunc import RatPlace
+for p, k in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)):
+    m = _smallest_modulus(p, k)
+    assert (p, k) not in ffield._canonical and (p, m) not in ffield._fields, (p, k)
+    place = RatPlace(make_field(p), FFPoly(make_field(p), list(m)))
+    F = place.residue_field()
+    assert type(F) is ffield._ZechField, (p, k)
+    assert make_field(p, k) is F, (p, k)
+    assert make_field(p, k, m) is F, (p, k)
+print("ok")
+"""
+    src = os.path.dirname(os.path.dirname(ffield.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+@pytest.mark.parametrize("p,k", MODULUS_FIELDS)
+def test_products_and_inverses_agree_with_the_textbook_product_in_every_modulus(p, k):
+    rng = random.Random(20261019 + 100 * p + k)
+    for m in _monic_irreducibles(make_field(p), k):
+        F = make_field(p, k, m)
+        for _ in range(20):
+            a, b = F.elem(rng.randrange(F.order)), F.elem(rng.randrange(1, F.order))
+            assert a * b == textbook_mul(F, a, b), (m, a, b)
+            assert textbook_mul(F, b, b.inverse()) == F.one(), (m, b)
 
 
 def test_a_field_is_interned_while_referenced_and_freed_after():
