@@ -18,7 +18,9 @@ then *, then + and -, all left-associative.  No power or product may
 reach an x- or y-degree past MAX_PARSE_DEGREE, or more terms than
 MAX_PARSE_TERMS, and parentheses nest at most MAX_PARSE_NESTING deep.
 Field elements for --a/--b use the same grammar with the single variable t
-naming a generator of GF(q) over its prime field.
+naming a generator of GF(q) over its prime field.  A text may start with
+"-" and still follow its option as a separate argument: --F -y^2+x reads
+as --F=-y^2+x.
 """
 
 from __future__ import annotations
@@ -663,7 +665,15 @@ def main(argv=None) -> int:
     seed = os.environ.get("TOWERLAB_SEED")
     if seed is not None:
         ffield.FACTOR_SEED = int(seed)
-    args = _build_argparser().parse_args(argv)
+    # a polynomial or element text may start with "-", which argparse would
+    # read as an option: after --F, --f, --g, --a or --b it is the value
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--F", "--f", "--g", "--a", "--b") and arg.startswith("-"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = _build_argparser().parse_args(joined)
     params = {
         k: v
         for k, v in vars(args).items()

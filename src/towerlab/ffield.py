@@ -1473,34 +1473,10 @@ class Adjoin:
 # -- bivariate layer -----------------------------------------------------------
 
 
-class CurveFacts:
-    """Facts about a defining equation F that several callers derive from F
-    alone, kept on F (`BivarPoly.facts`) so that each is computed once and
-    freed with F.  Every slot is None until its first reader fills it; the
-    readers are in omfactor.places.
-
-    dy          F.derivative_y()
-    point       the first good point of F's field and its fibre (xi, F(xi, y))
-                (omfactor.places.good_points: the fibre keeps degree deg_y F
-                and is squarefree), or False
-    squarefree  disc != 0: is F separable and squarefree in y over GF(q)(x)?
-    monic       the monic y-model F / lc_y(F), an omfactor YPoly
-    swapped     F.swap_xy(), which keeps a record of its own
-    disc        resultant_y(F, dy), the discriminant up to a power of lc_y(F)
-    disc_factors  poly_factor(disc): its irreducible factors and their orders
-    """
-
-    __slots__ = ("dy", "point", "squarefree", "monic", "swapped", "disc", "disc_factors")
-
-    def __init__(self):
-        self.dy = self.point = self.squarefree = self.monic = self.swapped = None
-        self.disc = self.disc_factors = None
-
-
 class BivarPoly:
     """F(x, y) over GF(q), stored as a tuple of x-polynomials indexed by the
-    power of y.  `_facts` holds its CurveFacts once asked for; it takes no
-    part in equality or hashing."""
+    power of y.  `facts` is a dict, made at first read, in which callers keep
+    what they derive from F alone; it takes no part in equality or hashing."""
 
     __slots__ = ("field", "ycoeffs", "_facts")
 
@@ -1533,10 +1509,9 @@ class BivarPoly:
         return cls(field, ycoeffs)
 
     @property
-    def facts(self) -> CurveFacts:
-        """The per-curve record, made at first use."""
+    def facts(self) -> dict:
         if self._facts is None:
-            self._facts = CurveFacts()
+            self._facts = {}
         return self._facts
 
     def deg_y(self) -> int:
@@ -1552,9 +1527,6 @@ class BivarPoly:
         if 0 <= j < len(self.ycoeffs):
             return self.ycoeffs[j]
         return FFPoly(self.field, [])
-
-    def coeff(self, i: int, j: int) -> FFElem:
-        return self.ycoeff(j).coeff(i)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -1639,9 +1611,6 @@ class BivarPoly:
 
     def __hash__(self):
         return hash((self.field, self.ycoeffs))
-
-    def sort_key(self):
-        return (self.deg_y(), tuple(c.sort_key() for c in self.ycoeffs))
 
     def to_str(self) -> str:
         if self.is_zero():

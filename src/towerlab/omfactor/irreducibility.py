@@ -140,13 +140,14 @@ def _hensel_tree(F: BivarPoly, factors: list[FFPoly], N: int) -> list[BivarPoly]
     return _hensel_tree(G, A, N) + _hensel_tree(H, B, N)
 
 
-def _find_specialization(F: BivarPoly, first: int = 1) -> tuple[FFElem, FFPoly]:
+def _find_specialization(F: BivarPoly) -> tuple[FFElem, FFPoly]:
     """The first good point (xi, F(xi, y)) of the smallest of GF(q^s),
-    s = first, ..., 6, that has one."""
+    s = 1, ..., 6, that has one; GF(q)'s comes from the record."""
+    if curve_point(F) is not None:
+        return next(curve_fibres(F))
     base = F.field
-    for s in range(first, 7):
-        K = base if s == 1 else make_field(base.p, base.k * s)
-        for point in good_points(F, K):
+    for s in range(2, 7):
+        for point in good_points(F, make_field(base.p, base.k * s)):
             return point
     raise TowerlabError("no squarefree specialization found")
 
@@ -267,7 +268,7 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
     if not curve_squarefree(F):
         return False
     if curve_point(F) is None:
-        points = [_find_specialization(F, first=2)]
+        points = [_find_specialization(F)]
     else:
         points = itertools.islice(curve_fibres(F), MAX_FIBRES)
     best = _degree_analysis(F, points)

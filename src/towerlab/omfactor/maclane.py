@@ -167,7 +167,6 @@ class StageVal:
         "psi",
         "res_deg",
         "_ext",
-        "_resfield",
         "_vals",
     )
 
@@ -183,7 +182,7 @@ class StageVal:
         )
         self.keyval = INF if self.rel_n is None else _qval(self.rel_n, self.E)
         self._vals = {}
-        self._ext = self._resfield = None
+        self._ext = None
         if prev is None:
             if phi.degree() != 1 or not phi.lc().is_one():
                 raise ValueError("stage-zero key must be monic linear")
@@ -207,9 +206,7 @@ class StageVal:
 
     @property
     def resfield(self) -> FiniteField:
-        if self._resfield is None:
-            self._resfield = self.place.residue_field() if self.prev is None else self.ext.field
-        return self._resfield
+        return self.place.residue_field() if self.prev is None else self.ext.field
 
     # -- construction ----------------------------------------------------------
 

@@ -20,13 +20,15 @@ the record keeps.  The Eisenstein test reads the Newton polygon of F's own
 coefficients.
 
 The facts about F that do not depend on P are derived once per curve and
-kept on F in its `ffield.CurveFacts` record: the y-derivative, the first
-good point of GF(q) and its fibre, the squarefree verdict, the monic
-y-model, the swapped curve for side='y', and the discriminant with its
-factorization.  The curve_* readers below fill it at first use, so the
+kept in the dict F.facts, which takes no part in F's equality and is freed
+with F.  This module owns every entry, and each curve_* reader below fills
+its own at first read through one memo, _fact: "dy" the y-derivative,
+"point" the first good point of GF(q) with its fibre (None if there is
+none), "squarefree" the squarefree verdict, "monic" the monic y-model,
+"swapped" the swapped curve for side='y' (with a record of its own), and
+"disc" and "disc_factors" the discriminant and its factorization.  So the
 irreducibility test, the ramification locus and every places_above call on
-the same F share one computation of each; the record takes no part in F's
-equality and is freed with F.
+the same F share one computation of each.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ class _Handle:
     branch of the place.  V starts as the branch decompose returned, and
     exact_val deepens it only as far as a value needs."""
 
-    __slots__ = ("place", "side", "H", "M", "pi", "V")
+    __slots__ = ("side", "H", "M", "pi", "V")
 
-    def __init__(self, place, side, H, M, pi, V):
-        self.place = place
+    def __init__(self, side, H, M, pi, V):
         self.side = side
         self.H = H
         self.M = M
@@ -166,7 +167,7 @@ def places_above(
     Hd = None  # H'(z), built for the first wild place
     out = []
     for V, levels in decompose(P, H, max_depth):
-        handle = _Handle(P, side, H, M, pi, V)
+        handle = _Handle(side, H, M, pi, V)
         e = V.E
         f = V.res_deg
         if e % p:
@@ -234,68 +235,56 @@ def good_points(F: BivarPoly, K: FiniteField, start: int = 0):
 # -- the per-curve record: each reader computes its fact once per F ---------
 
 
+def _fact(F: BivarPoly, name: str, make):
+    """F.facts[name], set to make(F) at first read."""
+    facts = F.facts
+    if name not in facts:
+        facts[name] = make(F)
+    return facts[name]
+
+
 def curve_dy(F: BivarPoly) -> BivarPoly:
     """F.derivative_y()."""
-    facts = F.facts
-    if facts.dy is None:
-        facts.dy = F.derivative_y()
-    return facts.dy
+    return _fact(F, "dy", BivarPoly.derivative_y)
 
 
 def curve_swapped(F: BivarPoly) -> BivarPoly:
     """F.swap_xy(): F read as a polynomial in x over K(y)."""
-    facts = F.facts
-    if facts.swapped is None:
-        facts.swapped = F.swap_xy()
-    return facts.swapped
+    return _fact(F, "swapped", BivarPoly.swap_xy)
 
 
 def curve_point(F: BivarPoly):
     """The first good point of F's own field, or None."""
-    facts = F.facts
-    if facts.point is None:
-        facts.point = next(good_points(F, F.field), False)
-    return None if facts.point is False else facts.point[0]
+    point = _fact(F, "point", lambda F: next(good_points(F, F.field), None))
+    return None if point is None else point[0]
 
 
 def curve_fibres(F: BivarPoly):
     """good_points(F, F.field) for F with a good point: the first, kept on
     the record with its fibre, then the walk resumed after it."""
-    xi, fy = F.facts.point
+    xi, fy = F.facts["point"]
     yield xi, fy
     yield from good_points(F, F.field, xi.v + 1)
 
 
 def curve_disc(F: BivarPoly):
     """resultant_y(F, F_y), the discriminant of F up to a power of lc_y F."""
-    facts = F.facts
-    if facts.disc is None:
-        facts.disc = resultant_y(F, curve_dy(F))
-    return facts.disc
+    return _fact(F, "disc", lambda F: resultant_y(F, curve_dy(F)))
 
 
 def curve_disc_factors(F: BivarPoly) -> list:
     """poly_factor(curve_disc(F)) for F squarefree in y."""
-    facts = F.facts
-    if facts.disc_factors is None:
-        facts.disc_factors = poly_factor(curve_disc(F))
-    return facts.disc_factors
+    return _fact(F, "disc_factors", lambda F: poly_factor(curve_disc(F)))
 
 
 def curve_squarefree(F: BivarPoly) -> bool:
     """squarefree_in_y(F)."""
-    facts = F.facts
-    if facts.squarefree is None:
-        facts.squarefree = squarefree_in_y(F)
-    return facts.squarefree
+    return _fact(F, "squarefree", squarefree_in_y)
 
 
 def curve_monic(F: BivarPoly) -> YPoly:
     """The monic y-model F / lc_y(F) over K(x)."""
-    facts = F.facts
-    if facts.monic is None:
-        facts.monic = YPoly.from_bivar(F).monic()
-    return facts.monic
+    return _fact(F, "monic", lambda F: YPoly.from_bivar(F).monic())
 
 
 def squarefree_in_y(F: BivarPoly) -> bool:

@@ -387,11 +387,6 @@ class RatPlace:
     def __hash__(self):
         return hash((self.field, self.poly))
 
-    def sort_key(self):
-        if self.poly is None:
-            return (1, ())
-        return (0, self.poly.sort_key())
-
     def __repr__(self):
         if self.poly is None:
             return "place(infinity)"

@@ -9,6 +9,7 @@ from towerlab.checker import (
     check_theorem,
     verify_family_facts,
 )
+from towerlab.cli import parse_poly, parse_unipoly
 from towerlab.pyramid import RamHypotheses
 from helpers import F2, F3, F4, F5, bivar, elliptic5, family_params, kummer5, unipoly
 
@@ -170,6 +171,55 @@ def test_check_theorem_trivial_inputs_short_circuit():
     assert v.failed_conditions == ("precondition: deg_y F = 1 < 2, not a tower step",)
     v = check_theorem(bivar(F2, {(0, 2): 1, (1, 1): 1}), unipoly(F2, [0, 1]))
     assert v.failed_conditions == ("precondition: F is reducible over K(x)",)
+
+
+# one curve per verdict that the curves above do not reach, from a seeded
+# search over small random curves; "(1) no x-side place matches" and
+# IdentificationFailed never came up, as neither can on a correct engine:
+# a place with nu(f(y)) > 0 lies over P_f(y), where Q is the only place
+
+
+def _verdict(field, F, f):
+    return check_theorem(parse_poly(F, field), parse_unipoly(f, field, "--f"))
+
+
+def test_check_theorem_names_p_dividing_m():
+    v = _verdict(F2, "(x^4+x+1)*y^4+y^3+x*y^2+x^2", "x")
+    assert v.failed_conditions == (
+        "(1) ramification over P_f(y) cannot be tame: p = 2 divides m = 4",
+        "(1) P_f(y) is not totally ramified: (e, f) pairs [(2, 1), (2, 1)], need exactly [(4, 1)]",
+        "(3) no wildly ramified place above P_f(x) with index prime to m: indices [1, 3], p = 2",
+    )
+    assert v.notes == ("(2) not evaluated: no place Q identified",)
+
+
+def test_check_theorem_names_an_index_sharing_a_factor_with_m():
+    v = _verdict(F3, "y^2+(x^2+x)*y+x^2", "x")
+    assert v.failed_conditions == (
+        "(2) gcd(e(Q|P_f(x)), m) = 2 != 1 (e = 2, m = 2)",
+        "(3) no wildly ramified place above P_f(x) with index prime to m: indices [2], p = 3",
+    )
+    assert v.notes == ()
+    assert v.witnesses["Q_x_side"].e == v.witnesses["Q_y_side"].e == 2
+
+
+def test_check_theorem_notes_several_wild_witnesses():
+    v = _verdict(F2, "x^4*y^5+x^5*y^4+x*y^3+y+x+1", "x")
+    assert v.failed_conditions == (
+        "(1) P_f(y) is not totally ramified: (e, f) pairs [(1, 1), (4, 1)], need exactly [(5, 1)]",
+    )
+    assert v.notes == (
+        "(2) not evaluated: no place Q identified",
+        "(3) has 2 wild witnesses; reporting the first",
+    )
+    assert list(v.witnesses) == ["Q_wild"] and v.witnesses["Q_wild"].e == 2
+
+
+def test_check_theorem_refuses_F_reducible_over_K_y():
+    # the content x + 1 is a unit over K(x) but a factor over K(y)
+    v = _verdict(F2, "(x+1)*(y^3+x)", "x")
+    assert v.failed_conditions == ("precondition: F is reducible over K(y)",)
+    assert not v.holds and v.witnesses == {}
 
 
 def test_check_theorem_constant_field_extension_invariance():

@@ -16,7 +16,7 @@ from towerlab import basicfield, cli, pyramid
 from towerlab.checker import FAMILY_MAX_Q, FamilyParams, InvalidParams
 from towerlab.cli import ParseError, parse_elem, parse_poly, parse_unipoly
 from towerlab.ffield import FFPoly
-from helpers import F2, F4, F5, bivar
+from helpers import BENCH, F2, F4, F5, bench_workloads, bivar
 
 FAM = "(x+1)*y^3+(x+1)*y+x^3"
 
@@ -524,6 +524,35 @@ def test_heavy_analyze_report_is_pinned_and_seed_free():
     )
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == HEAVY_SHA256
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--p", "3", "--F=-y^2+x", "--json"],
+    ["genus", "--p", "2", "--F=-y^3-x", "--json"],
+    ["check-theorem", "--p", "5", "--F=-y^2+x^3+x", "--f=-x", "--json"],
+    ["family", "--q", "9", "--g", "x+1", "--b=-t", "--json"],
+    ["family", "--q", "3", "--g=-x+1", "--a=-1", "--json"],
+])
+def test_a_text_value_may_start_with_a_minus(argv):
+    # "--F -y^2+x" reads as "--F=-y^2+x", not as an unknown option -y^2+x
+    spaced = [part for arg in argv for part in arg.split("=", 1)]
+    code, out = run_cli(argv)
+    assert json.loads(out)["verdict"] != "error"
+    assert run_cli(spaced) == (code, out)
+
+
+def test_cli_jobs_match_the_benchmark_goldens(monkeypatch):
+    # every cli-cold job of the benchmark, in process: exit code and report
+    # bytes as pinned in bench/goldens.json
+    monkeypatch.delenv("TOWERLAB_SEED", raising=False)
+    workloads = bench_workloads()
+    with open(os.path.join(BENCH, "goldens.json")) as fh:
+        goldens = json.load(fh)["cli-cold"]
+    assert len(workloads.CLI_JOBS) == len(goldens) == 15
+    for argv in workloads.CLI_JOBS:
+        code, out = run_cli(argv)
+        want = goldens[workloads.job_key(argv)]
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want["code"], want["sha256"]), argv
 
 
 def test_json_is_sorted_and_indented():

@@ -1,10 +1,11 @@
 """The CLI contract on seeded random jobs: every job run through cli.main
 with --json ends in exit 0, 1 or 2 with a report that validates against
 the shipped schema; 1 comes only with a non-error verdict, and 2 with an
-error naming a TowerlabError subclass.  The draws cover malformed text,
-huge exponents, characteristics that are not prime, extension degrees
-below one, reducible and inseparable F, and family orders that are no
-prime power or lie past the family's bound."""
+error naming a TowerlabError subclass.  Each text is passed as --opt=text
+or as --opt text, at random, and random F may start with a minus.  The
+draws cover malformed text, huge exponents, characteristics that are not
+prime, extension degrees below one, reducible and inseparable F, and
+family orders that are no prime power or lie past the family's bound."""
 
 import io
 import json
@@ -78,7 +79,7 @@ def _random_F(rng: random.Random) -> str:
         c, i, j = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 4)
         terms.append(f"{c}*x^{i}*y^{j}")
     terms.append(f"y^{rng.randint(1, 4)}")
-    return rng.choice(["+", "-"]).join(terms)
+    return rng.choice(["", "-"]) + rng.choice(["+", "-"]).join(terms)
 
 
 def _text(rng: random.Random) -> str:
@@ -92,19 +93,26 @@ def _text(rng: random.Random) -> str:
     return _random_F(rng)
 
 
+def _text_option(rng: random.Random, name: str, value: str) -> list[str]:
+    """--name=value or, as often, --name value: a value that starts with "-"
+    must read the same either way."""
+    return [f"--{name}={value}"] if rng.random() < 0.5 else [f"--{name}", value]
+
+
 def _draw(rng: random.Random) -> list[str]:
     command = rng.choice(["analyze", "check-theorem", "genus", "family", "climb"])
     if command == "family":
-        argv = [command, f"--q={rng.choice(QS)}", f"--g={rng.choice(UNIPOLYS)}"]
-        argv += [f"--a={rng.choice(ELEMS)}", f"--b={rng.choice(ELEMS)}"]
+        argv = [command, f"--q={rng.choice(QS)}", *_text_option(rng, "g", rng.choice(UNIPOLYS))]
+        argv += _text_option(rng, "a", rng.choice(ELEMS)) + _text_option(rng, "b", rng.choice(ELEMS))
     elif command == "climb":
         m, n, r, p = (rng.randint(-1, 4) for _ in range(4))
         argv = [command, f"--m={m}", f"--n={n}", f"--r={r}", f"--p={p}"]
         argv.append(f"--levels={rng.choice([-1, 0, 1, 3, 6])}")
     else:
-        argv = [command, f"--p={rng.choice(PS)}", f"--k={rng.choice(KS)}", f"--F={_text(rng)}"]
+        argv = [command, f"--p={rng.choice(PS)}", f"--k={rng.choice(KS)}"]
+        argv += _text_option(rng, "F", _text(rng))
         if command == "check-theorem":
-            argv.append(f"--f={rng.choice(UNIPOLYS)}")
+            argv += _text_option(rng, "f", rng.choice(UNIPOLYS))
         if command == "genus" and rng.random() < 0.3:
             # an explicit cap overrides the point-count budget, so only a
             # refused one is drawn; the default cap stays within the budget

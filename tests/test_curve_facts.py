@@ -1,5 +1,5 @@
-"""The per-curve record (ffield.CurveFacts) behind the irreducibility test,
-the ramification locus and places_above.
+"""The per-curve record (the dict F.facts, whose entries omfactor.places owns)
+behind the irreducibility test, the ramification locus and places_above.
 
 Facts kept on one F must never change a result: a reused F gives what an
 equal fresh copy gives, each fact is computed once however many places ask
@@ -17,6 +17,7 @@ import pytest
 from towerlab.basicfield import ram_table, ramification_locus
 from towerlab.ffield import BivarPoly
 from towerlab.omfactor import is_irreducible_over_ratfield, places, places_above
+from towerlab.omfactor.irreducibility import _reconstruct_subsets
 from helpers import elliptic5, family_F, hyper3, kummer5
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,8 +48,8 @@ def test_places_above_on_a_reused_curve_equals_a_fresh_copy(make, side):
     fresh = _table(_copy(F), side)
     assert first == again == fresh
     # side y reads the record of the swapped curve, kept on F's own record
-    G = F.facts.swapped if side == "y" else F
-    assert G.facts.squarefree is True
+    G = F.facts["swapped"] if side == "y" else F
+    assert G.facts["squarefree"] is True
 
 
 def test_ram_table_derives_each_fact_once(monkeypatch):
@@ -134,3 +135,10 @@ def test_irreducibility_evaluates_each_fibre_once(monkeypatch):
         assert is_irreducible_over_ratfield(F)
     assert len(curves) == 41
     assert len(calls) == len(set(calls)) == 75
+    # the reconstruction takes GF(q)'s good point from the record and walks
+    # only the extensions of a curve without one
+    copies = [_copy(F) for F in curves]
+    for F in copies:
+        places.curve_point(F)
+        assert _reconstruct_subsets(F)
+    assert len(calls) == len(set(calls)) == 75 + 68

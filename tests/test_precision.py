@@ -86,7 +86,7 @@ def test_without_the_discriminant_a_place_raises_at_most_twice(monkeypatch):
             pls = places_above(F, P)
             assert raises == []
             got.append([(pl.e, pl.f, pl.dmin, pl.dmax, pl.d_exact, pl.refinement) for pl in pls])
-        assert F.facts.disc_factors is None
+        assert "disc_factors" not in F.facts
         assert got == want
 
 
