@@ -39,8 +39,7 @@ from .ffield import (
     poly_factor,
     poly_gcd,
 )
-from .omfactor import Inseparable, places_above
-from .omfactor.places import curve_disc, curve_disc_factors, curve_dy
+from .omfactor.places import curve_disc_factors, places_above, require_separable
 from .ratfunc import RatPlace
 from .record import Record
 
@@ -60,6 +59,19 @@ class CapTooSmall(TowerlabError):
 class PointCountTooLarge(TowerlabError):
     """The default genus cap would count points over a field of more than
     POINT_COUNT_BUDGET elements."""
+
+
+def default_cap(gr: GenusResult, q: int) -> int:
+    """The cap zeta_genus takes when none is given: the top of the genus window
+    gr, at least 1, refused past POINT_COUNT_BUDGET (PointCountTooLarge)."""
+    cap = max(1, gr.genus_hi)
+    if q ** (2 * cap) > POINT_COUNT_BUDGET:
+        raise PointCountTooLarge(
+            f"the default cap {cap} counts points over GF({q}^{2 * cap}), "
+            f"{q ** (2 * cap)} elements, past the budget of {POINT_COUNT_BUDGET}; "
+            "pass --cap to choose the walk"
+        )
+    return cap
 
 
 class InconsistentOracle(TowerlabError):
@@ -113,11 +125,9 @@ class GenusResult(Record):
 
 def ramification_locus(F: BivarPoly) -> list[RatPlace]:
     """Places of K(x) where K(x,y)/K(x) can ramify: zeros of the
-    y-discriminant, zeros of the leading y-coefficient, and infinity."""
-    if curve_dy(F).is_zero():
-        raise Inseparable("derivative in y vanishes")
-    if curve_disc(F).is_zero():
-        raise Inseparable("defining polynomial is not squarefree in y")
+    y-discriminant, zeros of the leading y-coefficient, and infinity.
+    Raises what require_separable(F) raises."""
+    require_separable(F)
     field = F.field
     polys = set()
     for g, _mult in curve_disc_factors(F):

@@ -41,7 +41,10 @@ from .errors import TowerlabError
 from .ffield import (
     BivarPoly,
     FFPoly,
+    FiniteField,
+    _prime_divisors,
     is_irreducible,
+    make_field,
     qth_root,
 )
 from .omfactor import (
@@ -50,7 +53,7 @@ from .omfactor import (
     is_irreducible_over_ratfield,
     places_above,
 )
-from .omfactor.places import curve_swapped
+from .omfactor.places import curve_swapped, separability_defect
 from .pyramid import RamHypotheses
 from .ratfunc import RatPlace
 from .record import Record
@@ -65,6 +68,7 @@ __all__ = [
     "FamilyCheck",
     "FamilyReport",
     "TheoremVerdict",
+    "family_field",
     "build_family",
     "verify_family_facts",
     "check_theorem",
@@ -134,16 +138,13 @@ class FamilyParams(Record):
         K = self.a.field
         if self.b.field != K or self.g.field != K:
             raise InvalidParams("a, b, g must share one coefficient field")
-        q, p = self.q, K.p
-        if q < 2 or p < 2:
+        q = self.q
+        if q < 2:
             raise InvalidParams("q must be at least 2")
-        t = q
-        while t % p == 0:
-            t //= p
-        if t != 1:
-            raise InvalidParams(
-                f"q = {q} is not a power of the field characteristic {p}"
-            )
+        try:
+            c = qth_root(self.b, q)
+        except ValueError as exc:  # q is not a power of the characteristic
+            raise InvalidParams(str(exc)) from None
         m = q + 1
         if self.b.is_zero():
             raise InvalidParams("constraint violated: b != 0")
@@ -157,13 +158,26 @@ class FamilyParams(Record):
                 f"{math.gcd(m - self.g.degree(), m)} != 1"
             )
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", qth_root(self.b, q))
+        object.__setattr__(self, "c", c)
 
     @staticmethod
     def check_q(q: int) -> None:
         """Refuse a q past FAMILY_MAX_Q, before anything is built over GF(q)."""
         if q > FAMILY_MAX_Q:
             raise InvalidParams(f"q = {q} is past the family's bound FAMILY_MAX_Q = {FAMILY_MAX_Q}")
+
+
+def family_field(q: int) -> FiniteField:
+    """GF(q) for the family's q, refused (InvalidParams) past FAMILY_MAX_Q,
+    before q is factored, or when q is no prime power."""
+    FamilyParams.check_q(q)
+    primes = _prime_divisors(max(q, 1))
+    if len(primes) != 1:
+        raise InvalidParams(f"q = {q} is not a prime power")
+    p, s = primes[0], 1
+    while p**s < q:
+        s += 1
+    return make_field(p, s)
 
 
 def build_family(params: FamilyParams) -> TowerSpec:
@@ -328,10 +342,10 @@ class TheoremVerdict(Record):
 def check_theorem(F: BivarPoly, f: FFPoly, max_depth: int = 8) -> TheoremVerdict:
     """Verify conditions (1)-(3) for the pair (F, f).
 
-    Preconditions that make the analysis meaningless (deg_y F < 2, f not
-    monic irreducible, F reducible over K(x) or over K(y)) short-circuit
-    with a named failure.  Everything else is evaluated exhaustively so the
-    verdict lists every violated condition, not just the first.
+    Preconditions that make the analysis meaningless (in order: deg_y F < 2,
+    f not monic irreducible, F not separable in y or in x, F reducible over
+    K(x) or K(y)) short-circuit with a named failure.  Everything else is
+    evaluated exhaustively so the verdict lists every violated condition.
 
     Cross-side identification of Q: a place of K(x, y) is the same object
     no matter which side computed it, and its normalized valuation is
@@ -358,6 +372,10 @@ def check_theorem(F: BivarPoly, f: FFPoly, max_depth: int = 8) -> TheoremVerdict
         return bail(f"precondition: deg_y F = {m} < 2, not a tower step")
     if f.degree() < 1 or f.lc() != K.one() or not is_irreducible(f):
         return bail("precondition: f must be monic irreducible of degree >= 1")
+    for side in ("x", "y"):
+        why = separability_defect(F, side)
+        if why is not None:
+            return bail(f"precondition: {why}")
     if not is_irreducible_over_ratfield(F):
         return bail("precondition: F is reducible over K(x)")
     if not is_irreducible_over_ratfield(curve_swapped(F)):

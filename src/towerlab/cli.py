@@ -32,9 +32,9 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from . import basicfield, ffield
-from .basicfield import genus_from_table, ram_table, reconcile_different, zeta_genus
-from .checker import FamilyParams, InvalidParams, check_theorem, verify_family_facts
+from . import ffield
+from .basicfield import default_cap, genus_from_table, ram_table, reconcile_different, zeta_genus
+from .checker import FamilyParams, check_theorem, family_field, verify_family_facts
 from .errors import TowerlabError
 from .ffield import BivarPoly, FFElem, FFPoly, FiniteField, make_field
 from .omfactor import PlaceExt, is_irreducible_over_ratfield
@@ -438,12 +438,9 @@ def _run_climb(job: JobSpec):
 
 
 def _run_family(job: JobSpec):
-    q = job.params["q"]
-    FamilyParams.check_q(q)
-    p, s = _prime_power(q)
-    K = make_field(p, s)
+    K = family_field(job.params["q"])
     params = FamilyParams(
-        q=q,
+        q=job.params["q"],
         a=parse_elem(job.params["a"], K),
         b=parse_elem(job.params["b"], K),
         g=parse_unipoly(job.params["g"], K, "--g"),
@@ -474,28 +471,18 @@ def _run_genus(job: JobSpec):
     rt = ram_table(F, max_depth=job.params["max_depth"])
     gr = genus_from_table(rt)
     if cap is None:
-        cap = max(1, gr.genus_hi)
-        q, budget = F.field.order, basicfield.POINT_COUNT_BUDGET
-        if q ** (2 * cap) > budget:
-            raise basicfield.PointCountTooLarge(
-                f"the default cap {cap} counts points over GF({q}^{2 * cap}), "
-                f"{q ** (2 * cap)} elements, past the budget of {budget}; "
-                "pass --cap to choose the walk"
-            )
+        cap = default_cap(gr, F.field.order)
     z = zeta_genus(F, cap, rt)
     notes = []
-    if gr.exact:
-        agree = z == gr.genus
-        genus = gr.genus
-    else:
+    if not gr.exact:
         rt = reconcile_different(rt, z)  # raises if z is not in the interval
         gr = genus_from_table(rt)
-        agree = gr.exact and gr.genus == z
-        genus = gr.genus
         notes.append(
             "wild different exponents were fixed by the independent "
             "point-count genus oracle"
         )
+    genus = gr.genus
+    agree = gr.exact and genus == z
     bounds = {
         "different_degree": list(gr.diff_degree_bounds),
         "genus": [genus, genus],
@@ -504,30 +491,6 @@ def _run_genus(job: JobSpec):
             "cap": cap}
     verdict = "true" if agree else "false"
     return (0 if agree else 1), _report(job, verdict, (), bounds, notes, data)
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    """(p, s) with q = p^s and p prime.  The largest s <= log2 q for which q
-    has an exact integer s-th root r writes q = r^s with r no perfect power,
-    so q is a prime power iff r is prime; InvalidParams otherwise."""
-    for s in range(max(q, 1).bit_length() - 1, 0, -1):
-        r = _iroot(q, s)
-        if r**s == q:
-            if ffield.is_prime(r):
-                return r, s
-            break
-    raise InvalidParams(f"q = {q} is not a prime power")
-
-
-def _iroot(n: int, s: int) -> int:
-    """floor(n^(1/s)) for n >= 1, by Newton's method on ints from 2^ceil(b/s)
-    >= the root, b the bit length of n: the iterates fall to the root."""
-    x = 1 << -(-n.bit_length() // s)
-    while True:
-        y = ((s - 1) * x + n // x ** (s - 1)) // s
-        if y >= x:
-            return x
-        x = y
 
 
 _RUNNERS = {

@@ -33,6 +33,10 @@ deterministic:
     extended Euclidean algorithm;
   - in characteristic 2 addition is xor.
   FFElem is a thin (field, int) wrapper for the public API and reports.
+* Text has one writer, `_sum_text`, for every sum c_i * v^i: an element of
+  an extension field as a sum in the generator g, FFPoly in x, BivarPoly in
+  y, and omfactor's YPoly.  Each caller keeps only its rule for which
+  coefficients go in parentheses.
 * FFPoly keeps its coefficients as a list of these ints, and its
   multiplication, division, gcd, modular powers and evaluation run on the
   lists.  In a packed field a product packs both coefficient lists
@@ -548,18 +552,25 @@ class FFElem:
     def __repr__(self):
         if self.field.k == 1:
             return str(self.v)
-        terms = []
-        digits = self.digits()
-        for i in range(self.field.k - 1, -1, -1):
-            c = digits[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c) + "*"
-                terms.append(head + ("g" if i == 1 else f"g^{i}"))
-        return " + ".join(terms) if terms else "0"
+        return _sum_text([str(d) if d else None for d in self.digits()], "g")
+
+
+def _sum_text(texts, var: str, wrap=None) -> str:
+    """The one writer of a sum c_i * var^i, for every polynomial and element
+    text.  texts[i] is the text of c_i, None where c_i = 0.  It writes from
+    the highest i down, joined by " + ", with c_i in parentheses where the
+    caller's rule wrap(text, i) says so, no factor 1, no var^0, "0" if empty."""
+    out = []
+    for i in range(len(texts) - 1, -1, -1):
+        cs = texts[i]
+        if cs is not None:
+            if wrap is not None and wrap(cs, i):
+                cs = f"({cs})"
+            if i:
+                v = var if i == 1 else f"{var}^{i}"
+                cs = v if cs == "1" else f"{cs}*{v}"
+            out.append(cs)
+    return " + ".join(out) or "0"
 
 
 # (p, modulus) -> the live field, held weakly, and (p, k) -> the field with
@@ -679,17 +690,13 @@ def qth_root(b: FFElem, q: int) -> FFElem:
     The Frobenius x -> x^p is bijective on a finite field, so the inverse of
     x -> x^q is x -> x^(p^t) with t = -s mod k.
     """
-    field = b.field
-    p = field.p
+    p = b.field.p
     s = 0
-    qq = q
-    while qq > 1:
-        if qq % p != 0:
-            raise ValueError(f"{q} is not a power of the characteristic {p}")
-        qq //= p
+    while p**s < q:
         s += 1
-    t = (-s) % field.k
-    return b ** (p**t)
+    if p**s != q:
+        raise ValueError(f"q = {q} is not a power of the field characteristic {p}")
+    return b ** (p ** (-s % b.field.k))
 
 
 # -- coefficient-list kernels --------------------------------------------------
@@ -1161,25 +1168,15 @@ class FFPoly:
         return hash((self.field, tuple(self.ints)))
 
     def to_str(self, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(self.degree(), -1, -1):
-            c = self.coeff(i)
-            if c.is_zero():
-                continue
-            cs = repr(c)
-            if self.field.k > 1 and ("+" in cs or "*" in cs or "^" in cs):
-                cs = "(" + cs + ")"
-            if i == 0:
-                terms.append(cs)
-            else:
-                xs = var if i == 1 else f"{var}^{i}"
-                terms.append(xs if cs == "1" else f"{cs}*{xs}")
-        return " + ".join(terms)
+        F = self.field
+        if F.k == 1:
+            return _sum_text([str(c) if c else None for c in self.ints], var)
+        # an extension-field coefficient that is a sum, a product or a power
+        # of g is parenthesized
+        texts = [repr(FFElem(F, c)) if c else None for c in self.ints]
+        return _sum_text(texts, var, lambda t, i: "+" in t or "*" in t or "^" in t)
 
-    def __repr__(self):
-        return self.to_str()
+    __repr__ = to_str
 
 
 # -- gcd / powers / irreducibility ---------------------------------------------
@@ -1613,28 +1610,12 @@ class BivarPoly:
         return hash((self.field, self.ycoeffs))
 
     def to_str(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for j in range(self.deg_y(), -1, -1):
-            c = self.ycoeff(j)
-            if c.is_zero():
-                continue
-            cs = c.to_str("x")
-            if j == 0:
-                terms.append(cs if c.degree() <= 0 or "+" not in cs else "(" + cs + ")")
-                continue
-            ys = "y" if j == 1 else f"y^{j}"
-            if cs == "1":
-                terms.append(ys)
-            elif "+" in cs:
-                terms.append(f"({cs})*{ys}")
-            else:
-                terms.append(f"{cs}*{ys}")
-        return " + ".join(terms)
+        # a coefficient in x that is a sum is parenthesized; a constant one
+        # already is, by FFPoly.to_str
+        texts = [c.to_str("x") if c.ints else None for c in self.ycoeffs]
+        return _sum_text(texts, "y", lambda t, j: "+" in t and self.ycoeffs[j].degree() > 0)
 
-    def __repr__(self):
-        return self.to_str()
+    __repr__ = to_str
 
 
 def resultant_y(F: BivarPoly, G: BivarPoly) -> FFPoly:

@@ -11,6 +11,11 @@ This neither moves the places nor changes e, f, or the different exponent
 (K(x)(z) is the same field), it only shifts valuations of y-expressions:
 nu(y) = nu(z) - M*e.
 
+separability_defect alone decides whether F defines a separable extension
+in y (side='y': in x): a positive degree, a nonzero derivative, no square
+factor.  places_above and the ramification locus raise what it finds, and
+check_theorem reads it as a precondition.
+
 good_points is the one place that decides which fibres F(xi, y) certify
 something: those that keep degree deg_y F and are squarefree.  The
 squarefree certificate, Musser's degree analysis and the Hensel
@@ -147,21 +152,13 @@ def places_above(
     """All places of K(x,y) (defined by F irreducible separable in y) above
     the place P of K(x); side='y' reads F as a polynomial in x over K(y).
 
-    Raises Inseparable when F is not separable and squarefree in the chosen
-    variable, DepthExceeded when refinement exceeds max_depth levels.
+    Raises what require_separable raises, and DepthExceeded when refinement
+    exceeds max_depth levels.
     """
-    if side not in ("x", "y"):
-        raise ValueError("side must be 'x' or 'y'")
-    if side == "y":
-        F = curve_swapped(F)
-    if F.deg_y() < 1:
-        raise ValueError("defining polynomial has degree 0 in the extension variable")
+    require_separable(F, side)
+    F = curve_swapped(F) if side == "y" else F
     if P.field != F.field:
         raise ValueError("place and polynomial over different constant fields")
-    if curve_dy(F).is_zero():
-        raise Inseparable("defining polynomial is inseparable (derivative vanishes)")
-    if not curve_squarefree(F):
-        raise Inseparable("defining polynomial is not squarefree in y")
     H, M, pi = monic_integral_model(F, P)
     p = F.field.p
     Hd = None  # H'(z), built for the first wild place
@@ -198,6 +195,31 @@ def places_above(
     if total != F.deg_y():
         raise TowerlabError("fundamental equality violated in places_above")
     return out
+
+
+def separability_defect(F: BivarPoly, side: str = "x") -> str | None:
+    """Why F defines no separable extension in y over K(x) (side='y': in x
+    over K(y)), or None if it does: a degree below 1, a vanishing
+    derivative, or a square factor.  The reason names the variable."""
+    if side not in ("x", "y"):
+        raise ValueError("side must be 'x' or 'y'")
+    G, v = (F, "y") if side == "x" else (curve_swapped(F), "x")
+    if G.deg_y() < 1:
+        return f"deg_{v} F = {G.deg_y()} < 1: F defines no extension in {v}"
+    if curve_dy(G).is_zero():
+        return f"F is inseparable in {v}: dF/d{v} = 0"
+    if not curve_squarefree(G):
+        return f"F is not squarefree in {v}"
+    return None
+
+
+def require_separable(F: BivarPoly, side: str = "x") -> None:
+    """Raise what separability_defect finds: Inseparable, or TowerlabError for the degree."""
+    why = separability_defect(F, side)
+    if why is not None and why.startswith("deg_"):
+        raise TowerlabError(why)
+    if why is not None:
+        raise Inseparable(why)
 
 
 def good_points(F: BivarPoly, K: FiniteField, start: int = 0):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 
-from ..ffield import BivarPoly, FFPoly, FiniteField, _power
+from ..ffield import BivarPoly, FFPoly, FiniteField, _power, _sum_text
 from ..ratfunc import LocalElem, RatFunc
 
 
@@ -255,27 +255,10 @@ class YPoly:
         return self._hash
 
     def to_str(self, var: str = "y") -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(self.degree(), -1, -1):
-            c = self.coeff(i)
-            if c.is_zero():
-                continue
-            cs = c.to_str("x")
-            if i == 0:
-                terms.append(cs)
-                continue
-            ys = var if i == 1 else f"{var}^{i}"
-            if cs == "1":
-                terms.append(ys)
-            else:
-                if ("+" in cs or "/" in cs or "*" in cs) and not (
-                    cs.startswith("(") and cs.endswith(")")
-                ):
-                    cs = "(" + cs + ")"
-                terms.append(f"{cs}*{ys}")
-        return " + ".join(terms)
+        # a coefficient of a positive power that is a sum, a quotient or a
+        # product is parenthesized, unless it is already
+        texts = [None if c.is_zero() else c.to_str("x") for c in self.coeffs]
+        return _sum_text(texts, var, lambda t, i: i > 0 and ("+" in t or "/" in t or "*" in t)
+                         and not (t.startswith("(") and t.endswith(")")))
 
-    def __repr__(self):
-        return self.to_str()
+    __repr__ = to_str

@@ -191,13 +191,11 @@ class RatFunc:
         ns = self.num.to_str(var)
         if self.den.degree() == 0:
             return ns
-        ds = self.den.to_str(var)
-        if "+" in ns or self.num.degree() > 0:
-            ns = "(" + ns + ")" if "+" in ns else ns
-        return f"{ns}/({ds})"
+        if "+" in ns:
+            ns = f"({ns})"
+        return f"{ns}/({self.den.to_str(var)})"
 
-    def __repr__(self):
-        return self.to_str()
+    __repr__ = to_str
 
 
 def _wrap(F: FiniteField, num: list[int], den: list[int]) -> RatFunc:

@@ -1,15 +1,18 @@
 import pytest
 
 from towerlab.checker import (
+    FAMILY_MAX_Q,
     FamilyParams,
     InvalidParams,
     InvalidTower,
     TowerSpec,
     build_family,
     check_theorem,
+    family_field,
     verify_family_facts,
 )
 from towerlab.cli import parse_poly, parse_unipoly
+from towerlab.ffield import is_prime
 from towerlab.pyramid import RamHypotheses
 from helpers import F2, F3, F4, F5, bivar, elliptic5, family_params, kummer5, unipoly
 
@@ -46,6 +49,28 @@ def test_family_params_q_must_match_characteristic():
         FamilyParams(q=3, a=F2.zero(), b=F2.one(), g=unipoly(F2, [1, 1]))
     with pytest.raises(InvalidParams):
         FamilyParams(q=6, a=F5.zero(), b=F5.one(), g=unipoly(F5, [1, 1]))
+
+
+def test_family_field_splits_every_prime_power_up_to_the_bound():
+    found = {}
+    for q in range(-3, FAMILY_MAX_Q + 1):
+        try:
+            K = family_field(q)
+            found[q] = (K.p, K.k)
+        except InvalidParams as exc:
+            assert "not a prime power" in str(exc)
+    want = {
+        p**s: (p, s)
+        for p in range(2, FAMILY_MAX_Q + 1)
+        if is_prime(p)
+        for s in range(1, FAMILY_MAX_Q.bit_length())
+        if p**s <= FAMILY_MAX_Q
+    }
+    assert found == want
+    # a q past the bound is refused before it is split, however large
+    for q in (FAMILY_MAX_Q + 1, 3**40, 10**18 + 9, 6**30):
+        with pytest.raises(InvalidParams, match=f"FAMILY_MAX_Q = {FAMILY_MAX_Q}"):
+            family_field(q)
 
 
 def test_family_params_mixed_fields_rejected():
@@ -181,6 +206,20 @@ def test_check_theorem_trivial_inputs_short_circuit():
 
 def _verdict(field, F, f):
     return check_theorem(parse_poly(F, field), parse_unipoly(f, field, "--f"))
+
+
+@pytest.mark.parametrize(
+    "field,F,why",
+    [
+        # F_y = y^2 is not zero: F is inseparable in x only, as x^2 in x
+        (F2, "(x^2+1)*y^4+y^3+1", "F is inseparable in x: dF/dx = 0"),
+        (F3, "y^3-x", "F is inseparable in y: dF/dy = 0"),
+        (F3, "(y^2+x)^2", "F is not squarefree in y"),
+        (F2, "y^2+y+1", "deg_x F = 0 < 1: F defines no extension in x"),
+    ],
+)
+def test_check_theorem_names_F_not_separable_before_its_irreducibility(field, F, why):
+    assert _verdict(field, F, "x").failed_conditions == (f"precondition: {why}",)
 
 
 def test_check_theorem_names_p_dividing_m():

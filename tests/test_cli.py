@@ -266,26 +266,27 @@ def test_family_params_check_the_bound_first():
         FamilyParams(q=2**13, a=K.zero(), b=K.zero(), g=FFPoly(K, [1, 1]))
 
 
-def test_prime_power_matches_trial_division():
-    found = {}
-    for q in range(-3, 3000):
-        try:
-            found[q] = cli._prime_power(q)
-        except InvalidParams:
-            pass
-    want = {}
-    for q in range(2, 3000):
-        p = next(d for d in range(2, q + 1) if q % d == 0)
-        s = 0
-        while q % p**(s + 1) == 0:
-            s += 1
-        if p**s == q:
-            want[q] = (p, s)
-    assert found == want
-    assert cli._prime_power(10**18 + 9) == (10**18 + 9, 1)
-    assert cli._prime_power(3**40) == (3, 40)
-    with pytest.raises(InvalidParams, match="not a prime power"):
-        cli._prime_power(6**30)
+@pytest.mark.parametrize(
+    "p,F,var",
+    [(2, "(x^2+1)*y^4+y^3+1", "x"), (3, "y^3-x", "y")],
+)
+def test_check_theorem_on_an_inseparable_F_fails_a_named_precondition(p, F, var):
+    code, rep = run_json(["check-theorem", "--p", str(p), "--F", F, "--f", "x", "--json"])
+    assert code == 1
+    assert rep["verdict"] == "fails"
+    assert rep["data"]["failed_conditions"] == [
+        f"precondition: F is inseparable in {var}: dF/d{var} = 0"
+    ]
+
+
+@pytest.mark.parametrize("F,deg", [("x", 0), ("0", -1)])
+def test_analyze_names_the_y_degree_of_an_F_constant_in_y(F, deg):
+    code, rep = run_json(["analyze", "--p", "3", "--F", F, "--json"])
+    assert code == 2
+    assert rep["error"] == {
+        "type": "TowerlabError",
+        "message": f"deg_y F = {deg} < 1: F defines no extension in y",
+    }
 
 
 def test_genus_reconcile_report():

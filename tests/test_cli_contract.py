@@ -5,7 +5,9 @@ error naming a TowerlabError subclass.  Each text is passed as --opt=text
 or as --opt text, at random, and random F may start with a minus.  The
 draws cover malformed text, huge exponents, characteristics that are not
 prime, extension degrees below one, reducible and inseparable F, and
-family orders that are no prime power or lie past the family's bound."""
+family orders that are no prime power or lie past the family's bound.  A
+check-theorem job on an F inseparable in y or in x ends in exit 1 with that
+failed precondition, named by its variable."""
 
 import io
 import json
@@ -53,6 +55,13 @@ SPECIAL_F = [
     "y^2-x^3-x",
     "-y^2+x^5+1",
 ]
+# (p, F, v) with F inseparable in v over every GF(p^k)
+INSEPARABLE = [
+    (2, "y^2+x", "y"),
+    (3, "y^3-x", "y"),
+    (2, "(x^2+1)*y^4+y^3+1", "x"),
+    (3, "x^3*y+y^2+1", "x"),
+]
 ELEMS = ["0", "1", "t", "t+1", "t^2", "2*t", "x", "s", "", "t^99999999", "(t"]
 UNIPOLYS = ["x", "x+1", "x^2+1", "x^2", "1", "0", "y", "x^3+x+1", "", "x^", "x^100000"]
 QS = [0, 1, -4, 2, 3, 4, 5, 6, 8, 9, 12, 25, 100, 2**13, 10**18 + 9]
@@ -99,8 +108,14 @@ def _text_option(rng: random.Random, name: str, value: str) -> list[str]:
     return [f"--{name}={value}"] if rng.random() < 0.5 else [f"--{name}", value]
 
 
-def _draw(rng: random.Random) -> list[str]:
+def _draw(rng: random.Random) -> tuple[list[str], str | None]:
+    """A job's argv, and the variable a check-theorem job on an INSEPARABLE
+    F must name as a failed precondition (None for any other job)."""
     command = rng.choice(["analyze", "check-theorem", "genus", "family", "climb"])
+    if command == "check-theorem" and rng.random() < 0.25:
+        p, F, var = rng.choice(INSEPARABLE)
+        argv = [command, f"--p={p}", f"--k={rng.choice([1, 2])}", *_text_option(rng, "F", F)]
+        return argv + ["--f=x", "--json"], var
     if command == "family":
         argv = [command, f"--q={rng.choice(QS)}", *_text_option(rng, "g", rng.choice(UNIPOLYS))]
         argv += _text_option(rng, "a", rng.choice(ELEMS)) + _text_option(rng, "b", rng.choice(ELEMS))
@@ -118,14 +133,15 @@ def _draw(rng: random.Random) -> list[str]:
             # refused one is drawn; the default cap stays within the budget
             argv.append(f"--cap={rng.choice([0, -1])}")
         argv.append(f"--max-depth={rng.choice([1, 8])}")
-    return argv + ["--json"]
+    return argv + ["--json"], None
 
 
 def test_seeded_jobs_keep_the_cli_contract():
     rng = random.Random(SEED)
     schema, errors = _schema(), _error_names()
+    inseparable = 0
     for _ in range(JOBS):
-        argv = _draw(rng)
+        argv, var = _draw(rng)
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = cli.main(argv)
@@ -135,6 +151,13 @@ def test_seeded_jobs_keep_the_cli_contract():
         assert (code == 2) == (rep["verdict"] == "error"), argv
         if code == 2:
             assert rep["error"]["type"] in errors, argv
+        if var is not None:
+            inseparable += 1
+            assert code == 1, argv
+            assert rep["data"]["failed_conditions"] == [
+                f"precondition: F is inseparable in {var}: dF/d{var} = 0"
+            ], argv
+    assert inseparable, "no check-theorem job drew an inseparable F"
 
 
 @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: a reducible F of y-degree 512 "

@@ -48,6 +48,7 @@ from towerlab.ffield import (
     resultant_y,
     roots_in_field,
 )
+from towerlab.cli import parse_poly
 from towerlab.omfactor import YPoly
 from towerlab.ratfunc import RatFunc, RatPlace, finite_places_of_degree
 from helpers import bareiss_resultant_y, textbook_mul
@@ -230,6 +231,14 @@ def test_resultant_y_matches_sympy(p, data):
     else:
         want = _sympy_resultant(B, A) * (-1) ** (m * n)
     assert resultant_y(A, B) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_bivar_text_parses_back_to_the_polynomial(p, data):
+    K = make_field(p)
+    F = data.draw(_bivars(K))
+    assert parse_poly(F.to_str(), K) == F
 
 
 @pytest.mark.parametrize("pk", [(2, 2), (2, 3), (3, 2)])

@@ -1,9 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from towerlab.errors import TowerlabError
 from towerlab.ffield import FFPoly
 from towerlab.ratfunc import RatPlace
 from towerlab.omfactor import (
@@ -15,6 +17,7 @@ from towerlab.omfactor import (
 )
 from towerlab.omfactor.newton import DegeneratePolygon, slope_length_pairs
 from towerlab.omfactor.maclane import DepthExceeded, Inseparable
+from towerlab.omfactor.places import separability_defect
 from helpers import F2, F3, F4, F5, bivar, family_F, unipoly
 
 
@@ -155,8 +158,36 @@ def test_places_above_depth_cap():
 
 def test_places_above_inseparable():
     F = bivar(F2, {(0, 2): 1, (1, 0): 1})  # y^2 - x in char 2
-    with pytest.raises(Inseparable):
+    with pytest.raises(Inseparable, match="inseparable in y"):
         places_above(F, _Px(F2))
+
+
+@pytest.mark.parametrize(
+    "terms,side,why",
+    [
+        ({(0, 2): 1, (1, 0): 1}, "x", "F is inseparable in y: dF/dy = 0"),
+        ({(0, 1): 1, (2, 0): 1}, "y", "F is inseparable in x: dF/dx = 0"),
+        ({(0, 3): 1, (0, 2): 1, (2, 1): 1, (2, 0): 1}, "x", "F is not squarefree in y"),
+        ({(1, 0): 1}, "x", "deg_y F = 0 < 1: F defines no extension in y"),
+        ({(0, 2): 1, (0, 0): 1}, "y", "deg_x F = 0 < 1: F defines no extension in x"),
+        ({}, "x", "deg_y F = -1 < 1: F defines no extension in y"),
+        ({(0, 2): 1, (1, 1): 1, (3, 0): 1}, "x", None),
+        ({(0, 2): 1, (1, 1): 1, (3, 0): 1}, "y", None),
+    ],
+)
+def test_separability_defect_names_the_variable_and_places_above_raises_it(terms, side, why):
+    # over GF(2): y^2 + x, y + x^2, (y + x)^2 * (y + 1), x, y^2 + 1, 0 and
+    # the elliptic curve y^2 + x*y + x^3
+    F = bivar(F2, terms)
+    assert separability_defect(F, side) == why
+    if why is None:
+        places_above(F, _Px(F2), side=side)
+        return
+    # the degree is no separability question: a TowerlabError, not Inseparable
+    kind = TowerlabError if why.startswith("deg_") else Inseparable
+    with pytest.raises(kind, match=re.escape(why)) as info:
+        places_above(F, _Px(F2), side=side)
+    assert (type(info.value) is Inseparable) == (kind is Inseparable)
 
 
 def test_different_bounds_accessor():
