@@ -74,10 +74,10 @@ __all__ = [
     "check_theorem",
 ]
 
-#: The largest q the family is built for.  The family's cost grows steeply
-#: in q: on a shared 2-vCPU x86-64 host with Python 3.11, a cold
-#: `family --g x+1` took 7.2 s at q = 4096, and at q = 16384 had printed
-#: nothing after 30 s.  A larger q is refused, not attempted.
+#: The largest q the family is built for.  Cold, with compiled bytecode, on a
+#: shared 2-vCPU x86-64 host with Python 3.11, `family --g x+1` took 5.3-6.7 s
+#: at q = 4096 and 53 s at the prime q = 4093, the worst q the bound admits;
+#: q = 16384 printed nothing in 30 s.  A larger q is refused, not attempted.
 FAMILY_MAX_Q = 2**12
 
 SKEW_NOTE = (

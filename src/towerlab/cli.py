@@ -90,9 +90,9 @@ def _tokenize(expr: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # as int() reads: Arabic-Indic digits too, but no "²"
             j = i
-            while j < n and expr[j].isdigit():
+            while j < n and expr[j].isdecimal():
                 j += 1
             toks.append(("INT", expr[i:j], i))
             i = j

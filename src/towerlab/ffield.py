@@ -437,7 +437,7 @@ class _ZechField(_ExtensionField):
         log, exp, _ = self._tables
         return exp[log[a] * n % (self.order - 1)]
 
-    # odd p only: characteristic 2 keeps the xor attributes
+    # odd p only, p = 2 keeps xor; family --q 625/729 +30-33% CPU without (20/20 pairs); sweep even
 
     def _add(self, a: int, b: int) -> int:
         if not a:
@@ -617,7 +617,7 @@ def _intern(p: int, k: int, modulus: tuple[int, ...]) -> FiniteField:
         if k == 1:
             cls = FiniteField
         elif p**k <= ZECH_MAX_ORDER and modulus == _smallest_modulus(p, k):
-            cls = _ZechField
+            cls = _ZechField  # without: family --q 729 +66% CPU (12/12 pairs), sweep +10-28% (12/14, 11/14)
         else:
             cls = _ExtensionField
         field = _fields[(p, modulus)] = cls(p, k, modulus)
@@ -704,8 +704,8 @@ def qth_root(b: FFElem, q: int) -> FFElem:
 # A polynomial over F is a list of coefficient encodings, low to high.  The
 # kernels take trimmed lists (no trailing zero) and return trimmed lists;
 # they never mutate a list they did not create, and may return an input
-# unchanged.  Prime fields run on plain ints reduced mod p once per output
-# coefficient, extension fields through F's int arithmetic.
+# unchanged.  They run on F's int arithmetic, except that _pmul and _pdivmod
+# run a prime field on plain ints reduced mod p once per output coefficient.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -737,9 +737,6 @@ def _pscale(F: FiniteField, a: list[int], s: int) -> list[int]:
         return []
     if s == 1:
         return a
-    if F.k == 1:
-        p = F.p
-        return [c * s % p for c in a]
     mul = F._mul
     return [mul(c, s) for c in a]
 
@@ -758,7 +755,7 @@ def _pmul(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
     if len(b) == 1:
         return _pscale(F, a, b[0])
     out = [0] * (len(a) + len(b) - 1)
-    if F.k == 1:
+    if F.k == 1:  # and _pdivmod's: Kronecker costs a sweep pass 8-15% more (25/30, 13/14 pairs)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b, i):
@@ -925,7 +922,6 @@ def _ptaylor(F: FiniteField, f, a: int, n: int) -> tuple[int, list[int]]:
         while not f[v]:
             v += 1
         return v, list(f[v : v + n])
-    p = F.p if F.k == 1 else 0
     add, mul = F._add, F._mul
     f = list(f)
     v = 0
@@ -934,7 +930,7 @@ def _ptaylor(F: FiniteField, f, a: int, n: int) -> tuple[int, list[int]]:
     while top and len(u) < n:
         acc = 0
         for i in range(top - 1, -1, -1):
-            acc = (acc * a + f[i]) % p if p else add(mul(acc, a), f[i])
+            acc = add(mul(acc, a), f[i])
             f[i] = acc
         # f[0] is f(a), and f[1:top] the quotient by x - a
         if u or acc:
@@ -999,11 +995,6 @@ def _ppowmod(F: FiniteField, base: list[int], e: int, mod: list[int]) -> list[in
 def _peval(F: FiniteField, a: list[int], x: int) -> int:
     """Horner evaluation at an element of F."""
     acc = 0
-    if F.k == 1:
-        p = F.p
-        for c in reversed(a):
-            acc = (acc * x + c) % p
-        return acc
     mul, add = F._mul, F._add
     for c in reversed(a):
         acc = add(mul(acc, x), c)

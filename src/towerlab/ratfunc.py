@@ -250,7 +250,9 @@ class RatPlace:
 
     def scaled(self, r: RatFunc, k: int) -> RatFunc:
         """r * pi^k for the uniformizer pi, in canonical form: the powers of
-        P (of x at infinity) that cancel are stripped, and no gcd is taken."""
+        P (of x at infinity) that cancel are stripped, and no gcd is taken (as
+        a RatFunc product it costs a warm sweep pass 0-4.5% more CPU, 219/300
+        pairs; family --q 64 and the CLI jobs about 1%, 40/60 and 38/60 pairs)."""
         if not k or r.is_zero():
             return r
         F = self.field
@@ -400,7 +402,7 @@ class LocalRing:
 
     def __init__(self, place: RatPlace, N: int):
         self.place, self.N, self.field = place, N, place.field
-        self._dens = {}  # denominator -> (its valuation, its unit's inverse)
+        self._dens = {}  # den -> (valuation, unit inverse); sweep +1-2% CPU without (63/100 pairs)
         P = place.poly
         self._mod = None if P is None or P.degree() == 1 else (P**N).ints
 
@@ -481,7 +483,7 @@ class LocalElem:
     def __init__(self, ring: LocalRing, c: tuple):
         self.ring = ring
         self.c = c
-        self._lead = None
+        self._lead = None  # sweep +5-14% CPU without (22/30, 11/14, 12/16 pairs), family --q 211 even
 
     def val(self):
         """The valuation: below N, or INF for zero."""

@@ -99,6 +99,24 @@ def test_parser_refuses_deep_nesting_and_overlong_integers():
         assert exc.value.pos == pos
 
 
+def test_superscript_digits_are_unexpected_characters_and_other_decimal_digits_read():
+    # "²" is a digit to str.isdigit but not a decimal one; int() reads it
+    # nowhere, while it reads the Arabic-Indic "٣" as 3
+    with pytest.raises(ParseError, match="unexpected character '²'") as exc:
+        parse_poly("y^2-x^3-x^²", F5)
+    assert exc.value.pos == 10
+    code, rep = run_json(["analyze", "--p", "5", "--F", "y^2-x^3-x^²", "--json"])
+    assert code == 2
+    assert rep["error"]["type"] == "ParseError"
+    assert rep["error"]["message"].startswith("unexpected character '²' at offset 10")
+    assert parse_poly("y^2-x^3-x+٣", F5) == parse_poly("y^2-x^3-x+3", F5)
+    arabic = run_json(["analyze", "--p", "5", "--F", "y^2-x^3-x+٣", "--json"])
+    ascii_ = run_json(["analyze", "--p", "5", "--F", "y^2-x^3-x+3", "--json"])
+    assert arabic[1]["job"].pop("F") == "y^2-x^3-x+٣"
+    ascii_[1]["job"].pop("F")
+    assert arabic == ascii_
+
+
 def test_a_power_past_the_degree_bound_exits_2():
     # the family at q = 256, typed out, is within the bound
     assert parse_poly("(x+1)*(y^257+y)-x^257", F2).deg_y() == 257

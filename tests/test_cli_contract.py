@@ -160,8 +160,11 @@ def test_seeded_jobs_keep_the_cli_contract():
     assert inseparable, "no check-theorem job drew an inseparable F"
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: a reducible F of y-degree 512 "
-                   "has no budget; its irreducibility test factors a degree-512 fibre")
+@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md, two hangs: a reducible F of "
+                   "y-degree 512 has no budget, so its irreducibility test factors a degree-512 "
+                   "fibre; past that, ramification_locus factors Res_y(F, F_y) = c*x^261632, and "
+                   "_squarefree_decomposition divides x^N once per multiplicity, N rounds of "
+                   "degree-N divisions")
 def test_a_reducible_F_of_the_largest_parsed_degree_is_answered_within_seconds():
     # y^512 + x^512 over GF(5) passes the parser's bounds; the degree analysis
     # leaves it to the reconstruction, whose Cantor-Zassenhaus split of one

@@ -10,7 +10,8 @@ uniquely: sum c_i phi^i = f with deg c_i < deg phi.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towerlab.ffield import FFPoly, make_field, poly_gcd
+from towerlab.cli import _Parser
+from towerlab.ffield import BivarPoly, FFPoly, make_field, poly_gcd
 from towerlab.omfactor import YPoly
 from towerlab.ratfunc import RatFunc
 
@@ -112,3 +113,31 @@ def test_ratfunc_arithmetic_is_canonical(case):
     for op, (got, want) in built.items():
         assert _is_canonical(got), op
         assert (got.num, got.den) == (want.num, want.den), op
+
+
+def _read_back(text, F):
+    """The YPoly of a text in x, y and the generator g of F, as the CLI
+    parser reads it."""
+    def const(v):
+        return BivarPoly(F, [FFPoly(F, [v])])
+
+    env = {"x": BivarPoly(F, [FFPoly(F, [0, 1])]), "y": BivarPoly(F, [FFPoly(F, []), FFPoly(F, [1])]),
+           "g": const(F.gen().v)}
+    return YPoly.from_bivar(_Parser(text, env, lambda n: const(n % F.p)).parse())
+
+
+def test_text_of_a_sum_coefficient_reads_back_over_gf4():
+    F = make_field(2, 2)
+    h = (F.gen() + 1).v
+    f = YPoly(F, [1, FFPoly(F, [h, h]), 1])  # y^2 + ((g+1)x + (g+1))y + 1
+    assert f.to_str() == "y^2 + ((g + 1)*x + (g + 1))*y + 1"
+    assert _read_back(f.to_str(), F) == f
+
+
+@pytest.mark.parametrize("pk", [(2, 2), (3, 2)])
+@SETTINGS
+@given(data=st.data())
+def test_text_of_a_polynomial_ypoly_reads_back(pk, data):
+    F = make_field(*pk)
+    f = data.draw(st.lists(_polys(F, 4).map(RatFunc), max_size=5).map(lambda cs: YPoly(F, cs)))
+    assert _read_back(f.to_str(), F) == f
