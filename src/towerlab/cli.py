@@ -506,6 +506,9 @@ def run(job: JobSpec) -> tuple[int, dict]:
     """Execute one job; returns (exit_code, report).  Errors become a
     structured error report with exit code 2."""
     try:
+        depth = job.params.get("max_depth", 1)
+        if depth < 1:
+            raise InvalidOption(f"--max-depth must be at least 1, got {depth}")
         return _RUNNERS[job.command](job)
     except TowerlabError as exc:
         rep = _report(job, "error")

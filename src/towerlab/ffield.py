@@ -11,11 +11,12 @@ deterministic:
   canonical one: the monic irreducible of degree k whose coefficient
   vector, read as a base-p integer with the constant term least
   significant, is smallest.  The field make_field(p, k) returns lives as
-  long as the process.  Residue fields GF(p)[x]/(P) of K(x) pass P as the
-  modulus, and the intern map holds them weakly: such a field goes with the
-  last place, stage, element or polynomial that refers to it, and a later
-  use of P interns it afresh.  A P that is the canonical modulus gives the
-  same object as make_field(p, k), whichever of the two comes first.  An
+  long as the process.  A residue field GF(p)[u]/(psi) that an Adjoin step
+  over a prime field builds has psi as its modulus, and the intern map holds
+  it weakly: such a field goes with the last place, stage, element or
+  polynomial that refers to it, and a later use of psi interns it afresh.
+  A psi that is the canonical modulus gives the same object as
+  make_field(p, k), whichever of the two comes first.  An
   explicit modulus is checked by Ben-Or's test whenever its field is
   interned, and a reducible one raises ValueError instead of yielding a
   ring that is not a field.
@@ -27,7 +28,7 @@ deterministic:
     multiplies, inverts and (for odd p) adds through log/antilog tables and
     Zech logarithms, built on the first such operation in the field by
     walking the powers of a primitive element;
-  - every other extension field, residue fields GF(p)[x]/(P) among them,
+  - every other extension field, residue fields GF(p)[u]/(psi) among them,
     multiplies by packing the digits into one int (Kronecker substitution)
     and folding the high half back with t^j mod modulus, and inverts by the
     extended Euclidean algorithm;
@@ -52,14 +53,17 @@ deterministic:
   encoding).  Ben-Or's irreducibility test is the first step of `_ddf`: f
   of degree n is irreducible iff the first factor it splits off has
   degree n.
-* Roots in an extension are Frobenius orbits: roots_in_field factors f over
-  its own field GF(Q0), splits off one root r of each irreducible factor of
-  degree m in the target, and takes the others as r^(Q0^i).  Its sorted
-  output does not depend on the seed.
+* Roots come from the same equal-degree splitter as factors:
+  roots_in_field factors f over its own field GF(Q0) and splits each
+  irreducible factor whose roots lie in the target into linear factors
+  there.  Its sorted output does not depend on the seed.
 * Adjoin is the one residue-field extension step K1 = K0(z), z a root of a
   monic irreducible psi over K0: its field and root, evaluation u -> z and
-  the lift back.  ratfunc.RatPlace builds the residue field of a place of
-  K(x) with it, and every augmented MacLane stage the next level up.
+  the lift back.  K1 and z depend on (K0, psi) alone: over a prime field K1
+  is GF(p)[u]/(psi) with z the class of u, over any other the canonical
+  field with the smallest root.  ratfunc.RatPlace builds the residue field
+  of a place of K(x) with it, and every augmented MacLane stage the next
+  level up.
 """
 
 from __future__ import annotations
@@ -1205,9 +1209,16 @@ def _pth_root(F: FiniteField, f: list[int]) -> list[int]:
 
 def _squarefree_decomposition(F: FiniteField, f: list[int]) -> list[tuple[int, list[int]]]:
     """[(m_i, g_i)] with the monic f = prod g_i^{m_i}, each g_i monic
-    squarefree, m_i distinct, sorted by m_i."""
+    squarefree, m_i distinct, sorted by m_i.
+
+    A factor x^v is read off the v low zero coefficients before the loop,
+    which would otherwise spend v rounds of divisions on it."""
     p = F.p
-    out: dict[int, list[int]] = {}
+    v = 0
+    while not f[v]:
+        v += 1
+    out: dict[int, list[int]] = {v: [0, 1]} if v else {}
+    f = f[v:]
     e = 1
     while len(f) > 1:
         fp = _pderiv(F, f)
@@ -1293,19 +1304,6 @@ def _equal_degree_split(F: FiniteField, f: list[int], d: int, rng: random.Random
             return left + _equal_degree_split(F, _pdivmod(F, f, g)[0], d, rng)
 
 
-def _one_root(F: FiniteField, f: list[int], rng: random.Random) -> int:
-    """A root of the monic f, a product of distinct linear factors over F:
-    equal-degree splitting that keeps the smaller part of every split until
-    it is linear."""
-    while len(f) > 2:
-        n = len(f) - 1
-        g = _split_gcd(F, _random_poly(F, n, rng), f, 1)
-        if 0 < len(g) - 1 < n:
-            h = _pdivmod(F, f, g)[0]
-            f = g if len(g) <= len(h) else h
-    return F._neg(f[0])
-
-
 def poly_factor(f: FFPoly) -> list[tuple[FFPoly, int]]:
     """Monic irreducible factors of f with multiplicities, deterministically
     sorted by (degree, coefficient encoding).  The leading coefficient is
@@ -1336,8 +1334,8 @@ def roots_in_field(f: FFPoly, target: FiniteField | None = None) -> list[FFElem]
 
     f is factored over its own field GF(Q0), which is small.  An irreducible
     factor g of degree m has roots in target exactly when k(Q0) * m divides
-    k(target), and then they are one Frobenius orbit r, r^Q0, ...,
-    r^(Q0^(m-1)): one root r is split off in target, the rest are powers."""
+    k(target), and then the equal-degree splitter breaks g, embedded in
+    target, into its m linear factors."""
     src = f.field
     target = target or src
     if f.is_zero():
@@ -1345,16 +1343,11 @@ def roots_in_field(f: FFPoly, target: FiniteField | None = None) -> list[FFElem]
     if src.p != target.p or target.k % src.k != 0:
         raise NoEmbedding(f"no embedding {src!r} -> {target!r}")
     rng = random.Random(FACTOR_SEED)
-    Q0 = src.order
     roots = []
     for g, _ in poly_factor(f):
-        m = g.degree()
-        if target.k % (src.k * m) != 0:
-            continue
-        r = _one_root(target, _embed_ints(src, target, g.ints), rng)
-        for _ in range(m):
-            roots.append(r)
-            r = target._pow(r, Q0)
+        if target.k % (src.k * g.degree()) == 0:
+            for lin in _equal_degree_split(target, _embed_ints(src, target, g.ints), 1, rng):
+                roots.append(target._neg(lin[0]))
     roots.sort()
     return [FFElem(target, r) for r in roots]
 
@@ -1403,31 +1396,31 @@ class Adjoin:
     monic irreducible polynomial over K0: one level of a residue-field tower
     F_{i+1} = F_i[u]/(psi_i).  `field` is K1 and `z` the encoding of z in it.
 
-    Which K1 and z is fixed by psi and by the caller's choice of field:
+    K1 and z are fixed by K0 and psi alone:
     * psi linear: K1 = K0 and z = -psi(0);
-    * K0 prime, with the quotient field GF(p)[u]/(psi) passed as field: z is
-      the class of u, so the digits of an element are its coordinates;
+    * K0 prime: K1 is the quotient GF(p)[u]/(psi) itself and z the class of
+      u, so the digits of an element are its coordinates;
     * otherwise: K1 is the canonical GF(|K0|^d), d = deg psi, and z the
       smallest root of psi there.
 
     value() is evaluation u -> z from K0[u] to K1, and lift() inverts it on
     polynomials of degree < d.  In the last case a lift solves over GF(p) in
     the basis t^b z^i of K1 (t the generator of K0 embedded in K1, b < k(K0),
-    i < d), whose columns are built on the first lift.
+    i < d).
     """
 
-    __slots__ = ("parent", "psi", "field", "z", "_quotient", "_cols")
+    __slots__ = ("parent", "psi", "field", "z", "_quotient")
 
-    def __init__(self, parent: FiniteField, psi: FFPoly, field: FiniteField | None = None):
+    def __init__(self, parent: FiniteField, psi: FFPoly):
         self.parent = parent
         self.psi = psi.ints
-        self._quotient = False
-        self._cols = None
         d = psi.degree()
+        self._quotient = parent.k == 1 < d
         if d == 1:
             self.field, self.z = parent, parent._neg(psi.ints[0])
-        elif field is not None:
-            self.field, self.z, self._quotient = field, field.p, True
+        elif self._quotient:
+            # psi is irreducible by contract, so no second Ben-Or test
+            self.field, self.z = _intern(parent.p, d, tuple(psi.ints)), parent.p
         else:
             self.field = make_field(parent.p, parent.k * d)
             self.z = roots_in_field(psi, self.field)[0].v
@@ -1446,14 +1439,13 @@ class Adjoin:
             return [c] if c else []
         if self._quotient:
             return _trim(K1._digits(c))
-        if self._cols is None:
-            basis = _embed_ints(K0, K1, [K0.p**b for b in range(K0.k)])
-            self._cols = cols = []
-            zi = 1
-            for _ in range(len(self.psi) - 1):
-                cols.extend(K1._digits(K1._mul(t, zi)) for t in basis)
-                zi = K1._mul(zi, self.z)
-        sol = gfp_solve(K1.p, self._cols, K1._digits(c))
+        basis = _embed_ints(K0, K1, [K0.p**b for b in range(K0.k)])
+        cols = []
+        zi = 1
+        for _ in range(len(self.psi) - 1):
+            cols.extend(K1._digits(K1._mul(t, zi)) for t in basis)
+            zi = K1._mul(zi, self.z)
+        sol = gfp_solve(K1.p, cols, K1._digits(c))
         k = K0.k
         return _trim([K0._from_digits(sol[i : i + k]) for i in range(0, len(sol), k)])
 

@@ -19,7 +19,10 @@ both branch detection (factor the residual of H) and key construction
 (lift a residual factor back to a key polynomial).  The constants of an
 augmented stage form one ffield.Adjoin step over the previous stage's,
 built on first read: its residue field is prev.resfield(z) for a root z of
-the stage's residual psi (prev.resfield itself when psi is linear).
+the stage's residual psi.  That is prev.resfield itself when psi is linear,
+GF(p)[u]/(psi) with z the class of u when prev.resfield is prime, and the
+canonical field with the smallest root of psi otherwise; a residual over a
+prime step is therefore written in g = z, a root of the psi printed before.
 graded_map carries a previous-stage residue into this ring by evaluation
 at z, and graded_map_lift inverts it with Adjoin.lift.
 

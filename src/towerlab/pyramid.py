@@ -53,6 +53,7 @@ import math
 from fractions import Fraction
 
 from .errors import TowerlabError
+from .ffield import is_prime
 from .record import Record
 
 __all__ = [
@@ -92,10 +93,10 @@ class InvalidHypotheses(TowerlabError):
 class RamHypotheses(Record):
     """Ramification data of the basic field feeding the pyramid climb.
 
-    m, n, r and p are ints.  d_prime_min is a certified lower bound for the
-    different exponent d(Q'|P_{f(x)}) of the wild place; its default 0 means
-    "use r".  Wild ramification already forces d >= e = r, so values below r
-    are rejected rather than silently used.
+    m, n, r and p are ints, p a prime.  d_prime_min is a certified lower
+    bound for the different exponent d(Q'|P_{f(x)}) of the wild place; its
+    default 0 means "use r".  Wild ramification already forces d >= e = r,
+    so values below r are rejected rather than silently used.
     """
 
     __slots__ = ("m", "n", "r", "p", "d_prime_min")
@@ -104,15 +105,16 @@ class RamHypotheses(Record):
     def __post_init__(self):
         if self.d_prime_min == 0:
             object.__setattr__(self, "d_prime_min", self.r)
+        prime = is_prime(self.p)
         checks = [
             (self.m >= 2, "m >= 2"),
             (self.n >= 1, "n >= 1"),
             (self.r >= 1, "r >= 1"),
-            (self.p >= 2, "p >= 2"),
+            (prime, "p prime"),
             (math.gcd(self.m, self.p) == 1, "gcd(m, p) = 1"),
             (math.gcd(self.n, self.m) == 1, "gcd(n, m) = 1"),
             (math.gcd(self.r, self.m) == 1, "gcd(r, m) = 1"),
-            (self.p >= 2 and self.r % self.p == 0, "p | r (Q' wild)"),
+            (prime and self.r % self.p == 0, "p | r (Q' wild)"),
             (self.d_prime_min >= self.r, "d_prime_min >= r"),
         ]
         for ok, name in checks:

@@ -44,7 +44,6 @@ from .ffield import (
     FFElem,
     FFPoly,
     FiniteField,
-    _intern,
     _monic_irreducibles,
     _pdivmod,
     _pgcd,
@@ -327,14 +326,9 @@ class RatPlace:
     # -- residue machinery --------------------------------------------------------
 
     def _adjoin(self) -> Adjoin:
-        """The residue field of a finite place as K(rho), rho a root of P:
-        over a prime field GF(p)[x]/(P) itself, with rho the class of x."""
+        """The residue field of a finite place as K(rho), rho a root of P."""
         if self._ext is None:
-            F, d = self.field, self.degree()
-            # P is certified irreducible (__init__), so its field is interned
-            # without a second Ben-Or test
-            quotient = _intern(F.p, d, tuple(self.poly.ints)) if F.k == 1 < d else None
-            self._ext = Adjoin(F, self.poly, quotient)
+            self._ext = Adjoin(self.field, self.poly)
         return self._ext
 
     def residue_field(self) -> FiniteField:

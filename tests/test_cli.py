@@ -229,6 +229,27 @@ def test_check_theorem_honours_max_depth():
     assert rep["error"]["type"] == "DepthExceeded"
 
 
+def test_max_depth_below_one_is_an_error():
+    for argv in (["analyze"], ["genus"], ["check-theorem", "--f", "x"]):
+        for depth in ("0", "-3"):
+            code, rep = run_json(argv + ["--p", "2", "--F", FAM, "--max-depth", depth, "--json"])
+            assert code == 2
+            assert rep["error"]["type"] == "InvalidOption"
+            assert "--max-depth" in rep["error"]["message"]
+
+
+def test_a_residual_over_a_prime_field_step_is_written_in_that_steps_root():
+    # above x + 3 the first residual u^2 + 2u + 4 is irreducible over GF(5),
+    # so the next stage's constants are GF(5)[u]/(u^2 + 2u + 4) and its
+    # generator g is a root of that residual
+    argv = ["analyze", "--p", "5", "--F", "y^4+3*x+y+3*x^2*y^2+4*y^3"]
+    code, rep = run_json(argv + ["--json"])
+    assert code == 0
+    [w] = [w for w in rep["witnesses"] if w["name"] == "place(x + 3)#0"]
+    assert w["refinement"] == [["y", "0", "u^2 + 2*u + 4"], ["y^2 + 2*y + 4", "-1/2", "u + g"]]
+    assert "y @ 0 -> u^2 + 2*u + 4 ; y^2 + 2*y + 4 @ -1/2 -> u + g " in run_cli(argv)[1]
+
+
 def test_climb_report():
     code, rep = run_json(
         ["climb", "--m", "3", "--n", "1", "--r", "2", "--p", "2", "--levels", "6", "--json"]
@@ -427,6 +448,13 @@ def test_invalid_hypotheses_cli():
     )
     assert code == 2
     assert rep["error"]["type"] == "InvalidHypotheses"
+
+
+@pytest.mark.parametrize("p", ["4", "6", "10"])
+def test_climb_refuses_a_composite_characteristic(p):
+    code, rep = run_json(["climb", "--m", "3", "--n", "1", "--r", "4", "--p", p, "--json"])
+    assert code == 2
+    assert rep["error"] == {"type": "InvalidHypotheses", "message": "hypothesis violated: p prime"}
 
 
 CLIMB = ["climb", "--m", "3", "--n", "1", "--r", "2", "--p", "2", "--levels"]

@@ -160,11 +160,10 @@ def test_seeded_jobs_keep_the_cli_contract():
     assert inseparable, "no check-theorem job drew an inseparable F"
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md, two hangs: a reducible F of "
-                   "y-degree 512 has no budget, so its irreducibility test factors a degree-512 "
-                   "fibre; past that, ramification_locus factors Res_y(F, F_y) = c*x^261632, and "
-                   "_squarefree_decomposition divides x^N once per multiplicity, N rounds of "
-                   "degree-N divisions")
+@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md, two hangs in one kernel: a "
+                   "reducible F of y-degree 512 has no budget, so its irreducibility test splits a "
+                   "degree-512 fibre; past that, the engine splits the degree-512 residual "
+                   "u^512 + 1; both are Cantor-Zassenhaus on schoolbook modular products")
 def test_a_reducible_F_of_the_largest_parsed_degree_is_answered_within_seconds():
     # y^512 + x^512 over GF(5) passes the parser's bounds; the degree analysis
     # leaves it to the reconstruction, whose Cantor-Zassenhaus split of one

@@ -121,6 +121,19 @@ def test_poly_factor_y4_plus_y_gf3():
     ]
 
 
+def test_a_power_of_x_is_peeled_off_without_a_division_per_unit_of_multiplicity(monkeypatch):
+    # x^16001 (x+1)^2 over GF(5) cost 16001 rounds of degree-16001 divisions
+    # before its x^16001 was read off the low zero coefficients
+    x, x1 = unipoly(F5, [0, 1]), unipoly(F5, [1, 1])
+    divisions = []
+    pdivmod = ffield._pdivmod
+    monkeypatch.setattr(ffield, "_pdivmod", lambda *a: divisions.append(1) or pdivmod(*a))
+    assert poly_factor(x**16001 * x1**2) == [(x, 16001), (x1, 2)]
+    assert poly_factor(x**5 * x1**5) == [(x, 5), (x1, 5)]
+    assert poly_factor(x**3) == [(x, 3)]
+    assert len(divisions) < 100
+
+
 def test_poly_factor_expand_roundtrip():
     rng = random.Random(7001)
     fields = [F2, F3, F4, F5, make_field(3, 2)]

@@ -723,25 +723,37 @@ def test_pxgcd_is_a_monic_gcd_with_its_bezout_coefficient(pk, data):
 # -- one extension step ---------------------------------------------------------------
 
 
+# quotient: whether psi is drawn so that K1 is the quotient GF(p)[u]/(psi)
+# with z the class of u, which holds exactly when K0 is prime and deg psi >= 2.
+# A prime K0 draws deg psi in 2..4 with it and a linear psi without; any
+# other K0 draws deg psi in 1..4 and never gets the quotient.
 @pytest.mark.parametrize(
     "pk, quotient",
-    [((2, 1), False), ((2, 1), True), ((3, 1), False), ((3, 1), True), ((2, 2), False), ((3, 2), False)],
+    [
+        ((2, 1), False),
+        ((2, 1), True),
+        ((3, 1), False),
+        ((3, 1), True),
+        ((2, 2), False),
+        ((3, 2), False),
+        ((5, 1), True),
+    ],
 )
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_adjoin_value_and_lift_are_inverse(pk, quotient, data):
     K0 = make_field(*pk)
     coeff = st.integers(0, K0.order - 1)
-    d = data.draw(st.integers(1, 4))
+    lo, hi = (2, 4) if quotient else (1, 1 if K0.k == 1 else 4)
+    d = data.draw(st.integers(lo, hi))
     psi = FFPoly(K0, data.draw(st.lists(coeff, min_size=d, max_size=d)) + [1])
     assume(is_irreducible(psi))
-    field = make_field(K0.p, d, psi.ints) if quotient and d > 1 else None
-    ext = Adjoin(K0, psi, field)
+    ext = Adjoin(K0, psi)
     K1, z = ext.field, FFElem(ext.field, ext.z)
-    if d == 1:
+    if quotient:
+        assert K1 is make_field(K0.p, d, psi.ints) and z == K1.gen()
+    elif d == 1:
         assert K1 is K0 and z == -psi.coeff(0)
-    elif field is not None:
-        assert K1 is field and z == K1.gen()
     else:
         assert K1 is make_field(K0.p, K0.k * d) and z == roots_in_field(psi, K1)[0]
     a = FFPoly(K0, data.draw(st.lists(coeff, max_size=d - 1))).ints

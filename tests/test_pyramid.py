@@ -32,6 +32,7 @@ def test_hypotheses_defaults():
         dict(m=3, n=1, r=0, p=2),  # r too small
         dict(m=3, n=1, r=2, p=1),  # p not a characteristic
         dict(m=3, n=1, r=2, p=0),  # p = 0 is refused, not divided by
+        dict(m=3, n=1, r=4, p=4),  # a composite p is no characteristic
         dict(m=4, n=1, r=2, p=2),  # gcd(m, p) != 1
         dict(m=3, n=3, r=2, p=2),  # gcd(n, m) != 1
         dict(m=3, n=1, r=3, p=3),  # gcd(r, m) != 1
