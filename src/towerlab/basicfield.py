@@ -4,8 +4,9 @@ Riemann-Hurwitz genus, and an independent zeta-function genus oracle.
 The genus route: collect all places above the ramification locus (zeros of
 the y-discriminant, zeros of the leading y-coefficient, and infinity), sum
 different exponents against residue degrees, and solve
-2g - 2 = -2m + deg Diff.  Tame places contribute exactly e-1; wild places
-contribute a [dmin, dmax] window, so the result may be an interval.
+2g - 2 = -2m + deg Diff.  Each d is read as PlaceExt.d_range: e-1 at a tame
+place, a [dmin, dmax] window at a wild one until d is known.  So deg Diff
+lies in [lo, hi], and the genus window has closed-form ends.
 
 The zeta route never looks at differents: it counts the points over each
 constant-field extension GF(q^k), as the roots of the good fibres F(xi, y)
@@ -90,19 +91,11 @@ class RamTable(Record):
             yield from pls
 
     def different_degree_bounds(self) -> tuple[int, int]:
-        lo = hi = 0
-        for P, pls in self.rows:
-            for pl in pls:
-                w = pl.f * P.degree()
-                # d_exact supersedes the a-priori window once it is known
-                # (tame places at construction, wild ones after reconciling).
-                if pl.d_exact is not None:
-                    lo += pl.d_exact * w
-                    hi += pl.d_exact * w
-                else:
-                    lo += pl.dmin * w
-                    hi += pl.dmax * w
-        return lo, hi
+        """(lo, hi) bounding deg Diff, the sum of d(Q|P) * deg Q."""
+        return tuple(
+            sum(pl.d_range[end] * pl.residue_degree_abs() for pl in self.all_places())
+            for end in (0, 1)
+        )
 
     def missing_exact(self) -> list:
         return [pl for pl in self.all_places() if pl.d_exact is None]
@@ -203,21 +196,18 @@ def genus_from_table(rt: RamTable) -> GenusResult:
             "full constant field to be the base field"
         )
     m = rt.m
-    lo, hi = rt.different_degree_bounds()
-    if not rt.missing_exact():
-        if lo % 2:
-            raise TowerlabError("odd different degree: engine bug")
-        g = (lo - 2 * m + 2) // 2
-        if g < 0:
-            raise TowerlabError("negative genus from exact differents: engine bug")
-        return GenusResult(genus=g, exact=True, diff_degree_bounds=(lo, lo))
-    # total different degree is even (2g-2 = D-2m with integer g)
-    feas = [D for D in range(lo, hi + 1) if D % 2 == 0 and D >= 2 * m - 2]
-    if not feas:
+    lo, hi = rt.different_degree_bounds()  # lo == hi iff every d is exact
+    if lo == hi and lo % 2:
+        raise TowerlabError("odd different degree: engine bug")
+    if lo == hi and lo < 2 * m - 2:
+        raise TowerlabError("negative genus from exact differents: engine bug")
+    # 2g - 2 = D - 2m: the window's ends are the least even D >= lo and
+    # >= 2m - 2 (g >= 0), and the greatest even D <= hi
+    D_lo, D_hi = max(lo + lo % 2, 2 * m - 2), hi - hi % 2
+    if D_lo > D_hi:
         raise TowerlabError("no feasible different degree: engine bug")
-    g = (feas[0] - 2 * m + 2) // 2
     return GenusResult(
-        genus=g, exact=(len(feas) == 1), diff_degree_bounds=(feas[0], feas[-1])
+        genus=D_lo // 2 - m + 1, exact=D_lo == D_hi, diff_degree_bounds=(D_lo, D_hi)
     )
 
 
@@ -329,8 +319,8 @@ def reconcile_different(rt: RamTable, oracle_genus: int) -> RamTable:
     arithmetic or bounds refuse."""
     missing = rt.missing_exact()
     target = 2 * oracle_genus - 2 + 2 * rt.m
+    lo, _ = rt.different_degree_bounds()
     if not missing:
-        lo, hi = rt.different_degree_bounds()
         if lo != target:
             raise InconsistentOracle(
                 f"exact different degree {lo} but oracle needs {target}"
@@ -339,31 +329,23 @@ def reconcile_different(rt: RamTable, oracle_genus: int) -> RamTable:
     if len(missing) > 1:
         raise InconsistentOracle("more than one wild place lacks an exact different")
     gap = missing[0]
-    known = 0
-    w_gap = None
-    for P, pls in rt.rows:
-        for pl in pls:
-            w = pl.f * P.degree()
-            if pl is gap:
-                w_gap = w
-            else:
-                known += (pl.d_exact if pl.d_exact is not None else pl.dmin) * w
-    rem = target - known
-    if w_gap is None:
+    if not any(pl is gap for pl in rt.all_places()):
         raise InconsistentOracle("missing place not in its own table")
+    # the other places add lo - g_lo * w_gap to the target, the gap d * w_gap
+    g_lo, g_hi = gap.d_range
+    w_gap = gap.residue_degree_abs()
+    rem = target - lo + g_lo * w_gap
     if rem % w_gap:
         raise InconsistentOracle(
             f"oracle leaves non-integral different {rem}/{w_gap}"
         )
     d = rem // w_gap
-    if not (gap.dmin <= d <= gap.dmax):
+    if not (g_lo <= d <= g_hi):
         raise InconsistentOracle(
-            f"reconciled different {d} outside bounds [{gap.dmin},{gap.dmax}]"
+            f"reconciled different {d} outside bounds [{g_lo},{g_hi}]"
         )
-    new_rows = []
-    for P, pls in rt.rows:
-        new_pls = tuple(
-            pl.replace(d_exact=d) if pl is gap else pl for pl in pls
-        )
-        new_rows.append((P, new_pls))
-    return RamTable(F=rt.F, m=rt.m, rows=tuple(new_rows))
+    rows = tuple(
+        (P, tuple(pl.replace(d_exact=d) if pl is gap else pl for pl in pls))
+        for P, pls in rt.rows
+    )
+    return RamTable(F=rt.F, m=rt.m, rows=rows)

@@ -467,7 +467,7 @@ def check_theorem(F: BivarPoly, f: FFPoly, max_depth: int = 8) -> TheoremVerdict
             n=witnesses["Q_x_side"].e,
             r=witnesses["Q_wild"].e,
             p=p,
-            d_prime_min=witnesses["Q_wild"].dmin,
+            d_prime_min=witnesses["Q_wild"].d_range[0],
         )
     return TheoremVerdict(
         holds=holds,

@@ -503,9 +503,15 @@ _RUNNERS = {
 
 
 def run(job: JobSpec) -> tuple[int, dict]:
-    """Execute one job; returns (exit_code, report).  Errors become a
-    structured error report with exit code 2."""
+    """Execute one job, under the factorization seed TOWERLAB_SEED if set;
+    returns (exit_code, report), a structured error report with 2 on errors."""
     try:
+        seed = os.environ.get("TOWERLAB_SEED")
+        if seed is not None:
+            try:
+                ffield.FACTOR_SEED = int(seed)
+            except ValueError:
+                raise InvalidOption(f"TOWERLAB_SEED must be an integer, got {seed!r}") from None
         depth = job.params.get("max_depth", 1)
         if depth < 1:
             raise InvalidOption(f"--max-depth must be at least 1, got {depth}")
@@ -562,8 +568,10 @@ def _text_summary(job: JobSpec, report: dict) -> str:
     if job.command == "check-theorem" and data["failed_conditions"]:
         for reason in data["failed_conditions"]:
             lines.append(f"  failed {reason}")
-    if "genus" in data:
+    if "genus" in data and data.get("genus_exact", True):
         lines.append(f"  genus = {data['genus']}")
+    elif "genus" in data:
+        lines.append("  genus in [{}, {}]".format(*report["bounds"]["genus"]))
     if "zeta_genus" in data:
         lines.append(f"  independent point-count genus = {data['zeta_genus']}")
     for note in report["notes"]:
@@ -628,9 +636,6 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    seed = os.environ.get("TOWERLAB_SEED")
-    if seed is not None:
-        ffield.FACTOR_SEED = int(seed)
     # a polynomial or element text may start with "-", which argparse would
     # read as an option: after --F, --f, --g, --a or --b it is the value
     joined = []

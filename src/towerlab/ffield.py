@@ -640,7 +640,12 @@ def _monic_irreducibles(F: FiniteField, d: int):
     in increasing order of their encoding: the d low coefficients read as
     a base-|F| integer, constant term least significant."""
     Q = F.order
-    for v in range(Q**d):
+    # no binomial x^d + c (the first Q encodings) is irreducible if a prime r | d
+    # does not divide Q - 1, or 4 | d and Q != 1 mod 4 (Lidl-Niederreiter, Thm 3.75)
+    skip = (d % 4 == 0 and Q % 4 != 1) or any(
+        d % r == 0 and (Q - 1) % r for r in range(2, d + 1) if is_prime(r)
+    )
+    for v in range(Q if skip else 0, Q**d):
         f = []
         for _ in range(d):
             v, c = divmod(v, Q)

@@ -92,7 +92,8 @@ class PlaceExt(Record):
     strings/Fractions suitable for reports.  dmin <= d(Q|P) <= dmax with
     d_exact set when the bounds collapse: a tame place (p does not divide e)
     has d = e - 1 exactly, a wild one dmin = e and dmax = nu_Q(H'(z)) on the
-    monic integral model, the monogenic-generator bound.  The _Handle
+    monic integral model, the monogenic-generator bound.  The three are
+    report fields; d_range is the one way to read d.  The _Handle
     behind valuation_of takes no part in equality or the repr; it builds
     a stage past the place's branch only when a valuation (a wild place's
     dmax, or valuation_of) needs one.
@@ -102,6 +103,12 @@ class PlaceExt(Record):
         "base", "side", "e", "f", "dmin", "dmax", "d_exact", "refinement",
         "_handle",
     )
+
+    @property
+    def d_range(self) -> tuple[int, int]:
+        """(lo, hi) with lo <= d(Q|P) <= hi: (d, d) once d_exact is known."""
+        d = self.d_exact
+        return (self.dmin, self.dmax) if d is None else (d, d)
 
     def valuation_of(self, G) -> int | float:
         """nu_Q of a bivariate polynomial (or YPoly in the model variable),
@@ -119,9 +126,10 @@ class PlaceExt(Record):
             f"key {k}, slope {s if s is not None else 'inf'}, residual {r}"
             for k, s, r in self.refinement
         )
+        lo, hi = self.d_range
         return (
             f"place above {self.base!r} [{self.side}-side]: e={self.e} f={self.f} "
-            f"d in [{self.dmin},{self.dmax}] via {chain}"
+            f"d in [{lo},{hi}] via {chain}"
         )
 
 
@@ -169,7 +177,6 @@ def places_above(
         f = V.res_deg
         if e % p:
             dmin = dmax = e - 1
-            d_exact = e - 1
         else:
             dmin = e
             if Hd is None:
@@ -177,7 +184,7 @@ def places_above(
             dmax = handle.val_ypoly(Hd)
             if dmax == INF:
                 raise TowerlabError("derivative vanishes at a place of a separable polynomial")
-            d_exact = dmax if dmax == dmin else None
+        d_exact = dmax if dmax == dmin else None
         out.append(
             PlaceExt(
                 base=P,

@@ -2,8 +2,9 @@
 one-parameter family instances, the fixed comparison curves, the sweep
 benchmark's curve pool, the curves of the CLI report jobs, the Bareiss
 resultant kept as a reference for ffield.resultant_y, the constant-term
-valuation kept as a reference for omfactor.maclane.exact_val, and the
-textbook digit-vector product in GF(p^k)."""
+valuation kept as a reference for omfactor.maclane.exact_val, the list of
+feasible different degrees kept as a reference for the genus window, and
+the textbook digit-vector product in GF(p^k)."""
 
 import functools
 import importlib.util
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from towerlab.ffield import BivarPoly, FFPoly, _pdivmod, _pmul, _psub, make_field
 from towerlab.checker import FamilyParams, build_family
+from towerlab.basicfield import GenusResult
 from towerlab.cli import parse_poly
 from towerlab.errors import TowerlabError
 from towerlab.omfactor.maclane import INF, Closed, _qval
@@ -241,3 +243,23 @@ def constant_term_exact_val(V, H, g):
             # neither the constant term's value nor the rest is certified
             V.prec.raise_past(Fraction(V._bound(g), V.E) + s)
     raise TowerlabError("valuation did not stabilize")
+
+
+def genus_window_by_list(lo, hi, m):
+    """The genus window of a degree-m curve with different degree in
+    [lo, hi], as genus_from_table once built it: from the list of every
+    feasible degree.  lo == hi stands for a table whose every d is exact."""
+    if lo == hi:
+        if lo % 2:
+            raise TowerlabError("odd different degree: engine bug")
+        g = (lo - 2 * m + 2) // 2
+        if g < 0:
+            raise TowerlabError("negative genus from exact differents: engine bug")
+        return GenusResult(genus=g, exact=True, diff_degree_bounds=(lo, lo))
+    feas = [D for D in range(lo, hi + 1) if D % 2 == 0 and D >= 2 * m - 2]
+    if not feas:
+        raise TowerlabError("no feasible different degree: engine bug")
+    g = (feas[0] - 2 * m + 2) // 2
+    return GenusResult(
+        genus=g, exact=(len(feas) == 1), diff_degree_bounds=(feas[0], feas[-1])
+    )

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from towerlab import basicfield
+from towerlab import basicfield, checker
 from towerlab.basicfield import (
     CapTooSmall,
     _unramified_fprofile,
@@ -32,10 +33,13 @@ from helpers import (
     elliptic5,
     family_curves,
     family_F,
+    family_params,
+    genus_window_by_list,
     hyper3,
     kummer5,
     line2,
     sweep_pool,
+    unipoly,
 )
 
 
@@ -124,6 +128,88 @@ def test_genus_family_is_interval_before_reconcile():
     g = genus_from_table(rt)
     assert (g.genus, g.exact, g.diff_degree_bounds) == (1, False, (6, 10))
     assert len(rt.missing_exact()) == 1
+
+
+# -- PlaceExt.d_range, the one reading of d ------------------------------------
+
+
+def test_d_range_is_e_minus_one_at_a_tame_place():
+    tame = [pl for pl in ram_table(family_F(2)).all_places() if pl.e % 2]
+    assert tame
+    for pl in tame:
+        assert pl.d_range == (pl.e - 1, pl.e - 1) == (pl.dmin, pl.dmax)
+
+
+def test_d_range_is_the_window_at_a_wild_place_and_collapses_when_reconciled():
+    rt = ram_table(family_F(2))
+    (wild,) = rt.missing_exact()
+    assert wild.d_range == (wild.dmin, wild.dmax) == (2, 6)
+    assert "d in [2,6]" in str(wild)
+    fixed = next(pl for pl in reconcile_different(rt, 2).all_places() if pl.e == 2)
+    assert fixed.d_range == (4, 4)
+    assert (fixed.dmin, fixed.dmax) == (2, 6)  # the report fields stay
+    assert "d in [4,4]" in str(fixed)
+
+
+def test_an_exact_wild_d_reaches_the_climb_through_d_range(monkeypatch):
+    # a wild place whose d is known hands that d to the climb, not its dmin
+    found = checker.places_above
+
+    def exact_wild(F, P, side="x", max_depth=8):
+        return [pl.replace(d_exact=4) if pl.d_exact is None else pl
+                for pl in found(F, P, side, max_depth)]
+
+    tower = build_family(family_params(2))
+    f = unipoly(F2, [0, 1])
+    assert checker.check_theorem(tower.F, f).hypotheses.d_prime_min == 2
+    monkeypatch.setattr(checker, "places_above", exact_wild)
+    v = checker.check_theorem(tower.F, f)
+    assert v.witnesses["Q_wild"].d_range == (4, 4)
+    assert v.hypotheses.d_prime_min == 4
+
+
+class _Bounds:
+    """A table that answers only what genus_from_table reads past its
+    constant-field check: m and the different-degree bounds."""
+
+    def __init__(self, lo, hi, m):
+        self.m, self.bounds = m, (lo, hi)
+
+    def different_degree_bounds(self):
+        return self.bounds
+
+
+def _closed_form(lo, hi, m):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basicfield, "_constant_field_is_base", lambda rt: True)
+        return genus_from_table(_Bounds(lo, hi, m))
+
+
+def _window_or_error(window, lo, hi, m):
+    try:
+        return window(lo, hi, m)
+    except TowerlabError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    lo=st.integers(0, 60),
+    width=st.integers(0, 60),
+    m=st.integers(1, 20),
+)
+@example(lo=6, width=4, m=3)  # the q = 2 family: both ends even
+@example(lo=5, width=6, m=3)  # odd ends
+@example(lo=1, width=8, m=4)  # lo below 2m - 2
+@example(lo=7, width=0, m=3)  # exact and odd
+@example(lo=2, width=0, m=3)  # exact and below 2m - 2
+@example(lo=2, width=4, m=5)  # empty window: every even D < 2m - 2
+@example(lo=5, width=1, m=1)  # one feasible D: the window collapses
+@example(lo=3072, width=1048576, m=1025)  # the family at q = 1024: 524,288 even D
+def test_the_closed_form_genus_window_matches_the_list_of_feasible_degrees(lo, width, m):
+    hi = lo + width
+    assert _window_or_error(_closed_form, lo, hi, m) == _window_or_error(
+        genus_window_by_list, lo, hi, m
+    )
 
 
 def test_zeta_matches_riemann_hurwitz_on_exact_curves():

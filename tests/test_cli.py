@@ -547,6 +547,36 @@ def test_seed_env_override():
         ffield.FACTOR_SEED = old
 
 
+@pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+def test_a_seed_that_is_no_integer_is_an_invalid_option(monkeypatch, seed):
+    old = ffield.FACTOR_SEED
+    monkeypatch.setenv("TOWERLAB_SEED", seed)
+    code, rep = run_json(["analyze", "--p", "2", "--F", "y^2+y+x^3", "--json"])
+    assert code == 2
+    assert rep["verdict"] == "error"
+    assert rep["error"] == {
+        "type": "InvalidOption",
+        "message": f"TOWERLAB_SEED must be an integer, got {seed!r}",
+    }
+    assert ffield.FACTOR_SEED == old
+
+
+@pytest.mark.parametrize("F,p,window", [
+    ("y^7-y-x^50", "7", [0, 162]),  # genus (7-1)(50-1)/2 = 147
+    ("y^2+y+x^3", "2", [0, 1]),  # an elliptic curve: genus 1
+])
+def test_the_text_summary_prints_a_genus_window_as_a_window(F, p, window):
+    code, rep = run_json(["analyze", "--p", p, "--F", F, "--json"])
+    assert (rep["data"]["genus_exact"], rep["bounds"]["genus"]) == (False, window)
+    code, out = run_cli(["analyze", "--p", p, "--F", F])
+    assert code == 0
+    assert f"  genus in [{window[0]}, {window[1]}]" in out.splitlines()
+    assert "genus =" not in out
+    # an exact genus still prints as one number
+    code, out = run_cli(["analyze", "--p", "5", "--F", "y^2-x^3-x"])
+    assert "  genus = 1" in out.splitlines()
+
+
 # the curve with a degree-10 locus place over GF(5), whose residue fields
 # reach GF(5^20), and the sha256 of its analyze report
 HEAVY = "(x^2+1)*y^4+3*y^3+3*x*y^2+(x^2+2*x+4)*y+(x^2+2)"

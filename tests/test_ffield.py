@@ -19,6 +19,7 @@ from towerlab.ffield import (
     NotPrime,
     PrimalityUndecided,
     _ExtensionField,
+    _ben_or,
     _monic_irreducibles,
     _smallest_modulus,
     _ZechField,
@@ -337,6 +338,77 @@ def _table_fields():
 def test_zech_tables_match_the_power_walk(p, k, modulus):
     F = _ZechField(p, k, modulus)
     assert F._tables == _walk_tables(_ZechField(p, k, modulus))
+
+
+def test_the_modulus_search_over_a_large_prime_skips_the_binomials():
+    # 3 does not divide 10^9 + 6, so no x^3 + c is irreducible, and the
+    # search walks past all 10^9 + 7 of them without a test; in a fresh
+    # interpreter, so that a search that does test them fails on the timeout
+    code = """
+import time
+from towerlab.ffield import make_field
+start = time.process_time()
+F = make_field(10**9 + 7, 3)
+print(time.process_time() - start, F.modulus)
+"""
+    src = os.path.dirname(os.path.dirname(ffield.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=30,
+        check=True,
+    )
+    seconds, modulus = proc.stdout.split(" ", 1)
+    assert float(seconds) < 1.0
+    assert modulus.strip() == "(5, 1, 0, 1)"
+    # x^3 + x + c is reducible for c < 5
+    base = make_field(10**9 + 7)
+    assert not any(_ben_or(base, [c, 1, 0, 1]) for c in range(5))
+
+
+def _first_of_the_full_walk(F, d):
+    """The first monic irreducible of degree d over F, walking every
+    encoding from 0, binomials included."""
+    Q = F.order
+    for v in range(Q**d):
+        f = [(v // Q**i) % Q for i in range(d)] + [1]
+        if _ben_or(F, f):
+            return f
+
+
+def _binomials_ruled_out(Q, d):
+    """Lidl-Niederreiter, Finite Fields, Thm 3.75: no x^d + c is irreducible
+    over GF(Q) when a prime r | d does not divide Q - 1, or 4 | d and
+    Q != 1 mod 4."""
+    primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
+    return any((Q - 1) % r for r in primes) or (d % 4 == 0 and Q % 4 != 1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1), (5, 2)])
+def test_the_binomial_skip_keeps_every_first_modulus(monkeypatch, p, k):
+    F = make_field(p, k)
+    Q = F.order
+    tested = []
+
+    def ben_or(F, f):
+        tested.append(f)
+        return _ben_or(F, f)
+
+    monkeypatch.setattr(ffield, "_ben_or", ben_or)
+    d = 1
+    while d <= 6 and Q**d <= 2 * 10**5:
+        tested.clear()
+        assert next(_monic_irreducibles(F, d)) == _first_of_the_full_walk(F, d), (Q, d)
+        # the walk tests no binomial exactly where the theorem rules them out,
+        # and then none of them is irreducible
+        skipped = d > 1 and tested[0] == [0, 1] + [0] * (d - 2) + [1]
+        assert skipped == _binomials_ruled_out(Q, d), (Q, d)
+        if skipped:
+            assert not any(_ben_or(F, [c] + [0] * (d - 1) + [1]) for c in range(Q)), (Q, d)
+        d += 1
 
 
 # GF(8), GF(16), GF(32), GF(9), GF(27), GF(25), GF(49) and GF(343)
