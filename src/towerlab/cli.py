@@ -322,9 +322,11 @@ def _place_json(name: str, pl: PlaceExt) -> dict:
 
 
 def _witnesses(places) -> tuple[list, dict]:
-    """Report witnesses for (name, place) pairs, in order, and their :d bounds."""
+    """Report witnesses for (name, place) pairs, in order, and their :d
+    bounds, each the place's d_range."""
+    places = list(places)
     wits = [_place_json(name, pl) for name, pl in places]
-    return wits, {w["name"] + ":d": [w["d_min"], w["d_max"]] for w in wits}
+    return wits, {name + ":d": list(pl.d_range) for name, pl in places}
 
 
 def _report(job: JobSpec, verdict: str, witnesses=(), bounds=None, notes=(),
@@ -402,7 +404,7 @@ def _run_check_theorem(job: JobSpec):
 def _climb_hypotheses(job: JobSpec) -> RamHypotheses:
     p = job.params
     return RamHypotheses(m=p["m"], n=p["n"], r=p["r"], p=p["p"],
-                         d_prime_min=p.get("d_prime_min") or 0)
+                         d_prime_min=p.get("d_prime_min"))
 
 
 def _run_climb(job: JobSpec):
@@ -530,19 +532,18 @@ def _text_summary(job: JobSpec, report: dict) -> str:
         return "\n".join(lines)
     data = report["data"]
     if report["witnesses"]:
-        rows = [
-            (
+        rows = []
+        for w in report["witnesses"]:
+            lo, hi = report["bounds"][w["name"] + ":d"]
+            rows.append((
                 w["name"], str(w["e"]), str(w["f"]),
-                f"[{w['d_min']},{w['d_max']}]"
-                if w["d_exact"] is None else str(w["d_exact"]),
+                str(lo) if lo == hi else f"[{lo},{hi}]",
                 " ; ".join(
                     f"{k} @ {s if s is not None else 'inf'}"
                     + (f" -> {r}" if r is not None else "")
                     for k, s, r in w["refinement"]
                 ),
-            )
-            for w in report["witnesses"]
-        ]
+            ))
         head = ("place", "e", "f", "d", "refinement")
         widths = [
             max(len(head[c]), *(len(r[c]) for r in rows))

@@ -6,6 +6,10 @@ acts on a polynomial through its phi-expansion:
 
     V(sum c_i phi^i) = min_i ( v_P(c_i) + i*lambda ).
 
+Stage zero with key y and value 0 is the Gauss valuation, min_i v_P(c_i)
+on sum c_i y^i, and the Newton polygon of H in y at that stage is the
+first polygon of a decomposition; newton_slopes reads it like every later
+one.
 An augmentation [V, phi' -> lambda'] re-expands in a new key phi' (monic, of
 degree a multiple of deg phi) and evaluates coefficients recursively in V.
 Chains of augmentations approximate the places of K(x)[y]/(H) above P; a
@@ -213,10 +217,6 @@ class StageVal:
 
     # -- construction ----------------------------------------------------------
 
-    @classmethod
-    def stage_zero(cls, place: RatPlace, phi: YPoly, keyval, prec: _Precision) -> "StageVal":
-        return cls(place, None, phi, keyval, None, prec)
-
     def augment(self, phi_new: YPoly, keyval, psi: FFPoly) -> "StageVal":
         """MacLane augmentation with same-degree collapse.  psi is the monic
         residual of phi_new at this stage (the factor phi_new was lifted
@@ -224,7 +224,7 @@ class StageVal:
         if phi_new.degree() == self.phi.degree():
             prev = self.prev
             if prev is None:
-                return StageVal.stage_zero(self.place, phi_new, keyval, self.prec)
+                return StageVal(self.place, None, phi_new, keyval, None, self.prec)
             psi = prev.residual(phi_new).monic()
             return StageVal(self.place, prev, phi_new, keyval, psi, self.prec)
         return StageVal(self.place, self, phi_new, keyval, psi, self.prec)
@@ -249,13 +249,10 @@ class StageVal:
         """E * (v(c_i) + i * keyval) over a phi-expansion cc = (c_0, c_1, ...)
         of f = sum c_i phi^i; INF where c_i = 0 and, at an infinite stage,
         for every i > 0."""
-        n, d = self.rel_n, self.rel_d
+        n, sval = self.rel_n, self._coeff_sval
         if n is None:
-            return [self._coeff_sval(cc[0])] + [INF] * (len(cc) - 1)
-        if self.prev is None:
-            return [d * c.coeffs[0].val() + i * n if c.coeffs else INF for i, c in enumerate(cc)]
-        sval = self.prev._sval
-        return [d * sval(c) + i * n if c.coeffs else INF for i, c in enumerate(cc)]
+            return [sval(cc[0])] + [INF] * (len(cc) - 1)
+        return [sval(c) + i * n for i, c in enumerate(cc)]
 
     def _sval(self, f: YPoly):
         """E * V(f) for a local f, an int, or INF for f = 0 mod P^N; a
@@ -545,34 +542,29 @@ def decompose(place: RatPlace, H: YPoly, max_depth: int = 8):
     terminal StageVal (a Closed builds it then).  Each level is one
     refinement decision (key polynomial string, segment slope, residual
     string); a factor detected on the first polygon needs one level, each
-    recursion step adds one more.  A place cut out by y itself (infinite
+    recursion step adds one more.  The first polygon is H's polygon in y
+    at the Gauss valuation (stage zero with key y and value 0), read and
+    certified by newton_slopes like every later one; each of its finite
+    slopes starts a stage zero on y.  A place cut out by y itself (infinite
     first slope) carries the single level ("y", None, None).  The
     fundamental equality sum(E * f) = deg H is checked and a TowerlabError
     raised on violation (an engine bug, not user error).
     """
     m = H.degree()
-    field = H.field
-    y = YPoly.variable(field)
-    # the first polygon: its first point is H's lowest nonzero coefficient
-    # (an exact test), its last the leading coefficient, a unit
-    low = next(i for i, c in enumerate(H.coeffs) if not c.is_zero())
-    v_low = place.valuation(H.coeffs[low])
-    prec = _Precision(place.local(start_precision(m, v_low)))
-    # the first polygon's first point must lie below N, from any start
-    while prec.ring.N <= v_low:
-        prec.raise_past(v_low)
-    image, shift = prec.local(H)
-    if shift:
+    y = YPoly.variable(H.field)
+    low = next(c for c in H.coeffs if not c.is_zero())
+    prec = _Precision(place.local(start_precision(m, place.valuation(low))))
+    if prec.local(H)[1]:
         raise TowerlabError(f"H is not integral at {place!r}")
-    vals = {i: c.val() for i, c in enumerate(image.coeffs) if i >= low and c.c}
+    gauss = StageVal(place, None, y, 0, None, prec)
     work = []
     results = []
-    for slope, _length in slope_length_pairs(vals):
+    for slope, _length in gauss.newton_slopes(H, y):
         if slope == -INF:
-            V0 = StageVal.stage_zero(place, y, INF, prec)
+            V0 = StageVal(place, None, y, INF, None, prec)
             results.append((V0, ((y.to_str(), None, None),)))
         else:
-            work.append((StageVal.stage_zero(place, y, -slope, prec), ()))
+            work.append((StageVal(place, None, y, -slope, None, prec), ()))
     while work:
         V, levels = work.pop()
         if len(levels) >= max_depth:

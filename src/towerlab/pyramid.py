@@ -95,15 +95,15 @@ class RamHypotheses(Record):
 
     m, n, r and p are ints, p a prime.  d_prime_min is a certified lower
     bound for the different exponent d(Q'|P_{f(x)}) of the wild place; its
-    default 0 means "use r".  Wild ramification already forces d >= e = r,
-    so values below r are rejected rather than silently used.
+    default None means "use r".  Wild ramification already forces d >= e = r,
+    so values below r, 0 among them, are rejected rather than silently used.
     """
 
     __slots__ = ("m", "n", "r", "p", "d_prime_min")
-    _defaults = {"d_prime_min": 0}
+    _defaults = {"d_prime_min": None}
 
     def __post_init__(self):
-        if self.d_prime_min == 0:
+        if self.d_prime_min is None:
             object.__setattr__(self, "d_prime_min", self.r)
         prime = is_prime(self.p)
         checks = [

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import towerlab.ffield as ffield
-from towerlab import basicfield, cli, pyramid
+from towerlab import basicfield, checker, cli, pyramid
 from towerlab.checker import FAMILY_MAX_Q, FamilyParams, InvalidParams
 from towerlab.cli import ParseError, parse_elem, parse_poly, parse_unipoly
 from towerlab.ffield import FFPoly
@@ -460,6 +460,14 @@ def test_climb_refuses_a_composite_characteristic(p):
 CLIMB = ["climb", "--m", "3", "--n", "1", "--r", "2", "--p", "2", "--levels"]
 
 
+@pytest.mark.parametrize("d", ["0", "1"])
+def test_climb_refuses_a_d_prime_min_below_r(d):
+    code, rep = run_json(CLIMB + ["1", "--d-prime-min", d, "--json"])
+    assert code == 2
+    assert rep["error"] == {"type": "InvalidHypotheses", "message": "hypothesis violated: d_prime_min >= r"}
+    assert rep["job"]["d_prime_min"] == int(d)
+
+
 def test_climb_refuses_levels_whose_numbers_pass_the_int_string_limit():
     code, rep = run_json(CLIMB + ["9100", "--json"])
     assert code == 2 and rep["error"]["type"] == "InvalidOption"
@@ -523,6 +531,27 @@ def test_analyze_over_an_18_digit_prime_field_finishes():
     )
     assert proc.returncode in (0, 2)
     assert json.loads(proc.stdout)["job"]["p"] == 10**18 + 9
+
+
+def test_a_witness_d_bound_and_text_column_are_its_d_range(monkeypatch):
+    # the q = 2 family's wild witness has the window [2, 6]; once its d is
+    # known, the :d bound and the text column show that d, not the window
+    found = checker.places_above
+
+    def exact_wild(F, P, side="x", max_depth=8):
+        return [pl.replace(d_exact=4) if pl.d_exact is None else pl
+                for pl in found(F, P, side, max_depth)]
+
+    monkeypatch.setattr(checker, "places_above", exact_wild)
+    argv = ["check-theorem", "--p", "2", "--F", FAM, "--f", "x"]
+    code, rep = run_json(argv + ["--json"])
+    assert code == 0
+    wild = next(w for w in rep["witnesses"] if w["name"] == "Q_wild")
+    assert (wild["d_min"], wild["d_max"], wild["d_exact"]) == (2, 6, 4)
+    assert rep["bounds"]["Q_wild:d"] == [4, 4]
+    code, out = run_cli(argv)
+    row = next(line.split() for line in out.splitlines() if line.startswith("  Q_wild"))
+    assert row[3] == "4"
 
 
 def test_text_mode_summary():

@@ -16,9 +16,10 @@ from towerlab.basicfield import ramification_locus
 from towerlab.cli import parse_poly
 from towerlab.errors import TowerlabError
 from towerlab.ffield import BivarPoly, make_field, resultant_y
-from towerlab.omfactor import Inseparable, maclane, monic_integral_model, places_above
-from towerlab.omfactor.places import curve_monic
-from towerlab.ratfunc import RatFunc, RatPlace
+from towerlab.omfactor import (Inseparable, YPoly, maclane, monic_integral_model, places_above,
+                               slope_length_pairs)
+from towerlab.omfactor.places import curve_monic, separability_defect
+from towerlab.ratfunc import RatFunc, RatPlace, finite_places_of_degree
 from helpers import F2, F3, F4, bivar, cli_report_curves, family_F, family_curves, sweep_pool, unipoly
 
 INF = math.inf
@@ -154,10 +155,47 @@ def test_an_integral_model_with_too_small_a_shift_is_refused():
         P.local(4).embed(-1, [1])
 
 
-# -- the norm identity -------------------------------------------------------------
+# -- the first polygon ---------------------------------------------------------------
 
 SMALL = [make_field(2), make_field(3), make_field(2, 2), make_field(5)]
 
+
+@st.composite
+def _squarefree_models(draw):
+    """(P, H): H = monic_integral_model(F, P)[0] for F over GF(2), GF(3),
+    GF(4) or GF(5) of y-degree 1 to 4 and x-degree at most 4, squarefree and
+    separable in y, with F(x, 0) = 0 about a third of the time; P is x, a
+    place of degree 2 or infinity."""
+    K = draw(st.sampled_from(SMALL))
+    coeff = st.lists(st.integers(0, K.order - 1), max_size=5)
+    cols = [draw(coeff) for _ in range(draw(st.integers(1, 4)))] + [draw(coeff.filter(any))]
+    if draw(st.integers(0, 2)) == 0:
+        cols[0] = []
+    F = BivarPoly(K, cols)
+    assume(separability_defect(F) is None)
+    quadratics = finite_places_of_degree(K, 2)
+    P = draw(st.sampled_from([RatPlace.finite(unipoly(K, [0, 1])), RatPlace.infinity(K),
+                              *quadratics[:3]]))
+    return P, monic_integral_model(F, P)[0]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(model=_squarefree_models())
+def test_the_first_polygon_is_the_gauss_stages_polygon_in_y(model):
+    # stage zero with key y and value 0 is the Gauss valuation: its
+    # certified polygon of H in y is the polygon of the exact values
+    # v_P(H_i), from the start precision and from N = 1 alike
+    P, H = model
+    want = slope_length_pairs({i: P.valuation(c) for i, c in enumerate(H.coeffs)})
+    y = YPoly.variable(H.field)
+    low = next(P.valuation(c) for c in H.coeffs if not c.is_zero())
+    for N in (maclane.start_precision(H.degree(), low), 1):
+        gauss = maclane.StageVal(P, None, y, 0, None, maclane._Precision(P.local(N)))
+        assert gauss.newton_slopes(H, y) == want
+
+
+# -- the norm identity -------------------------------------------------------------
 
 @st.composite
 def _curves(draw):

@@ -20,6 +20,7 @@ H = RamHypotheses(m=3, n=1, r=2, p=2)
 
 def test_hypotheses_defaults():
     assert H.d_prime_min == 2  # defaults to the wild floor r
+    assert RamHypotheses(m=3, n=1, r=2, p=2, d_prime_min=None) == H
     h2 = RamHypotheses(m=3, n=1, r=2, p=2, d_prime_min=5)
     assert h2.d_prime_min == 5
 
@@ -38,6 +39,7 @@ def test_hypotheses_defaults():
         dict(m=3, n=1, r=3, p=3),  # gcd(r, m) != 1
         dict(m=3, n=1, r=2, p=5),  # r not divisible by p
         dict(m=3, n=1, r=2, p=2, d_prime_min=1),  # below the wild floor
+        dict(m=3, n=1, r=2, p=2, d_prime_min=0),  # 0 is a value, not "use r"
     ],
 )
 def test_hypotheses_validation(kwargs):
