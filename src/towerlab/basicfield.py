@@ -149,11 +149,10 @@ def _constant_field_is_base(rt: RamTable) -> bool:
     """gcd of absolute residue degrees hitting 1 certifies that the full
     constant field is the base field."""
     g = 0
-    for P, pls in rt.rows:
-        for pl in pls:
-            g = math.gcd(g, pl.f * P.degree())
-            if g == 1:
-                return True
+    for pl in rt.all_places():
+        g = math.gcd(g, pl.residue_degree_abs())
+        if g == 1:
+            return True
     # places outside the locus split etale: their residual factor degrees
     # are residue degrees too
     F = rt.F
@@ -271,7 +270,7 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
     q = field.order
     kmax = max(2 * g_cap, 1)
     locus_data = [
-        ([pl.f * P.degree() for pl in pls], P.poly)
+        ([pl.residue_degree_abs() for pl in pls], P.poly)
         for P, pls in (ram_table(F) if table is None else table).rows
     ]
     S = {k: _point_count(F, k, locus_data) for k in range(1, kmax + 1)}
@@ -329,8 +328,6 @@ def reconcile_different(rt: RamTable, oracle_genus: int) -> RamTable:
     if len(missing) > 1:
         raise InconsistentOracle("more than one wild place lacks an exact different")
     gap = missing[0]
-    if not any(pl is gap for pl in rt.all_places()):
-        raise InconsistentOracle("missing place not in its own table")
     # the other places add lo - g_lo * w_gap to the target, the gap d * w_gap
     g_lo, g_hi = gap.d_range
     w_gap = gap.residue_degree_abs()

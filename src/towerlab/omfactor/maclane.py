@@ -242,7 +242,7 @@ class StageVal:
         if not c.coeffs:
             return INF
         if self.prev is None:
-            return self.rel_d * c.coeffs[0].val()
+            return self.rel_d * c.field.val(c.coeffs[0])
         return self.rel_d * self.prev._sval(c)
 
     def _terms(self, cc: tuple) -> list:
@@ -332,7 +332,7 @@ class StageVal:
                 raise TowerlabError("expansion index off the value lattice")
             m = (i - i0) // d
             if self.prev is None:
-                coeff_map[m] = c.coeffs[0].unit()
+                coeff_map[m] = c.field.unit(c.coeffs[0])
             else:
                 c1, i1, j1, _ = self.prev._reduce(c)
                 cconst, mm = self.graded_map(c1, i1, j1)

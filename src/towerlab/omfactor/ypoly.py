@@ -1,10 +1,11 @@
 """Polynomials in y over GF(q)(x), and over the local rings O_P/P^N.
 
-A YPoly's coefficients are RatFuncs or ratfunc.LocalElems (O_P/P^N, one
-LocalRing, which then is the polynomial's `field`); `local` converts the
-first kind into the second.  Division and the phi-adic expansion use only
-subtraction, multiplication, is_zero and is_one of the coefficients, so
-they are one code path for both.
+A YPoly's coefficients are RatFuncs or elements of O_P/P^N, the plain
+coefficient tuples of one ratfunc.LocalRing, which then is the polynomial's
+`field`; `local` converts the first kind into the second.  Division and the
+phi-adic expansion take the coefficient ring's mul and sub (the LocalRing's
+own methods, or RatFunc's operators) and test a coefficient for zero with
+`not c`, so they are one code path for both; a local divisor must be monic.
 
 Division runs on coefficient lists (`_divmod_coeffs`): the leading term of
 each step is known to cancel and is never computed, and a monic divisor, as
@@ -23,43 +24,43 @@ from __future__ import annotations
 import operator
 
 from ..ffield import BivarPoly, FFPoly, FiniteField, _power, _sum_text
-from ..ratfunc import LocalElem, RatFunc
+from ..ratfunc import LocalRing, RatFunc
 
 
 def _trimmed(cs: list) -> tuple:
-    while cs and cs[-1].is_zero():
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
-def _divmod_coeffs(a, b: tuple) -> tuple[list, list]:
+def _divmod_coeffs(a, b: tuple, mul, sub, inv=None) -> tuple[list, list]:
     """Quotient and remainder lists of a by b (coefficient sequences,
-    low-to-high, b trimmed and nonzero).  The remainder has len(b) - 1
-    entries, untrimmed; the quotient is trimmed when a is."""
+    low-to-high, b trimmed and nonzero) in the coefficient ring of mul and
+    sub; inv is the inverse of b's leading coefficient, None when that is
+    one.  The remainder has len(b) - 1 entries, untrimmed; the quotient is
+    trimmed when a is."""
     m = len(b) - 1
     rem = list(a)
     if len(rem) <= m:
         return [], rem
-    lc = b[m]
-    inv = None if lc.is_one() else lc.inverse()
-    low = [(j, c) for j, c in enumerate(b[:m]) if not c.is_zero()]
+    low = [(j, c) for j, c in enumerate(b[:m]) if c]
     q = [None] * (len(rem) - m)
     for i in range(len(q) - 1, -1, -1):
-        # rem[i + m] cancels against t * lc; it is never read again
+        # rem[i + m] cancels against t * b[m]; it is never read again
         t = rem[i + m]
-        if not t.is_zero():
+        if t:
             if inv is not None:
-                t = t * inv
+                t = mul(t, inv)
             for j, c in low:
-                rem[i + j] = rem[i + j] - t * c
+                rem[i + j] = sub(rem[i + j], mul(t, c))
         q[i] = t
     return q, rem[:m]
 
 
 class YPoly:
     """Dense polynomial in y, low-to-high, trimmed: RatFunc coefficients over
-    the constant field `field`, or LocalElem ones over the LocalRing
-    `field` (made by `local`)."""
+    the constant field `field`, or tuple ones over the LocalRing `field`
+    (made by `local`)."""
 
     __slots__ = ("field", "coeffs", "_expansions", "_hash")
 
@@ -97,6 +98,14 @@ class YPoly:
     @classmethod
     def variable(cls, field: FiniteField) -> "YPoly":
         return cls(field, [RatFunc.const(field, 0), RatFunc.const(field, 1)])
+
+    def _ring(self) -> tuple:
+        """(mul, sub, one) of the coefficients: the LocalRing's own methods
+        and its one (1,), or RatFunc's operators and 1."""
+        F = self.field
+        if isinstance(F, LocalRing):
+            return F.mul, F.sub, (1,)
+        return operator.mul, operator.sub, RatFunc.const(F, 1)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -183,7 +192,10 @@ class YPoly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        q, r = _divmod_coeffs(self.coeffs, other.coeffs)
+        mul, sub, one = self._ring()
+        lc = other.lc()
+        inv = None if lc == one else lc.inverse()
+        q, r = _divmod_coeffs(self.coeffs, other.coeffs, mul, sub, inv)
         return YPoly._of(self.field, tuple(q)), YPoly._of(self.field, _trimmed(r))
 
     def __mod__(self, other):
@@ -200,19 +212,20 @@ class YPoly:
         (without that, a warm sweep pass takes 10-30% more CPU, 29/30 and 12/14 pairs)."""
         memo = phi._expansions
         if memo is None:
-            if phi.degree() < 1 or not phi.lc().is_one():
+            if phi.degree() < 1 or phi.lc() != phi._ring()[2]:
                 raise ValueError("expansion base must be monic and nonconstant")
             memo = phi._expansions = {}
         out = memo.get(self)
         if out is None:
             cs = self.coeffs
-            if len(phi.coeffs) == 2 and phi.coeffs[0].is_zero():
+            if len(phi.coeffs) == 2 and not phi.coeffs[0]:
                 # phi = y, digits are coefficients: family --q 1024 +11-27% CPU without (20/20, 8/10 pairs)
-                digits = [YPoly._of(self.field, () if c.is_zero() else (c,)) for c in cs]
+                digits = [YPoly._of(self.field, (c,) if c else ()) for c in cs]
             else:
+                mul, sub, _ = self._ring()
                 digits = []
                 while cs:
-                    cs, r = _divmod_coeffs(cs, phi.coeffs)
+                    cs, r = _divmod_coeffs(cs, phi.coeffs, mul, sub)
                     digits.append(YPoly._of(self.field, _trimmed(r)))
             out = memo[self] = tuple(digits) if digits else (self,)
         return out
@@ -221,9 +234,9 @@ class YPoly:
         """(g, s) for an exact polynomial and ring = O_P/P^N: s >= 0 is the
         least shift that makes P^s * self P-integral, and g the image of
         P^s * self in O_P/P^N[y]."""
-        parts = [None if c.is_zero() else ring.split(c) for c in self.coeffs]
+        parts = [ring.split(c) if c else None for c in self.coeffs]
         s = max([0] + [-p[0] for p in parts if p is not None])
-        cs = [LocalElem(ring, ()) if p is None else ring.embed(p[0] + s, p[1]) for p in parts]
+        cs = [() if p is None else ring.embed(p[0] + s, p[1]) for p in parts]
         return YPoly._of(ring, _trimmed(cs)), s
 
     def subst_scaled(self, s: RatFunc) -> "YPoly":

@@ -25,13 +25,15 @@ RatFunc is the exact, cold side of the engine.
 valuations, unit residues and the local ring's conversions all read it.
 
 `RatPlace.local(N)` is the ring O_P/P^N, and `LocalRing.split` is the one
-conversion of a RatFunc into it.  At a place of degree 1 and at infinity an
-element is a power series in t = x - a or t = 1/x cut after t^(N-1): its
-valuation is the index of the first nonzero coefficient, its unit residue
-that coefficient, and a product needs no gcd.  At a place of degree d >= 2
-an element is a polynomial in x reduced mod P^N, so the arithmetic stays
-over K and never enters the residue field GF(q^d); its valuation strips P
-by division.  The zero element stands for "value >= N".
+conversion of a RatFunc into it.  An element is a plain coefficient tuple,
+and the ring does all its arithmetic (mul, sub), valuation (val) and unit
+residue (unit).  At a place of degree 1 and at infinity an element is a
+power series in t = x - a or t = 1/x cut after t^(N-1): its valuation is
+the index of the first nonzero coefficient, its unit residue that
+coefficient, and a product needs no gcd.  At a place of degree d >= 2 an
+element is a polynomial in x reduced mod P^N, so the arithmetic stays over
+K and never enters the residue field GF(q^d); its valuation strips P by
+division.  The zero element () stands for "value >= N".
 """
 
 from __future__ import annotations
@@ -113,6 +115,10 @@ class RatFunc:
 
     def is_one(self) -> bool:
         return self.num.ints == [1] and self.den.ints == [1]
+
+    def __bool__(self) -> bool:
+        # so that `not c` is the zero test of a YPoly coefficient, RatFunc or tuple
+        return bool(self.num.ints)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -392,11 +398,12 @@ class LocalRing:
     trimmed coefficient tuples: in t, of length <= N, at a place of degree 1
     or infinity (the series form); in x, of degree < N deg P, otherwise."""
 
-    __slots__ = ("place", "N", "field", "_mod", "_dens")
+    __slots__ = ("place", "N", "field", "_mod", "_dens", "_leads")
 
     def __init__(self, place: RatPlace, N: int):
         self.place, self.N, self.field = place, N, place.field
         self._dens = {}  # den -> (valuation, unit inverse); sweep +1-2% CPU without (63/100 pairs)
+        self._leads = {}  # element -> _lead(element); sweep +8-15% CPU without (8/10, 10/12 pairs)
         P = place.poly
         self._mod = None if P is None or P.degree() == 1 else (P**N).ints
 
@@ -422,25 +429,28 @@ class LocalRing:
             inv = self._dens[key] = (w, self._inverse(d))
         return v - inv[0], self.mul(u, inv[1])
 
-    def embed(self, v: int, u: list[int]) -> "LocalElem":
+    def embed(self, v: int, u: list[int]) -> tuple:
         """The element t^v * u (P^v * u) for v >= 0."""
         if v < 0:
             raise TowerlabError(f"an element of negative value {v} is not in O_P at {self.place!r}")
         if v >= self.N:
-            return LocalElem(self, ())
+            return ()
         if self._mod is None:
-            return LocalElem(self, tuple(_trim(([0] * v + list(u))[: self.N])))
+            return tuple(_trim(([0] * v + list(u))[: self.N]))
         if v:
             u = _pmul(self.field, (self.place.poly**v).ints, u)
-        return LocalElem(self, self._reduce(u))
+        return self._reduce(u)
 
     def _reduce(self, a: list[int]) -> tuple:
         if self._mod is None:
             return tuple(_trim(a[: self.N]) if len(a) > self.N else a)
         return tuple(_pdivmod(self.field, a, self._mod)[1])
 
-    def mul(self, a, b) -> tuple:
+    def mul(self, a: tuple, b: tuple) -> tuple:
         return self._reduce(_pmul(self.field, a, b))
+
+    def sub(self, a: tuple, b: tuple) -> tuple:
+        return tuple(_psub(self.field, a, b))
 
     def _inverse(self, u: list[int]) -> list[int]:
         """1/u mod P^N for a unit u."""
@@ -451,65 +461,32 @@ class LocalRing:
             return _pxgcd(F, u, self._mod)[1]
         return _pseries_inv(F, u, self.N)
 
-    def lead(self, a: tuple) -> tuple:
+    def _lead(self, a: tuple) -> tuple:
         """(v, r) for a nonzero element a = t^v * u (P^v * u): its valuation,
-        below N, and its leading unit in the form residue() reads (the
+        below N, and its leading unit in the form unit() reads (the
         coefficient u(0), or u itself at a place of degree >= 2)."""
-        if self._mod is not None:
-            return self.place.split(a, 1)
-        v = 0
-        while not a[v]:
-            v += 1
-        return v, a[v]
+        out = self._leads.get(a)
+        if out is None:
+            if self._mod is not None:
+                out = self.place.split(a, 1)
+            else:
+                v = 0
+                while not a[v]:
+                    v += 1
+                out = v, a[v]
+            self._leads[a] = out
+        return out
 
-    def residue(self, r) -> FFElem:
+    def val(self, a: tuple):
+        """The valuation of a: below N, or INF for ()."""
+        return self._lead(a)[0] if a else INF
+
+    def unit(self, a: tuple) -> FFElem:
+        """The residue of a * t^(-v) (a * P^(-v)) for a nonzero a of value v."""
+        r = self._lead(a)[1]
         if self._mod is not None:
             return self.place._residue_of(r)
         return FFElem(self.field, r)
-
-
-class LocalElem:
-    """An element of a LocalRing: its ring, its coefficient tuple c, and its
-    valuation once asked for."""
-
-    __slots__ = ("ring", "c", "_lead")
-
-    def __init__(self, ring: LocalRing, c: tuple):
-        self.ring = ring
-        self.c = c
-        self._lead = None  # sweep +5-14% CPU without (22/30, 11/14, 12/16 pairs), family --q 211 even
-
-    def val(self):
-        """The valuation: below N, or INF for zero."""
-        if not self.c:
-            return INF
-        if self._lead is None:
-            self._lead = self.ring.lead(self.c)
-        return self._lead[0]
-
-    def unit(self) -> FFElem:
-        """The residue of self * t^(-v) for nonzero self."""
-        if self._lead is None:
-            self._lead = self.ring.lead(self.c)
-        return self.ring.residue(self._lead[1])
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def is_one(self) -> bool:
-        return self.c == (1,)
-
-    def __sub__(self, other: "LocalElem") -> "LocalElem":
-        return LocalElem(self.ring, tuple(_psub(self.ring.field, self.c, other.c)))
-
-    def __mul__(self, other: "LocalElem") -> "LocalElem":
-        return LocalElem(self.ring, self.ring.mul(self.c, other.c))
-
-    def __eq__(self, other):
-        return isinstance(other, LocalElem) and other.c == self.c
-
-    def __hash__(self):
-        return hash(self.c)
 
 
 def finite_places_of_degree(field: FiniteField, d: int) -> list[RatPlace]:

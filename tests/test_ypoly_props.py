@@ -4,7 +4,10 @@ division of YPoly, and canonical form of RatFunc arithmetic.
 f ranges over K(x)[y] with coefficients that are often true fractions, phi
 over monic polynomials of degree 1-3, on GF(2), GF(4) and GF(5).  The
 expansion is checked against its defining properties, which determine it
-uniquely: sum c_i phi^i = f with deg c_i < deg phi.
+uniquely: sum c_i phi^i = f with deg c_i < deg phi.  In O_P/P^N, at place(x),
+a place of degree 2 and infinity, the expansion of a P-integral f's image
+in a monic P-integral key's image is checked against the images of f's
+exact digits, and the ring's valuation against the exact one.
 """
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from towerlab.cli import _Parser
 from towerlab.ffield import BivarPoly, FFPoly, make_field, poly_gcd
 from towerlab.omfactor import YPoly
-from towerlab.ratfunc import RatFunc
+from towerlab.ratfunc import RatFunc, RatPlace, finite_places_of_degree
 
 FIELDS = {"GF(2)": (2, 1), "GF(4)": (2, 2), "GF(5)": (5, 1)}
 
@@ -113,6 +116,53 @@ def test_ratfunc_arithmetic_is_canonical(case):
     for op, (got, want) in built.items():
         assert _is_canonical(got), op
         assert (got.num, got.den) == (want.num, want.den), op
+
+
+@st.composite
+def _local_case(draw):
+    """(place, N, f, phi): f and the monic phi (of degree 1 or 2) P-integral
+    over K(x), their coefficients of value 0 to about 6 at the place."""
+    F = make_field(*FIELDS[draw(st.sampled_from(sorted(FIELDS)))])
+    place = draw(st.one_of(
+        st.just(RatPlace.finite(FFPoly(F, [0, 1]))),
+        st.sampled_from(finite_places_of_degree(F, 2)),
+        st.just(RatPlace.infinity(F)),
+    ))
+
+    def integral(r, k):
+        return r if r.is_zero() else place.scaled(r, k - min(0, place.valuation(r)))
+
+    coeffs = st.builds(integral, _ratfuncs(F), st.integers(0, 3))
+    f = YPoly(F, draw(st.lists(coeffs, max_size=7)))
+    phi = YPoly(F, draw(st.lists(coeffs, min_size=1, max_size=2)) + [RatFunc.const(F, 1)])
+    return place, draw(st.integers(1, 6)), f, phi
+
+
+@SETTINGS
+@given(_local_case())
+def test_the_local_expansion_is_the_image_of_the_exact_one(case):
+    place, N, f, phi = case
+    ring = place.local(N)
+    (g, s), (key, t) = f.local(ring), phi.local(ring)
+    assert s == t == 0
+    exact = f.expand_in(phi)
+    got = list(g.expand_in(key))
+    want = [c.local(ring)[0] for c in exact]
+    # top digits may vanish mod P^N, and the expansion of 0 is (0,)
+    for digits in (got, want):
+        while digits and digits[-1].is_zero():
+            digits.pop()
+    assert got == want
+    assert all(type(a) is tuple for d in got for a in d.coeffs)
+    for i, c in enumerate(exact):
+        image = got[i].coeffs if i < len(got) else ()
+        for j, r in enumerate(c.coeffs):
+            a = image[j] if j < len(image) else ()
+            v = place.valuation(r)
+            if v < N:
+                assert ring.val(a) == v
+            else:
+                assert a == ()
 
 
 def _read_back(text, F):
