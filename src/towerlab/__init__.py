@@ -27,6 +27,7 @@ from .ffield import (
     BivarPoly,
     NotPrime,
     NoEmbedding,
+    BudgetExceeded,
     make_field,
     embed,
     qth_root,
@@ -91,6 +92,7 @@ __all__ = [
     "BivarPoly",
     "NotPrime",
     "NoEmbedding",
+    "BudgetExceeded",
     "make_field",
     "embed",
     "qth_root",

@@ -48,7 +48,8 @@ deterministic:
   FLINT's fq_zech, fq_poly and nmod_poly and Shoup's NTL.
 * Factorization runs on the coefficient lists: squarefree decomposition,
   then distinct-degree factorization (`_ddf`, a lazy generator), then
-  Cantor-Zassenhaus with an explicit RNG seed; the same (polynomial, seed)
+  Cantor-Zassenhaus with an explicit RNG seed, refused (BudgetExceeded)
+  before a split predicted past WORK_BUDGET; the same (polynomial, seed)
   pair always yields the same factor list, sorted by (degree, coefficient
   encoding).  Ben-Or's irreducibility test is the first step of `_ddf`: f
   of degree n is irreducible iff the first factor it splits off has
@@ -98,6 +99,16 @@ class InvalidDegree(TowerlabError, ValueError):
 class NoEmbedding(TowerlabError):
     """Raised when no field homomorphism exists (different p, or k1 does not
     divide k2)."""
+
+
+#: The most work an equal-degree split of degree n into factors of degree d
+#: over GF(Q) may be predicted to take, as n^2 * d * bitlen(Q).  The tests and
+#: benchmark workloads predict at most 10,935; u^512 + 1 over GF(5), 2.0e8.
+WORK_BUDGET = 10**7
+
+
+class BudgetExceeded(TowerlabError):
+    """Raised before a kernel whose predicted work passes WORK_BUDGET."""
 
 
 #: Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -715,6 +726,8 @@ def qth_root(b: FFElem, q: int) -> FFElem:
 # they never mutate a list they did not create, and may return an input
 # unchanged.  They run on F's int arithmetic, except that _pmul and _pdivmod
 # run a prime field on plain ints reduced mod p once per output coefficient.
+# _pmul(F, a, b, n) is the product cut below x^n, as a power series ring
+# (ratfunc.LocalRing) multiplies: no coefficient at or past x^n is formed.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -756,30 +769,36 @@ def _pderiv(F: FiniteField, a: list[int]) -> list[int]:
     return _trim([mul(c, i % p) for i, c in enumerate(a) if i])
 
 
-def _pmul(F: FiniteField, a: list[int], b: list[int]) -> list[int]:
+def _pmul(F: FiniteField, a: list[int], b: list[int], n: int | None = None) -> list[int]:
+    """a*b; with n given, only its coefficients below x^n, trimmed."""
     if not a or not b:
         return []
+    full = len(a) + len(b) - 1
+    n = full if n is None else min(n, full)
+    cut = n < full
     if len(a) == 1:
-        return _pscale(F, b, a[0])
-    if len(b) == 1:
-        return _pscale(F, a, b[0])
-    out = [0] * (len(a) + len(b) - 1)
-    if F.k == 1:  # and _pdivmod's: Kronecker costs a sweep pass 8-15% more (25/30, 13/14 pairs)
-        for i, ai in enumerate(a):
+        out = _pscale(F, b, a[0])
+    elif len(b) == 1:
+        out = _pscale(F, a, b[0])
+    elif F.k == 1:  # and _pdivmod's: Kronecker costs a sweep pass 8-15% more (25/30, 13/14 pairs)
+        out = [0] * n
+        for i, ai in enumerate(a[:n] if cut else a):
             if ai:
-                for j, bj in enumerate(b, i):
+                for j, bj in enumerate(b[: n - i] if cut else b, i):
                     out[j] += ai * bj
         p = F.p
-        return [c % p for c in out]
-    if type(F) is _ExtensionField:
-        return _kron_mul(F, a, b)
-    mul, add = F._mul, F._add
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                if bj:
-                    out[j] = add(out[j], mul(ai, bj))
-    return out
+        out = [c % p for c in out]
+    elif type(F) is _ExtensionField:
+        out = _kron_mul(F, a, b, n)
+    else:
+        out = [0] * n
+        mul, add = F._mul, F._add
+        for i, ai in enumerate(a[:n] if cut else a):
+            if ai:
+                for j, bj in enumerate(b[: n - i] if cut else b, i):
+                    if bj:
+                        out[j] = add(out[j], mul(ai, bj))
+    return _trim(out[:n]) if cut else out
 
 
 def _pdivmod(F: FiniteField, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -834,17 +853,17 @@ def _kron_pack(F: _ExtensionField, a: list[int], s: int, W: int) -> int:
     return out
 
 
-def _kron_mul(F: _ExtensionField, a: list[int], b: list[int]) -> list[int]:
-    """a*b by Kronecker substitution: one big-int product, then each output
-    coefficient folded and unpacked once.  A coefficient sums at most
-    min(len a, len b) products."""
+def _kron_mul(F: _ExtensionField, a: list[int], b: list[int], n: int) -> list[int]:
+    """The first n coefficients of a*b by Kronecker substitution: one big-int
+    product, then each of those coefficients folded and unpacked once.  A
+    coefficient sums at most min(len a, len b) products."""
     s = F._poly_slot(min(len(a), len(b)))
     W = (2 * F.k - 1) * s
     c = _kron_pack(F, a, s, W) * _kron_pack(F, b, s, W)
     fold, unpack = F._fold, F._unpack
     red, mask = F._packed_red(s), (1 << W) - 1
     out = []
-    for _ in range(len(a) + len(b) - 1):
+    for _ in range(n):
         out.append(unpack(fold(c & mask, s, red), s))
         c >>= W
     return out
@@ -1216,37 +1235,39 @@ def _squarefree_decomposition(F: FiniteField, f: list[int]) -> list[tuple[int, l
     """[(m_i, g_i)] with the monic f = prod g_i^{m_i}, each g_i monic
     squarefree, m_i distinct, sorted by m_i.
 
-    A factor x^v is read off the v low zero coefficients before the loop,
-    which would otherwise spend v rounds of divisions on it."""
+    Yun's algorithm on (f, f'), with f = A * C^p and A keeping each factor's
+    multiplicity mod p: f'/f = A'/A, so each step splits off A's factors of
+    one multiplicity within A's squarefree part w.  C, the p-th root of f/A,
+    is decomposed alike; its groups, multiplicities times p, split A's by gcd."""
     p = F.p
-    v = 0
-    while not f[v]:
-        v += 1
-    out: dict[int, list[int]] = {v: [0, 1]} if v else {}
-    f = f[v:]
-    e = 1
-    while len(f) > 1:
-        fp = _pderiv(F, f)
-        if not fp:
-            f = _pth_root(F, f)
-            e *= p
-            continue
-        g = _pgcd(F, f, fp)
-        w = _pdivmod(F, f, g)[0]
-        i = 1
-        while len(w) > 1:
-            y = _pgcd(F, w, g)
-            z = _pdivmod(F, w, y)[0]
-            if len(z) > 1:
-                key = i * e
-                out[key] = _pmul(F, out[key], z) if key in out else z
-            w = y
-            g = _pdivmod(F, g, y)[0]
-            i += 1
-        if len(g) == 1:
-            break
-        f = _pth_root(F, g)
-        e *= p
+    groups = {}  # multiplicity in A -> the product of those factors
+    A = [1]
+    df = _pderiv(F, f)
+    u = _pgcd(F, f, df)
+    w = _pdivmod(F, f, u)[0]
+    d = _psub(F, _pdivmod(F, df, u)[0], _pderiv(F, w))
+    i = 1
+    while len(w) > 1:
+        g = _pgcd(F, w, d)
+        if len(g) > 1:
+            groups[i] = g
+            A = _pmul(F, A, _power(lambda a, b: _pmul(F, a, b), g, i, [1]))
+            w = _pdivmod(F, w, g)[0]
+            d = _pdivmod(F, d, g)[0]
+        d = _psub(F, d, _pderiv(F, w))
+        i += 1
+    out = {}
+    C = _pdivmod(F, f, A)[0]
+    for m, h in _squarefree_decomposition(F, _pth_root(F, C)) if len(C) > 1 else ():
+        for i, g in groups.items():
+            common = _pgcd(F, h, g)
+            if len(common) > 1:
+                out[p * m + i] = common
+                h = _pdivmod(F, h, common)[0]
+                groups[i] = _pdivmod(F, g, common)[0]
+        if len(h) > 1:
+            out[p * m] = h
+    out.update((i, g) for i, g in groups.items() if len(g) > 1)
     return sorted(out.items())
 
 
@@ -1302,6 +1323,10 @@ def _equal_degree_split(F: FiniteField, f: list[int], d: int, rng: random.Random
     n = len(f) - 1
     if n == d:
         return [f]
+    cost = n * n * d * F.order.bit_length()
+    if cost > WORK_BUDGET:
+        raise BudgetExceeded(f"equal-degree split of degree {n} into factors of degree {d} over "
+                             f"GF({F.order}): predicted work {cost} passes the budget {WORK_BUDGET}")
     while True:
         g = _split_gcd(F, _random_poly(F, n, rng), f, d)
         if 0 < len(g) - 1 < n:

@@ -8,8 +8,9 @@ keeps its degree and is squarefree, certifies it; without one a nonzero
 discriminant Res_y(F, F_y) does), then Musser's degree
 analysis (another cheap certificate), and finally a complete
 factor-reconstruction test: factor F(xi, y) at a good point x = xi,
-Hensel-lift the factorization (xi+t)-adically, and try to reconstruct a
-true factor from every subset of the lifted factors with exact trial
+Hensel-lift the factorization to O_P/P^N[y], P = x - xi (the
+ratfunc.LocalRing the MacLane engine computes in), and try to reconstruct
+a true factor from every subset of the lifted factors with exact trial
 division.  No subset reconstructs a factor iff F is irreducible.  Every
 fibre F(xi, y) comes from `places.good_points`, so no step here evaluates
 a fibre or checks that it is squarefree.
@@ -26,25 +27,25 @@ point in GF(q), the first one of the smallest extension that has one is used.
 
 The test does not always decide.  `_reconstruct_subsets` raises
 TowerlabError when F(xi, y) has more than 16 modular factors (the subset
-search would be exponential), and `_find_specialization` raises it when no
-good point exists in the extensions it tries.  The CLI treats such a raise
-as undecided: it does not refuse F, and leaves it to the engine, whose
-exact genus check still catches a reducible F.
+search would be exponential) or its factoring passes ffield.WORK_BUDGET,
+and `_find_specialization` raises it when no good point exists in the
+extensions it tries.  The CLI treats such a raise as undecided: it does
+not refuse F, and leaves it to the engine, whose exact genus check still
+catches a reducible F.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from ..errors import TowerlabError
 from ..ffield import (
     FFElem,
     FFPoly,
-    FiniteField,
     BivarPoly,
     _ddf,
     _embed_ints,
-    _pseries_inv,
     _ptaylor,
     _pxgcd,
     make_field,
@@ -75,69 +76,38 @@ def _rat_pth_power(r: RatFunc) -> bool:
     return r.num.derivative().is_zero() and r.den.derivative().is_zero()
 
 
-def _taylor_shift(c: FFPoly, target: FiniteField, a: FFElem) -> FFPoly:
-    """c(t + a) as a polynomial in t over target (coefficients embedded)."""
-    if c.is_zero():
-        return c.map_field(target)
-    v, u = _ptaylor(target, c.map_field(target).ints, a.v, c.degree() + 1)
-    return FFPoly._of(target, [0] * v + u)
-
-
-def _trunc(f: FFPoly, N: int) -> FFPoly:
-    if f.degree() < N:
-        return f
-    return FFPoly(f.field, f.ints[:N])
-
-
-def _trunc_t(F: BivarPoly, N: int) -> BivarPoly:
-    """F(t, y) mod t^N: every y-coefficient truncated."""
-    return BivarPoly(F.field, [_trunc(c, N) for c in F.ycoeffs])
-
-
-def _times_tk(g: FFPoly, k: int) -> BivarPoly:
-    """t^k * g(y) for a polynomial g in y."""
-    return BivarPoly(g.field, [[0] * k + [c] for c in g.ints])
-
-
-def _hensel_pair(F: BivarPoly, G0: FFPoly, H0: FFPoly, N: int) -> tuple[BivarPoly, BivarPoly]:
-    """F(t, y) monic in y; G0*H0 = F(0, y) monic coprime.  Lift to
-    F = G*H mod t^N."""
-    field = F.field
+def _hensel_pair(F: YPoly, G0: FFPoly, H0: FFPoly) -> tuple[YPoly, YPoly]:
+    """F monic in y over R = K[[t]]/(t^N); G0*H0 = F(0, y) monic coprime
+    over K.  Lift to F = G*H over R."""
+    R = F.field
+    K = R.field
     # t*H0 + s*G0 = 1
-    g, t = _pxgcd(field, H0.ints, G0.ints)
+    g, t = _pxgcd(K, H0.ints, G0.ints)
     if g != [1]:
         raise TowerlabError("Hensel lift needs coprime cofactors")
-    t = FFPoly._of(field, t)
-    s = (FFPoly(field, [1]) - t * H0).exact_div(G0)
-    G = _times_tk(G0, 0)
-    H = _times_tk(H0, 0)
-    for k in range(1, N):
-        # only the coefficient of t^k is read, so the product is not truncated
-        E = F - G * H
-        e_k = FFPoly(field, [c.coeff(k) for c in E.ycoeffs])
-        if e_k.is_zero():
-            continue
-        # solve dG*H0 + dH*G0 = e_k with deg dG < deg G0
-        q, dG = divmod(t * e_k, G0)
-        dH = s * e_k + q * H0
-        G = G + _times_tk(dG, k)
-        H = H + _times_tk(dH, k)
+    t = FFPoly._of(K, t)
+    s = (FFPoly(K, [1]) - t * H0).exact_div(G0)
+    G = H = YPoly._of(R, ())
+    dG, dH = G0, H0
+    for k in range(R.N):
+        if k:
+            # F - G*H vanishes below t^k; solve dG*H0 + dH*G0 = e_k, its
+            # coefficient of t^k, with deg dG < deg G0
+            e_k = FFPoly(K, [c[k] if len(c) > k else 0 for c in (F - G * H).coeffs])
+            q, dG = divmod(t * e_k, G0)
+            dH = s * e_k + q * H0
+        G = G + YPoly._of(R, tuple(R.embed(k, [c]) for c in dG.ints))
+        H = H + YPoly._of(R, tuple(R.embed(k, [c]) for c in dH.ints))
     return G, H
 
 
-def _hensel_tree(F: BivarPoly, factors: list[FFPoly], N: int) -> list[BivarPoly]:
+def _hensel_tree(F: YPoly, factors: list[FFPoly]) -> list[YPoly]:
     if len(factors) == 1:
         return [F]
     half = len(factors) // 2
     A, B = factors[:half], factors[half:]
-    G0 = A[0]
-    for f in A[1:]:
-        G0 = G0 * f
-    H0 = B[0]
-    for f in B[1:]:
-        H0 = H0 * f
-    G, H = _hensel_pair(F, G0, H0, N)
-    return _hensel_tree(G, A, N) + _hensel_tree(H, B, N)
+    G, H = _hensel_pair(F, math.prod(A), math.prod(B))
+    return _hensel_tree(G, A) + _hensel_tree(H, B)
 
 
 def _find_specialization(F: BivarPoly) -> tuple[FFElem, FFPoly]:
@@ -174,16 +144,16 @@ def _degree_analysis(F: BivarPoly, points):
     return best[1:]
 
 
-def _subset_products(lifted: list[BivarPoly], r: int, N: int, start: int = 0, prefix=None):
-    """The products mod t^N of the r-subsets of lifted[start:], each times
-    prefix, in the order of itertools.combinations: a depth-first walk that
-    forms each product from its prefix's, one product per step."""
+def _subset_products(lifted: list[YPoly], r: int, start: int = 0, prefix=None):
+    """The products of the r-subsets of lifted[start:], each times prefix,
+    in the order of itertools.combinations: a depth-first walk that forms
+    each product from its prefix's, one product per step."""
     for i in range(start, len(lifted) - r + 1):
-        prod = lifted[i] if prefix is None else _trunc_t(prefix * lifted[i], N)
+        prod = lifted[i] if prefix is None else prefix * lifted[i]
         if r == 1:
             yield prod
         else:
-            yield from _subset_products(lifted, r - 1, N, i + 1, prod)
+            yield from _subset_products(lifted, r - 1, i + 1, prod)
 
 
 def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> bool:
@@ -192,10 +162,8 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> boo
     fy = F(xi, y), which is factored here; the point is found here when
     not given."""
     base = F.field
-    m = F.deg_y()
-    lc = F.ycoeff(m)
+    lc = F.ycoeff(F.deg_y())
     B = F.deg_x() + lc.degree()
-    N = B + 2
     if xi is None:
         xi, fy = _find_specialization(F)
     factors = [g for g, _ in poly_factor(fy)]
@@ -204,15 +172,12 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> boo
     K = xi.field
     if len(factors) > 16:
         raise TowerlabError("too many modular factors to reconstruct")
-    # monic series model: Fmon = F(xi+t, y) / lc(xi+t)
-    lct = _taylor_shift(lc, K, xi)
-    lct_inv = FFPoly._of(K, _pseries_inv(K, lct.ints, N))
-    cs = []
-    for j in range(m + 1):
-        cj = _taylor_shift(F.ycoeff(j), K, xi)
-        cs.append(_trunc(cj * lct_inv, N))
-    Fmon = BivarPoly(K, cs)
-    lifted = _hensel_tree(Fmon, factors, N)
+    # the series ring K[[t]]/(t^N), t = x - xi, N = B + 2, and F's monic
+    # model and leading coefficient in it
+    R = RatPlace.finite(FFPoly._of(K, [K._neg(xi.v), 1]), certified=True).local(B + 2)
+    FK = F if K is base else F.map_field(K)
+    lifted = _hensel_tree(curve_monic(FK).local(R)[0], factors)
+    lct = R.embed(*R.split(RatFunc(FK.ycoeff(FK.deg_y()))))
     # a fibre over an extension (used only when GF(q) has no good point, so
     # q <= deg(lc * disc)) maps the base field's encodings back
     back = None
@@ -220,15 +185,16 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> boo
         back = dict(zip(_embed_ints(base, K, list(range(base.order))), range(base.order)))
     Fy = curve_monic(F)
     for r in range(1, len(factors) // 2 + 1):
-        for prod in _subset_products(lifted, r, N):
+        for prod in _subset_products(lifted, r):
             # candidate = lc(t) * prod must be polynomial of t-degree <= B,
             # back in x and with coefficients in the base field
             cand = []
-            for c in prod.ycoeffs:
-                cc = _trunc(c * lct, N)
-                if cc.degree() > B:
+            for c in prod.coeffs:
+                cc = R.mul(c, lct)
+                if len(cc) > B + 1:
                     break
-                cx = _taylor_shift(cc, K, -xi).ints
+                v, u = _ptaylor(K, cc, K._neg(xi.v), len(cc)) if cc else (0, [])
+                cx = [0] * v + u
                 if back is not None:
                     cx = [back.get(a) for a in cx]
                     if None in cx:

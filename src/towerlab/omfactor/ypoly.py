@@ -6,6 +6,9 @@ coefficient tuples of one ratfunc.LocalRing, which then is the polynomial's
 phi-adic expansion take the coefficient ring's mul and sub (the LocalRing's
 own methods, or RatFunc's operators) and test a coefficient for zero with
 `not c`, so they are one code path for both; a local divisor must be monic.
+Sums, differences, products and `coeff` take its add and zero too (the
+irreducibility test lifts factors in O_P/P^N[y]); text, `monic`,
+`derivative` and `subst_scaled` are for RatFunc coefficients only.
 
 Division runs on coefficient lists (`_divmod_coeffs`): the leading term of
 each step is known to cancel and is never computed, and a monic divisor, as
@@ -100,12 +103,12 @@ class YPoly:
         return cls(field, [RatFunc.const(field, 0), RatFunc.const(field, 1)])
 
     def _ring(self) -> tuple:
-        """(mul, sub, one) of the coefficients: the LocalRing's own methods
-        and its one (1,), or RatFunc's operators and 1."""
+        """(add, sub, mul, zero, one) of the coefficients: the LocalRing's
+        own methods and its () and (1,), or RatFunc's operators, 0 and 1."""
         F = self.field
         if isinstance(F, LocalRing):
-            return F.mul, F.sub, (1,)
-        return operator.mul, operator.sub, RatFunc.const(F, 1)
+            return F.add, F.sub, F.mul, (), (1,)
+        return operator.add, operator.sub, operator.mul, RatFunc.const(F, 0), RatFunc.const(F, 1)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -113,10 +116,10 @@ class YPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, i: int) -> RatFunc:
+    def coeff(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return RatFunc.const(self.field, 0)
+        return self._ring()[3]
 
     def lc(self) -> RatFunc:
         if self.is_zero():
@@ -143,42 +146,42 @@ class YPoly:
             return YPoly(self.field, [other])
         return None
 
-    def __add__(self, other):
+    def _termwise(self, other, op):
+        """The polynomial of op(a_i, b_i) over the coefficients of self and other."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return YPoly._of(self.field, _trimmed([self.coeff(i) + other.coeff(i) for i in range(n)]))
+        return YPoly._of(self.field, _trimmed([op(self.coeff(i), other.coeff(i)) for i in range(n)]))
+
+    def __add__(self, other):
+        return self._termwise(other, self._ring()[0])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return YPoly._of(self.field, _trimmed([self.coeff(i) - other.coeff(i) for i in range(n)]))
+        return self._termwise(other, self._ring()[1])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return YPoly._of(self.field, tuple(-c for c in self.coeffs))
+        _, sub, _, zero, _ = self._ring()
+        return YPoly._of(self.field, tuple(sub(zero, c) for c in self.coeffs))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return YPoly(self.field, [])
-        zero = RatFunc.const(self.field, 0)
+            return YPoly._of(self.field, ())
+        add, _, mul, zero, _ = self._ring()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
+            if a:
+                for j, b in enumerate(other.coeffs, i):
+                    if b:
+                        out[j] = add(out[j], mul(a, b))
         return YPoly._of(self.field, _trimmed(out))
 
     __rmul__ = __mul__
@@ -192,7 +195,7 @@ class YPoly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        mul, sub, one = self._ring()
+        _, sub, mul, _, one = self._ring()
         lc = other.lc()
         inv = None if lc == one else lc.inverse()
         q, r = _divmod_coeffs(self.coeffs, other.coeffs, mul, sub, inv)
@@ -212,7 +215,7 @@ class YPoly:
         (without that, a warm sweep pass takes 10-30% more CPU, 29/30 and 12/14 pairs)."""
         memo = phi._expansions
         if memo is None:
-            if phi.degree() < 1 or phi.lc() != phi._ring()[2]:
+            if phi.degree() < 1 or phi.lc() != phi._ring()[4]:
                 raise ValueError("expansion base must be monic and nonconstant")
             memo = phi._expansions = {}
         out = memo.get(self)
@@ -222,7 +225,7 @@ class YPoly:
                 # phi = y, digits are coefficients: family --q 1024 +11-27% CPU without (20/20, 8/10 pairs)
                 digits = [YPoly._of(self.field, (c,) if c else ()) for c in cs]
             else:
-                mul, sub, _ = self._ring()
+                _, sub, mul, _, _ = self._ring()
                 digits = []
                 while cs:
                     cs, r = _divmod_coeffs(cs, phi.coeffs, mul, sub)

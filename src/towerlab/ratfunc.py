@@ -24,16 +24,18 @@ RatFunc is the exact, cold side of the engine.
 `RatPlace.split` is the one routine that strips P from a polynomial:
 valuations, unit residues and the local ring's conversions all read it.
 
-`RatPlace.local(N)` is the ring O_P/P^N, and `LocalRing.split` is the one
-conversion of a RatFunc into it.  An element is a plain coefficient tuple,
-and the ring does all its arithmetic (mul, sub), valuation (val) and unit
-residue (unit).  At a place of degree 1 and at infinity an element is a
-power series in t = x - a or t = 1/x cut after t^(N-1): its valuation is
-the index of the first nonzero coefficient, its unit residue that
-coefficient, and a product needs no gcd.  At a place of degree d >= 2 an
-element is a polynomial in x reduced mod P^N, so the arithmetic stays over
-K and never enters the residue field GF(q^d); its valuation strips P by
-division.  The zero element () stands for "value >= N".
+`RatPlace.local(N)` is the ring O_P/P^N that the MacLane engine and the
+irreducibility test's Hensel lifting compute in; `LocalRing.split` is the
+one conversion of a RatFunc into it.  An element is a plain coefficient
+tuple, and the ring does all its arithmetic (add, sub, mul), valuation
+(val) and unit residue (unit).  At a place of degree 1 and at infinity an
+element is a power series in t = x - a or t = 1/x cut after t^(N-1): its
+valuation is the index of the first nonzero coefficient, its unit residue
+that coefficient, and a product needs no gcd and forms no coefficient past
+t^(N-1).  At a place of degree d >= 2 an element is a polynomial in x
+reduced mod P^N, so the arithmetic stays over K and never enters the
+residue field GF(q^d); its valuation strips P by division.  The zero
+element () stands for "value >= N".
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .ffield import (
     FFPoly,
     FiniteField,
     _monic_irreducibles,
+    _padd,
     _pdivmod,
     _pgcd,
     _pmul,
@@ -439,15 +442,15 @@ class LocalRing:
             return tuple(_trim(([0] * v + list(u))[: self.N]))
         if v:
             u = _pmul(self.field, (self.place.poly**v).ints, u)
-        return self._reduce(u)
-
-    def _reduce(self, a: list[int]) -> tuple:
-        if self._mod is None:
-            return tuple(_trim(a[: self.N]) if len(a) > self.N else a)
-        return tuple(_pdivmod(self.field, a, self._mod)[1])
+        return tuple(_pdivmod(self.field, u, self._mod)[1])
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return self._reduce(_pmul(self.field, a, b))
+        if self._mod is None:
+            return tuple(_pmul(self.field, a, b, self.N))
+        return tuple(_pdivmod(self.field, _pmul(self.field, a, b), self._mod)[1])
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        return tuple(_padd(self.field, a, b))
 
     def sub(self, a: tuple, b: tuple) -> tuple:
         return tuple(_psub(self.field, a, b))

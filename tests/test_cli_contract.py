@@ -18,7 +18,6 @@ import sys
 from contextlib import redirect_stdout
 
 import jsonschema
-import pytest
 
 import towerlab
 from towerlab import cli
@@ -160,14 +159,11 @@ def test_seeded_jobs_keep_the_cli_contract():
     assert inseparable, "no check-theorem job drew an inseparable F"
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md, two hangs in one kernel: a "
-                   "reducible F of y-degree 512 has no budget, so its irreducibility test splits a "
-                   "degree-512 fibre; past that, the engine splits the degree-512 residual "
-                   "u^512 + 1; both are Cantor-Zassenhaus on schoolbook modular products")
 def test_a_reducible_F_of_the_largest_parsed_degree_is_answered_within_seconds():
     # y^512 + x^512 over GF(5) passes the parser's bounds; the degree analysis
-    # leaves it to the reconstruction, whose Cantor-Zassenhaus split of one
-    # degree-512 fibre ran past 60 s
+    # leaves it to the reconstruction, whose fibre, and past it the engine's
+    # residual u^512 + 1, are two irreducibles of degree 256: each split is
+    # refused by its predicted work before it starts (it ran past 60 s)
     src = os.path.dirname(os.path.dirname(towerlab.__file__))
     entry = "import sys; from towerlab.cli import main; sys.exit(main())"
     proc = subprocess.run(
@@ -178,3 +174,4 @@ def test_a_reducible_F_of_the_largest_parsed_degree_is_answered_within_seconds()
         check=False,
     )
     assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "BudgetExceeded"

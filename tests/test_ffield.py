@@ -123,8 +123,8 @@ def test_poly_factor_y4_plus_y_gf3():
 
 
 def test_a_power_of_x_is_peeled_off_without_a_division_per_unit_of_multiplicity(monkeypatch):
-    # x^16001 (x+1)^2 over GF(5) cost 16001 rounds of degree-16001 divisions
-    # before its x^16001 was read off the low zero coefficients
+    # x^16001 (x+1)^2 over GF(5) once cost 16001 rounds of degree-16001
+    # divisions; Yun's algorithm takes a few per p-th root
     x, x1 = unipoly(F5, [0, 1]), unipoly(F5, [1, 1])
     divisions = []
     pdivmod = ffield._pdivmod
@@ -132,6 +132,18 @@ def test_a_power_of_x_is_peeled_off_without_a_division_per_unit_of_multiplicity(
     assert poly_factor(x**16001 * x1**2) == [(x, 16001), (x1, 2)]
     assert poly_factor(x**5 * x1**5) == [(x, 5), (x1, 5)]
     assert poly_factor(x**3) == [(x, 3)]
+    assert len(divisions) < 100
+
+
+@pytest.mark.parametrize("root", [0, 1])
+def test_a_4001st_power_takes_no_division_per_unit_of_multiplicity(monkeypatch, root):
+    # (x+1)^4001 over GF(5) took 1.34 s with a gcd and a division per unit
+    g = unipoly(F5, [root, 1])
+    divisions = []
+    pdivmod = ffield._pdivmod
+    monkeypatch.setattr(ffield, "_pdivmod", lambda *a: divisions.append(1) or pdivmod(*a))
+    assert ffield._squarefree_decomposition(F5, (g**4001).ints) == [(4001, g.ints)]
+    assert poly_factor(g**4001) == [(g, 4001)]
     assert len(divisions) < 100
 
 

@@ -21,6 +21,7 @@
   depend on.
 """
 
+import itertools
 import random
 
 import pytest
@@ -179,6 +180,30 @@ def test_poly_factor_and_is_irreducible_match_sympy(p, cs):
     assert ours == _sympy_factors(f)
     sympy_irreducible = Poly(list(reversed(f.ints)), X, modulus=p).is_irreducible
     assert is_irreducible(f) == sympy_irreducible
+
+
+@settings(max_examples=100, deadline=None)
+@given(pk=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]), data=st.data())
+def test_squarefree_decomposition_groups_are_squarefree_coprime_and_multiply_back(pk, data):
+    # multiplicities that are multiples of p, and one past, exercise the
+    # p-th root step and its merge with the multiplicities mod p
+    F = make_field(*pk)
+    p = F.p
+    f = FFPoly(F, [1])
+    for _ in range(data.draw(st.integers(1, 4))):
+        g = FFPoly(F, data.draw(st.lists(st.integers(0, F.order - 1), min_size=1, max_size=3)) + [1])
+        f = f * g ** data.draw(st.sampled_from([1, 2, 3, p, p + 1, 2 * p, p * p, p * p + 1]))
+    groups = [(m, FFPoly(F, g)) for m, g in ffield._squarefree_decomposition(F, f.ints)]
+    mults = [m for m, _ in groups]
+    assert mults == sorted(set(mults))
+    prod = FFPoly(F, [1])
+    for m, g in groups:
+        assert g.degree() >= 1 and g.lc() == F.one()
+        assert poly_gcd(g, g.derivative()).is_one()
+        prod = prod * g**m
+    assert prod == f
+    for (_, g), (_, h) in itertools.combinations(groups, 2):
+        assert poly_gcd(g, h).is_one()
 
 
 # -- resultant_y -----------------------------------------------------------------
@@ -646,6 +671,25 @@ def test_packed_kernels_at_the_slot_width_bound(pk):
                 low = [top] * (n - 1)
                 assert _ppowmod(F, low, 2, b) == _ref_powmod(F, low, 2, b)
                 assert _ppowmod(F, big, 5, b) == _ref_powmod(F, big, 5, b)
+
+
+@pytest.mark.parametrize("name", ["GF(2)", "GF(5)", "GF(3^6)", "GF(5^8)"])
+@SETTINGS
+@given(data=st.data())
+def test_a_product_cut_below_x_n_is_the_textbook_product_cut(name, data):
+    # n below, at and past len(a) + len(b) - 1; the reference multiplies
+    # every pair of coefficients as digit vectors
+    F = _field(name)
+    a, b = _kernel_poly(F, data, max_len=12), _kernel_poly(F, data, max_len=12)
+    full = [F.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            full[i + j] += textbook_mul(F, F.elem(ai), F.elem(bj))
+    for n in (data.draw(st.integers(0, len(full) - 1)), len(full), len(full) + data.draw(st.integers(1, 3))):
+        want = [c.v for c in full[:n]]
+        while want and not want[-1]:
+            want.pop()
+        assert _pmul(F, a, b, n) == want
 
 
 # -- Ben-Or irreducibility over GF(Q) --------------------------------------------------

@@ -16,13 +16,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from towerlab.errors import TowerlabError
-from towerlab.ffield import BivarPoly, make_field, poly_factor
+from towerlab.ffield import BivarPoly, FFPoly, make_field, poly_factor
 from towerlab.omfactor import eisenstein_at, is_irreducible_over_ratfield
 from towerlab.omfactor.irreducibility import (
     _degree_analysis,
     _reconstruct_subsets,
     _subset_products,
-    _trunc_t,
 )
 from towerlab.omfactor.newton import newton_polygon
 from towerlab.omfactor.places import curve_dy, curve_monic, curve_point, good_points, squarefree_in_y
@@ -103,15 +102,19 @@ def test_agrees_with_hensel_reconstruction_on_the_benchmark_curves(monkeypatch):
 @SETTINGS
 @given(_case(lambda K: st.lists(_bivar(K, 2, 3), min_size=1, max_size=6)))
 def test_subset_products_follow_the_combinations_order(lifted):
-    # series mod t^4, as the Hensel lift returns them
+    # polynomials over K[[x]]/(x^4), as the Hensel lift returns them; the
+    # reference is the image of each exact product
+    K = lifted[0].field
+    R = RatPlace.finite(FFPoly._of(K, [0, 1]), certified=True).local(4)
+    local = [YPoly.from_bivar(G).local(R)[0] for G in lifted]
     for r in range(1, len(lifted) + 1):
         want = []
         for S in itertools.combinations(lifted, r):
             prod = S[0]
             for G in S[1:]:
                 prod = prod * G
-            want.append(_trunc_t(prod, 4))
-        assert list(_subset_products(lifted, r, 4)) == want
+            want.append(YPoly.from_bivar(prod).local(R)[0])
+        assert list(_subset_products(local, r)) == want
 
 
 def _degree_analysis_by_factoring(F, points):

@@ -7,7 +7,9 @@ expansion is checked against its defining properties, which determine it
 uniquely: sum c_i phi^i = f with deg c_i < deg phi.  In O_P/P^N, at place(x),
 a place of degree 2 and infinity, the expansion of a P-integral f's image
 in a monic P-integral key's image is checked against the images of f's
-exact digits, and the ring's valuation against the exact one.
+exact digits, and the ring's valuation against the exact one; there, and
+over GF(9) too, the images of f + g, f - g, -f and f*g are the sums,
+differences, negatives and products of the images.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from towerlab.omfactor import YPoly
 from towerlab.ratfunc import RatFunc, RatPlace, finite_places_of_degree
 
 FIELDS = {"GF(2)": (2, 1), "GF(4)": (2, 2), "GF(5)": (5, 1)}
+LOCAL_FIELDS = {**FIELDS, "GF(9)": (3, 2)}
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -119,10 +122,11 @@ def test_ratfunc_arithmetic_is_canonical(case):
 
 
 @st.composite
-def _local_case(draw):
-    """(place, N, f, phi): f and the monic phi (of degree 1 or 2) P-integral
-    over K(x), their coefficients of value 0 to about 6 at the place."""
-    F = make_field(*FIELDS[draw(st.sampled_from(sorted(FIELDS)))])
+def _local_case(draw, fields=FIELDS):
+    """(place, N, f, g, phi): f, g and the monic phi (of degree 1 or 2)
+    P-integral over K(x), their coefficients of value 0 to about 6 at the
+    place."""
+    F = make_field(*fields[draw(st.sampled_from(sorted(fields)))])
     place = draw(st.one_of(
         st.just(RatPlace.finite(FFPoly(F, [0, 1]))),
         st.sampled_from(finite_places_of_degree(F, 2)),
@@ -133,15 +137,15 @@ def _local_case(draw):
         return r if r.is_zero() else place.scaled(r, k - min(0, place.valuation(r)))
 
     coeffs = st.builds(integral, _ratfuncs(F), st.integers(0, 3))
-    f = YPoly(F, draw(st.lists(coeffs, max_size=7)))
+    f, g = (YPoly(F, draw(st.lists(coeffs, max_size=7))) for _ in range(2))
     phi = YPoly(F, draw(st.lists(coeffs, min_size=1, max_size=2)) + [RatFunc.const(F, 1)])
-    return place, draw(st.integers(1, 6)), f, phi
+    return place, draw(st.integers(1, 6)), f, g, phi
 
 
 @SETTINGS
 @given(_local_case())
 def test_the_local_expansion_is_the_image_of_the_exact_one(case):
-    place, N, f, phi = case
+    place, N, f, _, phi = case
     ring = place.local(N)
     (g, s), (key, t) = f.local(ring), phi.local(ring)
     assert s == t == 0
@@ -163,6 +167,18 @@ def test_the_local_expansion_is_the_image_of_the_exact_one(case):
                 assert ring.val(a) == v
             else:
                 assert a == ()
+
+
+@SETTINGS
+@given(_local_case(LOCAL_FIELDS))
+def test_local_arithmetic_is_the_image_of_the_exact_one(case):
+    place, N, f, g, _ = case
+    ring = place.local(N)
+    (a, s), (b, t) = f.local(ring), g.local(ring)
+    assert s == t == 0
+    for got, exact in ((a + b, f + g), (a - b, f - g), (-a, -f), (a * b, f * g)):
+        assert got == exact.local(ring)[0]
+    assert a.coeff(len(a.coeffs)) == ()
 
 
 def _read_back(text, F):
