@@ -46,7 +46,6 @@ from .basicfield import (
     RamTable,
     GenusResult,
     CapTooSmall,
-    PointCountTooLarge,
     InconsistentOracle,
     ramification_locus,
     ram_table,
@@ -112,7 +111,6 @@ __all__ = [
     "RamTable",
     "GenusResult",
     "CapTooSmall",
-    "PointCountTooLarge",
     "InconsistentOracle",
     "ramification_locus",
     "ram_table",

@@ -14,7 +14,8 @@ off the locus (one xi per Frobenius orbit), plus the degree f * deg P of
 each place above the locus, read off the ramification table, that divides
 k.  From those it derives the places of each degree, computes the
 L-polynomial's coefficients in one pass of Newton's identities, and reads
-the genus off the least degree that fits.
+the genus off the least degree that fits.  A walk predicted past
+ffield.WORK_BUDGET is refused (BudgetExceeded) before any count.
 
 reconcile_different plays the two routes against each other to pin a
 single missing wild exponent.
@@ -36,6 +37,7 @@ from .ffield import (
     FFPoly,
     _monic_irreducibles,
     _pow_mod,
+    check_budget,
     make_field,
     poly_factor,
     poly_gcd,
@@ -46,33 +48,9 @@ from .record import Record
 
 INF = math.inf
 
-# Largest constant-field extension GF(q^k) that the default genus cap may have
-# _point_count walk: the smallest power of two at or above the largest walk
-# the benchmark makes, GF(5^6) with 15,625 elements.  An explicit cap is not
-# held to it.
-POINT_COUNT_BUDGET = 2**14
-
 
 class CapTooSmall(TowerlabError):
     """zeta_genus could not fit a consistent L-polynomial under its cap."""
-
-
-class PointCountTooLarge(TowerlabError):
-    """The default genus cap would count points over a field of more than
-    POINT_COUNT_BUDGET elements."""
-
-
-def default_cap(gr: GenusResult, q: int) -> int:
-    """The cap zeta_genus takes when none is given: the top of the genus window
-    gr, at least 1, refused past POINT_COUNT_BUDGET (PointCountTooLarge)."""
-    cap = max(1, gr.genus_hi)
-    if q ** (2 * cap) > POINT_COUNT_BUDGET:
-        raise PointCountTooLarge(
-            f"the default cap {cap} counts points over GF({q}^{2 * cap}), "
-            f"{q ** (2 * cap)} elements, past the budget of {POINT_COUNT_BUDGET}; "
-            "pass --cap to choose the walk"
-        )
-    return cap
 
 
 class InconsistentOracle(TowerlabError):
@@ -261,7 +239,8 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
     locus are read off the rows of `table`, ram_table(F) when not given;
     _point_count counts the rest.
 
-    Independent of different exponents.  Raises CapTooSmall when no
+    Independent of different exponents.  Raises BudgetExceeded before any
+    count when the walk is predicted past WORK_BUDGET, CapTooSmall when no
     L-polynomial of degree <= 2*g_cap matches the counts, and TowerlabError
     when the constant field visibly extends (gcd of place degrees > 1)."""
     if g_cap < 0:
@@ -269,6 +248,14 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
     field = F.field
     q = field.order
     kmax = max(2 * g_cap, 1)
+    # the walk, bounded by every element of GF(q^k) as a fibre of eval_x and a
+    # Frobenius power, m * (deg_x F + m * bitlen(q^k)) products, is checked
+    # field by field: a huge cap stops at the first field past the budget
+    m, n = F.deg_y(), F.deg_x()
+    work = 0
+    for k in range(1, kmax + 1):
+        work += q**k * m * (n + m * (q**k).bit_length())
+        check_budget(f"point count at cap {g_cap} over GF({q}^k), k <= {k}", work)
     locus_data = [
         ([pl.residue_degree_abs() for pl in pls], P.poly)
         for P, pls in (ram_table(F) if table is None else table).rows

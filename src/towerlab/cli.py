@@ -33,10 +33,10 @@ from fractions import Fraction
 from math import comb
 
 from . import ffield
-from .basicfield import default_cap, genus_from_table, ram_table, reconcile_different, zeta_genus
+from .basicfield import genus_from_table, ram_table, reconcile_different, zeta_genus
 from .checker import FamilyParams, check_theorem, family_field, verify_family_facts
 from .errors import TowerlabError
-from .ffield import BivarPoly, FFElem, FFPoly, FiniteField, make_field
+from .ffield import BivarPoly, BudgetExceeded, FFElem, FFPoly, FiniteField, make_field
 from .omfactor import PlaceExt, is_irreducible_over_ratfield
 from .pyramid import RamHypotheses, climb, climb_level, render_pyramid
 from .record import Record
@@ -349,17 +349,17 @@ def _field_of(job: JobSpec) -> FiniteField:
 def _function_field_poly(job: JobSpec) -> BivarPoly:
     """The parsed --F, refused if it is reducible over K(x).
 
-    Only a definite answer refuses F.  When the irreducibility test cannot
-    decide (it stops past 16 modular factors), F goes on to the engine,
-    whose exact genus check still catches a reducible F.  A constant in y
-    is left to the engine as well: it is no polynomial in y to factor.
+    Only a definite answer refuses F.  When the irreducibility test refuses
+    its work (BudgetExceeded, its one undecided answer), F goes on to the
+    engine, whose exact genus check still catches a reducible F.  A constant
+    in y is left to the engine as well: it is no polynomial in y to factor.
     """
     F = parse_poly(job.params["F"], _field_of(job))
     if F.deg_y() < 1:
         return F
     try:
         irreducible = is_irreducible_over_ratfield(F)
-    except TowerlabError:
+    except BudgetExceeded:
         irreducible = True
     if not irreducible:
         raise ReducibleDefiningPolynomial(
@@ -473,7 +473,7 @@ def _run_genus(job: JobSpec):
     rt = ram_table(F, max_depth=job.params["max_depth"])
     gr = genus_from_table(rt)
     if cap is None:
-        cap = default_cap(gr, F.field.order)
+        cap = max(1, gr.genus_hi)
     z = zeta_genus(F, cap, rt)
     notes = []
     if not gr.exact:

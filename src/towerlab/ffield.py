@@ -101,14 +101,22 @@ class NoEmbedding(TowerlabError):
     divide k2)."""
 
 
-#: The most work an equal-degree split of degree n into factors of degree d
-#: over GF(Q) may be predicted to take, as n^2 * d * bitlen(Q).  The tests and
-#: benchmark workloads predict at most 10,935; u^512 + 1 over GF(5), 2.0e8.
+#: The most work, in coefficient products, that check_budget lets a kernel be
+#: predicted to take.  The tests and benchmark workloads predict at most
+#: 1.2e6 (a point count over GF(5^6)); the inputs refused, at least 2.3e7.
 WORK_BUDGET = 10**7
 
 
 class BudgetExceeded(TowerlabError):
-    """Raised before a kernel whose predicted work passes WORK_BUDGET."""
+    """The one refusal of work, raised before the kernel runs: a split, point
+    count or good-point walk predicted past WORK_BUDGET, or a subset search
+    past 16 modular factors.  The irreducibility test's one undecided answer."""
+
+
+def check_budget(kernel: str, work: int) -> None:
+    """Refuse the kernel, by name, when its predicted work passes WORK_BUDGET."""
+    if work > WORK_BUDGET:
+        raise BudgetExceeded(f"{kernel}: predicted work {work} passes the budget {WORK_BUDGET}")
 
 
 #: Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -1244,6 +1252,8 @@ def _squarefree_decomposition(F: FiniteField, f: list[int]) -> list[tuple[int, l
     A = [1]
     df = _pderiv(F, f)
     u = _pgcd(F, f, df)
+    if u == [1]:
+        return [(1, f)]
     w = _pdivmod(F, f, u)[0]
     d = _psub(F, _pdivmod(F, df, u)[0], _pderiv(F, w))
     i = 1
@@ -1323,10 +1333,8 @@ def _equal_degree_split(F: FiniteField, f: list[int], d: int, rng: random.Random
     n = len(f) - 1
     if n == d:
         return [f]
-    cost = n * n * d * F.order.bit_length()
-    if cost > WORK_BUDGET:
-        raise BudgetExceeded(f"equal-degree split of degree {n} into factors of degree {d} over "
-                             f"GF({F.order}): predicted work {cost} passes the budget {WORK_BUDGET}")
+    check_budget(f"equal-degree split of degree {n} into factors of degree {d} over GF({F.order})",
+                 n * n * d * F.order.bit_length())
     while True:
         g = _split_gcd(F, _random_poly(F, n, rng), f, d)
         if 0 < len(g) - 1 < n:

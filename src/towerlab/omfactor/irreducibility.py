@@ -25,13 +25,9 @@ subset sums; once no 0 < k < m is left, F is irreducible.  Otherwise the
 reconstruction factors the fibre with the fewest factors.  Without a good
 point in GF(q), the first one of the smallest extension that has one is used.
 
-The test does not always decide.  `_reconstruct_subsets` raises
-TowerlabError when F(xi, y) has more than 16 modular factors (the subset
-search would be exponential) or its factoring passes ffield.WORK_BUDGET,
-and `_find_specialization` raises it when no good point exists in the
-extensions it tries.  The CLI treats such a raise as undecided: it does
-not refuse F, and leaves it to the engine, whose exact genus check still
-catches a reducible F.
+The test answers, or refuses its work with BudgetExceeded: a good-point
+walk or a split predicted past ffield.WORK_BUDGET, or a subset search over
+more than 16 modular factors, which would be exponential.
 """
 
 from __future__ import annotations
@@ -41,6 +37,7 @@ import math
 
 from ..errors import TowerlabError
 from ..ffield import (
+    BudgetExceeded,
     FFElem,
     FFPoly,
     BivarPoly,
@@ -48,6 +45,7 @@ from ..ffield import (
     _embed_ints,
     _ptaylor,
     _pxgcd,
+    check_budget,
     make_field,
     poly_factor,
 )
@@ -111,15 +109,22 @@ def _hensel_tree(F: YPoly, factors: list[FFPoly]) -> list[YPoly]:
 
 
 def _find_specialization(F: BivarPoly) -> tuple[FFElem, FFPoly]:
-    """The first good point (xi, F(xi, y)) of the smallest of GF(q^s),
-    s = 1, ..., 6, that has one; GF(q)'s comes from the record."""
+    """The first good point (xi, F(xi, y)) of the smallest GF(q^s) that has
+    one; GF(q)'s comes from the record.  The first GF(q^s) with more than
+    2m deg_x F elements has one (good_points), and each field's walk, at most
+    2m deg_x F + 1 fibres of m * (deg_x F + m) products, is budgeted first."""
     if curve_point(F) is not None:
         return next(curve_fibres(F))
     base = F.field
-    for s in range(2, 7):
+    m, n = F.deg_y(), F.deg_x()
+    s = 1
+    while base.order**s <= 2 * m * n:
+        s += 1
+        check_budget(f"good-point walk over GF({base.order}^{s})",
+                     min(base.order**s, 2 * m * n + 1) * m * (n + m))
         for point in good_points(F, make_field(base.p, base.k * s)):
             return point
-    raise TowerlabError("no squarefree specialization found")
+    raise TowerlabError(f"no good point up to GF({base.order}^{s}) for a squarefree F: engine bug")
 
 
 def _degree_analysis(F: BivarPoly, points):
@@ -171,7 +176,7 @@ def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> boo
         return True
     K = xi.field
     if len(factors) > 16:
-        raise TowerlabError("too many modular factors to reconstruct")
+        raise BudgetExceeded(f"subset search over {len(factors)} modular factors, past the limit of 16")
     # the series ring K[[t]]/(t^N), t = x - xi, N = B + 2, and F's monic
     # model and leading coefficient in it
     R = RatPlace.finite(FFPoly._of(K, [K._neg(xi.v), 1]), certified=True).local(B + 2)

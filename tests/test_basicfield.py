@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from towerlab import basicfield, checker
+from towerlab import basicfield, checker, ffield
 from towerlab.basicfield import (
     CapTooSmall,
     _unramified_fprofile,
@@ -22,6 +23,7 @@ from towerlab.checker import FamilyParams, build_family
 from towerlab.errors import TowerlabError
 from towerlab.ffield import FFPoly, make_field, poly_factor
 from towerlab.omfactor import monic_integral_model
+from towerlab.omfactor.places import curve_disc, curve_dy
 from towerlab.ratfunc import finite_places_of_degree
 from helpers import (
     F2,
@@ -375,7 +377,10 @@ ZETA_AT_CAPS = {
 def _counts_from_the_zeta_function(monkeypatch, genus):
     """Count points over GF(q^k) directly for k <= 2*genus, and beyond that
     from the L-polynomial those counts determine (the zeta function is
-    rational): the true counts, without enumerating GF(q^12)."""
+    rational): the true counts, without enumerating GF(q^12).  The work
+    budget predicts that enumeration, which never runs here, so it is
+    lifted."""
+    monkeypatch.setattr(ffield, "WORK_BUDGET", math.inf)
     count = basicfield._point_count
     seen = {}
 
@@ -405,3 +410,33 @@ def test_zeta_genus_at_caps_one_to_six(monkeypatch, name):
         except CapTooSmall:
             got.append(None)
     assert got == ZETA_AT_CAPS[name]
+
+
+# -- the discriminant bound on the differents -------------------------------------
+
+
+def test_the_discriminant_bounds_the_differents_at_every_locus_place():
+    # for H the monic P-integral model of F at P, sum_Q f_Q d(Q|P) =
+    # v_P(disc H) - 2 ind_P(H), and v_P(disc H) = M m(m-1) + v_P(R)
+    # - (m + m') v_P(lc_y F) with R = Res_y(F, F_y) and m' = deg_y F_y.  So
+    # the low ends of the d windows sum to at most v_P(disc H), and exact
+    # differents to it minus an even index
+    curves = sweep_pool() + cli_report_curves() + [family_F(q) for q in (2, 3, 4, 5)]
+    curves += [workloads.genus_curve(name) for name in sorted(workloads.GENUS_CURVES)]
+    counts = [0, 0, 0]  # locus places, with every d exact, with equality
+    for F in dict.fromkeys(curves):
+        Fy = curve_dy(F)
+        if Fy.is_zero():
+            continue  # y^2 + x over GF(4) has no place table
+        m, m_dy, R, lc = F.deg_y(), Fy.deg_y(), curve_disc(F), F.ycoeff(F.deg_y())
+        for P, pls in ram_table(F).rows:
+            M = monic_integral_model(F, P)[1]
+            v_disc = M * m * (m - 1) + P.order(R) - (m + m_dy) * P.order(lc)
+            lo = sum(pl.f * pl.d_range[0] for pl in pls)
+            assert lo <= v_disc, (F, P)
+            counts[0] += 1
+            if all(pl.d_range[0] == pl.d_range[1] for pl in pls):
+                assert (v_disc - lo) % 2 == 0, (F, P)
+                counts[1] += 1
+                counts[2] += lo == v_disc
+    assert counts == [129, 117, 84]

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import towerlab.ffield as ffield
-from towerlab import basicfield, checker, cli, pyramid
+from towerlab import checker, cli, pyramid
 from towerlab.checker import FAMILY_MAX_Q, FamilyParams, InvalidParams
 from towerlab.cli import ParseError, parse_elem, parse_poly, parse_unipoly
 from towerlab.ffield import FFPoly
@@ -370,16 +370,28 @@ def test_reducible_defining_polynomial_is_a_user_error(command):
 
 
 def test_undecided_irreducibility_test_does_not_refuse_F(monkeypatch):
-    # past 16 modular factors the test raises instead of answering; an
-    # irreducible F must still be analyzed, not turned into an error
+    # past 16 modular factors the test refuses its work instead of answering;
+    # an irreducible F must still be analyzed, not turned into an error
     def undecided(F):
-        raise cli.TowerlabError("too many modular factors to reconstruct")
+        raise ffield.BudgetExceeded("subset search over 17 modular factors, past the limit of 16")
 
     argv = ["analyze", "--p", "2", "--F", FAM, "--json"]
     decided = run_json(argv)
     monkeypatch.setattr(cli, "is_irreducible_over_ratfield", undecided)
     assert run_json(argv) == decided
     assert decided[0] == 0
+
+
+def test_an_engine_error_of_the_irreducibility_test_is_reported(monkeypatch):
+    # only BudgetExceeded means undecided: any other error is no answer and
+    # reaches the report
+    def fault(F):
+        raise cli.TowerlabError("Hensel lift needs coprime cofactors")
+
+    monkeypatch.setattr(cli, "is_irreducible_over_ratfield", fault)
+    code, rep = run_json(["analyze", "--p", "2", "--F", FAM, "--json"])
+    assert code == 2
+    assert rep["error"] == {"type": "TowerlabError", "message": "Hensel lift needs coprime cofactors"}
 
 
 @pytest.mark.parametrize("F", ["y^2-x^2", "y^3-x^3", "(y-x)*(y^2+x+1)", "(y-x)^2"])
@@ -418,10 +430,12 @@ Q3_FAMILY = "(x+1)*y^4+(x+1)*y-x^4"
 
 def test_genus_refuses_a_point_count_past_the_budget():
     # the default cap is the top of the genus window, 6, so the oracle would
-    # count points over GF(3^k) up to k = 12
+    # count points over GF(3^k) up to k = 12; the walk up to k = 10 alone
+    # passes the budget
     code, rep = run_json(["genus", "--p", "3", "--F", Q3_FAMILY, "--json"])
     assert code == 2
-    assert rep["error"]["type"] == "PointCountTooLarge"
+    assert rep["error"]["type"] == "BudgetExceeded"
+    assert rep["error"]["message"].startswith("point count at cap 6 over GF(3^k), k <= 10:")
 
 
 def test_genus_cap_keeps_the_point_count_within_the_budget():
@@ -430,16 +444,14 @@ def test_genus_cap_keeps_the_point_count_within_the_budget():
     assert rep["data"]["zeta_genus"] == rep["data"]["genus"] == 3
 
 
-def test_genus_budget_binds_the_default_cap_only(monkeypatch):
-    # FAM's default cap is 3, a walk over GF(2^6) = 64 elements
-    monkeypatch.setattr(basicfield, "POINT_COUNT_BUDGET", 2**5)
-    code, rep = run_json(["genus", "--p", "2", "--F", FAM, "--json"])
+@pytest.mark.parametrize("cap", ["8", "40", "1000000000"])
+def test_genus_budget_refuses_an_explicit_cap_past_it(cap):
+    # the budget binds every cap: an explicit one is refused before any walk,
+    # and a huge one stops at the first field past the budget
+    code, rep = run_json(["genus", "--p", "5", "--F", "y^2-x^3-x", "--cap", cap, "--json"])
     assert code == 2
-    assert rep["error"]["type"] == "PointCountTooLarge"
-    assert "GF(2^6)" in rep["error"]["message"]
-    code, rep = run_json(["genus", "--p", "2", "--F", FAM, "--cap", "3", "--json"])
-    assert code == 0
-    assert rep["data"]["zeta_genus"] == 2
+    assert rep["error"]["type"] == "BudgetExceeded"
+    assert rep["error"]["message"].startswith(f"point count at cap {cap} over GF(5^k), k <= 8:")
 
 
 def test_invalid_hypotheses_cli():

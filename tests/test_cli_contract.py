@@ -128,9 +128,9 @@ def _draw(rng: random.Random) -> tuple[list[str], str | None]:
         if command == "check-theorem":
             argv += _text_option(rng, "f", rng.choice(UNIPOLYS))
         if command == "genus" and rng.random() < 0.3:
-            # an explicit cap overrides the point-count budget, so only a
-            # refused one is drawn; the default cap stays within the budget
-            argv.append(f"--cap={rng.choice([0, -1])}")
+            # an invalid cap, caps the point count can walk, and one the work
+            # budget refuses
+            argv.append(f"--cap={rng.choice([0, -1, 1, 2, 40])}")
         argv.append(f"--max-depth={rng.choice([1, 8])}")
     return argv + ["--json"], None
 

@@ -23,6 +23,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -204,6 +205,19 @@ def test_squarefree_decomposition_groups_are_squarefree_coprime_and_multiply_bac
     assert prod == f
     for (_, g), (_, h) in itertools.combinations(groups, 2):
         assert poly_gcd(g, h).is_one()
+
+
+@settings(max_examples=100, deadline=None)
+@given(pk=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]), data=st.data())
+def test_squarefree_decomposition_of_a_squarefree_f_is_f_alone(pk, data):
+    # gcd(f, f') = 1 ends Yun's algorithm at once: f' is the one derivative
+    # it takes
+    F = make_field(*pk)
+    f = FFPoly(F, data.draw(st.lists(st.integers(0, F.order - 1), min_size=1, max_size=8)) + [1])
+    assume(poly_gcd(f, f.derivative()).is_one())
+    with mock.patch.object(ffield, "_pderiv", wraps=ffield._pderiv) as pderiv:
+        assert ffield._squarefree_decomposition(F, f.ints) == [(1, f.ints)]
+    assert pderiv.call_count == 1
 
 
 # -- resultant_y -----------------------------------------------------------------

@@ -15,11 +15,13 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from towerlab import ffield
 from towerlab.errors import TowerlabError
-from towerlab.ffield import BivarPoly, FFPoly, make_field, poly_factor
+from towerlab.ffield import BivarPoly, BudgetExceeded, FFPoly, make_field, poly_factor, poly_gcd
 from towerlab.omfactor import eisenstein_at, is_irreducible_over_ratfield
 from towerlab.omfactor.irreducibility import (
     _degree_analysis,
+    _find_specialization,
     _reconstruct_subsets,
     _subset_products,
 )
@@ -27,7 +29,7 @@ from towerlab.omfactor.newton import newton_polygon
 from towerlab.omfactor.places import curve_dy, curve_monic, curve_point, good_points, squarefree_in_y
 from towerlab.omfactor.ypoly import YPoly
 from towerlab.ratfunc import RatPlace, finite_places_of_degree
-from helpers import F3, F5, bivar, cli_report_curves, family_curves, sweep_pool
+from helpers import F2, F3, F5, bivar, cli_report_curves, family_curves, sweep_pool
 
 FIELDS = {"GF(2)": (2, 1), "GF(3)": (3, 1), "GF(4)": (2, 2), "GF(5)": (5, 1), "GF(9)": (3, 2)}
 
@@ -76,7 +78,7 @@ def test_agrees_with_hensel_reconstruction(F):
     assume(squarefree_in_y(F))
     try:
         want = _reconstruct_subsets(F)
-    except TowerlabError:
+    except BudgetExceeded:
         assume(False)
     assert is_irreducible_over_ratfield(F) == want
     if curve_point(F) is not None and _degree_analysis(F, good_points(F, F.field)) is None:
@@ -215,3 +217,40 @@ def test_squarefree_in_y_without_a_good_point(K, F, want):
     F = bivar(K, F)
     assert curve_point(F) is None
     assert squarefree_in_y(F) == _euclid_squarefree(F) == want
+
+
+def _no_point_below_gf2_7():
+    """L y^3 + (L + x + 1) y + (L + 1) over GF(2), L = lcm(x^64 + x,
+    x^32 + x, x^16 + x) of degree 106: L vanishes on GF(2^s) for s <= 6, so
+    the first good point lies in GF(2^7), and 2m deg_x F = 636 guarantees one
+    only in GF(2^10)."""
+    x, one = FFPoly(F2, [0, 1]), FFPoly(F2, [1])
+    L = one
+    for n in (64, 32, 16):
+        g = x**n + x
+        L = (L * g).exact_div(poly_gcd(L, g))
+    assert L.degree() == 106
+    return BivarPoly(F2, [L + one, L + x + one, FFPoly(F2, []), L])
+
+
+def test_the_good_point_walk_runs_to_the_field_that_must_have_one(monkeypatch):
+    F = _no_point_below_gf2_7()
+    assert curve_point(F) is None
+    xi, fy = _find_specialization(F)
+    assert xi.field.order == 2**7 and fy.degree() == 3
+    assert is_irreducible_over_ratfield(F)
+    # each field's walk is checked before it starts: GF(2^7)'s is predicted
+    # at 128 fibres of 3 * (106 + 3) products, and the smaller fields pass
+    monkeypatch.setattr(ffield, "WORK_BUDGET", 128 * 327 - 1)
+    with pytest.raises(BudgetExceeded, match=r"good-point walk over GF\(2\^7\)"):
+        _find_specialization(_no_point_below_gf2_7())
+
+
+def test_a_walk_without_a_good_point_is_an_engine_error():
+    # (y - x)^2 (y + 1) over GF(3) is good nowhere, and GF(27) has more than
+    # 2m deg_x F = 12 elements: the walk ends there with an error that is
+    # no refusal of work
+    F = bivar(F3, {(0, 3): 1, (0, 2): 1, (1, 2): 1, (1, 1): 1, (2, 1): 1, (2, 0): 1})
+    with pytest.raises(TowerlabError, match=r"no good point up to GF\(3\^3\)") as info:
+        _find_specialization(F)
+    assert not isinstance(info.value, BudgetExceeded)
