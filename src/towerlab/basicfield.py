@@ -22,8 +22,11 @@ single missing wild exponent.
 
 Both routes need the full constant field to be GF(q).  The Riemann-Hurwitz
 route certifies it by a gcd of absolute residue degrees: those of the
-locus places, then those that places_above finds, all with e = 1, above
-the places of degree 1 and 2 outside the locus.
+locus places, then those of the places above the places of degree 1 and
+2 outside the locus, each unramified with the degrees of its good fibre's
+factors (Kummer-Dedekind).  places.good_fibre alone decides which fibres
+are good, for that walk and for the point count; places_above runs only
+on the locus, from ram_table.
 """
 
 from __future__ import annotations
@@ -35,14 +38,15 @@ from .errors import TowerlabError
 from .ffield import (
     BivarPoly,
     FFPoly,
-    _monic_irreducibles,
+    FiniteField,
+    _ddf,
     _pow_mod,
     check_budget,
     make_field,
     poly_factor,
     poly_gcd,
 )
-from .omfactor.places import curve_disc_factors, places_above, require_separable
+from .omfactor.places import curve_disc_factors, good_fibre, places_above, require_separable
 from .ratfunc import RatPlace
 from .record import Record
 
@@ -123,6 +127,26 @@ def ram_table(F: BivarPoly, max_depth: int = 8) -> RamTable:
     return RamTable(F=F, m=F.deg_y(), rows=tuple(rows))
 
 
+def _orbit_reps(base: FiniteField, k: int):
+    """Yield (xi, size of its orbit) for each xi of GF(q^k), q = |base|,
+    that is the smallest, by encoding, of its conjugates xi^(q^j) over
+    GF(q): one point per place of degree dividing k.  An orbit's size
+    divides k, so one not closed by j = k - 1 has size k."""
+    q = base.order
+    K = base if k == 1 else make_field(base.p, base.k * k)
+    for xi in K.elements():
+        a = xi
+        for j in range(1, k):
+            a = a**q
+            if a == xi:
+                yield xi, j
+                break
+            if a.v < xi.v:
+                break
+        else:
+            yield xi, k
+
+
 def _constant_field_is_base(rt: RamTable) -> bool:
     """gcd of absolute residue degrees hitting 1 certifies that the full
     constant field is the base field."""
@@ -131,30 +155,23 @@ def _constant_field_is_base(rt: RamTable) -> bool:
         g = math.gcd(g, pl.residue_degree_abs())
         if g == 1:
             return True
-    # places outside the locus split etale: their residual factor degrees
-    # are residue degrees too
+    # off the locus a place of degree d is unramified, with the degrees f of
+    # its good fibre's factors (Kummer-Dedekind) and absolute degree d * f:
+    # one xi per place of degree 1 and 2, lazily, as the first place or two
+    # usually decide over a large field
     F = rt.F
-    locus = {P for P, _ in rt.rows}
     for d in (1, 2):
-        # lazily: over a large field the first place or two usually decide
-        for f in _monic_irreducibles(F.field, d):
-            P = RatPlace.finite(FFPoly._of(F.field, f), certified=True)
-            if P in locus:
-                continue
-            for fdeg in _unramified_fprofile(F, P):
-                g = math.gcd(g, fdeg * d)
+        for xi, orbit in _orbit_reps(F.field, d):
+            if orbit < d:
+                continue  # a point of GF(q), walked at d = 1
+            fy = good_fibre(F, xi)
+            if fy is None:
+                continue  # on the locus
+            for _factor, f in _ddf(xi.field, fy.monic().ints):
+                g = math.gcd(g, d * f)
                 if g == 1:
                     return True
     return g == 1
-
-
-def _unramified_fprofile(F: BivarPoly, P: RatPlace) -> list[int]:
-    """Residue degrees of the places above a place outside the
-    ramification locus, each of which has e = 1."""
-    pls = places_above(F, P)
-    if any(pl.e != 1 for pl in pls):
-        raise TowerlabError("ramified place outside the ramification locus")
-    return [pl.f for pl in pls]
 
 
 def genus_basic(F: BivarPoly, max_depth: int = 8) -> GenusResult:
@@ -196,41 +213,21 @@ def _count_roots(f: FFPoly) -> int:
     return poly_gcd(frob - y, f).degree()
 
 
-def _point_count(F: BivarPoly, k: int, locus_data) -> int:
+def _point_count(F: BivarPoly, k: int, locus_degrees) -> int:
     """Number of points of the function field over the degree-k constant
     extension: sum of deg Q over places Q with deg Q | k.
 
     Good fibers x = xi are etale, so their points are plain roots of
-    F(xi, y); fibers over the ramification locus (including infinity) are
-    counted from the engine's (e, f) data instead.  Conjugate fibers have
-    equal counts, so only one representative per Frobenius orbit is
-    evaluated."""
-    base = F.field
-    q = base.order
-    K = base if k == 1 else make_field(base.p, base.k * k)
-    bad = [poly for _degQs, poly in locus_data if poly is not None]
+    F(xi, y); a fiber is bad exactly over the ramification locus, whose
+    places (infinity too) are counted from locus_degrees, their absolute
+    residue degrees, instead.  Conjugate fibers have equal counts, so only
+    one representative per Frobenius orbit is evaluated."""
     total = 0
-    for xi in K.elements():
-        # smallest conjugate is the orbit representative
-        t0 = xi.to_int()
-        a = xi**q
-        orbit = 1
-        smallest = True
-        while a != xi:
-            if a.to_int() < t0:
-                smallest = False
-                break
-            orbit += 1
-            a = a**q
-        if not smallest:
-            continue
-        if any(bp.eval(xi).is_zero() for bp in bad):
-            continue
-        fy = F.eval_x(xi)
-        total += orbit * _count_roots(fy)
-    for degQs, _poly in locus_data:
-        total += sum(dq for dq in degQs if k % dq == 0)
-    return total
+    for xi, orbit in _orbit_reps(F.field, k):
+        fy = good_fibre(F, xi)
+        if fy is not None:
+            total += orbit * _count_roots(fy)
+    return total + sum(dq for dq in locus_degrees if k % dq == 0)
 
 
 def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
@@ -256,11 +253,11 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
     for k in range(1, kmax + 1):
         work += q**k * m * (n + m * (q**k).bit_length())
         check_budget(f"point count at cap {g_cap} over GF({q}^k), k <= {k}", work)
-    locus_data = [
-        ([pl.residue_degree_abs() for pl in pls], P.poly)
-        for P, pls in (ram_table(F) if table is None else table).rows
+    locus_degrees = [
+        pl.residue_degree_abs()
+        for pl in (ram_table(F) if table is None else table).all_places()
     ]
-    S = {k: _point_count(F, k, locus_data) for k in range(1, kmax + 1)}
+    S = {k: _point_count(F, k, locus_degrees) for k in range(1, kmax + 1)}
     # place counts by degree, via Moebius inversion of S_k = sum_{d|k} d*N_d;
     # their degree gcd certifies the constant field
     N = {}

@@ -12,8 +12,8 @@ Hensel-lift the factorization to O_P/P^N[y], P = x - xi (the
 ratfunc.LocalRing the MacLane engine computes in), and try to reconstruct
 a true factor from every subset of the lifted factors with exact trial
 division.  No subset reconstructs a factor iff F is irreducible.  Every
-fibre F(xi, y) comes from `places.good_points`, so no step here evaluates
-a fibre or checks that it is squarefree.
+fibre F(xi, y) comes from `places.curve_fibres`, so no step here evaluates
+a fibre, checks that it is squarefree or walks a field for one.
 
 Degree analysis (Musser, "On the efficiency of a polynomial irreducibility
 test", JACM 1978): a factor of F of y-degree k over K(x) specializes to a
@@ -23,7 +23,8 @@ good points of GF(q) in order (at most MAX_FIBRES of them), reads each fibre's
 factor degrees off its distinct-degree factorization and intersects those
 subset sums; once no 0 < k < m is left, F is irreducible.  Otherwise the
 reconstruction factors the fibre with the fewest factors.  Without a good
-point in GF(q), the first one of the smallest extension that has one is used.
+point in GF(q), curve_fibres yields the one fibre both steps use: the first
+good fibre of the smallest extension that has one.
 
 The test answers, or refuses its work with BudgetExceeded: a good-point
 walk or a split predicted past ffield.WORK_BUDGET, or a subset search over
@@ -45,20 +46,10 @@ from ..ffield import (
     _embed_ints,
     _ptaylor,
     _pxgcd,
-    check_budget,
-    make_field,
     poly_factor,
 )
 from ..ratfunc import RatFunc, RatPlace
-from .places import (
-    curve_dy,
-    curve_fibres,
-    curve_monic,
-    curve_point,
-    curve_squarefree,
-    eisenstein_at,
-    good_points,
-)
+from .places import curve_dy, curve_fibres, curve_monic, curve_squarefree, eisenstein_at
 from .ypoly import YPoly
 
 # The most fibres the degree analysis reads.  No fibre rules out every factor
@@ -108,25 +99,6 @@ def _hensel_tree(F: YPoly, factors: list[FFPoly]) -> list[YPoly]:
     return _hensel_tree(G, A) + _hensel_tree(H, B)
 
 
-def _find_specialization(F: BivarPoly) -> tuple[FFElem, FFPoly]:
-    """The first good point (xi, F(xi, y)) of the smallest GF(q^s) that has
-    one; GF(q)'s comes from the record.  The first GF(q^s) with more than
-    2m deg_x F elements has one (good_points), and each field's walk, at most
-    2m deg_x F + 1 fibres of m * (deg_x F + m) products, is budgeted first."""
-    if curve_point(F) is not None:
-        return next(curve_fibres(F))
-    base = F.field
-    m, n = F.deg_y(), F.deg_x()
-    s = 1
-    while base.order**s <= 2 * m * n:
-        s += 1
-        check_budget(f"good-point walk over GF({base.order}^{s})",
-                     min(base.order**s, 2 * m * n + 1) * m * (n + m))
-        for point in good_points(F, make_field(base.p, base.k * s)):
-            return point
-    raise TowerlabError(f"no good point up to GF({base.order}^{s}) for a squarefree F: engine bug")
-
-
 def _degree_analysis(F: BivarPoly, points):
     """Musser's degree analysis over good points (xi, F(xi, y)), whose fibres
     good_points certifies squarefree, so `_ddf` gives their factor degrees
@@ -161,16 +133,13 @@ def _subset_products(lifted: list[YPoly], r: int, start: int = 0, prefix=None):
             yield from _subset_products(lifted, r - 1, i + 1, prod)
 
 
-def _reconstruct_subsets(F: BivarPoly, xi: FFElem | None = None, fy=None) -> bool:
+def _reconstruct_subsets(F: BivarPoly, xi: FFElem, fy: FFPoly) -> bool:
     """True iff F (separable, y-free content, deg_y >= 2) is irreducible,
     by Hensel factor reconstruction from the good point x = xi with fibre
-    fy = F(xi, y), which is factored here; the point is found here when
-    not given."""
+    fy = F(xi, y), which is factored here."""
     base = F.field
     lc = F.ycoeff(F.deg_y())
     B = F.deg_x() + lc.degree()
-    if xi is None:
-        xi, fy = _find_specialization(F)
     factors = [g for g, _ in poly_factor(fy)]
     if len(factors) == 1:
         return True
@@ -238,9 +207,5 @@ def is_irreducible_over_ratfield(F: BivarPoly) -> bool:
         return True
     if not curve_squarefree(F):
         return False
-    if curve_point(F) is None:
-        points = [_find_specialization(F)]
-    else:
-        points = itertools.islice(curve_fibres(F), MAX_FIBRES)
-    best = _degree_analysis(F, points)
+    best = _degree_analysis(F, itertools.islice(curve_fibres(F), MAX_FIBRES))
     return best is None or _reconstruct_subsets(F, *best)

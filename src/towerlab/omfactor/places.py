@@ -16,13 +16,15 @@ in y (side='y': in x): a positive degree, a nonzero derivative, no square
 factor.  places_above and the ramification locus raise what it finds, and
 check_theorem reads it as a precondition.
 
-good_points is the one place that decides which fibres F(xi, y) certify
-something: those that keep degree deg_y F and are squarefree.  The
-squarefree certificate, Musser's degree analysis and the Hensel
-reconstruction in omfactor.irreducibility all take their fibres from it,
-and the degree analysis resumes the walk after the first good fibre, which
-the record keeps.  The Eisenstein test reads the Newton polygon of F's own
-coefficients.
+This module owns the fibres F(xi, y).  good_fibre alone decides which
+are good: those that keep degree deg_y F and are squarefree.  good_points
+walks a field with it; basicfield's point count and constant-field
+certificate ask it at one point per Frobenius orbit.  curve_fibres is the
+irreducibility test's one stream: GF(q)'s good fibres, the first kept on
+the record, or without one the first of the smallest extension that has
+one.  The squarefree certificate, Musser's degree analysis and the Hensel
+reconstruction in omfactor.irreducibility all take their fibres from it.
+The Eisenstein test reads the Newton polygon of F's own coefficients.
 
 The facts about F that do not depend on P are derived once per curve and
 kept in the dict F.facts, which takes no part in F's equality and is freed
@@ -39,7 +41,17 @@ the same F share one computation of each.
 from __future__ import annotations
 
 from ..errors import TowerlabError
-from ..ffield import BivarPoly, FFElem, FiniteField, poly_factor, poly_gcd, resultant_y
+from ..ffield import (
+    BivarPoly,
+    FFElem,
+    FiniteField,
+    _pderiv,
+    _pgcd,
+    check_budget,
+    make_field,
+    poly_factor,
+    resultant_y,
+)
 from ..ratfunc import RatPlace
 from ..record import Record
 from .maclane import INF, Inseparable, decompose, exact_val
@@ -229,10 +241,21 @@ def require_separable(F: BivarPoly, side: str = "x") -> None:
         raise Inseparable(why)
 
 
+def good_fibre(F: BivarPoly, xi: FFElem):
+    """F(xi, y) when the fibre at xi is good, None otherwise: a good fibre
+    keeps degree deg_y F and is squarefree, exactly when
+    lc_y F * Res_y(F, F_y) does not vanish at xi."""
+    fy = F.eval_x(xi)
+    if fy.degree() == F.deg_y():
+        d = _pderiv(xi.field, fy.ints)
+        if d and len(_pgcd(xi.field, fy.ints, d)) == 1:
+            return fy
+    return None
+
+
 def good_points(F: BivarPoly, K: FiniteField, start: int = 0):
     """Yield (xi, F(xi, y)) for each xi in K (an extension of F's field), in
-    encoding order from the encoding start on, at which the fibre keeps
-    degree deg_y F and is squarefree.
+    encoding order from the encoding start on, at which the fibre is good.
 
     The first such point certifies F squarefree and separable in y over
     K(x): by Gauss's lemma a square factor A^2 of F can be taken in
@@ -241,21 +264,17 @@ def good_points(F: BivarPoly, K: FiniteField, start: int = 0):
     No point decides nothing: y^2 - (x^5 - x) over GF(5) is squarefree but
     is y^2 at every point.
 
-    A point is good iff lc_y F * Res_y(F, F_y) does not vanish there, and
-    that product has degree at most 2m deg_x F.  A walk past more bad points
-    than that proves F not squarefree, with no good point anywhere, so it
-    stops instead of running through all of K.
+    lc_y F * Res_y(F, F_y) has degree at most 2m deg_x F.  A walk past more
+    bad points than that proves F not squarefree, with no good point
+    anywhere, so it stops instead of running through all of K.
     """
-    m = F.deg_y()
-    bad = 2 * m * F.deg_x()
+    bad = 2 * F.deg_y() * F.deg_x()
     for v in range(start, K.order):
         xi = FFElem(K, v)
-        fy = F.eval_x(xi)
-        if fy.degree() == m:
-            d = fy.derivative()
-            if not d.is_zero() and poly_gcd(fy, d).degree() == 0:
-                yield xi, fy
-                continue
+        fy = good_fibre(F, xi)
+        if fy is not None:
+            yield xi, fy
+            continue
         bad -= 1
         if bad < 0:
             return
@@ -289,11 +308,28 @@ def curve_point(F: BivarPoly):
 
 
 def curve_fibres(F: BivarPoly):
-    """good_points(F, F.field) for F with a good point: the first, kept on
-    the record with its fibre, then the walk resumed after it."""
-    xi, fy = F.facts["point"]
-    yield xi, fy
-    yield from good_points(F, F.field, xi.v + 1)
+    """The good fibres (xi, F(xi, y)) of GF(q), F's own field, the first
+    taken from the record.  Without one, the first good fibre of the
+    smallest GF(q^s) that has one, and no more: the first GF(q^s) with more
+    than 2m deg_x F elements has one (good_points), and each field's walk,
+    at most 2m deg_x F + 1 fibres of m * (deg_x F + m) products, is
+    budgeted first.  F must be squarefree in y."""
+    if curve_point(F) is not None:
+        xi, fy = F.facts["point"]
+        yield xi, fy
+        yield from good_points(F, F.field, xi.v + 1)
+        return
+    base = F.field
+    m, n = F.deg_y(), F.deg_x()
+    s = 1
+    while base.order**s <= 2 * m * n:
+        s += 1
+        check_budget(f"good-point walk over GF({base.order}^{s})",
+                     min(base.order**s, 2 * m * n + 1) * m * (n + m))
+        for point in good_points(F, make_field(base.p, base.k * s)):
+            yield point
+            return
+    raise TowerlabError(f"no good point up to GF({base.order}^{s}) for a squarefree F: engine bug")
 
 
 def curve_disc(F: BivarPoly):

@@ -10,7 +10,6 @@ from hypothesis import example, given, strategies as st
 from towerlab import basicfield, checker, ffield
 from towerlab.basicfield import (
     CapTooSmall,
-    _unramified_fprofile,
     InconsistentOracle,
     genus_basic,
     genus_from_table,
@@ -20,9 +19,10 @@ from towerlab.basicfield import (
     zeta_genus,
 )
 from towerlab.checker import FamilyParams, build_family
+from towerlab.cli import parse_poly
 from towerlab.errors import TowerlabError
 from towerlab.ffield import FFPoly, make_field, poly_factor
-from towerlab.omfactor import monic_integral_model
+from towerlab.omfactor import monic_integral_model, places_above
 from towerlab.omfactor.places import curve_disc, curve_dy
 from towerlab.ratfunc import finite_places_of_degree
 from helpers import (
@@ -351,7 +351,50 @@ def test_unramified_fprofile_matches_kummer_dedekind(make):
     ]
     assert outside
     for P in outside:
-        assert sorted(_unramified_fprofile(F, P)) == _kummer_dedekind_fprofile(F, P), P
+        pls = places_above(F, P)
+        assert [pl.e for pl in pls] == [1] * len(pls), P
+        assert sorted(pl.f for pl in pls) == _kummer_dedekind_fprofile(F, P), P
+
+
+# (field, F, full constant field is GF(q)) for curves whose locus places
+# leave a residue-degree gcd above 1, so the certificate walks the good
+# fibres of GF(q) and GF(q^2)
+CONSTANT_FIELD_WALKS = [
+    (F5, "y^3+3*y^2+(3*x^2+2)*y+2*x^3+x^2", True),
+    (F5, "y^2+3*x*y+4*x^2+3*x+1", True),
+    (F5, "y^3+y^2+2*x^2*y+4*x^3+x^2+3*x+1", True),
+    (F5, "y^2+3*x^2", False),
+    (F5, "y^2+3", False),
+    (F2, "y^3+y^2+(x^2+x+1)*y+x^3+x^2", True),
+    (F2, "y^2+y+1", False),
+    (F2, "y^3+y+1", False),
+    (F3, "y^2+x^2+x+2", True),
+    (F3, "y^2+y+2", False),
+]
+
+
+@pytest.mark.parametrize("K, text, want", CONSTANT_FIELD_WALKS)
+def test_the_constant_field_certificate_reads_the_good_fibres(monkeypatch, K, text, want):
+    rt = ram_table(parse_poly(text, K))
+    assert math.gcd(*(pl.residue_degree_abs() for pl in rt.all_places())) > 1
+    # off the locus the certificate factors fibres; it runs no MacLane engine
+    monkeypatch.setattr(basicfield, "places_above", None)
+    assert basicfield._constant_field_is_base(rt) is want
+
+
+@pytest.mark.parametrize("p, b, k", [(2, 1, 1), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2), (5, 1, 2)])
+def test_the_orbit_representatives_are_the_smallest_of_each_frobenius_orbit(p, b, k):
+    # the point count and the constant-field certificate share one rule
+    base = make_field(p, b)
+    K = make_field(p, b * k)
+    want = {}
+    for xi in K.elements():
+        orbit, a = {xi.v}, xi**base.order
+        while a != xi:
+            orbit.add(a.v)
+            a = a**base.order
+        want[min(orbit)] = len(orbit)
+    assert [(xi.v, n) for xi, n in basicfield._orbit_reps(base, k)] == sorted(want.items())
 
 
 # -- the L-polynomial fit at every cap -----------------------------------------
@@ -384,9 +427,9 @@ def _counts_from_the_zeta_function(monkeypatch, genus):
     count = basicfield._point_count
     seen = {}
 
-    def point_count(F, k, locus_data):
+    def point_count(F, k, locus_degrees):
         if k <= 2 * genus:
-            seen[k] = count(F, k, locus_data)
+            seen[k] = count(F, k, locus_degrees)
             return seen[k]
         q = F.field.order
         a = {j: q**j + 1 - seen[j] for j in range(1, 2 * genus + 1)}

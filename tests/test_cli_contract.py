@@ -7,7 +7,9 @@ draws cover malformed text, huge exponents, characteristics that are not
 prime, extension degrees below one, reducible and inseparable F, and
 family orders that are no prime power or lie past the family's bound.  A
 check-theorem job on an F inseparable in y or in x ends in exit 1 with that
-failed precondition, named by its variable."""
+failed precondition, named by its variable.  Some genus jobs run valid
+curves at --max-depth=8, so the sweep reaches the constant-field
+certificate and the point count, whose work budget refuses --cap=40."""
 
 import io
 import json
@@ -18,6 +20,7 @@ import sys
 from contextlib import redirect_stdout
 
 import jsonschema
+import pytest
 
 import towerlab
 from towerlab import cli
@@ -60,6 +63,17 @@ INSEPARABLE = [
     (3, "y^3-x", "y"),
     (2, "(x^2+1)*y^4+y^3+1", "x"),
     (3, "x^3*y+y^2+1", "x"),
+]
+# (p, F) curves a genus job runs to the end at --max-depth=8: two constant
+# field extensions that the certificate refuses off the locus, and curves
+# whose point count runs
+GENUS_CURVES = [
+    (5, "y^2-2"),
+    (2, "y^2+y+1"),
+    (5, "y^2-x^3-x"),
+    (2, "y^2+y+x^3"),
+    (3, "y^2-x^3+x"),
+    (3, "y^3-y-x^2"),
 ]
 ELEMS = ["0", "1", "t", "t+1", "t^2", "2*t", "x", "s", "", "t^99999999", "(t"]
 UNIPOLYS = ["x", "x+1", "x^2+1", "x^2", "1", "0", "y", "x^3+x+1", "", "x^", "x^100000"]
@@ -122,6 +136,12 @@ def _draw(rng: random.Random) -> tuple[list[str], str | None]:
         m, n, r, p = (rng.randint(-1, 4) for _ in range(4))
         argv = [command, f"--m={m}", f"--n={n}", f"--r={r}", f"--p={p}"]
         argv.append(f"--levels={rng.choice([-1, 0, 1, 3, 6])}")
+    elif command == "genus" and rng.random() < 0.4:
+        p, F = rng.choice(GENUS_CURVES)
+        argv = [command, f"--p={p}", "--k=1", *_text_option(rng, "F", F)]
+        if rng.random() < 0.5:
+            argv.append(f"--cap={rng.choice([1, 2, 40])}")
+        return argv + ["--max-depth=8", "--json"], None
     else:
         argv = [command, f"--p={rng.choice(PS)}", f"--k={rng.choice(KS)}"]
         argv += _text_option(rng, "F", _text(rng))
@@ -135,10 +155,13 @@ def _draw(rng: random.Random) -> tuple[list[str], str | None]:
     return argv + ["--json"], None
 
 
-def test_seeded_jobs_keep_the_cli_contract():
+def test_seeded_jobs_keep_the_cli_contract(monkeypatch):
     rng = random.Random(SEED)
     schema, errors = _schema(), _error_names()
     inseparable = 0
+    point_counts, refused_caps = [], []
+    zeta_genus = cli.zeta_genus
+    monkeypatch.setattr(cli, "zeta_genus", lambda *a: point_counts.append(a) or zeta_genus(*a))
     for _ in range(JOBS):
         argv, var = _draw(rng)
         buf = io.StringIO()
@@ -150,6 +173,8 @@ def test_seeded_jobs_keep_the_cli_contract():
         assert (code == 2) == (rep["verdict"] == "error"), argv
         if code == 2:
             assert rep["error"]["type"] in errors, argv
+            if "--cap=40" in argv and rep["error"]["type"] == "BudgetExceeded":
+                refused_caps.append(argv)
         if var is not None:
             inseparable += 1
             assert code == 1, argv
@@ -157,6 +182,8 @@ def test_seeded_jobs_keep_the_cli_contract():
                 f"precondition: F is inseparable in {var}: dF/d{var} = 0"
             ], argv
     assert inseparable, "no check-theorem job drew an inseparable F"
+    assert point_counts, "no genus job reached the point count"
+    assert refused_caps, "no --cap=40 job was refused by the work budget"
 
 
 def test_a_reducible_F_of_the_largest_parsed_degree_is_answered_within_seconds():
@@ -175,3 +202,26 @@ def test_a_reducible_F_of_the_largest_parsed_degree_is_answered_within_seconds()
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "BudgetExceeded"
+
+
+@pytest.mark.xfail(
+    raises=subprocess.TimeoutExpired,
+    strict=True,
+    reason="the constant-field certificate walks every place of degree 1 and 2 "
+    "off the locus: about 10^9 fibres over GF(10^9 + 7)",
+)
+def test_a_constant_field_extension_at_a_huge_prime_is_answered_within_seconds():
+    # y^2 - 5 over GF(10^9 + 7) is irreducible (5 is no square there) and
+    # its constant field is GF(p^2): every place has even degree, so no gcd
+    # of residue degrees can reach 1 and only an exact test ends the walk
+    src = os.path.dirname(os.path.dirname(towerlab.__file__))
+    entry = "import sys; from towerlab.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, "analyze", "--p", "1000000007", "--F", "y^2-5", "--json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        timeout=3,
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert "constant field extension" in json.loads(proc.stdout)["error"]["message"]

@@ -140,5 +140,5 @@ def test_irreducibility_evaluates_each_fibre_once(monkeypatch):
     copies = [_copy(F) for F in curves]
     for F in copies:
         places.curve_point(F)
-        assert _reconstruct_subsets(F)
+        assert _reconstruct_subsets(F, *next(places.curve_fibres(F)))
     assert len(calls) == len(set(calls)) == 75 + 68

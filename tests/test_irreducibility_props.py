@@ -17,16 +17,24 @@ from hypothesis import assume, given, settings, strategies as st
 
 from towerlab import ffield
 from towerlab.errors import TowerlabError
-from towerlab.ffield import BivarPoly, BudgetExceeded, FFPoly, make_field, poly_factor, poly_gcd
+from towerlab.ffield import BivarPoly, BudgetExceeded, FFElem, FFPoly, make_field, poly_factor, poly_gcd
 from towerlab.omfactor import eisenstein_at, is_irreducible_over_ratfield
 from towerlab.omfactor.irreducibility import (
     _degree_analysis,
-    _find_specialization,
     _reconstruct_subsets,
     _subset_products,
 )
 from towerlab.omfactor.newton import newton_polygon
-from towerlab.omfactor.places import curve_dy, curve_monic, curve_point, good_points, squarefree_in_y
+from towerlab.omfactor.places import (
+    curve_disc,
+    curve_dy,
+    curve_fibres,
+    curve_monic,
+    curve_point,
+    good_fibre,
+    good_points,
+    squarefree_in_y,
+)
 from towerlab.omfactor.ypoly import YPoly
 from towerlab.ratfunc import RatPlace, finite_places_of_degree
 from helpers import F2, F3, F5, bivar, cli_report_curves, family_curves, sweep_pool
@@ -71,13 +79,18 @@ def _hidden_quadratic(K):
     return BivarPoly.from_coeff_dict(K, {k: K.elem(v) for k, v in d.items() if v})
 
 
+def _reconstruct(F):
+    """The reference: the Hensel reconstruction from F's first good fibre."""
+    return _reconstruct_subsets(F, *next(curve_fibres(F)))
+
+
 @SETTINGS
 @given(_case(lambda K: _bivar(K, 4, 2, min_dy=2)))
 def test_agrees_with_hensel_reconstruction(F):
     assume(not F.ycoeff(0).is_zero() and not F.derivative_y().is_zero())
     assume(squarefree_in_y(F))
     try:
-        want = _reconstruct_subsets(F)
+        want = _reconstruct(F)
     except BudgetExceeded:
         assume(False)
     assert is_irreducible_over_ratfield(F) == want
@@ -97,7 +110,7 @@ def test_agrees_with_hensel_reconstruction_on_the_benchmark_curves(monkeypatch):
     assert not any(G is F for G in fibres for F in family)
     # the reference needs F separable in y; y^2 + x over GF(4) is not, and
     # without content in x or y it is irreducible over GF(q)(x) iff over GF(q)(y)
-    want = [_reconstruct_subsets(F.swap_xy() if curve_dy(F).is_zero() else F) for F in curves]
+    want = [_reconstruct(F.swap_xy() if curve_dy(F).is_zero() else F) for F in curves]
     assert got == want == [True] * len(curves)
 
 
@@ -219,6 +232,20 @@ def test_squarefree_in_y_without_a_good_point(K, F, want):
     assert squarefree_in_y(F) == _euclid_squarefree(F) == want
 
 
+@SETTINGS
+@given(_case(lambda K: _bivar(K, 3, 2)))
+def test_a_fibre_is_good_exactly_off_the_zeros_of_lc_times_the_discriminant(F):
+    # the point count skips a locus point by this predicate alone, over GF(q)
+    # and its extensions
+    assume(not curve_dy(F).is_zero())
+    bad = F.ycoeff(F.deg_y()) * curve_disc(F)
+    K = F.field
+    for L in (K, make_field(K.p, 2 * K.k)):
+        for v in range(min(L.order, 30)):
+            xi = FFElem(L, v)
+            assert (good_fibre(F, xi) is None) == bad.eval(xi).is_zero(), xi
+
+
 def _no_point_below_gf2_7():
     """L y^3 + (L + x + 1) y + (L + 1) over GF(2), L = lcm(x^64 + x,
     x^32 + x, x^16 + x) of degree 106: L vanishes on GF(2^s) for s <= 6, so
@@ -236,14 +263,14 @@ def _no_point_below_gf2_7():
 def test_the_good_point_walk_runs_to_the_field_that_must_have_one(monkeypatch):
     F = _no_point_below_gf2_7()
     assert curve_point(F) is None
-    xi, fy = _find_specialization(F)
+    xi, fy = next(curve_fibres(F))
     assert xi.field.order == 2**7 and fy.degree() == 3
     assert is_irreducible_over_ratfield(F)
     # each field's walk is checked before it starts: GF(2^7)'s is predicted
     # at 128 fibres of 3 * (106 + 3) products, and the smaller fields pass
     monkeypatch.setattr(ffield, "WORK_BUDGET", 128 * 327 - 1)
     with pytest.raises(BudgetExceeded, match=r"good-point walk over GF\(2\^7\)"):
-        _find_specialization(_no_point_below_gf2_7())
+        next(curve_fibres(_no_point_below_gf2_7()))
 
 
 def test_a_walk_without_a_good_point_is_an_engine_error():
@@ -252,5 +279,5 @@ def test_a_walk_without_a_good_point_is_an_engine_error():
     # no refusal of work
     F = bivar(F3, {(0, 3): 1, (0, 2): 1, (1, 2): 1, (1, 1): 1, (2, 1): 1, (2, 0): 1})
     with pytest.raises(TowerlabError, match=r"no good point up to GF\(3\^3\)") as info:
-        _find_specialization(F)
+        next(curve_fibres(F))
     assert not isinstance(info.value, BudgetExceeded)
