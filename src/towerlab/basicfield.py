@@ -20,17 +20,18 @@ ffield.WORK_BUDGET is refused (BudgetExceeded) before any count.
 reconcile_different plays the two routes against each other to pin a
 single missing wild exponent.
 
-Both routes need the full constant field to be GF(q).  The Riemann-Hurwitz
-route certifies it by a gcd of absolute residue degrees: those of the
-locus places, then those of the places above the places of degree 1 and
-2 outside the locus, each unramified with the degrees of its good fibre's
-factors (Kummer-Dedekind).  places.good_fibre alone decides which fibres
-are good, for that walk and for the point count; places_above runs only
-on the locus, from ram_table.
+Both routes need the full constant field to be GF(q), and both ask one
+exact rule, _constant_field_is_base: the constant field's degree divides
+m, every locus degree and every k with a point over GF(q^k), and by
+Hasse-Weil their gcd over k <= K + 1 is 1 exactly when that degree is.
+The points come from the point count's own walk, _fibre_points, whose
+good fibres places.good_fibre alone decides; places_above runs only on
+the locus, from ram_table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -39,7 +40,6 @@ from .ffield import (
     BivarPoly,
     FFPoly,
     FiniteField,
-    _ddf,
     _pow_mod,
     check_budget,
     make_field,
@@ -148,47 +148,51 @@ def _orbit_reps(base: FiniteField, k: int):
 
 
 def _constant_field_is_base(rt: RamTable) -> bool:
-    """gcd of absolute residue degrees hitting 1 certifies that the full
-    constant field is the base field."""
-    g = 0
-    for pl in rt.all_places():
-        g = math.gcd(g, pl.residue_degree_abs())
-        if g == 1:
-            return True
-    # off the locus a place of degree d is unramified, with the degrees f of
-    # its good fibre's factors (Kummer-Dedekind) and absolute degree d * f:
-    # one xi per place of degree 1 and 2, lazily, as the first place or two
-    # usually decide over a large field
-    F = rt.F
-    for d in (1, 2):
-        for xi, orbit in _orbit_reps(F.field, d):
-            if orbit < d:
-                continue  # a point of GF(q), walked at d = 1
-            fy = good_fibre(F, xi)
-            if fy is None:
-                continue  # on the locus
-            for _factor, f in _ddf(xi.field, fy.monic().ints):
-                g = math.gcd(g, d * f)
-                if g == 1:
-                    return True
-    return g == 1
+    """Whether the full constant field is GF(q), exactly.  Its degree c
+    divides m, every place degree and every k with a point over GF(q^k).
+    When c = 1 the genus is at most g, the bidegree's and Riemann-Hurwitz's
+    bound, and Hasse-Weil (Stichtenoth Thm 5.2.3) puts a point over GF(q^k)
+    at every k >= K, the least k with q^k + 1 > 2g q^(k/2).  So c = 1 iff
+    the gcd of m, the locus degrees and the k <= K + 1 with a point is 1,
+    as gcd(K, K + 1) = 1."""
+    F, m = rt.F, rt.m
+    degrees = [pl.residue_degree_abs() for pl in rt.all_places()]
+    c = math.gcd(m, *degrees)
+    if c == 1:
+        return True
+    q = F.field.order
+    hi = rt.different_degree_bounds()[1]
+    g = max(0, min((m - 1) * (F.deg_x() - 1), (hi - 2 * m + 2) // 2))
+    K = next(k for k in itertools.count(1) if (q**k + 1) ** 2 > 4 * g * g * q**k)
+    for k in range(1, K + 2):
+        # a k that c divides cannot lower the gcd; a point over GF(q^k) is a
+        # locus place of degree dividing k or a root of a good fibre
+        if k % c and (any(k % d == 0 for d in degrees) or any(_fibre_points(F, k))):
+            c = math.gcd(c, k)
+            if c == 1:
+                return True
+    return False
 
 
-def genus_basic(F: BivarPoly, max_depth: int = 8) -> GenusResult:
-    """Riemann-Hurwitz genus of K(x,y) over the exact constant field, from
-    the ramification table.  Requires F irreducible and separable in y with
-    full constant field equal to the base field (certified by place-degree
-    gcd; raises TowerlabError otherwise)."""
-    rt = ram_table(F, max_depth=max_depth)
-    return genus_from_table(rt)
-
-
-def genus_from_table(rt: RamTable) -> GenusResult:
+def _require_constant_field_base(rt: RamTable) -> None:
     if not _constant_field_is_base(rt):
         raise TowerlabError(
             "constant field extension detected; the genus formula needs the "
             "full constant field to be the base field"
         )
+
+
+def genus_basic(F: BivarPoly, max_depth: int = 8) -> GenusResult:
+    """Riemann-Hurwitz genus of K(x,y) over the exact constant field, from
+    the ramification table.  Requires F irreducible and separable in y with
+    full constant field equal to the base field (_constant_field_is_base;
+    raises TowerlabError otherwise)."""
+    rt = ram_table(F, max_depth=max_depth)
+    return genus_from_table(rt)
+
+
+def genus_from_table(rt: RamTable) -> GenusResult:
+    _require_constant_field_base(rt)
     m = rt.m
     lo, hi = rt.different_degree_bounds()  # lo == hi iff every d is exact
     if lo == hi and lo % 2:
@@ -213,6 +217,15 @@ def _count_roots(f: FFPoly) -> int:
     return poly_gcd(frob - y, f).degree()
 
 
+def _fibre_points(F: BivarPoly, k: int):
+    """Yield the points over GF(q^k) of the good fibres, one Frobenius orbit
+    at a time: orbit size times the roots of F(xi, y)."""
+    for xi, orbit in _orbit_reps(F.field, k):
+        fy = good_fibre(F, xi)
+        if fy is not None:
+            yield orbit * _count_roots(fy)
+
+
 def _point_count(F: BivarPoly, k: int, locus_degrees) -> int:
     """Number of points of the function field over the degree-k constant
     extension: sum of deg Q over places Q with deg Q | k.
@@ -222,12 +235,7 @@ def _point_count(F: BivarPoly, k: int, locus_degrees) -> int:
     places (infinity too) are counted from locus_degrees, their absolute
     residue degrees, instead.  Conjugate fibers have equal counts, so only
     one representative per Frobenius orbit is evaluated."""
-    total = 0
-    for xi, orbit in _orbit_reps(F.field, k):
-        fy = good_fibre(F, xi)
-        if fy is not None:
-            total += orbit * _count_roots(fy)
-    return total + sum(dq for dq in locus_degrees if k % dq == 0)
+    return sum(_fibre_points(F, k)) + sum(dq for dq in locus_degrees if k % dq == 0)
 
 
 def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
@@ -237,9 +245,10 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
     _point_count counts the rest.
 
     Independent of different exponents.  Raises BudgetExceeded before any
-    count when the walk is predicted past WORK_BUDGET, CapTooSmall when no
-    L-polynomial of degree <= 2*g_cap matches the counts, and TowerlabError
-    when the constant field visibly extends (gcd of place degrees > 1)."""
+    count when the walk is predicted past WORK_BUDGET, TowerlabError when
+    the constant field is not GF(q) (_constant_field_is_base, as for the
+    Riemann-Hurwitz route), and CapTooSmall when no L-polynomial of degree
+    <= 2*g_cap matches the counts."""
     if g_cap < 0:
         raise ValueError("g_cap must be >= 0")
     field = F.field
@@ -253,28 +262,18 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
     for k in range(1, kmax + 1):
         work += q**k * m * (n + m * (q**k).bit_length())
         check_budget(f"point count at cap {g_cap} over GF({q}^k), k <= {k}", work)
-    locus_degrees = [
-        pl.residue_degree_abs()
-        for pl in (ram_table(F) if table is None else table).all_places()
-    ]
+    rt = ram_table(F) if table is None else table
+    _require_constant_field_base(rt)
+    locus_degrees = [pl.residue_degree_abs() for pl in rt.all_places()]
     S = {k: _point_count(F, k, locus_degrees) for k in range(1, kmax + 1)}
-    # place counts by degree, via Moebius inversion of S_k = sum_{d|k} d*N_d;
-    # their degree gcd certifies the constant field
+    # place counts by degree, via Moebius inversion of S_k = sum_{d|k} d*N_d,
+    # must be whole and nonnegative
     N = {}
     for d in range(1, kmax + 1):
         s = S[d] - sum(e * N[e] for e in range(1, d) if d % e == 0)
         if s < 0 or s % d:
             raise TowerlabError("place counts are not consistent: engine bug")
         N[d] = s // d
-    degree_gcd = 0
-    for d, n in N.items():
-        if n > 0:
-            degree_gcd = math.gcd(degree_gcd, d)
-    if degree_gcd > 1:
-        raise TowerlabError(
-            "constant field extension detected (all place degrees divisible "
-            f"by {degree_gcd}); zeta genus needs absolute irreducibility"
-        )
     a = {k: q**k + 1 - S[k] for k in range(1, kmax + 1)}
     # Newton's identities, j*c_j = -sum_{i<=j} a_i c_{j-i}, give the
     # coefficients c_j of the L-polynomial's series from the counts alone.

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,8 @@ from towerlab.basicfield import (
 from towerlab.checker import FamilyParams, build_family
 from towerlab.cli import parse_poly
 from towerlab.errors import TowerlabError
-from towerlab.ffield import FFPoly, make_field, poly_factor
-from towerlab.omfactor import monic_integral_model, places_above
+from towerlab.ffield import BivarPoly, FFElem, FFPoly, make_field, poly_factor
+from towerlab.omfactor import is_irreducible_over_ratfield, monic_integral_model, places_above
 from towerlab.omfactor.places import curve_disc, curve_dy
 from towerlab.ratfunc import finite_places_of_degree
 from helpers import (
@@ -311,8 +312,6 @@ def test_random_curves_nonnegative_genus_even_different():
         F = bivar(field, {k: field.elem(v) for k, v in d.items()})
         if F.deg_y() < 2 or F.derivative_y().is_zero():
             continue
-        from towerlab.omfactor import is_irreducible_over_ratfield
-
         if not is_irreducible_over_ratfield(F):
             continue
         try:
@@ -357,8 +356,11 @@ def test_unramified_fprofile_matches_kummer_dedekind(make):
 
 
 # (field, F, full constant field is GF(q)) for curves whose locus places
-# leave a residue-degree gcd above 1, so the certificate walks the good
-# fibres of GF(q) and GF(q^2)
+# leave a residue-degree gcd with m above 1, so the certificate walks the
+# good fibres of GF(q^k) for the k up to its Hasse-Weil bound.  The five
+# genus-2 curves over GF(3) have no point over GF(3), so their places of
+# degree at most 2 all have degree 2, and a point over GF(27) certifies
+# them; the GF(2) curve of bidegree (6, 6) has constant field GF(4)
 CONSTANT_FIELD_WALKS = [
     (F5, "y^3+3*y^2+(3*x^2+2)*y+2*x^3+x^2", True),
     (F5, "y^2+3*x*y+4*x^2+3*x+1", True),
@@ -370,21 +372,59 @@ CONSTANT_FIELD_WALKS = [
     (F2, "y^3+y+1", False),
     (F3, "y^2+x^2+x+2", True),
     (F3, "y^2+y+2", False),
+    (F3, "y^2+2*y+x^6+x^5+x^3+2*x^2+x+2", True),
+    (F3, "y^2+(x^2+x+2)*y+x^6+x^5+x^3+2*x^2+x+2", True),
+    (F3, "y^2+2*x*y+x^6+x^4+2*x^2+1", True),
+    (F3, "y^2+y+x^6+2*x^3+2*x^2+x+2", True),
+    (F3, "y^2+(2*x^3+1)*y+2*x^6+2*x^2+x+2", True),
+    (
+        F2,
+        "y^6+(x^3+x+1)*y^5+(x^6+x^5+x^4+x+1)*y^4+(x^5+x^3+x^2)*y^3"
+        "+(x^5+x^3+x+1)*y^2+(x^5+x^2+x+1)*y+(x^6+x^4+x^3+x^2+1)",
+        False,
+    ),
 ]
 
 
 @pytest.mark.parametrize("K, text, want", CONSTANT_FIELD_WALKS)
 def test_the_constant_field_certificate_reads_the_good_fibres(monkeypatch, K, text, want):
     rt = ram_table(parse_poly(text, K))
-    assert math.gcd(*(pl.residue_degree_abs() for pl in rt.all_places())) > 1
-    # off the locus the certificate factors fibres; it runs no MacLane engine
+    assert math.gcd(rt.m, *(pl.residue_degree_abs() for pl in rt.all_places())) > 1
+    # off the locus the certificate counts roots of fibres; it runs no
+    # MacLane engine
     monkeypatch.setattr(basicfield, "places_above", None)
     assert basicfield._constant_field_is_base(rt) is want
 
 
+def test_the_constant_field_certificate_agrees_with_irreducibility_over_gf_q_m():
+    # for a prime m the constant field is GF(q) or GF(q^m), and it is GF(q^m)
+    # exactly when F splits over GF(q^m)(x): an oracle that counts no points
+    rng = random.Random(6)
+    answers = Counter()
+    while sum(answers.values()) < 300:
+        p, b = rng.choice([(2, 1), (3, 1), (2, 2), (5, 1)])
+        K, m, e = make_field(p, b), rng.choice([2, 3]), rng.randint(0, 3)
+        # y^m plus terms x^i y^j with i <= (m - j) e: the places at infinity
+        # often leave a degree gcd above 1, so the walk runs
+        coeffs = {(0, m): FFElem(K, 1)}
+        for j in range(m):
+            for i in range((m - j) * e + 1):
+                if rng.random() < 0.5:
+                    coeffs[(i, j)] = FFElem(K, rng.randrange(1, K.order))
+        F = BivarPoly.from_coeff_dict(K, coeffs)
+        if F.derivative_y().is_zero() or not is_irreducible_over_ratfield(F):
+            continue
+        rt = ram_table(F)
+        want = is_irreducible_over_ratfield(F.map_field(make_field(p, b * m)))
+        assert basicfield._constant_field_is_base(rt) is want, (K, F)
+        walks = math.gcd(m, *(pl.residue_degree_abs() for pl in rt.all_places())) > 1
+        answers[walks, want] += 1
+    assert answers[True, True] and answers[True, False] and answers[False, True]
+
+
 @pytest.mark.parametrize("p, b, k", [(2, 1, 1), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2), (5, 1, 2)])
 def test_the_orbit_representatives_are_the_smallest_of_each_frobenius_orbit(p, b, k):
-    # the point count and the constant-field certificate share one rule
+    # the point count and the constant-field certificate read one walk
     base = make_field(p, b)
     K = make_field(p, b * k)
     want = {}

@@ -444,6 +444,29 @@ def test_genus_cap_keeps_the_point_count_within_the_budget():
     assert rep["data"]["zeta_genus"] == rep["data"]["genus"] == 3
 
 
+def test_analyze_certifies_a_curve_whose_first_odd_degree_place_has_degree_3():
+    # no point over GF(3), 10 over GF(9), 24 over GF(27): the constant field
+    # is GF(3), and only the Hasse-Weil walk up to GF(27) proves it
+    F = "y^2+2*y+x^6+x^5+x^3+2*x^2+x+2"
+    code, rep = run_json(["analyze", "--p", "3", "--F", F, "--json"])
+    assert code == 0
+    assert rep["data"]["genus"] == 2
+
+
+GF2_GENUS_2 = "y^2+(x^3+x+1)*y+x^6+x^5+x^4+x^2+1"
+
+
+def test_genus_at_a_cap_too_small_is_cap_too_small_not_a_constant_field():
+    # at cap 1 the counts reach GF(4) only, where every place has degree 2;
+    # a locus place of degree 3 shows that the constant field is GF(2)
+    code, rep = run_json(["genus", "--p", "2", "--F", GF2_GENUS_2, "--cap", "1", "--json"])
+    assert code == 2
+    assert rep["error"]["type"] == "CapTooSmall"
+    code, rep = run_json(["genus", "--p", "2", "--F", GF2_GENUS_2, "--cap", "2", "--json"])
+    assert code == 0
+    assert rep["data"]["zeta_genus"] == rep["data"]["riemann_hurwitz_genus"] == 2
+
+
 @pytest.mark.parametrize("cap", ["8", "40", "1000000000"])
 def test_genus_budget_refuses_an_explicit_cap_past_it(cap):
     # the budget binds every cap: an explicit one is refused before any walk,

@@ -65,8 +65,9 @@ INSEPARABLE = [
     (3, "x^3*y+y^2+1", "x"),
 ]
 # (p, F) curves a genus job runs to the end at --max-depth=8: two constant
-# field extensions that the certificate refuses off the locus, and curves
-# whose point count runs
+# field extensions that the certificate refuses after its walk, curves whose
+# point count runs, and a genus-2 curve over GF(3) whose certificate walks
+# to GF(27)
 GENUS_CURVES = [
     (5, "y^2-2"),
     (2, "y^2+y+1"),
@@ -74,6 +75,7 @@ GENUS_CURVES = [
     (2, "y^2+y+x^3"),
     (3, "y^2-x^3+x"),
     (3, "y^3-y-x^2"),
+    (3, "y^2+2*y+x^6+x^5+x^3+2*x^2+x+2"),
 ]
 ELEMS = ["0", "1", "t", "t+1", "t^2", "2*t", "x", "s", "", "t^99999999", "(t"]
 UNIPOLYS = ["x", "x+1", "x^2+1", "x^2", "1", "0", "y", "x^3+x+1", "", "x^", "x^100000"]
@@ -207,13 +209,14 @@ def test_a_reducible_F_of_the_largest_parsed_degree_is_answered_within_seconds()
 @pytest.mark.xfail(
     raises=subprocess.TimeoutExpired,
     strict=True,
-    reason="the constant-field certificate walks every place of degree 1 and 2 "
-    "off the locus: about 10^9 fibres over GF(10^9 + 7)",
+    reason="the constant-field certificate proves GF(p^2) by finding no point "
+    "over GF(p): about 10^9 fibres over GF(10^9 + 7)",
 )
 def test_a_constant_field_extension_at_a_huge_prime_is_answered_within_seconds():
     # y^2 - 5 over GF(10^9 + 7) is irreducible (5 is no square there) and
-    # its constant field is GF(p^2): every place has even degree, so no gcd
-    # of residue degrees can reach 1 and only an exact test ends the walk
+    # its constant field is GF(p^2).  Its genus bound is 0, so the Hasse-Weil
+    # certificate asks only whether GF(p) has a point, and only a walk
+    # through all of GF(p) answers no
     src = os.path.dirname(os.path.dirname(towerlab.__file__))
     entry = "import sys; from towerlab.cli import main; sys.exit(main())"
     proc = subprocess.run(
