@@ -46,7 +46,7 @@ from .ffield import (
     poly_factor,
     poly_gcd,
 )
-from .omfactor.places import curve_disc_factors, good_fibre, places_above, require_separable
+from .omfactor.places import _fact, curve_disc_factors, good_fibre, places_above, require_separable
 from .ratfunc import RatPlace
 from .record import Record
 
@@ -148,13 +148,19 @@ def _orbit_reps(base: FiniteField, k: int):
 
 
 def _constant_field_is_base(rt: RamTable) -> bool:
-    """Whether the full constant field is GF(q), exactly.  Its degree c
-    divides m, every place degree and every k with a point over GF(q^k).
-    When c = 1 the genus is at most g, the bidegree's and Riemann-Hurwitz's
-    bound, and Hasse-Weil (Stichtenoth Thm 5.2.3) puts a point over GF(q^k)
-    at every k >= K, the least k with q^k + 1 > 2g q^(k/2).  So c = 1 iff
-    the gcd of m, the locus degrees and the k <= K + 1 with a point is 1,
-    as gcd(K, K + 1) = 1."""
+    """Whether the full constant field is GF(q), exactly: a fact of the curve,
+    kept as rt.F.facts["constant_field_base"], so a job that asks it of two
+    tables of one F walks once."""
+    return _fact(rt.F, "constant_field_base", lambda F: _constant_field_degree_is_one(rt))
+
+
+def _constant_field_degree_is_one(rt: RamTable) -> bool:
+    """The constant field's degree c over GF(q) divides m, every place degree
+    and every k with a point over GF(q^k).  When c = 1 the genus is at most
+    g, the bidegree's and Riemann-Hurwitz's bound, and Hasse-Weil
+    (Stichtenoth Thm 5.2.3) puts a point over GF(q^k) at every k >= K, the
+    least k with q^k + 1 > 2g q^(k/2).  So c = 1 iff the gcd of m, the locus
+    degrees and the k <= K + 1 with a point is 1, as gcd(K, K + 1) = 1."""
     F, m = rt.F, rt.m
     degrees = [pl.residue_degree_abs() for pl in rt.all_places()]
     c = math.gcd(m, *degrees)

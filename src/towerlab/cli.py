@@ -16,7 +16,10 @@ Polynomial grammar for --F/--f/--g: integer literals (reduced mod p),
 variables x and y, operators + - * ^ and parentheses; ^ binds tightest,
 then *, then + and -, all left-associative.  No power or product may
 reach an x- or y-degree past MAX_PARSE_DEGREE, or more terms than
-MAX_PARSE_TERMS, and parentheses nest at most MAX_PARSE_NESTING deep.
+MAX_PARSE_TERMS, and parentheses nest at most MAX_PARSE_NESTING deep.  Nor
+may one be predicted past ffield.WORK_BUDGET coefficient products
+(BudgetExceeded): a sparse power such as (x+y)^512 has few terms but
+multiplies dense x-polynomials.
 Field elements for --a/--b use the same grammar with the single variable t
 naming a generator of GF(q) over its prime field.  A text may start with
 "-" and still follow its option as a separate argument: --F -y^2+x reads
@@ -145,6 +148,41 @@ def _check_terms(terms: int, pos: int) -> None:
                          (f"at most {MAX_PARSE_TERMS} terms",))
 
 
+def _shape(val) -> dict[int, int]:
+    """y-degree -> x-length of each nonzero y-coefficient of a parsed
+    polynomial; a field element is one coefficient of length 1."""
+    if isinstance(val, BivarPoly):
+        return {j: len(c.ints) for j, c in enumerate(val.ycoeffs) if c.ints}
+    return {0: 1}
+
+
+def _product_work(a: dict[int, int], b: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """The coefficient products of the schoolbook product of two shapes, one
+    x-length times the other for each pair of nonzero y-coefficients, and an
+    upper bound on the product's shape (cancellation only shortens it)."""
+    out = {}
+    for i, la in a.items():
+        for j, lb in b.items():
+            if out.get(i + j, 0) < la + lb - 1:
+                out[i + j] = la + lb - 1
+    return sum(a.values()) * sum(b.values()), out
+
+
+def _power_work(shape: dict[int, int], n: int) -> int:
+    """The coefficient products of BivarPoly's square-and-multiply to the
+    n, each product's predicted on the predicted shapes of its operands."""
+    work = 0
+
+    def mul(a, b):
+        nonlocal work
+        products, out = _product_work(a, b)
+        work += products
+        return out
+
+    ffield._power(mul, shape, n, {0: 1})
+    return work
+
+
 def _int(text: str, pos: int) -> int:
     """An integer literal; one past the interpreter's limit on the digits of
     an int conversion is a ParseError."""
@@ -213,6 +251,8 @@ class _Parser:
             (ax, ay), (bx, by) = _degrees(val), _degrees(rhs)
             _check_degree(max(ax + bx, ay + by), pos)
             _check_terms(min(_terms(val) * _terms(rhs), (ax + bx + 1) * (ay + by + 1)), pos)
+            ffield.check_budget(f"product at offset {pos} of the parse",
+                                _product_work(_shape(val), _shape(rhs))[0])
             val = val * rhs
         return val
 
@@ -233,6 +273,8 @@ class _Parser:
             _check_degree(n * max(dx, dy), pos)
             t = _terms(val)
             _check_terms(min(comb(t + n - 1, n) if t else 1, (n * dx + 1) * (n * dy + 1)), pos)
+            if isinstance(val, BivarPoly):
+                ffield.check_budget(f"power at offset {pos} of the parse", _power_work(_shape(val), n))
             val = val ** n
         return -val if negate else val
 

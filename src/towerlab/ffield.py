@@ -49,11 +49,12 @@ deterministic:
 * Factorization runs on the coefficient lists: squarefree decomposition,
   then distinct-degree factorization (`_ddf`, a lazy generator), then
   Cantor-Zassenhaus with an explicit RNG seed, refused (BudgetExceeded)
-  before a split predicted past WORK_BUDGET; the same (polynomial, seed)
-  pair always yields the same factor list, sorted by (degree, coefficient
-  encoding).  Ben-Or's irreducibility test is the first step of `_ddf`: f
-  of degree n is irreducible iff the first factor it splits off has
-  degree n.
+  before a split predicted past WORK_BUDGET; the same polynomial always
+  yields the same factor list, sorted by (degree, coefficient encoding),
+  whatever the seed.  So a field of order q keeps the answers for degrees n
+  with q^n <= ZECH_MAX_ORDER in a factor table beside its Zech tables.
+  Ben-Or's irreducibility test is the first step of `_ddf`: f of degree n
+  is irreducible iff the first factor it splits off has degree n.
 * Roots come from the same equal-degree splitter as factors:
   roots_in_field factors f over its own field GF(Q0) and splits each
   irreducible factor whose roots lie in the target into linear factors
@@ -84,7 +85,9 @@ FACTOR_SEED = 0x7F4A91
 #: tables; no other modulus gets them.  A field keeps its tables while it
 #: lives, and make_field(p, k) keeps its field for the life of the process: a
 #: bound of 2^16 raised the sweep benchmark's peak RSS by 16% with no gain in
-#: speed.
+#: speed.  The same bound is the reach of every field's factor table:
+#: poly_factor keeps its answer for a polynomial of degree n over GF(q) when
+#: q^n <= ZECH_MAX_ORDER, at most sum q^n <= 2 * ZECH_MAX_ORDER entries.
 ZECH_MAX_ORDER = 2**10
 
 
@@ -103,7 +106,8 @@ class NoEmbedding(TowerlabError):
 
 #: The most work, in coefficient products, that check_budget lets a kernel be
 #: predicted to take.  The tests and benchmark workloads predict at most
-#: 1.2e6 (a point count over GF(5^6)); the inputs refused, at least 2.3e7.
+#: 1.2e6 for a kernel (a point count over GF(5^6)) and 5.0e6 for a parsed
+#: power ((x+y+1)^126); the inputs refused, at least 2.3e7.
 WORK_BUDGET = 10**7
 
 
@@ -200,6 +204,11 @@ class FiniteField:
         # source field -> the root of its modulus that _embed_ints sends its
         # generator to; an entry lives as long as its source field
         self._embed_roots: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # monic f of degree n with q^n <= ZECH_MAX_ORDER -> poly_factor(f) as
+        # ((factor ints), multiplicity) pairs: int tuples only, since an FFPoly
+        # would hold its field in a cycle.  Without: sweep +8-10% CPU per warm
+        # pass (on faster in 23/30, 29/30, 36/40 and 37/40 pairs)
+        self._factors: dict[tuple[int, ...], tuple] = {}
 
     # -- element construction -------------------------------------------------
 
@@ -1348,7 +1357,10 @@ def poly_factor(f: FFPoly) -> list[tuple[FFPoly, int]]:
     dropped: f = lc(f) * prod factor^mult.
 
     The splitting RNG is seeded with the module-level FACTOR_SEED, read at
-    call time so the CLI can override it process-wide (TOWERLAB_SEED)."""
+    call time so the CLI can override it process-wide (TOWERLAB_SEED).  The
+    sorted answer does not depend on it, so over GF(q) an f of degree n with
+    q^n <= ZECH_MAX_ORDER is factored once per field: later calls read the
+    field's factor table and get fresh FFPolys."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree() == 0:
@@ -1356,14 +1368,23 @@ def poly_factor(f: FFPoly) -> list[tuple[FFPoly, int]]:
     if f.degree() == 1:
         return [(f.monic(), 1)]
     F = f.field
-    rng = random.Random(FACTOR_SEED)
-    out = []
-    for mult, g in _squarefree_decomposition(F, _pmonic(F, f.ints)):
-        for prod, d in _ddf(F, g):
-            for irr in _equal_degree_split(F, prod, d, rng):
-                out.append((len(irr), irr, mult))
-    out.sort()
-    return [(FFPoly._of(F, irr), mult) for _, irr, mult in out]
+    key = tuple(_pmonic(F, f.ints))
+    # q^n <= ZECH_MAX_ORDER needs n <= 10, tested first so that no large
+    # power is formed
+    small = f.degree() <= 10 and F.order ** f.degree() <= ZECH_MAX_ORDER
+    found = F._factors.get(key) if small else None
+    if found is None:
+        rng = random.Random(FACTOR_SEED)
+        out = []
+        for mult, g in _squarefree_decomposition(F, list(key)):
+            for prod, d in _ddf(F, g):
+                for irr in _equal_degree_split(F, prod, d, rng):
+                    out.append((len(irr), irr, mult))
+        out.sort()
+        found = tuple((tuple(irr), mult) for _, irr, mult in out)
+        if small:
+            F._factors[key] = found
+    return [(FFPoly._of(F, list(irr)), mult) for irr, mult in found]
 
 
 def roots_in_field(f: FFPoly, target: FiniteField | None = None) -> list[FFElem]:

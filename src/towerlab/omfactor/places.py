@@ -28,14 +28,17 @@ The Eisenstein test reads the Newton polygon of F's own coefficients.
 
 The facts about F that do not depend on P are derived once per curve and
 kept in the dict F.facts, which takes no part in F's equality and is freed
-with F.  This module owns every entry, and each curve_* reader below fills
-its own at first read through one memo, _fact: "dy" the y-derivative,
-"point" the first good point of GF(q) with its fibre (None if there is
-none), "squarefree" the squarefree verdict, "monic" the monic y-model,
-"swapped" the swapped curve for side='y' (with a record of its own), and
-"disc" and "disc_factors" the discriminant and its factorization.  So the
-irreducibility test, the ramification locus and every places_above call on
-the same F share one computation of each.
+with F.  This module owns every entry but one, and each curve_* reader
+below fills its own at first read through one memo, _fact: "dy" the
+y-derivative, "point" the first good point of GF(q) with its fibre (None if
+there is none), "squarefree" the squarefree verdict, "monic" the monic
+y-model, "swapped" the swapped curve for side='y' (with a record of its
+own), and "disc" and "disc_factors" the discriminant and its factorization.
+So the irreducibility test, the ramification locus and every places_above
+call on the same F share one computation of each.  The one other entry,
+"constant_field_base", is basicfield._constant_field_is_base's verdict,
+filled through the same memo: it needs the ramification table, which
+builds on this module.
 """
 
 from __future__ import annotations

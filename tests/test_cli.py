@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import towerlab.ffield as ffield
-from towerlab import checker, cli, pyramid
+from towerlab import basicfield, checker, cli, pyramid
 from towerlab.checker import FAMILY_MAX_Q, FamilyParams, InvalidParams
 from towerlab.cli import ParseError, parse_elem, parse_poly, parse_unipoly
 from towerlab.ffield import FFPoly
@@ -139,6 +139,21 @@ def test_a_power_past_the_term_bound_exits_2():
     assert code == 2
     assert rep["error"]["type"] == "ParseError"
     assert "up to 33153 terms past the bound 8192" in rep["error"]["message"]
+
+
+def test_a_product_or_power_predicted_past_the_work_budget_is_refused():
+    # few terms, but dense x-polynomials in every product: each square of
+    # (x+y)^j multiplies y-coefficients of x-lengths up to j + 1
+    big = ffield.make_field(1000000007)
+    for expr, message in [
+        ("(x+y)^512", "power at offset 6 of the parse: predicted work 1174371084 passes"),
+        ("(x+y)^90*(x+y)^89", "product at offset 8 of the parse: predicted work 17141670 passes"),
+    ]:
+        with pytest.raises(ffield.BudgetExceeded, match=message):
+            parse_poly(expr, big)
+    # the largest prediction of the tests and the benchmark workloads
+    assert cli._power_work(cli._shape(parse_poly("x+y+1", F5)), 126) == 4962711
+    assert len(parse_poly("(x+y)^128", big).ycoeffs) == 129
 
 
 def test_parse_unipoly_rejects_y():
@@ -451,6 +466,24 @@ def test_analyze_certifies_a_curve_whose_first_odd_degree_place_has_degree_3():
     code, rep = run_json(["analyze", "--p", "3", "--F", F, "--json"])
     assert code == 0
     assert rep["data"]["genus"] == 2
+
+
+def test_genus_walks_the_constant_field_certificate_once(monkeypatch):
+    # the Riemann-Hurwitz genus and the point count ask the certificate of
+    # one curve: its walk to GF(27) runs once, before the point count walks
+    # GF(3^k) for k <= 4
+    walked = []
+    fibre_points = basicfield._fibre_points
+
+    def spy(F, k):
+        walked.append(k)
+        return fibre_points(F, k)
+
+    monkeypatch.setattr(basicfield, "_fibre_points", spy)
+    code, rep = run_json(["genus", "--p", "3", "--F", "y^2+2*y+x^6+x^5+x^3+2*x^2+x+2", "--json"])
+    assert code == 0
+    assert rep["data"]["zeta_genus"] == rep["data"]["genus"] == 2
+    assert walked == [1, 3, 1, 2, 3, 4]
 
 
 GF2_GENUS_2 = "y^2+(x^3+x+1)*y+x^6+x^5+x^4+x^2+1"

@@ -206,6 +206,25 @@ def test_a_reducible_F_of_the_largest_parsed_degree_is_answered_within_seconds()
     assert json.loads(proc.stdout)["error"]["type"] == "BudgetExceeded"
 
 
+def test_a_power_predicted_past_the_work_budget_is_refused_within_seconds():
+    # (x+y)^512 has 513 terms and degree 512, within the parser's bounds, but
+    # its squarings multiply dense x-polynomials: about 1.2e9 coefficient
+    # products over GF(10^9 + 7), refused before the first (it ran past 60 s)
+    src = os.path.dirname(os.path.dirname(towerlab.__file__))
+    entry = "import sys; from towerlab.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, "analyze", "--p", "1000000007", "--F", "(x+y)^512", "--json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        timeout=5,
+        check=False,
+    )
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "BudgetExceeded"
+    assert error["message"].startswith("power at offset 6 of the parse: predicted work")
+
+
 @pytest.mark.xfail(
     raises=subprocess.TimeoutExpired,
     strict=True,

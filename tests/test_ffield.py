@@ -504,14 +504,22 @@ def test_a_field_is_interned_while_referenced_and_freed_after():
     assert ref() is None
 
 
+def _residue_fields() -> list:
+    return [F for F in list(ffield._fields.values()) if ffield._canonical.get((F.p, F.k)) is not F]
+
+
 def _live_residue_fields() -> int:
     gc.collect()
-    return sum(1 for F in list(ffield._fields.values()) if ffield._canonical.get((F.p, F.k)) is not F)
+    return len(_residue_fields())
 
 
 def test_fresh_curves_leave_no_residue_fields_behind():
+    # residue fields whose factor tables the engine filled go with their
+    # places too, and no table keeps an entry past its reach
     rng = random.Random(20261019)
     fields = [F2, F3, F4, F5]
+    filled = weakref.WeakSet()
+    seen = set()
 
     def batch(n):
         for i in range(n):
@@ -530,11 +538,19 @@ def test_fresh_curves_leave_no_residue_fields_behind():
                 continue
             for P in locus:
                 places_above(F, P)
+            for K in _residue_fields():
+                if K._factors:
+                    filled.add(K)
+                    seen.add((K.p, K.modulus))
 
     batch(60)
     first = _live_residue_fields()
     batch(60)
     assert _live_residue_fields() <= first
+    assert seen
+    assert len(filled) <= first
+    for K in ffield._fields.values():
+        assert all(K.order ** (len(key) - 1) <= ffield.ZECH_MAX_ORDER for key in K._factors)
 
 
 def test_poly_factor_linear_matches_the_general_path():

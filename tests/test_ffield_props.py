@@ -183,6 +183,142 @@ def test_poly_factor_and_is_irreducible_match_sympy(p, cs):
     assert is_irreducible(f) == sympy_irreducible
 
 
+# -- the factor table of a small field -------------------------------------------
+
+TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (5, 2)]
+
+
+def _private_field(pk):
+    """A private copy of make_field(*pk), which no other test can touch, so
+    its factor table starts empty."""
+    G = make_field(*pk)
+    return type(G)(G.p, G.k, G.modulus)
+
+
+def _reach(F) -> int:
+    """The largest degree n with |F|^n <= ZECH_MAX_ORDER."""
+    n = 1
+    while F.order ** (n + 1) <= ZECH_MAX_ORDER:
+        n += 1
+    return n
+
+
+def _table_poly(F, data):
+    """A polynomial of degree 2 up to the reach of F's table, with a random
+    leading coefficient: often with repeated factors."""
+    n = data.draw(st.integers(2, _reach(F)))
+    if data.draw(st.booleans()):
+        cs = data.draw(st.lists(st.integers(0, F.order - 1), min_size=n, max_size=n))
+        return FFPoly(F, cs + [data.draw(st.integers(1, F.order - 1))])
+    f = FFPoly(F, [data.draw(st.integers(1, F.order - 1))])
+    while f.degree() < n:
+        k = data.draw(st.integers(1, n - f.degree()))
+        f = f * FFPoly(F, data.draw(st.lists(st.integers(0, F.order - 1), min_size=k, max_size=k)) + [1])
+    return f
+
+
+def _as_ints(factors):
+    return [(g.ints[:], mult) for g, mult in factors]
+
+
+def _check_factors(f, factors):
+    """Sorted monic irreducibles whose product, to their multiplicities, is
+    f / lc(f); over GF(p) exactly sympy's factors."""
+    F = f.field
+    if F.k == 1:
+        assert [(g.sort_key(), mult) for g, mult in factors] == _sympy_factors(f)
+    assert [g.sort_key() for g, _ in factors] == sorted(g.sort_key() for g, _ in factors)
+    prod = FFPoly(F, [1])
+    for g, mult in factors:
+        assert g.lc() == F.one() and is_irreducible(g)
+        prod = prod * g**mult
+    assert prod == f.monic()
+
+
+@pytest.mark.parametrize("pk", TABLE_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_factor_table_answers_as_a_fresh_factorization(pk, data):
+    F = _private_field(pk)
+    f = _table_poly(F, data)
+    first = poly_factor(f)
+    assert tuple(f.monic().ints) in F._factors
+    second = poly_factor(f)
+    assert _as_ints(second) == _as_ints(first)
+    assert all(g is not h and g.ints is not h.ints for (g, _), (h, _) in zip(first, second))
+    _check_factors(f, second)
+    # a scalar multiple is the same entry
+    c = F.elem(data.draw(st.integers(1, F.order - 1)))
+    assert _as_ints(poly_factor(f * c)) == _as_ints(first)
+
+
+@pytest.mark.parametrize("pk", TABLE_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mutating_an_answer_leaves_the_factor_table_intact(pk, data):
+    F = _private_field(pk)
+    f = _table_poly(F, data)
+    want = _as_ints(poly_factor(f))
+    out = poly_factor(f)
+    for g, _ in out:
+        g.ints.append(1)
+        g.ints[0] = F.order - 1 - g.ints[0]
+    out.reverse()
+    out.append(out[0])
+    assert _as_ints(poly_factor(f)) == want
+
+
+@pytest.mark.parametrize("pk", TABLE_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_the_factor_seed_changes_no_answer_of_the_table(pk, data, seed):
+    # one copy fills its table under the default seed, the other under a
+    # drawn one, and each reads its entry back under the other seed
+    F, G = _private_field(pk), _private_field(pk)
+    f = _table_poly(F, data)
+    g = FFPoly(G, f.ints)
+    want = _as_ints(poly_factor(f))
+    with mock.patch.object(ffield, "FACTOR_SEED", seed):
+        assert _as_ints(poly_factor(g)) == want
+        assert _as_ints(poly_factor(f)) == want
+    assert _as_ints(poly_factor(g)) == want
+
+
+@pytest.mark.parametrize("pk", TABLE_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_factor_table_keeps_only_degrees_within_its_reach(pk, data):
+    F = _private_field(pk)
+    n = _reach(F)
+    for f in (_table_poly(F, data), FFPoly(F, [1, 1]), FFPoly(F, [1])):
+        poly_factor(f)
+    # one degree past the reach is factored but not kept; neither is a
+    # linear or a constant f, which are answered without factoring
+    past = FFPoly(F, data.draw(st.lists(st.integers(0, F.order - 1), min_size=n + 1, max_size=n + 1)) + [1])
+    _check_factors(past, poly_factor(past))
+    assert tuple(past.ints) not in F._factors
+    assert F._factors
+    assert all(2 <= len(key) - 1 <= n and F.order ** (len(key) - 1) <= ZECH_MAX_ORDER for key in F._factors)
+
+
+class _Order(int):
+    """A field order that refuses to be raised past the tenth power."""
+
+    def __pow__(self, n, mod=None):
+        assert n <= 10, f"q^{n} formed"
+        return pow(int(self), n, mod)
+
+
+def test_a_polynomial_of_huge_degree_forms_no_huge_power():
+    # q^n <= 2^10 needs n <= 10, which is tested first: x^16001 over
+    # GF(10^9 + 7) would otherwise form a 144,000-digit q^n
+    F = _private_field((1000000007, 1))
+    F.order = _Order(F.order)
+    f = FFPoly(F, [0] * 16001 + [1])
+    assert _as_ints(poly_factor(f)) == [([0, 1], 16001)]
+    assert not F._factors
+
+
 @settings(max_examples=100, deadline=None)
 @given(pk=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]), data=st.data())
 def test_squarefree_decomposition_groups_are_squarefree_coprime_and_multiply_back(pk, data):
