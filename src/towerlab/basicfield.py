@@ -14,8 +14,11 @@ off the locus (one xi per Frobenius orbit), plus the degree f * deg P of
 each place above the locus, read off the ramification table, that divides
 k.  From those it derives the places of each degree, computes the
 L-polynomial's coefficients in one pass of Newton's identities, and reads
-the genus off the least degree that fits.  A walk predicted past
-ffield.WORK_BUDGET is refused (BudgetExceeded) before any count.
+the genus off the least degree that fits.  The fit is exact only when the
+counts reach the genus bound, RamTable.genus_bound, the one upper bound
+that the certificate below reads too: a cap below it is refused
+(CapTooSmall), and a walk predicted past ffield.WORK_BUDGET is refused
+(BudgetExceeded), both before any count.
 
 reconcile_different plays the two routes against each other to pin a
 single missing wild exponent.
@@ -54,7 +57,8 @@ INF = math.inf
 
 
 class CapTooSmall(TowerlabError):
-    """zeta_genus could not fit a consistent L-polynomial under its cap."""
+    """zeta_genus was asked for a cap below the genus bound, where its counts
+    stop short of S_2g and a smaller genus can fit by accident."""
 
 
 class InconsistentOracle(TowerlabError):
@@ -81,6 +85,13 @@ class RamTable(Record):
 
     def missing_exact(self) -> list:
         return [pl for pl in self.all_places() if pl.d_exact is None]
+
+    def genus_bound(self) -> int:
+        """An upper bound of the genus over GF(q), when that is the full
+        constant field: the least of the bidegree's (m - 1)(deg_x F - 1) and
+        Riemann-Hurwitz's (hi - 2m + 2) // 2, hi the top of deg Diff."""
+        m, hi = self.m, self.different_degree_bounds()[1]
+        return max(0, min((m - 1) * (self.F.deg_x() - 1), (hi - 2 * m + 2) // 2))
 
 
 class GenusResult(Record):
@@ -157,18 +168,16 @@ def _constant_field_is_base(rt: RamTable) -> bool:
 def _constant_field_degree_is_one(rt: RamTable) -> bool:
     """The constant field's degree c over GF(q) divides m, every place degree
     and every k with a point over GF(q^k).  When c = 1 the genus is at most
-    g, the bidegree's and Riemann-Hurwitz's bound, and Hasse-Weil
-    (Stichtenoth Thm 5.2.3) puts a point over GF(q^k) at every k >= K, the
-    least k with q^k + 1 > 2g q^(k/2).  So c = 1 iff the gcd of m, the locus
+    g = rt.genus_bound(), and Hasse-Weil (Stichtenoth Thm 5.2.3) puts a
+    point over GF(q^k) at every k >= K, the least k with
+    q^k + 1 > 2g q^(k/2).  So c = 1 iff the gcd of m, the locus
     degrees and the k <= K + 1 with a point is 1, as gcd(K, K + 1) = 1."""
     F, m = rt.F, rt.m
     degrees = [pl.residue_degree_abs() for pl in rt.all_places()]
     c = math.gcd(m, *degrees)
     if c == 1:
         return True
-    q = F.field.order
-    hi = rt.different_degree_bounds()[1]
-    g = max(0, min((m - 1) * (F.deg_x() - 1), (hi - 2 * m + 2) // 2))
+    q, g = F.field.order, rt.genus_bound()
     K = next(k for k in itertools.count(1) if (q**k + 1) ** 2 > 4 * g * g * q**k)
     for k in range(1, K + 2):
         # a k that c divides cannot lower the gcd; a point over GF(q^k) is a
@@ -250,13 +259,14 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
     locus are read off the rows of `table`, ram_table(F) when not given;
     _point_count counts the rest.
 
-    Independent of different exponents.  Raises BudgetExceeded before any
-    count when the walk is predicted past WORK_BUDGET, TowerlabError when
-    the constant field is not GF(q) (_constant_field_is_base, as for the
-    Riemann-Hurwitz route), and CapTooSmall when no L-polynomial of degree
-    <= 2*g_cap matches the counts."""
-    if g_cap < 0:
-        raise ValueError("g_cap must be >= 0")
+    Independent of different exponents, and exact: g_cap must reach the
+    table's genus_bound(), so the counts reach S_2g, and c_2g = q^g != 0
+    refutes every smaller genus.  Raises BudgetExceeded before any count
+    when the walk is predicted past WORK_BUDGET, CapTooSmall, naming the
+    bound, when g_cap lies below it, TowerlabError when the constant field
+    is not GF(q) (_constant_field_is_base, as for the Riemann-Hurwitz
+    route), and InconsistentOracle when no L-polynomial of degree
+    <= 2*g_cap matches the counts, which only wrong counts can cause."""
     field = F.field
     q = field.order
     kmax = max(2 * g_cap, 1)
@@ -269,6 +279,12 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
         work += q**k * m * (n + m * (q**k).bit_length())
         check_budget(f"point count at cap {g_cap} over GF({q}^k), k <= {k}", work)
     rt = ram_table(F) if table is None else table
+    bound = rt.genus_bound()
+    if g_cap < bound:
+        raise CapTooSmall(
+            f"cap {g_cap} is below the genus bound {bound}: a smaller genus "
+            "could fit the counts"
+        )
     _require_constant_field_base(rt)
     locus_degrees = [pl.residue_degree_abs() for pl in rt.all_places()]
     S = {k: _point_count(F, k, locus_degrees) for k in range(1, kmax + 1)}
@@ -296,8 +312,9 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
             and not any(c[2 * g + 1 :])
         ):
             return g
-    raise CapTooSmall(
-        f"no L-polynomial of genus <= {g_cap} fits the place counts"
+    raise InconsistentOracle(
+        f"no L-polynomial of genus <= {g_cap} fits the place counts, though "
+        f"the cap reaches the genus bound {bound}: engine bug"
     )
 
 

@@ -36,7 +36,13 @@ from fractions import Fraction
 from math import comb
 
 from . import ffield
-from .basicfield import genus_from_table, ram_table, reconcile_different, zeta_genus
+from .basicfield import (
+    InconsistentOracle,
+    genus_from_table,
+    ram_table,
+    reconcile_different,
+    zeta_genus,
+)
 from .checker import FamilyParams, check_theorem, family_field, verify_family_facts
 from .errors import TowerlabError
 from .ffield import BivarPoly, BudgetExceeded, FFElem, FFPoly, FiniteField, make_field
@@ -508,23 +514,35 @@ def _run_family(job: JobSpec):
 
 
 def _run_genus(job: JobSpec):
-    cap = job.params.get("cap")
-    if cap is not None and cap < 1:
-        raise InvalidOption(f"--cap must be at least 1, got {cap}")
     F = _function_field_poly(job)
     rt = ram_table(F, max_depth=job.params["max_depth"])
     gr = genus_from_table(rt)
-    if cap is None:
-        cap = max(1, gr.genus_hi)
+    # the point count is exact at the genus bound, and refuses any cap below it
+    cap = max(1, rt.genus_bound())
     z = zeta_genus(F, cap, rt)
     notes = []
     if not gr.exact:
-        rt = reconcile_different(rt, z)  # raises if z is not in the interval
-        gr = genus_from_table(rt)
-        notes.append(
-            "wild different exponents were fixed by the independent "
-            "point-count genus oracle"
-        )
+        open_ds = len(rt.missing_exact())
+        D = 2 * z - 2 + 2 * rt.m
+        if open_ds == 1:
+            rt = reconcile_different(rt, z)  # raises if z is not in the interval
+            gr = genus_from_table(rt)
+            notes.append(
+                "wild different exponents were fixed by the independent "
+                "point-count genus oracle"
+            )
+        elif gr.diff_degree_bounds[0] <= D <= gr.diff_degree_bounds[1]:
+            # z fixes the sum of the open exponents, not each one
+            gr = gr.replace(genus=z, exact=True, diff_degree_bounds=(D, D))
+            notes.append(
+                f"{open_ds} wild different exponents stay windows; the "
+                "independent point-count genus fixes their sum"
+            )
+        else:
+            raise InconsistentOracle(
+                f"point-count genus {z} needs different degree {D}, outside "
+                f"the window {list(gr.diff_degree_bounds)}"
+            )
     genus = gr.genus
     agree = gr.exact and genus == z
     bounds = {
@@ -673,8 +691,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     sp = sub.add_parser("genus",
                         help="genus with an independent point-count cross-check")
     common(sp)
-    sp.add_argument("--cap", type=int, default=None,
-                    help="genus search cap for the point-count oracle")
     return ap
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from towerlab import basicfield, checker, ffield
 from towerlab.basicfield import (
@@ -46,10 +46,12 @@ from helpers import (
 )
 
 
-def test_genus_hi_is_the_upper_end_the_cli_computed():
-    # the CLI used to compute the upper end of the genus window itself, as
-    # below; the curves that the genus formula refuses are left out
-    windows = 0
+def test_the_genus_bound_is_the_bidegree_bound_or_the_top_of_the_window():
+    # genus_hi is the window's top, (hi + 2 - 2m) // 2 when the window is
+    # open, and genus_bound the least of it and the bidegree's
+    # (m - 1)(deg_x F - 1); the curves that the genus formula refuses are
+    # left out
+    windows = below_window = 0
     for F in sweep_pool() + cli_report_curves() + family_curves():
         try:
             rt = ram_table(F)
@@ -57,11 +59,14 @@ def test_genus_hi_is_the_upper_end_the_cli_computed():
         except TowerlabError:
             continue
         lo, hi = gr.diff_degree_bounds
-        old = gr.genus if gr.exact else max(gr.genus, (hi + 2 - 2 * rt.m) // 2)
-        assert gr.genus_hi == old, F
-        assert max(1, gr.genus_hi) == max(1, gr.genus, (hi + 2 - 2 * rt.m) // 2), F
+        assert gr.genus_hi == (gr.genus if gr.exact else max(gr.genus, (hi + 2 - 2 * rt.m) // 2)), F
+        bidegree = (rt.m - 1) * (F.deg_x() - 1)
+        assert rt.genus_bound() == max(0, min(bidegree, gr.genus_hi)), F
+        assert gr.genus <= rt.genus_bound(), F
         windows += not gr.exact
+        below_window += bidegree < gr.genus_hi
     assert windows >= 10
+    assert below_window >= 1
 
 
 def test_ramification_locus_elliptic():
@@ -228,8 +233,72 @@ def test_zeta_matches_riemann_hurwitz_on_exact_curves():
 
 
 def test_zeta_cap_too_small():
-    with pytest.raises(CapTooSmall):
+    with pytest.raises(CapTooSmall, match="below the genus bound 2"):
         zeta_genus(hyper3(), 1)
+
+
+# genus-2 curves whose counts up to GF(q^2) fit a smaller genus: at cap 1
+# the point count once returned 0, 1, 1 and 1
+GENUS_2_FITTING_LESS = [
+    (F2, "y^2+y+x^5"),
+    (F2, "(x^2+1)*y^3+x^2*y^2+x*y+x"),
+    (F2, "y^3+x^2*y^2+(x^2+x+1)*y+x^2"),
+    (F3, "y^3+2*x^2*y^2+2*x^2*y+(x^2+x)"),
+]
+
+
+@pytest.mark.parametrize("field,text", GENUS_2_FITTING_LESS, ids=[t for _, t in GENUS_2_FITTING_LESS])
+def test_a_cap_below_the_genus_bound_is_refused_not_fitted(field, text):
+    F = parse_poly(text, field)
+    rt = ram_table(F)
+    assert rt.genus_bound() >= 2
+    with pytest.raises(CapTooSmall, match=f"below the genus bound {rt.genus_bound()}"):
+        zeta_genus(F, 1, rt)
+    assert zeta_genus(F, rt.genus_bound(), rt) == 2
+
+
+def test_a_negative_cap_is_below_every_genus_bound():
+    with pytest.raises(CapTooSmall, match="cap -1 is below the genus bound 0"):
+        zeta_genus(cubic2(), -1)
+
+
+def test_counts_that_fit_no_genus_at_the_bound_are_an_inconsistent_oracle(monkeypatch):
+    # at or above the bound the true genus always fits, so only wrong counts
+    # leave every genus unfitted: one point over every GF(5^k) gives
+    # c_1 = -5 and c_2 = 0, which neither genus 0 nor genus 1 fits
+    monkeypatch.setattr(basicfield, "_point_count", lambda F, k, locus_degrees: 1)
+    with pytest.raises(InconsistentOracle, match="genus bound 1: engine bug"):
+        zeta_genus(elliptic5(), 1)
+
+
+@st.composite
+def _small_curves(draw):
+    """F over GF(2) or GF(3) with deg_x F <= 3 and y-degree 2 or 3."""
+    field = draw(st.sampled_from([F2, F3]))
+    dy = draw(st.integers(2, 3))
+    monomials = [(i, j) for i in range(4) for j in range(dy + 1)]
+    coeffs = draw(st.lists(st.integers(0, field.order - 1), min_size=len(monomials),
+                           max_size=len(monomials)))
+    return bivar(field, {ij: field.elem(c) for ij, c in zip(monomials, coeffs) if c})
+
+
+@settings(max_examples=10, deadline=None)
+@given(F=_small_curves())
+def test_the_point_count_refuses_every_cap_below_the_bound_and_is_exact_at_it(F):
+    assume(F.deg_y() >= 2 and not F.derivative_y().is_zero())
+    assume(is_irreducible_over_ratfield(F))
+    rt = ram_table(F)
+    assume(basicfield._constant_field_is_base(rt))
+    gr = genus_from_table(rt)
+    bound = rt.genus_bound()
+    try:
+        z = zeta_genus(F, max(1, bound), rt)
+    except ffield.BudgetExceeded:
+        assume(False)
+    assert gr.genus <= z <= gr.genus_hi
+    for cap in range(1, bound):
+        with pytest.raises(CapTooSmall):
+            zeta_genus(F, cap, rt)
 
 
 def test_zeta_genus_reads_a_given_table_without_rebuilding_it(monkeypatch):
@@ -447,11 +516,13 @@ workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 # zeta_genus on each benchmark genus curve at caps 1-6: the genus, or None
-# for CapTooSmall
+# for CapTooSmall.  A cap below the curve's genus bound is refused before any
+# count: family2's bound is its window's top, 3, though its counts up to
+# GF(2^4) already fit genus 2
 ZETA_AT_CAPS = {
     "cubic2": [0, 0, 0, 0, 0, 0],
     "elliptic5": [1, 1, 1, 1, 1, 1],
-    "family2": [None, 2, 2, 2, 2, 2],
+    "family2": [None, None, 2, 2, 2, 2],
     "hyper3": [None, 2, 2, 2, 2, 2],
     "kummer5": [0, 0, 0, 0, 0, 0],
 }

@@ -425,19 +425,68 @@ def test_elliptic_curves_over_a_large_prime_field_keep_genus_one(F):
     assert rep["data"]["genus"] == 1
 
 
-def test_genus_cap_below_one_is_an_error():
-    for cap in ("0", "-3"):
-        code, rep = run_json(["genus", "--p", "2", "--F", FAM, "--cap", cap, "--json"])
-        assert code == 2
-        assert rep["error"]["type"] == "InvalidOption"
-        assert "--cap" in rep["error"]["message"]
+def test_genus_has_no_cap_option(capsys):
+    # the point count runs at the curve's genus bound, the only cap at which
+    # its genus is exact, so there is no cap to pass
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["genus", "--p", "2", "--F", FAM, "--cap", "3", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["genus", "--help"])
+    assert exc.value.code == 0
+    assert "--cap" not in capsys.readouterr().out
 
 
-def test_genus_explicit_cap_is_kept():
-    code, rep = run_json(["genus", "--p", "2", "--F", FAM, "--cap", "3", "--json"])
+# the last four are genus-2 curves whose counts up to GF(q^2) fit a smaller
+# genus: at --cap 1 the point count once reported genus 0, 1, 1 and 1 with
+# verdict true
+@pytest.mark.parametrize("p,F,genus", [
+    (2, FAM, 2),
+    (5, "y^2-x^3-x", 1),
+    (3, "y^2+2*y+x^6+x^5+x^3+2*x^2+x+2", 2),
+    (2, "y^2+y+x^5", 2),
+    (2, "(x^2+1)*y^3+x^2*y^2+x*y+x", 2),
+    (2, "y^3+x^2*y^2+(x^2+x+1)*y+x^2", 2),
+    (3, "y^3+2*x^2*y^2+2*x^2*y+(x^2+x)", 2),
+])
+def test_genus_runs_the_point_count_at_the_genus_bound(p, F, genus):
+    rt = basicfield.ram_table(parse_poly(F, ffield.make_field(p)))
+    code, rep = run_json(["genus", "--p", str(p), "--F", F, "--json"])
     assert code == 0
-    assert rep["data"]["cap"] == 3
-    assert rep["data"]["zeta_genus"] == 2
+    assert rep["verdict"] == "true"
+    assert rep["data"]["genus"] == rep["data"]["zeta_genus"] == genus
+    assert rep["data"]["cap"] == max(1, rt.genus_bound())
+
+
+def test_genus_with_two_open_wild_differents_reads_their_sum_off_the_point_count():
+    # two wild places keep d windows; the window [1, 3] holds the point-count
+    # genus 2, which fixes the sum of the two exponents but neither one
+    F = "(x^2+1)*y^4+(x^2+x)*y^3+(x^2+x+1)*y^2+x"
+    code, rep = run_json(["analyze", "--p", "2", "--F", F, "--json"])
+    assert code == 0
+    assert rep["bounds"]["genus"] == [1, 3]
+    code, rep = run_json(["genus", "--p", "2", "--F", F, "--json"])
+    assert code == 0
+    assert rep["verdict"] == "true"
+    assert rep["data"]["genus"] == rep["data"]["zeta_genus"] == 2
+    assert rep["bounds"]["different_degree"] == [10, 10]
+    assert rep["notes"] == [
+        "2 wild different exponents stay windows; the independent point-count "
+        "genus fixes their sum"
+    ]
+    jsonschema.validate(rep, _load_schema())
+
+
+def test_genus_outside_the_window_of_two_open_differents_is_an_inconsistent_oracle(monkeypatch):
+    F = "(x^2+1)*y^4+(x^2+x)*y^3+(x^2+x+1)*y^2+x"
+    monkeypatch.setattr(cli, "zeta_genus", lambda F, cap, rt: 4)
+    code, rep = run_json(["genus", "--p", "2", "--F", F, "--json"])
+    assert code == 2
+    assert rep["error"] == {
+        "type": "InconsistentOracle",
+        "message": "point-count genus 4 needs different degree 14, outside the window [8, 12]",
+    }
 
 
 Q3_FAMILY = "(x+1)*y^4+(x+1)*y-x^4"
@@ -453,10 +502,12 @@ def test_genus_refuses_a_point_count_past_the_budget():
     assert rep["error"]["message"].startswith("point count at cap 6 over GF(3^k), k <= 10:")
 
 
-def test_genus_cap_keeps_the_point_count_within_the_budget():
-    code, rep = run_json(["genus", "--p", "3", "--F", Q3_FAMILY, "--cap", "3", "--json"])
-    assert code == 0
-    assert rep["data"]["zeta_genus"] == rep["data"]["genus"] == 3
+def test_the_point_count_refuses_a_cap_below_the_genus_bound_of_the_q3_family():
+    # the genus is 3, but only counts up to GF(3^12), its bound 6, certify
+    # it: at cap 3 a smaller genus could fit, so the cap is refused
+    F = parse_poly(Q3_FAMILY, ffield.make_field(3))
+    with pytest.raises(basicfield.CapTooSmall, match="cap 3 is below the genus bound 6"):
+        basicfield.zeta_genus(F, 3)
 
 
 def test_analyze_certifies_a_curve_whose_first_odd_degree_place_has_degree_3():
@@ -490,24 +541,25 @@ GF2_GENUS_2 = "y^2+(x^3+x+1)*y+x^6+x^5+x^4+x^2+1"
 
 
 def test_genus_at_a_cap_too_small_is_cap_too_small_not_a_constant_field():
-    # at cap 1 the counts reach GF(4) only, where every place has degree 2;
-    # a locus place of degree 3 shows that the constant field is GF(2)
-    code, rep = run_json(["genus", "--p", "2", "--F", GF2_GENUS_2, "--cap", "1", "--json"])
-    assert code == 2
-    assert rep["error"]["type"] == "CapTooSmall"
-    code, rep = run_json(["genus", "--p", "2", "--F", GF2_GENUS_2, "--cap", "2", "--json"])
+    # at cap 1 the counts would reach GF(4) only, where every place has
+    # degree 2; a locus place of degree 3 shows that the constant field is
+    # GF(2), and the bound 2 refuses cap 1
+    F = parse_poly(GF2_GENUS_2, F2)
+    with pytest.raises(basicfield.CapTooSmall, match="cap 1 is below the genus bound 2"):
+        basicfield.zeta_genus(F, 1)
+    assert basicfield.zeta_genus(F, 2) == basicfield.genus_basic(F).genus == 2
+    code, rep = run_json(["genus", "--p", "2", "--F", GF2_GENUS_2, "--json"])
     assert code == 0
     assert rep["data"]["zeta_genus"] == rep["data"]["riemann_hurwitz_genus"] == 2
 
 
-@pytest.mark.parametrize("cap", ["8", "40", "1000000000"])
+@pytest.mark.parametrize("cap", [8, 40, 1000000000])
 def test_genus_budget_refuses_an_explicit_cap_past_it(cap):
-    # the budget binds every cap: an explicit one is refused before any walk,
+    # the budget binds every cap: one past it is refused before any walk,
     # and a huge one stops at the first field past the budget
-    code, rep = run_json(["genus", "--p", "5", "--F", "y^2-x^3-x", "--cap", cap, "--json"])
-    assert code == 2
-    assert rep["error"]["type"] == "BudgetExceeded"
-    assert rep["error"]["message"].startswith(f"point count at cap {cap} over GF(5^k), k <= 8:")
+    F = parse_poly("y^2-x^3-x", F5)
+    with pytest.raises(ffield.BudgetExceeded, match=rf"^point count at cap {cap} over GF\(5\^k\), k <= 8:"):
+        basicfield.zeta_genus(F, cap)
 
 
 def test_invalid_hypotheses_cli():

@@ -9,7 +9,8 @@ family orders that are no prime power or lie past the family's bound.  A
 check-theorem job on an F inseparable in y or in x ends in exit 1 with that
 failed precondition, named by its variable.  Some genus jobs run valid
 curves at --max-depth=8, so the sweep reaches the constant-field
-certificate and the point count, whose work budget refuses --cap=40."""
+certificate and the point count, whose work budget refuses the q = 3
+family member at its genus bound, 6."""
 
 import io
 import json
@@ -66,8 +67,9 @@ INSEPARABLE = [
 ]
 # (p, F) curves a genus job runs to the end at --max-depth=8: two constant
 # field extensions that the certificate refuses after its walk, curves whose
-# point count runs, and a genus-2 curve over GF(3) whose certificate walks
-# to GF(27)
+# point count runs, a genus-2 curve over GF(3) whose certificate walks to
+# GF(27), and the q = 3 family member, whose point count at its genus bound
+# the work budget refuses
 GENUS_CURVES = [
     (5, "y^2-2"),
     (2, "y^2+y+1"),
@@ -76,6 +78,7 @@ GENUS_CURVES = [
     (3, "y^2-x^3+x"),
     (3, "y^3-y-x^2"),
     (3, "y^2+2*y+x^6+x^5+x^3+2*x^2+x+2"),
+    (3, "(x+1)*y^4+(x+1)*y-x^4"),
 ]
 ELEMS = ["0", "1", "t", "t+1", "t^2", "2*t", "x", "s", "", "t^99999999", "(t"]
 UNIPOLYS = ["x", "x+1", "x^2+1", "x^2", "1", "0", "y", "x^3+x+1", "", "x^", "x^100000"]
@@ -141,18 +144,12 @@ def _draw(rng: random.Random) -> tuple[list[str], str | None]:
     elif command == "genus" and rng.random() < 0.4:
         p, F = rng.choice(GENUS_CURVES)
         argv = [command, f"--p={p}", "--k=1", *_text_option(rng, "F", F)]
-        if rng.random() < 0.5:
-            argv.append(f"--cap={rng.choice([1, 2, 40])}")
         return argv + ["--max-depth=8", "--json"], None
     else:
         argv = [command, f"--p={rng.choice(PS)}", f"--k={rng.choice(KS)}"]
         argv += _text_option(rng, "F", _text(rng))
         if command == "check-theorem":
             argv += _text_option(rng, "f", rng.choice(UNIPOLYS))
-        if command == "genus" and rng.random() < 0.3:
-            # an invalid cap, caps the point count can walk, and one the work
-            # budget refuses
-            argv.append(f"--cap={rng.choice([0, -1, 1, 2, 40])}")
         argv.append(f"--max-depth={rng.choice([1, 8])}")
     return argv + ["--json"], None
 
@@ -161,7 +158,7 @@ def test_seeded_jobs_keep_the_cli_contract(monkeypatch):
     rng = random.Random(SEED)
     schema, errors = _schema(), _error_names()
     inseparable = 0
-    point_counts, refused_caps = [], []
+    point_counts, refused_counts = [], []
     zeta_genus = cli.zeta_genus
     monkeypatch.setattr(cli, "zeta_genus", lambda *a: point_counts.append(a) or zeta_genus(*a))
     for _ in range(JOBS):
@@ -175,8 +172,9 @@ def test_seeded_jobs_keep_the_cli_contract(monkeypatch):
         assert (code == 2) == (rep["verdict"] == "error"), argv
         if code == 2:
             assert rep["error"]["type"] in errors, argv
-            if "--cap=40" in argv and rep["error"]["type"] == "BudgetExceeded":
-                refused_caps.append(argv)
+            if rep["error"]["message"].startswith("point count at cap"):
+                assert rep["error"]["type"] == "BudgetExceeded", argv
+                refused_counts.append(argv)
         if var is not None:
             inseparable += 1
             assert code == 1, argv
@@ -185,7 +183,7 @@ def test_seeded_jobs_keep_the_cli_contract(monkeypatch):
             ], argv
     assert inseparable, "no check-theorem job drew an inseparable F"
     assert point_counts, "no genus job reached the point count"
-    assert refused_caps, "no --cap=40 job was refused by the work budget"
+    assert refused_counts, "no genus job's point count was refused by the work budget"
 
 
 def test_a_reducible_F_of_the_largest_parsed_degree_is_answered_within_seconds():
