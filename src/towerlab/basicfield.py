@@ -6,7 +6,8 @@ the y-discriminant, zeros of the leading y-coefficient, and infinity), sum
 different exponents against residue degrees, and solve
 2g - 2 = -2m + deg Diff.  Each d is read as PlaceExt.d_range: e-1 at a tame
 place, a [dmin, dmax] window at a wild one until d is known.  So deg Diff
-lies in [lo, hi], and the genus window has closed-form ends.
+lies in [lo, hi], and the genus window runs from the least genus that lo
+allows to RamTable.genus_bound, which the bidegree bound may hold below hi.
 
 The zeta route never looks at differents: it counts the points over each
 constant-field extension GF(q^k), as the roots of the good fibres F(xi, y)
@@ -14,9 +15,9 @@ off the locus (one xi per Frobenius orbit), plus the degree f * deg P of
 each place above the locus, read off the ramification table, that divides
 k.  From those it derives the places of each degree, computes the
 L-polynomial's coefficients in one pass of Newton's identities, and reads
-the genus off the least degree that fits.  The fit is exact only when the
-counts reach the genus bound, RamTable.genus_bound, the one upper bound
-that the certificate below reads too: a cap below it is refused
+the genus off its degree 2g, the last nonzero coefficient.  That is exact
+only when the counts reach the genus bound, the one upper bound that the
+window and the certificate below read too: a cap below it is refused
 (CapTooSmall), and a walk predicted past ffield.WORK_BUDGET is refused
 (BudgetExceeded), both before any count.
 
@@ -87,7 +88,7 @@ class RamTable(Record):
         return [pl for pl in self.all_places() if pl.d_exact is None]
 
     def genus_bound(self) -> int:
-        """An upper bound of the genus over GF(q), when that is the full
+        """The top of the genus window over GF(q), when that is the full
         constant field: the least of the bidegree's (m - 1)(deg_x F - 1) and
         Riemann-Hurwitz's (hi - 2m + 2) // 2, hi the top of deg Diff."""
         m, hi = self.m, self.different_degree_bounds()[1]
@@ -96,8 +97,8 @@ class RamTable(Record):
 
 class GenusResult(Record):
     """genus is the smallest value consistent with the different-degree
-    bounds, the pair diff_degree_bounds (and equals the true genus when
-    exact is True)."""
+    window diff_degree_bounds, whose top is the table's genus_bound (and
+    equals the true genus when exact is True)."""
 
     __slots__ = ("genus", "exact", "diff_degree_bounds")
 
@@ -214,10 +215,10 @@ def genus_from_table(rt: RamTable) -> GenusResult:
         raise TowerlabError("odd different degree: engine bug")
     if lo == hi and lo < 2 * m - 2:
         raise TowerlabError("negative genus from exact differents: engine bug")
-    # 2g - 2 = D - 2m: the window's ends are the least even D >= lo and
-    # >= 2m - 2 (g >= 0), and the greatest even D <= hi
-    D_lo, D_hi = max(lo + lo % 2, 2 * m - 2), hi - hi % 2
-    if D_lo > D_hi:
+    # 2g - 2 = D - 2m: the window runs from the least even D >= lo and
+    # >= 2m - 2 (g >= 0) to the genus bound's D, past hi only when it clamps
+    D_lo, D_hi = max(lo + lo % 2, 2 * m - 2), 2 * rt.genus_bound() + 2 * m - 2
+    if D_lo > min(D_hi, hi):
         raise TowerlabError("no feasible different degree: engine bug")
     return GenusResult(
         genus=D_lo // 2 - m + 1, exact=D_lo == D_hi, diff_degree_bounds=(D_lo, D_hi)
@@ -260,13 +261,13 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
     _point_count counts the rest.
 
     Independent of different exponents, and exact: g_cap must reach the
-    table's genus_bound(), so the counts reach S_2g, and c_2g = q^g != 0
-    refutes every smaller genus.  Raises BudgetExceeded before any count
-    when the walk is predicted past WORK_BUDGET, CapTooSmall, naming the
-    bound, when g_cap lies below it, TowerlabError when the constant field
-    is not GF(q) (_constant_field_is_base, as for the Riemann-Hurwitz
-    route), and InconsistentOracle when no L-polynomial of degree
-    <= 2*g_cap matches the counts, which only wrong counts can cause."""
+    table's genus_bound(), so the counts reach S_2g, and c_2g = q^g is the
+    last nonzero c_j: g is half its index.  Raises BudgetExceeded before
+    any count when the walk is predicted past WORK_BUDGET, CapTooSmall,
+    naming the bound, when g_cap lies below it, TowerlabError when the
+    constant field is not GF(q) (_constant_field_is_base, as for the
+    Riemann-Hurwitz route), and InconsistentOracle when the c_j fit no
+    L-polynomial of that degree, which only wrong counts can cause."""
     field = F.field
     q = field.order
     kmax = max(2 * g_cap, 1)
@@ -299,23 +300,23 @@ def zeta_genus(F: BivarPoly, g_cap: int, table: RamTable | None = None) -> int:
     a = {k: q**k + 1 - S[k] for k in range(1, kmax + 1)}
     # Newton's identities, j*c_j = -sum_{i<=j} a_i c_{j-i}, give the
     # coefficients c_j of the L-polynomial's series from the counts alone.
-    # Genus g fits when c_1..c_2g are integral, the functional equation
-    # c_{2g-j} = q^{g-j} c_j holds, and c_j = 0 for 2g < j <= kmax (by
-    # induction on j that is a_j matching the degree-2g L-polynomial).
+    # The counts reach S_2g, so c_2g = q^g is the last nonzero c_j; genus g
+    # fits when c_1..c_g are integral and the functional equation
+    # c_{2g-j} = q^{g-j} c_j holds, which makes c_{g+1}..c_2g integral too
     c = [Fraction(1)]
     for j in range(1, kmax + 1):
         c.append(-sum(a[i] * c[j - i] for i in range(1, j + 1)) / j)
-    for g in range(0, g_cap + 1):
-        if (
-            all(cj.denominator == 1 for cj in c[1 : 2 * g + 1])
-            and all(c[2 * g - j] == q ** (g - j) * c[j] for j in range(0, g + 1))
-            and not any(c[2 * g + 1 :])
-        ):
-            return g
-    raise InconsistentOracle(
-        f"no L-polynomial of genus <= {g_cap} fits the place counts, though "
-        f"the cap reaches the genus bound {bound}: engine bug"
-    )
+    g, odd = divmod(max(j for j, cj in enumerate(c) if cj), 2)
+    if (
+        odd
+        or any(cj.denominator != 1 for cj in c[1 : g + 1])
+        or any(c[2 * g - j] != q ** (g - j) * c[j] for j in range(g + 1))
+    ):
+        raise InconsistentOracle(
+            f"no L-polynomial of genus <= {g_cap} fits the place counts, though "
+            f"the cap reaches the genus bound {bound}: engine bug"
+        )
+    return g
 
 
 def reconcile_different(rt: RamTable, oracle_genus: int) -> RamTable:

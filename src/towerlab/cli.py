@@ -522,27 +522,26 @@ def _run_genus(job: JobSpec):
     z = zeta_genus(F, cap, rt)
     notes = []
     if not gr.exact:
-        open_ds = len(rt.missing_exact())
         D = 2 * z - 2 + 2 * rt.m
-        if open_ds == 1:
-            rt = reconcile_different(rt, z)  # raises if z is not in the interval
-            gr = genus_from_table(rt)
-            notes.append(
-                "wild different exponents were fixed by the independent "
-                "point-count genus oracle"
-            )
-        elif gr.diff_degree_bounds[0] <= D <= gr.diff_degree_bounds[1]:
-            # z fixes the sum of the open exponents, not each one
-            gr = gr.replace(genus=z, exact=True, diff_degree_bounds=(D, D))
-            notes.append(
-                f"{open_ds} wild different exponents stay windows; the "
-                "independent point-count genus fixes their sum"
-            )
-        else:
+        if not gr.diff_degree_bounds[0] <= D <= gr.diff_degree_bounds[1]:
             raise InconsistentOracle(
                 f"point-count genus {z} needs different degree {D}, outside "
                 f"the window {list(gr.diff_degree_bounds)}"
             )
+        open_ds = len(rt.missing_exact())
+        if open_ds == 1:
+            reconcile_different(rt, z)  # raises unless z makes the open d whole
+            notes.append(
+                "wild different exponents were fixed by the independent "
+                "point-count genus oracle"
+            )
+        else:
+            # z fixes the sum of the open exponents, not each one
+            notes.append(
+                f"{open_ds} wild different exponents stay windows; the "
+                "independent point-count genus fixes their sum"
+            )
+        gr = gr.replace(genus=z, exact=True, diff_degree_bounds=(D, D))
     genus = gr.genus
     agree = gr.exact and genus == z
     bounds = {

@@ -245,21 +245,44 @@ def constant_term_exact_val(V, H, g):
     raise TowerlabError("valuation did not stabilize")
 
 
-def genus_window_by_list(lo, hi, m):
+def genus_window_by_list(lo, hi, m, bidegree):
     """The genus window of a degree-m curve with different degree in
-    [lo, hi], as genus_from_table once built it: from the list of every
-    feasible degree.  lo == hi stands for a table whose every d is exact."""
-    if lo == hi:
-        if lo % 2:
-            raise TowerlabError("odd different degree: engine bug")
-        g = (lo - 2 * m + 2) // 2
-        if g < 0:
-            raise TowerlabError("negative genus from exact differents: engine bug")
-        return GenusResult(genus=g, exact=True, diff_degree_bounds=(lo, lo))
-    feas = [D for D in range(lo, hi + 1) if D % 2 == 0 and D >= 2 * m - 2]
+    [lo, hi] and genus at most the bidegree bound, (m - 1)(deg_x F - 1):
+    from the list of every feasible degree.  lo == hi stands for a table
+    whose every d is exact, and an exact genus past the bidegree bound
+    leaves no feasible degree."""
+    if lo == hi and lo % 2:
+        raise TowerlabError("odd different degree: engine bug")
+    if lo == hi and lo < 2 * m - 2:
+        raise TowerlabError("negative genus from exact differents: engine bug")
+    feas = [
+        D for D in range(lo, hi + 1)
+        if D % 2 == 0 and 2 * m - 2 <= D <= 2 * bidegree + 2 * m - 2
+    ]
     if not feas:
         raise TowerlabError("no feasible different degree: engine bug")
     g = (feas[0] - 2 * m + 2) // 2
     return GenusResult(
         genus=g, exact=(len(feas) == 1), diff_degree_bounds=(feas[0], feas[-1])
     )
+
+
+def genus_by_search(S, q, g_cap):
+    """The least genus g <= g_cap whose L-polynomial fits the point counts
+    S[k] over GF(q^k), k = 1 .. max(2 g_cap, 1), or None, by the search over
+    g that zeta_genus once ran: Newton's identities give the coefficients
+    c_j of the L-polynomial's series, and g fits when c_1..c_2g are
+    integral, c_(2g-j) = q^(g-j) c_j, and c_j = 0 for 2g < j."""
+    kmax = max(2 * g_cap, 1)
+    a = {k: q**k + 1 - S[k] for k in range(1, kmax + 1)}
+    c = [Fraction(1)]
+    for j in range(1, kmax + 1):
+        c.append(-sum(a[i] * c[j - i] for i in range(1, j + 1)) / j)
+    for g in range(g_cap + 1):
+        if (
+            all(cj.denominator == 1 for cj in c[1 : 2 * g + 1])
+            and all(c[2 * g - j] == q ** (g - j) * c[j] for j in range(g + 1))
+            and not any(c[2 * g + 1 :])
+        ):
+            return g
+    return None

@@ -37,6 +37,7 @@ from helpers import (
     family_curves,
     family_F,
     family_params,
+    genus_by_search,
     genus_window_by_list,
     hyper3,
     kummer5,
@@ -47,26 +48,24 @@ from helpers import (
 
 
 def test_the_genus_bound_is_the_bidegree_bound_or_the_top_of_the_window():
-    # genus_hi is the window's top, (hi + 2 - 2m) // 2 when the window is
-    # open, and genus_bound the least of it and the bidegree's
-    # (m - 1)(deg_x F - 1); the curves that the genus formula refuses are
-    # left out
-    windows = below_window = 0
+    # genus_bound is the least of the bidegree's (m - 1)(deg_x F - 1) and
+    # Riemann-Hurwitz's (hi + 2 - 2m) // 2, and the window's top, genus_hi,
+    # is that bound; the curves that the genus formula refuses are left out
+    windows = closed_by_bidegree = 0
     for F in sweep_pool() + cli_report_curves() + family_curves():
         try:
             rt = ram_table(F)
             gr = genus_from_table(rt)
         except TowerlabError:
             continue
-        lo, hi = gr.diff_degree_bounds
-        assert gr.genus_hi == (gr.genus if gr.exact else max(gr.genus, (hi + 2 - 2 * rt.m) // 2)), F
+        lo, hi = rt.different_degree_bounds()
         bidegree = (rt.m - 1) * (F.deg_x() - 1)
-        assert rt.genus_bound() == max(0, min(bidegree, gr.genus_hi)), F
-        assert gr.genus <= rt.genus_bound(), F
+        assert rt.genus_bound() == max(0, min(bidegree, (hi + 2 - 2 * rt.m) // 2)), F
+        assert gr.genus_hi == rt.genus_bound(), F
         windows += not gr.exact
-        below_window += bidegree < gr.genus_hi
+        closed_by_bidegree += gr.exact and lo != hi
     assert windows >= 10
-    assert below_window >= 1
+    assert closed_by_bidegree >= 3
 
 
 def test_ramification_locus_elliptic():
@@ -178,24 +177,28 @@ def test_an_exact_wild_d_reaches_the_climb_through_d_range(monkeypatch):
 
 class _Bounds:
     """A table that answers only what genus_from_table reads past its
-    constant-field check: m and the different-degree bounds."""
+    constant-field check: m, the different-degree bounds and the genus
+    bound, here from a bidegree bound given outright."""
 
-    def __init__(self, lo, hi, m):
-        self.m, self.bounds = m, (lo, hi)
+    def __init__(self, lo, hi, m, bidegree):
+        self.m, self.bounds, self.bidegree = m, (lo, hi), bidegree
 
     def different_degree_bounds(self):
         return self.bounds
 
+    def genus_bound(self):
+        return max(0, min(self.bidegree, (self.bounds[1] - 2 * self.m + 2) // 2))
 
-def _closed_form(lo, hi, m):
+
+def _closed_form(lo, hi, m, bidegree):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(basicfield, "_constant_field_is_base", lambda rt: True)
-        return genus_from_table(_Bounds(lo, hi, m))
+        return genus_from_table(_Bounds(lo, hi, m, bidegree))
 
 
-def _window_or_error(window, lo, hi, m):
+def _window_or_error(window, *args):
     try:
-        return window(lo, hi, m)
+        return window(*args)
     except TowerlabError as exc:
         return type(exc), str(exc)
 
@@ -204,19 +207,22 @@ def _window_or_error(window, lo, hi, m):
     lo=st.integers(0, 60),
     width=st.integers(0, 60),
     m=st.integers(1, 20),
+    bidegree=st.integers(0, 40),
 )
-@example(lo=6, width=4, m=3)  # the q = 2 family: both ends even
-@example(lo=5, width=6, m=3)  # odd ends
-@example(lo=1, width=8, m=4)  # lo below 2m - 2
-@example(lo=7, width=0, m=3)  # exact and odd
-@example(lo=2, width=0, m=3)  # exact and below 2m - 2
-@example(lo=2, width=4, m=5)  # empty window: every even D < 2m - 2
-@example(lo=5, width=1, m=1)  # one feasible D: the window collapses
-@example(lo=3072, width=1048576, m=1025)  # the family at q = 1024: 524,288 even D
-def test_the_closed_form_genus_window_matches_the_list_of_feasible_degrees(lo, width, m):
+@example(lo=6, width=4, m=3, bidegree=4)  # the q = 2 family: both ends even
+@example(lo=5, width=6, m=3, bidegree=40)  # odd ends
+@example(lo=1, width=8, m=4, bidegree=40)  # lo below 2m - 2
+@example(lo=7, width=0, m=3, bidegree=40)  # exact and odd
+@example(lo=2, width=0, m=3, bidegree=40)  # exact and below 2m - 2
+@example(lo=2, width=4, m=5, bidegree=40)  # empty window: every even D < 2m - 2
+@example(lo=5, width=1, m=1, bidegree=40)  # one feasible D: the window collapses
+@example(lo=6, width=6, m=3, bidegree=1)  # the bidegree closes the window
+@example(lo=10, width=0, m=3, bidegree=2)  # an exact genus 3 above the bidegree bound
+@example(lo=3072, width=1048576, m=1025, bidegree=1048576)  # the family at q = 1024
+def test_the_closed_form_genus_window_matches_the_list_of_feasible_degrees(lo, width, m, bidegree):
     hi = lo + width
-    assert _window_or_error(_closed_form, lo, hi, m) == _window_or_error(
-        genus_window_by_list, lo, hi, m
+    assert _window_or_error(_closed_form, lo, hi, m, bidegree) == _window_or_error(
+        genus_window_by_list, lo, hi, m, bidegree
     )
 
 
@@ -271,6 +277,14 @@ def test_counts_that_fit_no_genus_at_the_bound_are_an_inconsistent_oracle(monkey
         zeta_genus(elliptic5(), 1)
 
 
+def test_counts_that_break_the_functional_equation_are_an_inconsistent_oracle(monkeypatch):
+    # 6 points over GF(5) and 28 over GF(25) give c_1 = 0 and c_2 = 1: the
+    # last nonzero coefficient sits at 2, but genus 1 needs c_2 = 5
+    monkeypatch.setattr(basicfield, "_point_count", lambda F, k, locus_degrees: {1: 6, 2: 28}[k])
+    with pytest.raises(InconsistentOracle, match="genus bound 1: engine bug"):
+        zeta_genus(elliptic5(), 1)
+
+
 @st.composite
 def _small_curves(draw):
     """F over GF(2) or GF(3) with deg_x F <= 3 and y-degree 2 or 3."""
@@ -299,6 +313,27 @@ def test_the_point_count_refuses_every_cap_below_the_bound_and_is_exact_at_it(F)
     for cap in range(1, bound):
         with pytest.raises(CapTooSmall):
             zeta_genus(F, cap, rt)
+
+
+@settings(max_examples=10, deadline=None)
+@given(F=_small_curves())
+def test_the_genus_read_off_the_counts_is_the_least_genus_that_fits_them(F):
+    # the counts that zeta_genus takes at cap max(1, bound), handed to the
+    # search over g that it once ran
+    assume(F.deg_y() >= 2 and not F.derivative_y().is_zero())
+    assume(is_irreducible_over_ratfield(F))
+    rt = ram_table(F)
+    assume(basicfield._constant_field_is_base(rt))
+    cap, counts, point_count = max(1, rt.genus_bound()), {}, basicfield._point_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basicfield, "_point_count",
+                   lambda F, k, locus: counts.setdefault(k, point_count(F, k, locus)))
+        try:
+            z = zeta_genus(F, cap, rt)
+        except ffield.BudgetExceeded:
+            assume(False)
+    assert sorted(counts) == list(range(1, 2 * cap + 1))
+    assert z == genus_by_search(counts, F.field.order, cap)
 
 
 def test_zeta_genus_reads_a_given_table_without_rebuilding_it(monkeypatch):

@@ -726,6 +726,22 @@ def test_the_text_summary_prints_a_genus_window_as_a_window(F, p, window):
     assert "  genus = 1" in out.splitlines()
 
 
+def test_a_window_that_the_bidegree_bound_closes_is_reported_exact():
+    # deg_x F = 1 makes the bidegree bound (m - 1)(deg_x F - 1) = 0, so the
+    # field is rational, though the wild place over x + 2 keeps d in [3, 12]
+    # and Riemann-Hurwitz alone leaves the genus in [0, 3]
+    F = "(2*x+1)*y^4+2*y^3+(x+2)*y+(2*x+2)"
+    code, rep = run_json(["analyze", "--p", "3", "--F", F, "--json"])
+    assert code == 0
+    assert rep["verdict"] == "exact"
+    assert rep["bounds"]["genus"] == [0, 0]
+    code, out = run_cli(["analyze", "--p", "3", "--F", F])
+    assert "  genus = 0" in out.splitlines()
+    code, rep = run_json(["genus", "--p", "3", "--F", F, "--json"])
+    assert code == 0
+    assert (rep["verdict"], rep["data"]["genus"], rep["notes"]) == ("true", 0, [])
+
+
 # the curve with a degree-10 locus place over GF(5), whose residue fields
 # reach GF(5^20), and the sha256 of its analyze report
 HEAVY = "(x^2+1)*y^4+3*y^3+3*x*y^2+(x^2+2*x+4)*y+(x^2+2)"

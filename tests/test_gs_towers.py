@@ -12,7 +12,8 @@ its basic field is elliptic.
 check_theorem certifying any pair (F, x + c) of these towers would be a
 soundness bug in the checker.  The genus (q - 1)^2 and the verdicts are
 the reference; they are never adjusted to a checker's output.  The genus
-windows pin what the engine proves today, before wild differents are exact.
+windows pin what the engine proves today, before wild differents are exact:
+their top is the bidegree bound (deg_y F - 1)(deg_x F - 1) = (q - 1)^2.
 """
 
 import pytest
@@ -43,8 +44,8 @@ GS = [(2, 2, 2), (3, 3, 2), (4, 2, 4)]
 
 @pytest.mark.parametrize("q,p,k,window", [
     (2, 2, 2, (1, 1)),
-    (3, 3, 2, (3, 7)),
-    (4, 2, 4, (5, 21)),
+    (3, 3, 2, (3, 4)),
+    (4, 2, 4, (5, 9)),
 ])
 def test_the_gs_genus_window_contains_the_literature_genus(q, p, k, window):
     _K, F = gs_tower(q, p, k)
