@@ -5,21 +5,17 @@ Representation choices, fixed once so every artifact downstream is
 deterministic:
 
 * A field GF(p^k) is GF(p)[t]/(modulus) for a monic irreducible modulus of
-  degree k.  make_field is the one constructor and interns fields by
-  (p, modulus): while a field is alive, equal fields are the same object
-  and are compared with `is`.  Without an explicit modulus it takes the
-  canonical one: the monic irreducible of degree k whose coefficient
-  vector, read as a base-p integer with the constant term least
-  significant, is smallest.  The field make_field(p, k) returns lives as
-  long as the process.  A residue field GF(p)[u]/(psi) that an Adjoin step
-  over a prime field builds has psi as its modulus, and the intern map holds
-  it weakly: such a field goes with the last place, stage, element or
+  degree k, interned by (p, modulus): while a field is alive, equal fields
+  are the same object and are compared with `is`.  make_field(p, k) gives
+  the canonical modulus: the monic irreducible of degree k whose
+  coefficient vector, read as a base-p integer with the constant term least
+  significant, is smallest.  That field lives as long as the process.  Any
+  other modulus comes from an Adjoin step over a prime field: its residue
+  field GF(p)[u]/(psi) has psi as its modulus, and the intern map holds it
+  weakly: such a field goes with the last place, stage, element or
   polynomial that refers to it, and a later use of psi interns it afresh.
   A psi that is the canonical modulus gives the same object as
-  make_field(p, k), whichever of the two comes first.  An
-  explicit modulus is checked by Ben-Or's test whenever its field is
-  interned, and a reducible one raises ValueError instead of yielding a
-  ring that is not a field.
+  make_field(p, k), whichever of the two comes first.
 * An element c_0 + c_1 t + ... + c_{k-1} t^(k-1) is the plain int
   sum(c_i * p^i).  All orderings and reprs derive from that encoding, and
   arithmetic runs on it directly:
@@ -611,36 +607,17 @@ _fields: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _canonical: dict[tuple[int, int], FiniteField] = {}
 
 
-def make_field(p: int, k: int = 1, modulus=None) -> FiniteField:
-    """GF(p^k) = GF(p)[t]/(modulus), one interned instance per (p, modulus)
-    while that instance is alive.
-
-    modulus lists the coefficients low to high; it must be monic and
-    irreducible over GF(p), which Ben-Or's test checks whenever the field
-    is interned (ValueError otherwise).  It defaults to the canonical
-    smallest modulus (see module docstring)."""
-    if modulus is None:
-        field = _canonical.get((p, k))
-        if field is None:
-            _check_degree(p, k)
-            field = _intern(p, k, _smallest_modulus(p, k))
-            _canonical[(p, k)] = field
-        return field
-    modulus = tuple(modulus)
-    field = _fields.get((p, modulus))
+def make_field(p: int, k: int = 1) -> FiniteField:
+    """GF(p^k) = GF(p)[t]/(modulus) for the canonical smallest modulus (see
+    module docstring), one instance per (p, k) for the life of the process."""
+    field = _canonical.get((p, k))
     if field is None:
-        _check_degree(p, k)
-        if len(modulus) != k + 1 or modulus[-1] != 1 or not _ben_or(make_field(p), list(modulus)):
-            raise ValueError("modulus must be monic irreducible of the extension degree")
-        field = _intern(p, k, modulus)
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        if k < 1:
+            raise InvalidDegree(f"extension degree {k} is not >= 1")
+        field = _canonical[(p, k)] = _intern(p, k, _smallest_modulus(p, k))
     return field
-
-
-def _check_degree(p: int, k: int) -> None:
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if k < 1:
-        raise InvalidDegree(f"extension degree {k} is not >= 1")
 
 
 def _intern(p: int, k: int, modulus: tuple[int, ...]) -> FiniteField:

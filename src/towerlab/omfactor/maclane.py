@@ -70,7 +70,7 @@ from fractions import Fraction
 
 from ..errors import TowerlabError
 from ..ffield import Adjoin, FFElem, FFPoly, FiniteField, poly_factor
-from ..ratfunc import RatFunc, RatPlace
+from ..ratfunc import RatPlace
 from .newton import slope_length_pairs
 from .ypoly import YPoly
 
@@ -383,14 +383,6 @@ class StageVal:
         if j is None:
             j = n * h.degree()
         field = self.phi.field
-        if self.prev is None and self.phi.coeffs[0].is_zero():
-            # phi = y: y^(i+k*d) per coefficient k; without: sweep +0-2% CPU (148/200), family 64 -1% (36/90)
-            zero = RatFunc.const(field, 0)
-            cs = [zero] * (i + h.degree() * d + 1)
-            for k, c in enumerate(h.coeffs):
-                if not c.is_zero():
-                    cs[i + k * d] = self.place.scaled(self.place.lift(c), j - k * n)
-            return YPoly._of(field, tuple(cs))
         # Horner in phi^d: the term of h's coefficient k sits at phi^(i + k*d)
         phi_d = self.phi if d == 1 else self.phi**d
         F = YPoly(field, [])

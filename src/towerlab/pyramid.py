@@ -295,32 +295,6 @@ def walk_bound(h: RamHypotheses, i: int) -> int:
     return d_upper - e_top * d_ppi
 
 
-# A sequence spec: an int or Fraction (a constant sequence), a list or tuple
-# (repeated periodically) or a callable sampled at i = 1, 2, ...  Annotations
-# are never evaluated, so the alias is a plain string and needs no `typing`.
-SeqSpec = "int | Fraction | Sequence | Callable[[int], object]"
-
-
-def _as_terms(spec: SeqSpec, count: int, what: str):
-    """Expand a sequence spec to `count` values starting at index 1.
-
-    Scalars mean a constant sequence, lists and tuples repeat periodically,
-    callables are sampled at i = 1, 2, ...; only the first two forms are
-    symbolic enough to certify anything about the infinite tail.
-    """
-    if callable(spec):
-        vals = [Fraction(spec(k)) for k in range(1, count + 1)]
-        return vals, None
-    if isinstance(spec, (list, tuple)):
-        period = [Fraction(v) for v in spec]
-        if not period:
-            raise InvalidHypotheses(what + " spec must be nonempty")
-        vals = [period[(k - 1) % len(period)] for k in range(1, count + 1)]
-        return vals, period
-    val = Fraction(spec)
-    return [val] * count, [val]
-
-
 class SeriesReport(Record):
     """verdict is "Diverges" or "Inconclusive"; terms and partial_sums are
     tuples of Fractions; certificate explains a "Diverges", else None."""
@@ -328,54 +302,39 @@ class SeriesReport(Record):
     __slots__ = ("verdict", "terms", "partial_sums", "certificate")
 
 
-def series_divergence(
-    c: SeqSpec,
-    step_degrees: SeqSpec,
-    horizon: int = 64,
-) -> SeriesReport:
-    """Decide divergence of sum_i c_i / [T_{i+1} : T_i], never convergence.
+def series_divergence(c, step_degrees, horizon: int = 64) -> SeriesReport:
+    """Decide divergence of sum_i c / [T_{i+1} : T_i] for a constant ratio c
+    and a constant step degree (ints or Fractions), never convergence.
 
-    Constant and periodic specs get a symbolic certificate: if one full
-    period of terms has positive sum, partial sums grow linearly forever.
-    A callable is only sampled up to the horizon, and a finite horizon is
-    not a certificate, so it is always Inconclusive; so is a period with
-    zero sum.  Convergence is never claimed.
-    """
+    Every term is c / step_degrees, so for c > 0 the partial sums grow
+    linearly forever and the verdict is Diverges, with that certificate.
+    At c = 0 every term is 0 and the verdict is Inconclusive.  terms and
+    partial_sums hold the first `horizon` terms and sums."""
     if horizon < 1:
         raise InvalidHypotheses("horizon must be >= 1")
-    cs, c_period = _as_terms(c, horizon, "c")
-    ds, d_period = _as_terms(step_degrees, horizon, "step degree")
-    if any(v < 0 for v in cs):
+    if c < 0:
         raise InvalidHypotheses("c terms must be >= 0")
-    if any(v < 1 for v in ds):
+    if step_degrees < 1:
         raise InvalidHypotheses("step degrees must be >= 1")
-    terms = [a / b for a, b in zip(cs, ds)]
-    sums, acc = [], Fraction(0)
-    for t in terms:
-        acc += t
-        sums.append(acc)
-    verdict, cert = "Inconclusive", None
-    if c_period is not None and d_period is not None:
-        n = math.lcm(len(c_period), len(d_period))
-        block = [
-            c_period[k % len(c_period)] / d_period[k % len(d_period)]
-            for k in range(n)
-        ]
-        sigma = sum(block)
-        if sigma > 0:
-            verdict = "Diverges"
-            cert = (
-                f"terms repeat with period {n} and period sum {sigma} > 0; "
-                f"partial sums grow by at least {sigma} every {n} terms"
-            )
-    return SeriesReport(verdict, tuple(terms), tuple(sums), cert)
+    term = Fraction(c) / step_degrees
+    terms = (term,) * horizon
+    sums = tuple(term * k for k in range(1, horizon + 1))
+    if not term:
+        return SeriesReport("Inconclusive", terms, sums, None)
+    cert = (
+        f"terms repeat with period 1 and period sum {term} > 0; "
+        f"partial sums grow by at least {term} every 1 terms"
+    )
+    return SeriesReport("Diverges", terms, sums, cert)
 
 
-def render_pyramid(h: RamHypotheses, i: int, names: bool = True) -> str:
+def render_pyramid(h: RamHypotheses, i: int) -> str:
     """ASCII picture of the level-i diagram, apex on top.
 
-    Nodes sit at column lo + hi, height hi - lo; edges are drawn as / and \\
-    with their e-labels.  Only sensible for small i (the CLI caps at 4).
+    Nodes sit at column lo + hi, height hi - lo, named P_j on the bottom row,
+    Q_j above it, P' at the apex, P at (0, i), Q' at (i, i+1) and * elsewhere;
+    edges are drawn as / and \\ with their e-labels.  Only sensible for small
+    i (the CLI caps at 4).
     """
     g = pyramid_graph(h, i)
     top = i + 1
@@ -392,8 +351,6 @@ def render_pyramid(h: RamHypotheses, i: int, names: bool = True) -> str:
             line[col + k] = ch
 
     def name_of(lo: int, hi: int) -> str:
-        if not names:
-            return "*"
         if lo == hi:
             return f"P{lo}"
         if (lo, hi) == (0, top):

@@ -401,11 +401,10 @@ class LocalRing:
     trimmed coefficient tuples: in t, of length <= N, at a place of degree 1
     or infinity (the series form); in x, of degree < N deg P, otherwise."""
 
-    __slots__ = ("place", "N", "field", "_mod", "_dens", "_leads")
+    __slots__ = ("place", "N", "field", "_mod", "_leads")
 
     def __init__(self, place: RatPlace, N: int):
         self.place, self.N, self.field = place, N, place.field
-        self._dens = {}  # den -> (valuation, unit inverse); sweep +1-2% CPU without (63/100 pairs)
         self._leads = {}  # element -> _lead(element); sweep +8-15% CPU without (8/10, 10/12 pairs)
         P = place.poly
         self._mod = None if P is None or P.degree() == 1 else (P**N).ints
@@ -425,12 +424,8 @@ class LocalRing:
         den = r.den.ints
         if len(den) == 1:
             return v, u
-        key = tuple(den)
-        inv = self._dens.get(key)
-        if inv is None:
-            w, d = self._unit_part(den)
-            inv = self._dens[key] = (w, self._inverse(d))
-        return v - inv[0], self.mul(u, inv[1])
+        w, d = self._unit_part(den)
+        return v - w, self.mul(u, self._inverse(d))
 
     def embed(self, v: int, u: list[int]) -> tuple:
         """The element t^v * u (P^v * u) for v >= 0."""

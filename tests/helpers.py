@@ -4,7 +4,8 @@ benchmark's curve pool, the curves of the CLI report jobs, the Bareiss
 resultant kept as a reference for ffield.resultant_y, the constant-term
 valuation kept as a reference for omfactor.maclane.exact_val, the list of
 feasible different degrees kept as a reference for the genus window, and
-the textbook digit-vector product in GF(p^k)."""
+the textbook digit-vector product in GF(p^k) and the field of a chosen
+modulus."""
 
 import functools
 import importlib.util
@@ -13,7 +14,7 @@ import math
 import os
 from fractions import Fraction
 
-from towerlab.ffield import BivarPoly, FFPoly, _pdivmod, _pmul, _psub, make_field
+from towerlab.ffield import Adjoin, BivarPoly, FFPoly, _pdivmod, _pmul, _psub, make_field
 from towerlab.checker import FamilyParams, build_family
 from towerlab.basicfield import GenusResult
 from towerlab.cli import parse_poly
@@ -53,6 +54,14 @@ def textbook_mul(F, a, b):
         for i in range(k + 1):
             conv[top - k + i] -= c * mod[i]
     return F.elem([c % p for c in conv[:k]])
+
+
+def modulus_field(p, modulus):
+    """GF(p)[t]/(modulus) for a monic irreducible modulus of degree >= 2
+    (coefficients low to high), built through Adjoin as places and MacLane
+    stages build their residue fields."""
+    K = make_field(p)
+    return Adjoin(K, FFPoly(K, list(modulus))).field
 
 
 def family_params(q):

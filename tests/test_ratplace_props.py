@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols
 
-from towerlab.ffield import FFPoly, embed, is_irreducible, make_field, poly_gcd, roots_in_field
+from towerlab.ffield import Adjoin, FFPoly, embed, is_irreducible, make_field, poly_gcd, roots_in_field
 from towerlab.omfactor import Inseparable, is_irreducible_over_ratfield, places_above
 from towerlab.omfactor.places import curve_point
 from towerlab.ratfunc import PoleAtPlace, RatFunc, RatPlace
@@ -73,7 +73,7 @@ def _rho(P):
     if P.degree() == 1:
         return embed(-P.coeff(0), make_field(K.p, K.k))
     if K.k == 1:
-        return make_field(K.p, P.degree(), P.ints).gen()
+        return Adjoin(K, P).field.gen()
     return roots_in_field(P, make_field(K.p, K.k * P.degree()))[0]
 
 
