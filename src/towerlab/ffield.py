@@ -202,8 +202,8 @@ class FiniteField:
         self._embed_roots: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         # monic f of degree n with q^n <= ZECH_MAX_ORDER -> poly_factor(f) as
         # ((factor ints), multiplicity) pairs: int tuples only, since an FFPoly
-        # would hold its field in a cycle.  Without: sweep +8-10% CPU per warm
-        # pass (on faster in 23/30, 29/30, 36/40 and 37/40 pairs)
+        # would hold its field in a cycle.  Without: sweep +2-8% CPU per warm
+        # pass (on faster in 24/30 pairs)
         self._factors: dict[tuple[int, ...], tuple] = {}
 
     # -- element construction -------------------------------------------------
@@ -465,7 +465,7 @@ class _ZechField(_ExtensionField):
         log, exp, _ = self._tables
         return exp[log[a] * n % (self.order - 1)]
 
-    # odd p only, p = 2 keeps xor; family --q 625/729 +30-33% CPU without (20/20 pairs); sweep even
+    # odd p only, p = 2 keeps xor; family --q 625/729 +28-46% CPU without (56/60 pairs); sweep even
 
     def _add(self, a: int, b: int) -> int:
         if not a:
@@ -626,7 +626,7 @@ def _intern(p: int, k: int, modulus: tuple[int, ...]) -> FiniteField:
         if k == 1:
             cls = FiniteField
         elif p**k <= ZECH_MAX_ORDER and modulus == _smallest_modulus(p, k):
-            cls = _ZechField  # without: family --q 729 +66% CPU (12/12 pairs), sweep +10-28% (12/14, 11/14)
+            cls = _ZechField  # without: family --q 729 +66-75% CPU (20/20 pairs), sweep +15-25% (17/20)
         else:
             cls = _ExtensionField
         field = _fields[(p, modulus)] = cls(p, k, modulus)

@@ -107,7 +107,7 @@ class _Precision:
 
     def __init__(self, ring):
         self.ring = ring
-        self._images = {}  # without it a warm sweep pass takes 61-72% more CPU (30/30, 14/14 pairs)
+        self._images = {}  # without it a warm sweep pass takes 72-75% more CPU (30/30 pairs)
 
     def local(self, f: YPoly) -> tuple[YPoly, int]:
         """f.local(ring) at the current ring, converted once."""
@@ -154,10 +154,10 @@ class StageVal:
     """One stage of an inductive valuation.  Immutable; augment() returns a
     new object (collapsing onto the previous stage for same-degree keys).
 
-    Values lie in (1/E)Z, so the engine computes E * V(f), an int, and
-    keeps it per local polynomial for the life of the stage; keyval * E =
-    rel_n.  val() and keyval are ints when integral and Fractions otherwise.
-    The stages of one decomposition share their precision `prec`.
+    Values lie in (1/E)Z, so the engine computes E * V(f), an int;
+    keyval * E = rel_n.  val() and keyval are ints when integral and
+    Fractions otherwise.  The stages of one decomposition share their
+    precision `prec`.
     """
 
     __slots__ = (
@@ -174,7 +174,6 @@ class StageVal:
         "psi",
         "res_deg",
         "_ext",
-        "_vals",
     )
 
     def __init__(self, place: RatPlace, prev, phi: YPoly, keyval, psi: FFPoly | None,
@@ -188,7 +187,6 @@ class StageVal:
             prev_E, keyval
         )
         self.keyval = INF if self.rel_n is None else _qval(self.rel_n, self.E)
-        self._vals = {}  # without it a warm sweep pass takes 1-1.5% more CPU (68/100 pairs)
         self._ext = None
         if prev is None:
             if phi.degree() != 1 or not phi.lc().is_one():
@@ -257,14 +255,9 @@ class StageVal:
     def _sval(self, f: YPoly):
         """E * V(f) for a local f, an int, or INF for f = 0 mod P^N; a
         value >= E * N is only a lower bound."""
-        v = self._vals.get(f)
-        if v is None:
-            if f.degree() < self.phi.degree():
-                v = self._coeff_sval(f)
-            else:
-                v = min(self._terms(f.expand_in(self._key())))
-            self._vals[f] = v
-        return v
+        if f.degree() < self.phi.degree():
+            return self._coeff_sval(f)
+        return min(self._terms(f.expand_in(self._key())))
 
     def _bound(self, f: YPoly):
         """An upper bound of E * V(f) for an exact f, nonzero at a finite
@@ -393,7 +386,8 @@ class StageVal:
                 continue
             jj = j - k * n
             if self.prev is None:
-                C = YPoly(field, [self.place.scaled(self.place.lift(c), jj)])
+                r = self.place.lift(c)
+                C = YPoly(field, [r * self.place.uniformizer() ** jj if jj else r])
             else:
                 f0, i0, j0 = self.graded_map_lift(c, jj)
                 C = self.prev.graded_reduction_lift(f0, i0, j0)

@@ -162,11 +162,12 @@ def monic_integral_model(F: BivarPoly, P: RatPlace):
             if v < 0:
                 # z = y*pi^M makes coefficient j pick up valuation (m-j)*M
                 M = max(M, -(v // (m - j)))  # ceil(-v / (m - j))
-    H = G
+    H, pi = G, P.uniformizer()
     if M:
         # coefficient j of pi^(mM) * G(z / pi^M) is G_j * pi^((m-j)M)
-        H = YPoly(G.field, [P.scaled(c, (m - j) * M) for j, c in enumerate(G.coeffs)])
-    return H, M, P.uniformizer()
+        H = YPoly(G.field, [c * pi ** ((m - j) * M) if j < m else c
+                            for j, c in enumerate(G.coeffs)])
+    return H, M, pi
 
 
 def places_above(

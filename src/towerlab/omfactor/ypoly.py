@@ -65,7 +65,7 @@ class YPoly:
     the constant field `field`, or tuple ones over the LocalRing `field`
     (made by `local`)."""
 
-    __slots__ = ("field", "coeffs", "_expansions", "_hash")
+    __slots__ = ("field", "coeffs", "_expansions")
 
     def __init__(self, field: FiniteField, coeffs):
         cs = []
@@ -82,7 +82,6 @@ class YPoly:
         self.field = field
         self.coeffs = _trimmed(cs)
         self._expansions = None
-        self._hash = None
 
     @classmethod
     def _of(cls, field: FiniteField, coeffs: tuple) -> "YPoly":
@@ -91,7 +90,6 @@ class YPoly:
         f.field = field
         f.coeffs = coeffs
         f._expansions = None
-        f._hash = None
         return f
 
     @classmethod
@@ -212,7 +210,7 @@ class YPoly:
         with deg c_i < deg phi.  Returns (c_0, c_1, ...), of length exactly
         floor(deg f / deg phi) + 1 for nonzero f, and (0,) for f = 0.  The
         result is remembered on phi, so repeated calls return the same tuple
-        (without that, a warm sweep pass takes 10-30% more CPU, 29/30 and 12/14 pairs)."""
+        (without that, a warm sweep pass takes 13-43% more CPU, 28/30 pairs)."""
         memo = phi._expansions
         if memo is None:
             if phi.degree() < 1 or phi.lc() != phi._ring()[4]:
@@ -222,7 +220,7 @@ class YPoly:
         if out is None:
             cs = self.coeffs
             if len(phi.coeffs) == 2 and not phi.coeffs[0]:
-                # phi = y, digits are coefficients: family --q 1024 +11-27% CPU without (20/20, 8/10 pairs)
+                # phi = y, digits are coefficients: family --q 1024 +11-26% CPU without (25/30 pairs)
                 digits = [YPoly._of(self.field, (c,) if c else ()) for c in cs]
             else:
                 _, sub, mul, _, _ = self._ring()
@@ -265,10 +263,7 @@ class YPoly:
         )
 
     def __hash__(self):
-        # cached for the expansion and image memos: +4-6% sweep CPU uncached (24/30, 9/14, 16/20 pairs)
-        if self._hash is None:
-            self._hash = hash((self.field, self.coeffs))
-        return self._hash
+        return hash((self.field, self.coeffs))
 
     def to_str(self, var: str = "y") -> str:
         texts = [None if c.is_zero() else c.to_str("x") for c in self.coeffs]

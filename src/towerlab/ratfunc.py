@@ -256,39 +256,6 @@ class RatPlace:
             return _wrap(self.field, [1], [0, 1])
         return RatFunc(self.poly)
 
-    def scaled(self, r: RatFunc, k: int) -> RatFunc:
-        """r * pi^k for the uniformizer pi, in canonical form: the powers of
-        P (of x at infinity) that cancel are stripped, and no gcd is taken (as
-        a RatFunc product it costs a warm sweep pass 0-4.5% more CPU, 219/300
-        pairs; family --q 64 and the CLI jobs about 1%, 40/60 and 38/60 pairs)."""
-        if not k or r.is_zero():
-            return r
-        F = self.field
-        n, d = r.num.ints, r.den.ints
-        if self.poly is None:
-            P, k = [0, 1], -k  # pi = 1/x
-        else:
-            P = self.poly.ints
-        if k < 0:
-            d, n = n, d
-        e = abs(k)
-        if self.poly is None:
-            # powers of x: leading zero coefficients
-            s = 0
-            while s < e and not d[s]:
-                s += 1
-            d, n, e = d[s:], [0] * (e - s) + n, 0
-        while e and len(d) >= len(P):
-            q, rem = _pdivmod(F, d, P)
-            if rem:
-                break
-            d, e = q, e - 1
-        for _ in range(e):
-            n = _pmul(F, n, P)
-        if k < 0:
-            d, n = n, d
-        return _wrap(F, *_monic_den(F, n, d))
-
     def local(self, N: int) -> "LocalRing":
         """The ring O_P/P^N."""
         return LocalRing(self, N)
@@ -405,7 +372,7 @@ class LocalRing:
 
     def __init__(self, place: RatPlace, N: int):
         self.place, self.N, self.field = place, N, place.field
-        self._leads = {}  # element -> _lead(element); sweep +8-15% CPU without (8/10, 10/12 pairs)
+        self._leads = {}  # element -> _lead(element); sweep +4-8% CPU without (26/30 pairs)
         P = place.poly
         self._mod = None if P is None or P.degree() == 1 else (P**N).ints
 

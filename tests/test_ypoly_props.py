@@ -134,7 +134,7 @@ def _local_case(draw, fields=FIELDS):
     ))
 
     def integral(r, k):
-        return r if r.is_zero() else place.scaled(r, k - min(0, place.valuation(r)))
+        return r if r.is_zero() else r * place.uniformizer() ** (k - min(0, place.valuation(r)))
 
     coeffs = st.builds(integral, _ratfuncs(F), st.integers(0, 3))
     f, g = (YPoly(F, draw(st.lists(coeffs, max_size=7))) for _ in range(2))
